@@ -16,20 +16,16 @@ from .errors import (
 from .linalg import (
     Spectrum,
     abs_general,
-    apply_function,
     complex_matrix,
     embed_offdiag,
     hermitian_eigendecompose,
     hermitian_matrix,
     is_comparable,
     is_psd,
-    jacobi_eigendecompose,
     jordan_decompose,
     loewner_le,
     matrix_from_json,
     matrix_to_json,
-    operator_norm,
-    range_projection,
     sqrt_psd,
 )
 from .orthogonality import (
@@ -42,7 +38,6 @@ from .orthogonality import (
     check_prop2_equivalence,
     hereditary_check,
     infty_orth,
-    sample_order_interval,
 )
 from .ortholattice import (
     WitnessResult,

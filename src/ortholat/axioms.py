@@ -15,6 +15,7 @@ from .linalg import (
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
+    hermitian_norm,
     jordan_decompose,
     psd_defect,
     random_hermitian,
@@ -23,7 +24,8 @@ from .linalg import (
     sqrt_psd,
     zero_product_residual,
 )
-from .orthogonality import KGrid, OrderIntervalSampler, OrthReport
+from .lattice import sup_norm
+from .orthogonality import OrderIntervalSampler, OrthReport, infty_deviations
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -73,9 +75,7 @@ class MatrixSaModel:
     def orth_residual(self, x, y) -> float:
         return zero_product_residual(self.absolute(x), self.absolute(y))
 
-    def norm(self, x) -> float:
-        w = hermitian_eigendecompose(x, self.tol).eigenvalues
-        return float(np.max(np.abs(w), initial=0.0))
+    norm = staticmethod(hermitian_norm)
 
     def vector_norm(self, x) -> float:
         return frob(x)
@@ -104,11 +104,6 @@ class MatrixSaModel:
         w[n1:, n1:] = random_hermitian(self.n - n1, rng)
         conj = lambda x: hermitian_matrix(q @ x @ q.conj().T)
         return conj(up), conj(v), conj(w)
-
-    def infty_deviation(self, u, v, k) -> float:
-        lhs = self.norm(u + k * v)
-        rhs = max(self.norm(u), abs(k) * self.norm(v))
-        return abs(lhs - rhs) / max(1.0, rhs)
 
     def to_json(self):
         return {"carrier": self.carrier, "n": self.n}
@@ -150,8 +145,7 @@ class CoordinateModel:
         return overlap / max(1.0, float(np.max(np.abs(x), initial=0.0))
                              * float(np.max(np.abs(y), initial=0.0)))
 
-    def norm(self, x) -> float:
-        return float(np.max(np.abs(x), initial=0.0))
+    norm = staticmethod(sup_norm)
 
     def vector_norm(self, x) -> float:
         return self.norm(x)
@@ -173,11 +167,6 @@ class CoordinateModel:
         w[n1:] = rng.standard_normal(self.n - n1)
         perm = rng.permutation(self.n)
         return u[perm], v[perm], w[perm]
-
-    def infty_deviation(self, u, v, k) -> float:
-        lhs = self.norm(u + k * v)
-        rhs = max(self.norm(u), abs(k) * self.norm(v))
-        return abs(lhs - rhs) / max(1.0, rhs)
 
     def to_json(self):
         return {"carrier": self.carrier, "n": self.n}
@@ -216,10 +205,9 @@ def order_unit_norm(v, model, e=None, tol: Tolerances | None = None) -> float:
         e = model.unit()
     if model.carrier == "matrix-sa":
         eh = hermitian_matrix(e)
-        w = hermitian_eigendecompose(eh, tol).eigenvalues
-        if w[0] <= tol.tol_psd:
-            raise NotOrderUnit("order unit must be positive definite")
         s = hermitian_eigendecompose(eh, tol)
+        if s.eigenvalues[0] <= tol.tol_psd:
+            raise NotOrderUnit("order unit must be positive definite")
         root_inv = (s.eigenvectors * (1.0 / np.sqrt(s.eigenvalues))) @ \
             s.eigenvectors.conj().T
         x = hermitian_matrix(root_inv @ hermitian_matrix(v) @ root_inv)
@@ -325,9 +313,8 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         for _ in range(inner):
             c = model.interval_sample(up, rng)
             d = model.interval_sample(un, rng)
-            grid = KGrid.for_norms(model.norm(c), model.norm(d))
-            for k in grid.values:
-                ra_sampled = max(ra_sampled, model.infty_deviation(c, d, k))
+            _, dev = infty_deviations(c, d, model.norm)
+            ra_sampled = max(ra_sampled, float(dev.max()))
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         ut, vt, wt = model.orthogonal_triple(rng)

@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output JSON path")
         p.add_argument("--tol-eq", type=float, default=None)
         p.add_argument("--tol-zero", type=float, default=None)
-        p.add_argument("--json", action="store_true", default=True,
-                       help="emit JSON (default on)")
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suite", type=str, default="all",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionFailed
 from .linalg import rng_for
-from .orthogonality import KGrid, OrthReport
+from .orthogonality import OrthReport, infty_deviations
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "verify_corollary5",
     "am_norm_laws",
     "prop6_check",
-    "vector_to_json",
-    "vector_from_json",
 ]
 
 
@@ -56,9 +54,9 @@ def lattice_abs(x) -> np.ndarray:
     return np.abs(lattice_vector(x))
 
 
-def sup_norm(x) -> float:
-    v = lattice_vector(x)
-    return float(np.max(np.abs(v), initial=0.0))
+def sup_norm(x):
+    """max_i |x_i|, of a vector or of each vector of a stack along the last axis."""
+    return np.abs(np.asarray(x, dtype=float)).max(-1, initial=0.0)
 
 
 def lattice_orth(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -155,11 +153,8 @@ def prop6_check(u, v, trials: int = 200, seed: int = 0,
             rng = rng_for(seed, i)
             u1 = rng.uniform(0.0, 1.0, size=uv.shape) * uv
             v1 = rng.uniform(0.0, 1.0, size=vv.shape) * vv
-            grid = KGrid.for_norms(sup_norm(u1), sup_norm(v1))
-            for k in grid.values:
-                lhs = sup_norm(u1 + k * v1)
-                rhs = max(sup_norm(u1), abs(k) * sup_norm(v1))
-                worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
+            _, dev = infty_deviations(u1, v1, sup_norm)
+            worst = max(worst, float(dev.max()))
         return OrthReport("prop6", worst <= tol.tol_eq, worst,
                           [("direction", 1.0), ("sampled_deviation", worst)])
 
@@ -169,15 +164,3 @@ def prop6_check(u, v, trials: int = 200, seed: int = 0,
     violation = abs(lhs - rhs) / max(1.0, rhs)
     return OrthReport("prop6", violation > tol.tol_eq, violation,
                       [("direction", 2.0), ("witness_violation", violation)])
-
-
-def vector_to_json(v) -> dict:
-    x = lattice_vector(v)
-    return {"n": int(x.shape[0]), "coords": x.tolist()}
-
-
-def vector_from_json(obj) -> np.ndarray:
-    x = lattice_vector(obj["coords"])
-    if x.shape[0] != int(obj["n"]):
-        raise DimensionMismatch("vector JSON length disagrees with n")
-    return x

@@ -1,5 +1,5 @@
-"""Dense complex matrix substrate: Hermitian spectral decomposition,
-functional calculus, norms, Loewner-order predicates, and JSON I/O.
+"""Dense complex matrix substrate: Hermitian spectral decomposition, Jordan
+decomposition and square roots, norms, Loewner-order predicates, and JSON I/O.
 
 All operations are pure functions of ndarrays; matrices are square complex
 arrays and Hermitian inputs are symmetrized at the boundary.
@@ -23,14 +23,11 @@ __all__ = [
     "matrices_equal",
     "zero_product_residual",
     "hermitian_eigendecompose",
-    "jacobi_eigendecompose",
-    "apply_function",
     "jordan_decompose",
     "sqrt_psd",
     "abs_general",
     "embed_offdiag",
-    "range_projection",
-    "operator_norm",
+    "hermitian_norm",
     "psd_defect",
     "is_psd",
     "loewner_le",
@@ -111,72 +108,9 @@ class Spectrum:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _eig2_unitary(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """Eigenvector unitary of the 2x2 Hermitian [[app, apq], [conj(apq), aqq]].
-
-    Chooses the numerically stable eigenvector branch; column order is
-    irrelevant because eigenvalues are sorted afterwards.
-    """
-    d = (app - aqq) / 2.0
-    r = np.hypot(d, abs(apq))
-    # eigenvalue closest to app gives the inner (small-angle) rotation,
-    # required for cyclic convergence; lam - app computed cancellation-free
-    mag = abs(apq) ** 2 / (r + abs(d)) if r > 0.0 else 0.0
-    lam_minus_app = mag if d >= 0.0 else -mag
-    v = np.array([apq, lam_minus_app], dtype=complex)
-    v /= np.linalg.norm(v)
-    w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-    return np.column_stack([v, w])
-
-
-def _offdiag_frob(a: np.ndarray) -> float:
-    return float(np.sqrt(max(0.0, frob(a) ** 2 - np.linalg.norm(np.diag(a)) ** 2)))
-
-
-def jacobi_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Cyclic complex Jacobi eigendecomposition of a Hermitian matrix.
-
-    Convergence: off-diagonal Frobenius norm <= tol_eig * ||a||_F within
-    max_sweeps sweeps, else NoConvergence.
-    """
-    h = hermitian_matrix(a)
-    n = h.shape[0]
-    scale = frob(h)
-    v = np.eye(n, dtype=complex)
-    if scale == 0.0 or n == 1:
-        return Spectrum(np.diag(h).real.copy(), v)
-    for _ in range(tol.max_sweeps):
-        if _offdiag_frob(h) <= tol.tol_eig * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) <= 1e-18 * scale:
-                    continue
-                g = _eig2_unitary(h[p, p].real, h[q, q].real, h[p, q])
-                idx = [p, q]
-                h[idx, :] = g.conj().T @ h[idx, :]
-                h[:, idx] = h[:, idx] @ g
-                v[:, idx] = v[:, idx] @ g
-    else:
-        raise NoConvergence(
-            f"Jacobi sweeps exhausted: off-diagonal {_offdiag_frob(h):.3e} "
-            f"> {tol.tol_eig * scale:.3e}"
-        )
-    w = np.diag(h).real.copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(w[order], v[:, order])
-
-
-def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL,
-                             method: str = "lapack") -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    method='lapack' uses numpy.linalg.eigh (default, fast); method='jacobi'
-    uses the self-contained cyclic Jacobi solver. Both satisfy the same
-    reconstruction contract.
-    """
-    if method == "jacobi":
-        return jacobi_eigendecompose(a, tol)
+def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh),
+    eigenvalues ascending."""
     h = hermitian_matrix(a)
     try:
         w, u = np.linalg.eigh(h)
@@ -185,12 +119,10 @@ def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL,
     return Spectrum(w, u)
 
 
-def apply_function(a, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Functional calculus: U f(lambda) U* for Hermitian a."""
-    s = hermitian_eigendecompose(a, tol)
-    vals = np.array([f(x) for x in s.eigenvalues], dtype=float)
-    u = s.eigenvectors
-    return hermitian_matrix((u * vals) @ u.conj().T)
+def hermitian_norm(x):
+    """Operator norm max |eigenvalue| of a Hermitian matrix, or of each
+    matrix of a stack along the leading axes; computes eigenvalues only."""
+    return np.abs(np.linalg.eigvalsh(x)).max(-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +168,12 @@ def embed_offdiag(a) -> np.ndarray:
     return np.block([[z, m], [m.conj().T, z]])
 
 
-def range_projection(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the column space of x."""
-    a = complex_matrix(x)
-    s = hermitian_eigendecompose(a @ a.conj().T, tol)
-    # singular values of x are sqrt of these eigenvalues
-    sv = np.sqrt(np.maximum(s.eigenvalues, 0.0))
-    cut = tol.tol_zero * float(sv.max(initial=0.0))
-    cols = s.eigenvectors[:, sv > cut]
-    return hermitian_matrix(cols @ cols.conj().T)
-
-
-def operator_norm(x, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest singular value; for Hermitian x this is max |eigenvalue|."""
-    a = complex_matrix(x)
-    if frob(a - a.conj().T) <= 1e-14 * max(1.0, frob(a)):
-        s = hermitian_eigendecompose(a, tol)
-        return float(np.max(np.abs(s.eigenvalues), initial=0.0))
-    s = hermitian_eigendecompose(a.conj().T @ a, tol)
-    return float(np.sqrt(max(0.0, float(s.eigenvalues[-1]))))
-
-
 # ---------------------------------------------------------------------------
 # cone predicates
 
 def psd_defect(a, tol: Tolerances = DEFAULT_TOL) -> float:
     """Relative depth of the most negative eigenvalue (0 for PSD input)."""
-    s = hermitian_eigendecompose(a, tol)
-    w = s.eigenvalues
+    w = np.linalg.eigvalsh(hermitian_matrix(a))
     if w.size == 0:
         return 0.0
     scale = max(1.0, float(np.max(np.abs(w))))

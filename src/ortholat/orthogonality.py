@@ -19,10 +19,9 @@ from .linalg import (
     complex_matrix,
     embed_offdiag,
     frob,
-    hermitian_eigendecompose,
     hermitian_matrix,
+    hermitian_norm,
     jordan_decompose,
-    operator_norm,
     psd_defect,
     rel_diff,
     rng_for,
@@ -38,9 +37,9 @@ __all__ = [
     "alg_orth_sa",
     "alg_orth_general",
     "check_prop2_equivalence",
+    "infty_deviations",
     "infty_orth",
     "OrderIntervalSampler",
-    "sample_order_interval",
     "abs_infty_orth_sampled",
     "hereditary_check",
 ]
@@ -88,9 +87,23 @@ class KGrid:
                 ks.append(-rho * (1.0 + off))
         return KGrid(np.unique(np.asarray(ks, dtype=float)))
 
-    @staticmethod
-    def for_pair(u, v) -> "KGrid":
-        return KGrid.for_norms(operator_norm(u), operator_norm(v))
+
+def infty_deviations(u, v, norm, grid: KGrid | None = None):
+    """Relative deviations |lhs - rhs| / max(1, rhs) from the identity
+    lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs, one per k on the grid.
+
+    `norm` is the carrier's batched norm: it maps a stack of elements along
+    the leading axis to their norms, so the whole grid is one evaluation.
+    The grid defaults to KGrid.for_norms(||u||, ||v||). Returns the grid
+    values and the deviations.
+    """
+    nu, nv = norm(np.stack((u, v)))
+    if grid is None:
+        grid = KGrid.for_norms(nu, nv)
+    ks = grid.values
+    lhs = norm(u + ks.reshape((-1,) + (1,) * np.ndim(u)) * v)
+    rhs = np.maximum(nu, np.abs(ks) * nv)
+    return ks, np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
 
 def _require_psd(x, name: str, tol: Tolerances):
@@ -194,21 +207,10 @@ def infty_orth(u, v, grid: KGrid | None = None,
     """||u + kv|| = max(||u||, |k| ||v||) for every k on the grid."""
     um, vm = hermitian_matrix(u), hermitian_matrix(v)
     _check_dims(um, vm)
-
-    def opnorm(x):
-        return float(np.max(np.abs(np.linalg.eigvalsh(x)), initial=0.0))
-
-    nu, nv = opnorm(um), opnorm(vm)
-    if grid is None:
-        grid = KGrid.for_norms(nu, nv)
-    worst = 0.0
-    worst_k = 0.0
-    for k in grid.values:
-        lhs = opnorm(um + k * vm)
-        rhs = max(nu, abs(k) * nv)
-        dev = abs(lhs - rhs) / max(1.0, nu, abs(k) * nv)
-        if dev > worst:
-            worst, worst_k = dev, k
+    ks, dev = infty_deviations(um, vm, hermitian_norm, grid)
+    worst = float(dev.max(initial=0.0))
+    # the first k attaining the maximum; 0 when the identity holds exactly
+    worst_k = float(ks[np.argmax(dev)]) if worst > 0.0 else 0.0
     return OrthReport("infty_orth", worst <= tol.tol_eq, worst,
                       [("worst_k", worst_k), ("deviation", worst)])
 
@@ -229,11 +231,6 @@ class OrderIntervalSampler:
         t = rng.uniform(0.0, 1.0, size=self.n)
         w = (u * t) @ u.conj().T
         return hermitian_matrix(self.root @ w @ self.root)
-
-
-def sample_order_interval(a, rng_seed: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """One seeded draw from the order interval [0, a]."""
-    return OrderIntervalSampler(a, tol).draw(rng_for(rng_seed))
 
 
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,

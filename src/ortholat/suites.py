@@ -173,7 +173,10 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             v[:split] = 0.0
         rep = prop6_check(u, v, trials=20, seed=seed + i, tol=tol)
         norms = am_norm_laws(u, v, tol)
-        worst = max(worst, norms.max_violation)
+        # disjoint pairs carry the sampled norm-identity residual; the
+        # overlap witness of the other direction is meant to be large
+        worst = max(worst, norms.max_violation,
+                    dict(rep.details).get("sampled_deviation", 0.0))
         if not (rep.holds and norms.holds):
             failures += 1
     return {"suite": "prop6", "pass": failures == 0, "trials": trials,

@@ -8,27 +8,19 @@ from dataclasses import dataclass, replace
 class Tolerances:
     """Bundle of thresholds used by all predicates and decompositions.
 
-    tol_eig    -- eigensolver off-diagonal convergence threshold (relative)
     tol_zero   -- zero-product threshold (relative)
     tol_psd    -- cone-membership slack (relative)
     tol_eq     -- matrix/vector equality threshold (relative Frobenius)
-    tol_recon  -- spectral reconstruction threshold (relative Frobenius)
-    max_sweeps -- Jacobi sweep cap
     """
 
-    tol_eig: float = 1e-12
     tol_zero: float = 1e-9
     tol_psd: float = 1e-9
     tol_eq: float = 1e-9
-    tol_recon: float = 1e-9
-    max_sweeps: int = 100
 
     def __post_init__(self):
-        for name in ("tol_eig", "tol_zero", "tol_psd", "tol_eq", "tol_recon"):
+        for name in ("tol_zero", "tol_psd", "tol_eq"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -10,8 +10,6 @@ from ortholat.lattice import (
     meet,
     prop6_check,
     sup_norm,
-    vector_from_json,
-    vector_to_json,
     verify_corollary5,
 )
 from ortholat.linalg import rng_for
@@ -135,13 +133,3 @@ class TestBridge:
             y = rng.standard_normal(4) * rng.integers(0, 2, size=4)
             assert lattice_orth(x, y) == \
                 alg_orth_sa(np.diag(x).astype(complex), np.diag(y).astype(complex)).holds
-
-
-class TestVectorJson:
-    def test_round_trip(self):
-        x = rng_for(74).standard_normal(5)
-        assert np.array_equal(vector_from_json(vector_to_json(x)), x)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            vector_from_json({"n": 3, "coords": [1.0]})

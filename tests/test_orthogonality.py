@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
+from ortholat.lattice import sup_norm
 from ortholat.linalg import (
     frob,
+    hermitian_norm,
     jordan_decompose,
     random_complex,
     random_hermitian,
@@ -20,8 +22,8 @@ from ortholat.orthogonality import (
     alg_orth_sa,
     check_prop2_equivalence,
     hereditary_check,
+    infty_deviations,
     infty_orth,
-    sample_order_interval,
 )
 from ortholat.tolerances import DEFAULT_TOL
 
@@ -133,6 +135,63 @@ class TestKGrid:
         assert 0.0 in grid.values
 
 
+def _scalar_norm(carrier):
+    """The one-element norms of the per-k loop that infty_deviations replaced."""
+    if carrier == "matrix":
+        return lambda x: float(np.max(np.abs(np.linalg.eigvalsh(x)), initial=0.0))
+    return lambda x: float(np.max(np.abs(x), initial=0.0))
+
+
+def _kernel_inputs(carrier, n, seed, v_zero=False):
+    rng = rng_for(53, seed)
+    if carrier == "matrix":
+        u, v = random_hermitian(n, rng), random_hermitian(n, rng)
+    else:
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+    return u, (np.zeros_like(v) if v_zero else v)
+
+
+_TIE = np.array([0.0, -1.0, 1.0])  # ||u - u|| and ||u + u|| deviate equally
+
+
+@pytest.mark.parametrize("carrier, u, v, grid", [
+    ("matrix", *_kernel_inputs("matrix", 4, 0), None),
+    ("matrix", *_kernel_inputs("matrix", 1, 1), None),
+    ("matrix", *_kernel_inputs("matrix", 3, 2, v_zero=True), None),
+    ("matrix", *_kernel_inputs("matrix", 3, 3), KGrid(np.array([0.75]))),
+    ("matrix", np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), KGrid(_TIE)),
+    ("coordinate", *_kernel_inputs("coordinate", 6, 4), None),
+    ("coordinate", *_kernel_inputs("coordinate", 1, 5), None),
+    ("coordinate", *_kernel_inputs("coordinate", 6, 6, v_zero=True), None),
+    ("coordinate", *_kernel_inputs("coordinate", 6, 7), KGrid(np.array([-0.75]))),
+    ("coordinate", np.array([1.0, 0.0]), np.array([1.0, 0.0]), KGrid(_TIE)),
+], ids=["matrix", "matrix-n1", "matrix-v0", "matrix-one-k", "matrix-tie",
+        "coord", "coord-n1", "coord-v0", "coord-one-k", "coord-tie"])
+def test_infty_deviations_match_scalar_loop(carrier, u, v, grid):
+    norm = _scalar_norm(carrier)
+    if grid is None:
+        want_ks = KGrid.for_norms(norm(u), norm(v)).values
+    else:
+        want_ks = grid.values
+    want = []
+    worst, worst_k = 0.0, 0.0
+    for k in want_ks:
+        rhs = max(norm(u), abs(k) * norm(v))
+        dev = abs(norm(u + k * v) - rhs) / max(1.0, rhs)
+        want.append(dev)
+        if dev > worst:
+            worst, worst_k = dev, k
+
+    batched = hermitian_norm if carrier == "matrix" else sup_norm
+    ks, dev = infty_deviations(u, v, batched, grid)
+    assert np.array_equal(ks, want_ks)
+    assert np.array_equal(dev, want)
+    if carrier == "matrix":
+        details = dict(infty_orth(u, v, grid).details)
+        assert details["deviation"] == worst
+        assert details["worst_k"] == worst_k
+
+
 class TestInftyOrth:
     def test_disjoint_diagonal(self):
         assert infty_orth(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).holds
@@ -149,17 +208,18 @@ class TestInftyOrth:
 
 class TestOrderIntervalSampler:
     def test_zero(self):
-        assert frob(sample_order_interval(np.zeros((3, 3)), 0)) == 0.0
+        assert frob(OrderIntervalSampler(np.zeros((3, 3))).draw(rng_for(0))) == 0.0
 
     def test_identity_interval(self):
-        c = sample_order_interval(np.eye(4), 5)
+        c = OrderIntervalSampler(np.eye(4)).draw(rng_for(5))
         w = np.linalg.eigvalsh(c)
         assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
 
     def test_kernel_killed(self):
         a = np.diag([4.0, 0.0]).astype(complex)
+        sampler = OrderIntervalSampler(a)
         for seed in range(20):
-            c = sample_order_interval(a, seed)
+            c = sampler.draw(rng_for(seed))
             assert np.max(np.abs(c[1, :])) <= 1e-12
             assert np.max(np.abs(c[:, 1])) <= 1e-12
 
@@ -174,8 +234,8 @@ class TestOrderIntervalSampler:
 
     def test_deterministic(self):
         a = np.eye(3) * 2.0
-        assert np.array_equal(sample_order_interval(a, 9),
-                              sample_order_interval(a, 9))
+        assert np.array_equal(OrderIntervalSampler(a).draw(rng_for(9)),
+                              OrderIntervalSampler(a).draw(rng_for(9)))
 
     def test_not_positive(self):
         with pytest.raises(NotPositive):
