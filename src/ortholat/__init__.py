@@ -50,7 +50,6 @@ from .ortholattice import (
 from .lattice import (
     am_norm_laws,
     join,
-    lattice_abs,
     lattice_orth,
     meet,
     prop6_check,

@@ -16,7 +16,6 @@ from .linalg import (
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
-    jordan_decompose,
     matrix_from_json,
     matrix_to_json,
     rel_diff,
@@ -149,13 +148,14 @@ def cmd_ortho(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
-    pos, neg, absval = jordan_decompose(a, tol)
+    spectrum = hermitian_eigendecompose(a, tol)
+    pos, neg, absval = spectrum.jordan_parts()
     report = {
         "command": "decompose",
         "pos": matrix_to_json(pos),
         "neg": matrix_to_json(neg),
         "abs": matrix_to_json(absval),
-        "eigenvalues": hermitian_eigendecompose(a, tol).eigenvalues.tolist(),
+        "eigenvalues": spectrum.eigenvalues.tolist(),
         "norm": frob(a),
     }
     _emit(report, args.out)

@@ -8,15 +8,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionFailed
 from .linalg import rng_for
-from .orthogonality import OrthReport, infty_deviations
+from .orthogonality import OrthReport, infty_deviations, interval_pairs, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
     "lattice_vector",
     "meet",
     "join",
-    "lattice_abs",
     "sup_norm",
+    "BoxSampler",
     "lattice_orth",
     "verify_corollary5",
     "am_norm_laws",
@@ -50,13 +50,25 @@ def join(x, y) -> np.ndarray:
     return np.maximum(xv, yv)
 
 
-def lattice_abs(x) -> np.ndarray:
-    return np.abs(lattice_vector(x))
-
-
 def sup_norm(x):
     """max_i |x_i|, of a vector or of each vector of a stack along the last axis."""
     return np.abs(np.asarray(x, dtype=float)).max(-1, initial=0.0)
+
+
+class BoxSampler:
+    """Draws elements of the order interval [0, a] of R^n as t * a with t
+    uniform in the unit box; `raw` and `draw` split a sample as in
+    OrderIntervalSampler."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+
+    def raw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, size=self.a.shape)
+
+    def draw(self, raws) -> np.ndarray:
+        """The stack of the samples of a non-empty sequence of `raw` draws."""
+        return np.array(raws) * self.a
 
 
 def lattice_orth(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -149,12 +161,10 @@ def prop6_check(u, v, trials: int = 200, seed: int = 0,
 
     if lattice_orth(uv, vv, tol):
         worst = 0.0
-        for i in range(trials):
-            rng = rng_for(seed, i)
-            u1 = rng.uniform(0.0, 1.0, size=uv.shape) * uv
-            v1 = rng.uniform(0.0, 1.0, size=vv.shape) * vv
-            _, dev = infty_deviations(u1, v1, sup_norm)
-            worst = max(worst, float(dev.max()))
+        sampler_u, sampler_v = BoxSampler(uv), BoxSampler(vv)
+        for chunk in sample_chunks(0, trials, uv.size):
+            us, vs = interval_pairs(sampler_u, sampler_v, [rng_for(seed, i) for i in chunk])
+            worst = max(worst, float(infty_deviations(us, vs, sup_norm)[1].max()))
         return OrthReport("prop6", worst <= tol.tol_eq, worst,
                           [("direction", 1.0), ("sampled_deviation", worst)])
 

@@ -20,7 +20,6 @@ __all__ = [
     "hermitian_matrix",
     "frob",
     "rel_diff",
-    "matrices_equal",
     "zero_product_residual",
     "hermitian_eigendecompose",
     "jordan_decompose",
@@ -79,10 +78,6 @@ def rel_diff(x: np.ndarray, y: np.ndarray) -> float:
     return frob(x - y) / max(1.0, frob(x), frob(y))
 
 
-def matrices_equal(x, y, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return rel_diff(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)) <= tol.tol_eq
-
-
 def zero_product_residual(a: np.ndarray, b: np.ndarray) -> float:
     """||ab|| / max(1, ||a||*||b||), the toleranced 'ab = 0' residual."""
     _check_same_dim(a, b)
@@ -103,9 +98,15 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
+    def jordan_parts(self):
+        """(pos, neg, abs) of the decomposed matrix: pos - neg is the
+        matrix, pos * neg = 0 and abs = pos + neg."""
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        wp = np.maximum(self.eigenvalues, 0.0)
+        wn = np.maximum(-self.eigenvalues, 0.0)
+        pos = hermitian_matrix((u * wp) @ u.conj().T)
+        neg = hermitian_matrix((u * wn) @ u.conj().T)
+        return pos, neg, pos + neg
 
 
 def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -130,13 +131,7 @@ def hermitian_norm(x):
 
 def jordan_decompose(a, tol: Tolerances = DEFAULT_TOL):
     """Unique decomposition a = pos - neg with pos*neg = 0; abs = pos + neg."""
-    s = hermitian_eigendecompose(a, tol)
-    u = s.eigenvectors
-    wp = np.maximum(s.eigenvalues, 0.0)
-    wn = np.maximum(-s.eigenvalues, 0.0)
-    pos = hermitian_matrix((u * wp) @ u.conj().T)
-    neg = hermitian_matrix((u * wn) @ u.conj().T)
-    return pos, neg, pos + neg
+    return hermitian_eigendecompose(a, tol).jordan_parts()
 
 
 def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

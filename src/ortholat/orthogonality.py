@@ -23,6 +23,7 @@ from .linalg import (
     hermitian_norm,
     jordan_decompose,
     psd_defect,
+    random_complex,
     rel_diff,
     rng_for,
     sqrt_psd,
@@ -39,7 +40,9 @@ __all__ = [
     "check_prop2_equivalence",
     "infty_deviations",
     "infty_orth",
+    "sample_chunks",
     "OrderIntervalSampler",
+    "interval_pairs",
     "abs_infty_orth_sampled",
     "hereditary_check",
 ]
@@ -90,20 +93,48 @@ class KGrid:
 
 def infty_deviations(u, v, norm, grid: KGrid | None = None):
     """Relative deviations |lhs - rhs| / max(1, rhs) from the identity
-    lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs, one per k on the grid.
+    lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs, for a stack of pairs
+    (u[i], v[i]) along the leading axis, one deviation per pair and k.
 
     `norm` is the carrier's batched norm: it maps a stack of elements along
-    the leading axis to their norms, so the whole grid is one evaluation.
-    The grid defaults to KGrid.for_norms(||u||, ||v||). Returns the grid
-    values and the deviations.
+    the leading axes to their norms, so all pairs and the whole grid are one
+    evaluation. The grid defaults to KGrid.for_norms(||u[i]||, ||v[i]||) for
+    each pair; grids shorter than the longest are padded with copies of
+    their last value, which leaves the first k of the largest deviation
+    unchanged. Returns the grid values and the deviations, both of shape
+    (pairs, grid points).
     """
     nu, nv = norm(np.stack((u, v)))
-    if grid is None:
-        grid = KGrid.for_norms(nu, nv)
-    ks = grid.values
-    lhs = norm(u + ks.reshape((-1,) + (1,) * np.ndim(u)) * v)
-    rhs = np.maximum(nu, np.abs(ks) * nv)
+    if grid is not None:
+        ks = np.broadcast_to(grid.values, (len(nu), grid.values.size))
+    else:
+        grids = [KGrid.for_norms(a, b).values for a, b in zip(nu, nv)]
+        ks = np.empty((len(grids), max(g.size for g in grids)))
+        for row, g in zip(ks, grids):
+            row[:g.size] = g
+            row[g.size:] = g[-1]
+    elem = (1,) * (np.ndim(u) - 1)
+    lhs = norm(u[:, None] + ks.reshape(ks.shape + elem) * v[:, None])
+    rhs = np.maximum(nu[:, None], np.abs(ks) * nv[:, None])
     return ks, np.abs(lhs - rhs) / np.maximum(1.0, rhs)
+
+
+# A chunk of stacked samples holds at most this many entries of its elements,
+# so the k-grid stack of one chunk (at most 47 times larger) stays near 3 MB.
+_CHUNK_ENTRIES = 4096
+
+
+def sample_chunks(start: int, stop: int, entries: int, first: int | None = None):
+    """Consecutive ranges covering start, ..., stop - 1, none with more than
+    _CHUNK_ENTRIES entries at `entries` per sample. Given `first`, the first
+    range is that long and each next one twice as long as the one before,
+    so a check that stops early draws few samples past its stop."""
+    cap = max(1, _CHUNK_ENTRIES // max(1, entries))
+    size = cap if first is None else max(1, min(first, cap))
+    while start < stop:
+        end = min(stop, start + size)
+        yield range(start, end)
+        start, size = end, min(2 * size, cap)
 
 
 def _require_psd(x, name: str, tol: Tolerances):
@@ -207,17 +238,22 @@ def infty_orth(u, v, grid: KGrid | None = None,
     """||u + kv|| = max(||u||, |k| ||v||) for every k on the grid."""
     um, vm = hermitian_matrix(u), hermitian_matrix(v)
     _check_dims(um, vm)
-    ks, dev = infty_deviations(um, vm, hermitian_norm, grid)
+    ks, dev = infty_deviations(um[None], vm[None], hermitian_norm, grid)
     worst = float(dev.max(initial=0.0))
     # the first k attaining the maximum; 0 when the identity holds exactly
-    worst_k = float(ks[np.argmax(dev)]) if worst > 0.0 else 0.0
+    worst_k = float(ks[0, np.argmax(dev[0])]) if worst > 0.0 else 0.0
     return OrthReport("infty_orth", worst <= tol.tol_eq, worst,
                       [("worst_k", worst_k), ("deviation", worst)])
 
 
 class OrderIntervalSampler:
     """Draws elements of the order interval [0, a] via a^(1/2) w a^(1/2)
-    with w a seeded random contraction 0 <= w <= 1."""
+    with w a seeded random contraction 0 <= w <= 1.
+
+    A sample is made in two steps: `raw` takes its random numbers from a
+    generator, and `draw` turns a sequence of raw draws into samples with
+    one stacked LAPACK call, so the random-draw order of a loop is kept.
+    """
 
     def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
         ah = hermitian_matrix(a)
@@ -225,12 +261,36 @@ class OrderIntervalSampler:
         self.root = sqrt_psd(ah, tol)
         self.n = ah.shape[0]
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        from .linalg import random_unitary  # local import to avoid cycle noise
-        u = random_unitary(self.n, rng)
-        t = rng.uniform(0.0, 1.0, size=self.n)
-        w = (u * t) @ u.conj().T
-        return hermitian_matrix(self.root @ w @ self.root)
+    def raw(self, rng: np.random.Generator):
+        """The normals of a random unitary and the uniforms of its
+        eigenvalues t, in the order one sample takes them from `rng`."""
+        return random_complex(self.n, rng), rng.uniform(0.0, 1.0, size=self.n)
+
+    def draw(self, rng) -> np.ndarray:
+        """The sample of [0, a] drawn from the generator `rng`; given a
+        non-empty sequence of `raw` draws instead, the stack of their
+        samples."""
+        if isinstance(rng, np.random.Generator):
+            return self.draw([self.raw(rng)])[0]
+        g = np.array([g for g, _ in rng])
+        t = np.array([t for _, t in rng])[:, None, :]
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
+        w = (u * t) @ u.conj().swapaxes(-1, -2)
+        s = self.root @ w @ self.root
+        if not np.all(np.isfinite(s)):
+            raise ValueError("matrix entries must be finite")
+        return (s + s.conj().swapaxes(-1, -2)) / 2.0
+
+
+def interval_pairs(sampler_a, sampler_b, rngs):
+    """Stacks (cs, ds) of samples of [0, a] x [0, b], one pair per entry of
+    `rngs`, each pair drawing c before d, so a generator listed twice gives
+    the same pairs as drawing them one at a time."""
+    raws = [(sampler_a.raw(rng), sampler_b.raw(rng)) for rng in rngs]
+    return (sampler_a.draw([r for r, _ in raws]),
+            sampler_b.draw([r for _, r in raws]))
 
 
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
@@ -241,6 +301,10 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     Draws pairs from [0,a] x [0,b] (the endpoints (a, b) are trial zero) and
     grid-checks the norm identity on each. The exact decision procedure on
     positives is alg_orth_positive; its residual is recorded alongside.
+
+    Trial zero is checked alone and the later trials in chunks that double
+    in size. With stop_on_violation no chunk after the first violation is
+    drawn, and the worst deviation covers the trials up to that violation.
     """
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     _check_dims(ah, bh)
@@ -250,19 +314,20 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
 
     worst = 0.0
     first_violation = -1
-    for i in range(trials):
-        if i == 0:
-            c, d = ah, bh
+    for chunk in sample_chunks(0, trials, ah.size, first=1):
+        if chunk.start == 0:
+            cs, ds = ah[None], bh[None]
         else:
-            rng = rng_for(seed, i)
-            c, d = sampler_a.draw(rng), sampler_b.draw(rng)
-        rep = infty_orth(c, d, None, tol)
-        if rep.max_violation > worst:
-            worst = rep.max_violation
-        if first_violation < 0 and not rep.holds:
-            first_violation = i
+            cs, ds = interval_pairs(sampler_a, sampler_b,
+                                    [rng_for(seed, i) for i in chunk])
+        dev = infty_deviations(cs, ds, hermitian_norm)[1].max(-1)
+        violations = np.flatnonzero(~(dev <= tol.tol_eq))
+        if first_violation < 0 and violations.size:
+            first_violation = chunk.start + int(violations[0])
             if stop_on_violation:
+                worst = max(worst, float(dev[:violations[0] + 1].max()))
                 break
+        worst = max(worst, float(dev.max()))
     return OrthReport(
         "abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
         [("exact_alg_orth", exact),
@@ -282,9 +347,11 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     sampler_a = OrderIntervalSampler(ah, tol)
     sampler_b = OrderIntervalSampler(bh, tol)
     worst = 0.0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        c, d = sampler_a.draw(rng), sampler_b.draw(rng)
-        worst = max(worst, zero_product_residual(c, d))
+    for chunk in sample_chunks(0, trials, ah.size):
+        cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(seed, i) for i in chunk])
+        # zero_product_residual of each pair, from one stacked product; the
+        # Frobenius norms stay per matrix, as a stacked norm rounds differently
+        for c, d, cd in zip(cs, ds, cs @ ds):
+            worst = max(worst, frob(cd) / max(1.0, frob(c) * frob(d)))
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])

@@ -112,6 +112,13 @@ class TestCheckAxioms:
         rep = check_axioms(CoordinateModel(8), trials=100, seed=2)
         assert rep.holds
 
+    def test_zero_perturbation_is_no_survivor(self):
+        # one of these trials draws a negative definite matrix, whose positive
+        # part, the uniqueness perturbation, is exactly zero
+        rep = check_axioms(MatrixSaModel(4), trials=250, seed=5000020)
+        assert dict(rep.details)["ax4_uniqueness_survivors"] == 0.0
+        assert rep.holds
+
     def test_broken_model_fails_uniqueness(self):
         rep = check_axioms(BrokenOrthModel(4), trials=50, seed=3)
         assert not rep.holds

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from ortholat.cli import main
-from ortholat.linalg import matrix_from_json, matrix_to_json
+from ortholat.linalg import (
+    frob,
+    hermitian_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    random_hermitian,
+    rng_for,
+)
 
 
 @pytest.fixture
@@ -111,6 +118,35 @@ class TestDecompose:
         assert np.allclose(matrix_from_json(report["neg"]), np.diag([0.0, 3.0]))
         assert np.allclose(matrix_from_json(report["abs"]), np.diag([2.0, 3.0]))
         assert report["eigenvalues"] == [-3.0, 2.0]
+
+    def test_one_eigendecomposition_same_report(self, matrix_file, capsys, monkeypatch):
+        path = matrix_file("a.json", random_hermitian(4, rng_for(12)))
+        with open(path, encoding="utf-8") as fh:
+            a = hermitian_matrix(matrix_from_json(json.load(fh)))
+        # the report as built by decomposing twice: once for the Jordan
+        # parts, once more for the eigenvalues
+        w, u = np.linalg.eigh(a)
+        pos = hermitian_matrix((u * np.maximum(w, 0.0)) @ u.conj().T)
+        neg = hermitian_matrix((u * np.maximum(-w, 0.0)) @ u.conj().T)
+        want = json.dumps({
+            "command": "decompose",
+            "pos": matrix_to_json(pos),
+            "neg": matrix_to_json(neg),
+            "abs": matrix_to_json(pos + neg),
+            "eigenvalues": np.linalg.eigh(a)[0].tolist(),
+            "norm": frob(a),
+        }, indent=2, sort_keys=True) + "\n"
+
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert main(["decompose", "--a", path]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == want
 
 
 class TestWitness:

@@ -5,7 +5,6 @@ from ortholat.errors import DimensionMismatch, PreconditionFailed
 from ortholat.lattice import (
     am_norm_laws,
     join,
-    lattice_abs,
     lattice_orth,
     meet,
     prop6_check,
@@ -26,9 +25,6 @@ class TestLatticeOps:
         x = np.array([1.0, 2.0, -3.0])
         assert np.array_equal(meet(x, x), x)
         assert np.array_equal(join(x, x), x)
-
-    def test_abs(self):
-        assert np.array_equal(lattice_abs([-2.0, 5.0]), [2.0, 5.0])
 
     def test_closed_forms_exact(self):
         for i in range(50):

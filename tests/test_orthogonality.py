@@ -5,12 +5,16 @@ from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
 from ortholat.lattice import sup_norm
 from ortholat.linalg import (
     frob,
+    hermitian_matrix,
     hermitian_norm,
     jordan_decompose,
     random_complex,
     random_hermitian,
     random_projection,
+    random_psd,
+    random_unitary,
     rng_for,
+    sqrt_psd,
     zero_product_residual,
 )
 from ortholat.orthogonality import (
@@ -24,7 +28,10 @@ from ortholat.orthogonality import (
     hereditary_check,
     infty_deviations,
     infty_orth,
+    interval_pairs,
+    sample_chunks,
 )
+from ortholat.suites import _dim_for, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
 
 
@@ -142,6 +149,21 @@ def _scalar_norm(carrier):
     return lambda x: float(np.max(np.abs(x), initial=0.0))
 
 
+def _scalar_loop(norm, u, v, grid=None):
+    """The per-k loop over one pair: its grid, its deviations, the largest
+    deviation and the first k attaining it (0 when every deviation is 0)."""
+    ks = KGrid.for_norms(norm(u), norm(v)).values if grid is None else grid.values
+    devs = []
+    worst, worst_k = 0.0, 0.0
+    for k in ks:
+        rhs = max(norm(u), abs(k) * norm(v))
+        dev = abs(norm(u + k * v) - rhs) / max(1.0, rhs)
+        devs.append(dev)
+        if dev > worst:
+            worst, worst_k = dev, k
+    return ks, devs, worst, worst_k
+
+
 def _kernel_inputs(carrier, n, seed, v_zero=False):
     rng = rng_for(53, seed)
     if carrier == "matrix":
@@ -168,28 +190,43 @@ _TIE = np.array([0.0, -1.0, 1.0])  # ||u - u|| and ||u + u|| deviate equally
 ], ids=["matrix", "matrix-n1", "matrix-v0", "matrix-one-k", "matrix-tie",
         "coord", "coord-n1", "coord-v0", "coord-one-k", "coord-tie"])
 def test_infty_deviations_match_scalar_loop(carrier, u, v, grid):
-    norm = _scalar_norm(carrier)
-    if grid is None:
-        want_ks = KGrid.for_norms(norm(u), norm(v)).values
-    else:
-        want_ks = grid.values
-    want = []
-    worst, worst_k = 0.0, 0.0
-    for k in want_ks:
-        rhs = max(norm(u), abs(k) * norm(v))
-        dev = abs(norm(u + k * v) - rhs) / max(1.0, rhs)
-        want.append(dev)
-        if dev > worst:
-            worst, worst_k = dev, k
-
+    want_ks, want, worst, worst_k = _scalar_loop(_scalar_norm(carrier), u, v, grid)
     batched = hermitian_norm if carrier == "matrix" else sup_norm
-    ks, dev = infty_deviations(u, v, batched, grid)
-    assert np.array_equal(ks, want_ks)
-    assert np.array_equal(dev, want)
+    ks, dev = infty_deviations(u[None], v[None], batched, grid)  # a stack of one
+    assert np.array_equal(ks, [want_ks])
+    assert np.array_equal(dev, [want])
     if carrier == "matrix":
         details = dict(infty_orth(u, v, grid).details)
         assert details["deviation"] == worst
         assert details["worst_k"] == worst_k
+
+
+@pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+def test_infty_deviations_stack_pads_each_grid(carrier):
+    # v = 0 has no crossing points, so its grid is shorter than the others;
+    # the tie pair attains its maximum twice, at k = -1 first
+    pairs = [_kernel_inputs(carrier, 3, 10 + i) for i in range(3)]
+    pairs.insert(1, _kernel_inputs(carrier, 3, 13, v_zero=True))
+    tie = np.eye(3)[0] if carrier == "coordinate" else np.diag([1.0, 0.0, 0.0])
+    pairs.append((tie, tie))
+    norm = _scalar_norm(carrier)
+    batched = hermitian_norm if carrier == "matrix" else sup_norm
+    us, vs = np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
+
+    ks, dev = infty_deviations(us, vs, batched)
+    lengths = set()
+    for row_ks, row_dev, (u, v) in zip(ks, dev, pairs):
+        want_ks, want, worst, worst_k = _scalar_loop(norm, u, v)
+        size = len(want_ks)
+        lengths.add(size)
+        assert np.array_equal(row_ks[:size], want_ks)
+        assert np.all(row_ks[size:] == want_ks[-1])
+        assert np.array_equal(row_dev[:size], want)
+        assert np.all(row_dev[size:] == want[-1])
+        assert row_dev.max() == worst
+        assert (row_ks[np.argmax(row_dev)] if worst > 0.0 else 0.0) == worst_k
+    assert len(lengths) > 1
+    assert _scalar_loop(norm, tie, tie)[3] == -1.0
 
 
 class TestInftyOrth:
@@ -206,7 +243,65 @@ class TestInftyOrth:
         assert infty_orth(random_hermitian(3, rng_for(44)), np.zeros((3, 3))).holds
 
 
+def _draw_one(root, rng):
+    """The one-sample draw of [0, root^2] that the stacked sampler replaced."""
+    n = root.shape[0]
+    u = random_unitary(n, rng)
+    t = rng.uniform(0.0, 1.0, size=n)
+    return hermitian_matrix(root @ ((u * t) @ u.conj().T) @ root)
+
+
+def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
+    """The one-sample-at-a-time loop of abs_infty_orth_sampled: its largest
+    deviation and its first violating trial."""
+    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
+    root_a, root_b = sqrt_psd(ah), sqrt_psd(bh)
+    norm = _scalar_norm("matrix")
+    worst, first = 0.0, -1
+    for i in range(trials):
+        if i == 0:
+            c, d = ah, bh
+        else:
+            rng = rng_for(seed, i)
+            c, d = _draw_one(root_a, rng), _draw_one(root_b, rng)
+        dev = _scalar_loop(norm, c, d)[2]
+        worst = max(worst, dev)
+        if first < 0 and not dev <= DEFAULT_TOL.tol_eq:
+            first = i
+            if stop_on_violation:
+                break
+    return worst, first
+
+
+def _hereditary_loop(a, b, trials, seed):
+    root_a, root_b = sqrt_psd(hermitian_matrix(a)), sqrt_psd(hermitian_matrix(b))
+    worst = 0.0
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        c, d = _draw_one(root_a, rng), _draw_one(root_b, rng)
+        worst = max(worst, zero_product_residual(c, d))
+    return worst
+
+
 class TestOrderIntervalSampler:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_stack_matches_one_at_a_time(self, n):
+        sampler = OrderIntervalSampler(random_psd(n, rng_for(54, n)))
+        want = [_draw_one(sampler.root, rng_for(55, i)) for i in range(12)]
+        stack = sampler.draw([sampler.raw(rng_for(55, i)) for i in range(12)])
+        assert np.array_equal(stack, want)
+        assert np.array_equal(sampler.draw(rng_for(55, 3)), want[3])
+
+    def test_pairs_from_one_generator_keep_the_draw_order(self):
+        a, b = random_psd(3, rng_for(56, 0)), random_psd(3, rng_for(56, 1))
+        sampler_a, sampler_b = OrderIntervalSampler(a), OrderIntervalSampler(b)
+        rng = rng_for(56, 2)
+        want = [(_draw_one(sampler_a.root, rng), _draw_one(sampler_b.root, rng))
+                for _ in range(5)]
+        cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(56, 2)] * 5)
+        assert np.array_equal(cs, [c for c, _ in want])
+        assert np.array_equal(ds, [d for _, d in want])
+
     def test_zero(self):
         assert frob(OrderIntervalSampler(np.zeros((3, 3))).draw(rng_for(0))) == 0.0
 
@@ -260,7 +355,81 @@ class TestAbsInftyOrthSampled:
         assert rep.holds
 
 
+# overlap 1e-8: the endpoints satisfy the identity, and a sample violates it
+# only now and then, at a trial that depends on the seed
+_NEAR = (np.diag([1.0, 1e-8, 0.0]), np.diag([0.0, 1e-8, 1.0]))
+_SAME = (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+
+
+def test_sample_chunks_double_up_to_the_cap():
+    def sizes(*args):
+        chunks = list(sample_chunks(*args))
+        assert [i for c in chunks for i in c] == list(range(args[0], args[1]))
+        return [len(c) for c in chunks]
+    assert sizes(0, 40, 16, 1) == [1, 2, 4, 8, 16, 9]
+    assert sizes(0, 20, 32 * 32, 1) == [1, 2, 4, 4, 4, 4, 1]  # 4096 entries a chunk
+    assert sizes(0, 10, 32 * 32) == [4, 4, 2]
+    assert sizes(3, 10, 16) == [7]
+    assert sizes(0, 0, 16, 1) == []
+
+
+class TestAbsInftyMatchesOneAtATime:
+    # trial 0 is checked alone, then trials 1-2, 3-6, 7-14, ...
+    @pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
+    @pytest.mark.parametrize("a, b, seed, first", [
+        (*_SAME, 1, 0),
+        (*_NEAR, 17, 21),  # a later trial of its chunk deviates more
+        (*_NEAR, 9, 3),
+        (*_NEAR, 1, 14),
+        (*_NEAR, 0, -1),
+    ], ids=["trial-0", "inside-chunk", "chunk-start", "chunk-end", "none"])
+    def test_worst_and_first_violation(self, a, b, seed, first, stop):
+        worst, want_first = _abs_infty_loop(a, b, 40, seed, stop)
+        assert want_first == first
+        rep = abs_infty_orth_sampled(a, b, trials=40, seed=seed, stop_on_violation=stop)
+        details = dict(rep.details)
+        assert rep.max_violation == worst == details["sampled_deviation"]
+        assert details["first_violation_trial"] == float(first)
+        assert rep.holds == (first < 0)
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_few_trials(self, trials):
+        worst, first = _abs_infty_loop(*_SAME, trials, 1)
+        rep = abs_infty_orth_sampled(*_SAME, trials=trials, seed=1)
+        assert (rep.max_violation, dict(rep.details)["first_violation_trial"]) == \
+            (worst, float(first))
+
+    def test_chunks_capped_at_large_n(self):
+        a, b = _orthogonal_psd_pair(32, rng_for(58))
+        rep = abs_infty_orth_sampled(a, b, trials=12, seed=2)
+        assert rep.max_violation == _abs_infty_loop(a, b, 12, 2)[0]
+
+
+def test_infty_suite_verdicts_do_not_depend_on_stopping():
+    # the overlapping pairs of the infty suite at --dim 4 --trials 500
+    checked = 0
+    for seed in (42, 1):
+        for i in range(50):
+            rng = rng_for(seed, 9, i)
+            n = _dim_for(rng, 4)
+            _orthogonal_psd_pair(n, rng)
+            c, d = random_psd(n, rng), random_psd(n, rng)
+            if zero_product_residual(c, d) > 0.1:
+                verdicts = {abs_infty_orth_sampled(c, d, trials=40, seed=seed + i,
+                                                   stop_on_violation=stop).holds
+                            for stop in (False, True)}
+                assert len(verdicts) == 1
+                checked += 1
+    assert checked > 0
+
+
 class TestHereditaryCheck:
+    @pytest.mark.parametrize("n, trials", [(4, 0), (4, 1), (4, 100), (32, 10)])
+    def test_matches_one_at_a_time(self, n, trials):
+        a, b = _orthogonal_psd_pair(n, rng_for(57, n))
+        rep = hereditary_check(a, b, trials=trials, seed=4)
+        assert rep.max_violation == _hereditary_loop(a, b, trials, 4)
+
     def test_disjoint_diagonal(self):
         assert hereditary_check(np.diag([2.0, 0.0]), np.diag([0.0, 3.0]),
                                 trials=100, seed=2).holds
