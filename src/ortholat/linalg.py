@@ -36,7 +36,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "random_psd",
-    "random_projection",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -50,7 +49,7 @@ def complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -216,14 +215,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     g = random_complex(n, rng, scale)
     return hermitian_matrix(g @ g.conj().T / n)
-
-
-def random_projection(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    if rank is None:
-        rank = int(rng.integers(1, n + 1))
-    u = random_unitary(n, rng)
-    cols = u[:, :rank]
-    return hermitian_matrix(cols @ cols.conj().T)
 
 
 # ---------------------------------------------------------------------------

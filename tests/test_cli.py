@@ -119,7 +119,7 @@ class TestDecompose:
         assert np.allclose(matrix_from_json(report["abs"]), np.diag([2.0, 3.0]))
         assert report["eigenvalues"] == [-3.0, 2.0]
 
-    def test_one_eigendecomposition_same_report(self, matrix_file, capsys, monkeypatch):
+    def test_one_eigendecomposition_same_report(self, matrix_file, capsys, eigen_calls):
         path = matrix_file("a.json", random_hermitian(4, rng_for(12)))
         with open(path, encoding="utf-8") as fh:
             a = hermitian_matrix(matrix_from_json(json.load(fh)))
@@ -137,15 +137,9 @@ class TestDecompose:
             "norm": frob(a),
         }, indent=2, sort_keys=True) + "\n"
 
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(args)
-            return eigh(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        eigen_calls.clear()
         assert main(["decompose", "--a", path]) == 0
-        assert len(calls) == 1
+        assert eigen_calls == {"eigh": 1}
         assert capsys.readouterr().out == want
 
 

@@ -22,7 +22,6 @@ from ortholat.linalg import (
     matrix_to_json,
     random_complex,
     random_hermitian,
-    random_projection,
     random_unitary,
     rel_diff,
     rng_for,
@@ -31,6 +30,7 @@ from ortholat.linalg import (
 )
 from ortholat.tolerances import DEFAULT_TOL
 
+from helpers import random_projection
 from jacobi import jacobi_eigendecompose
 
 TOL_RECON = 1e-9  # spectral reconstruction threshold (relative Frobenius)
@@ -260,6 +260,18 @@ class TestValidation:
     def test_nonfinite(self):
         with pytest.raises(ValueError):
             complex_matrix(np.array([[np.nan, 0], [0, 0]]))
+
+    @pytest.mark.parametrize("entry", [
+        complex(0.0, np.nan),
+        complex(0.0, np.inf),
+        complex(np.inf, 0.0),
+        complex(-np.inf, 1.0),
+    ], ids=["nan-imag", "inf-imag", "inf-real", "neg-inf-real"])
+    def test_nonfinite_in_one_part(self, entry):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = entry
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            complex_matrix(m)
 
     def test_hermitize(self):
         m = np.array([[1.0, 2.0], [0.0, 3.0]])

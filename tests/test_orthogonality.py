@@ -10,7 +10,6 @@ from ortholat.linalg import (
     jordan_decompose,
     random_complex,
     random_hermitian,
-    random_projection,
     random_psd,
     random_unitary,
     rng_for,
@@ -33,6 +32,8 @@ from ortholat.orthogonality import (
 )
 from ortholat.suites import _dim_for, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
+
+from helpers import random_projection
 
 
 def matrix_unit(n, i, j):

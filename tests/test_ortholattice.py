@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import ortholat.suites
 from ortholat.errors import ComparablePair
 from ortholat.linalg import (
+    frob,
+    hermitian_matrix,
     is_psd,
     jordan_decompose,
     loewner_le,
+    psd_defect,
     random_hermitian,
     random_psd,
     random_unitary,
@@ -15,6 +19,7 @@ from ortholat.linalg import (
     rng_for,
     zero_product_residual,
 )
+from ortholat.orthogonality import OrthReport
 from ortholat.ortholattice import (
     kadison_witness_search,
     ortho_inf,
@@ -22,7 +27,8 @@ from ortholat.ortholattice import (
     uniqueness_falsify,
     verify_theorem4,
 )
-from ortholat.tolerances import DEFAULT_TOL
+from ortholat.suites import run_suite, suite_theorem4
+from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
 S_FIX = np.diag([1.0, 0.0]).astype(complex)
 T_FIX = 0.5 * np.ones((2, 2), dtype=complex)
@@ -126,6 +132,139 @@ class TestUniquenessFalsify:
     def test_equal_pair(self):
         a = random_hermitian(3, rng_for(67))
         assert uniqueness_falsify(a, a, trials=10, seed=0).holds
+
+
+def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
+    """uniqueness_falsify with all three checks on every perturbation."""
+    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
+    c = ortho_inf(ah, bh, tol)
+    gap = frob(ah - bh)
+    if gap <= tol.tol_eq:
+        return OrthReport("uniqueness_falsify", True, 0.0,
+                          [("survivors", 0.0), ("min_margin", np.inf)])
+    n = ah.shape[0]
+    survivors = 0
+    min_margin = np.inf
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        delta = random_hermitian(n, rng)
+        delta *= rng.uniform(1e-4, 1.0) * gap / max(frob(delta), 1e-300)
+        ci = c + delta
+        margins = (
+            psd_defect(ah - ci, tol) / tol.tol_psd,
+            psd_defect(bh - ci, tol) / tol.tol_psd,
+            zero_product_residual(ah - ci, bh - ci) / tol.tol_zero,
+        )
+        margin = max(margins)
+        min_margin = min(min_margin, margin)
+        if margin <= 1.0:
+            survivors += 1
+    return OrthReport("uniqueness_falsify", survivors == 0, float(survivors),
+                      [("survivors", float(survivors)),
+                       ("min_margin", float(min_margin))])
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The report of fn, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(a, b, **kwargs):
+    got = _outcome(uniqueness_falsify, a, b, **kwargs)
+    want = _outcome(_uniqueness_reference, a, b, **kwargs)
+    if not isinstance(want, OrthReport):
+        assert got == want
+        return
+    assert isinstance(got, OrthReport)
+    assert (got.relation, got.holds) == (want.relation, want.holds)
+    assert _same(got.max_violation, want.max_violation)
+    assert [name for name, _ in got.details] == [name for name, _ in want.details]
+    for (_, g), (_, w) in zip(got.details, want.details):
+        assert _same(g, w)
+    return got
+
+
+class TestUniquenessReference:
+    """The early-settling loop against the loop that runs every check."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e100, 6e153, 1e160])
+    def test_random_pair(self, n, scale):
+        # 1e100: residual products overflow to inf; 6e153 (n >= 2) and
+        # 1e160: the gap itself overflows, and both loops raise once a
+        # perturbation is drawn; test_nan_residuals covers NaN ratios
+        rng = rng_for(69, n)
+        a, b = scale * random_hermitian(n, rng), scale * random_hermitian(n, rng)
+        with np.errstate(all="ignore"):
+            for trials in (0, 1, 10, 100):
+                assert_same_outcome(a, b, trials=trials, seed=n + trials)
+
+    def test_nan_residuals(self, monkeypatch):
+        residuals = []
+
+        def recording(x, y):
+            residuals.append(zero_product_residual(x, y))
+            return residuals[-1]
+
+        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual", recording)
+        rng = rng_for(5, 1)
+        a, b = 6e153 * random_hermitian(1, rng), 6e153 * random_hermitian(1, rng)
+        with np.errstate(all="ignore"):
+            rep = assert_same_outcome(a, b, trials=100, seed=3)
+        assert any(math.isnan(r) for r in residuals)
+        assert rep.details[0][1] > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_equal_pair(self, n):
+        a = random_hermitian(n, rng_for(70, n))
+        assert_same_outcome(a, a, trials=10, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_survivors_run_every_check(self, n):
+        loose = Tolerances(tol_zero=1e6, tol_psd=1e6)
+        rng = rng_for(71, n)
+        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        rep = assert_same_outcome(a, b, trials=20, seed=3, tol=loose)
+        assert rep.details[0][1] > 0.0
+
+    def test_margin_of_exactly_one_survives(self, monkeypatch):
+        # a margin of exactly 1 breaks no condition, so it never settles
+        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+                            lambda x, y: DEFAULT_TOL.tol_zero)
+        a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
+        rep = uniqueness_falsify(a, b, trials=5, seed=0,
+                                 tol=DEFAULT_TOL.override(tol_psd=1e6))
+        assert rep.details == [("survivors", 5.0), ("min_margin", 1.0)]
+
+    @pytest.mark.parametrize("seed", [42, 1, 2])
+    def test_theorem4_suite_unchanged(self, seed, monkeypatch):
+        want_calls = []
+
+        def reference(*args, **kwargs):
+            want_calls.append(args)
+            return _uniqueness_reference(*args, **kwargs)
+
+        got = run_suite("theorem4", 8, 50, seed)
+        # the suite binds the name at import, so patch that binding too
+        monkeypatch.setattr(ortholat.ortholattice, "uniqueness_falsify", reference)
+        monkeypatch.setattr(ortholat.suites, "uniqueness_falsify", reference)
+        want = run_suite("theorem4", 8, 50, seed)
+        assert len(want_calls) == 50
+        assert got == want
+
+    def test_theorem4_eigvalsh_count(self, eigen_calls):
+        # verify_theorem4 makes 4 eigvalsh calls a trial; each of the 10
+        # perturbations used to make 2 more, 20 * 24 = 480 in all
+        suite_theorem4(64, 20, 1)
+        assert eigen_calls["eigvalsh"] == 20 * 4 + 151 < 480
+        assert eigen_calls["eigh"] == 20 * 3
 
 
 def grid_search_witness_oracle(s, t, c, margin=1e-3, lo=-2.0, hi=2.0, step=0.05):
