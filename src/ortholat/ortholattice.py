@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparablePair
+from .errors import ComparablePair, NoConvergence, PreconditionFailed
 from .linalg import (
     frob,
     hermitian_eigendecompose,
@@ -174,7 +174,14 @@ def kadison_witness_search(s, t, iters: int = 2000, restarts: int = 16,
     and T are non-comparable. Penalty-based randomized descent: maximize
     -lambda_min(c - m) with the two upper-bound constraints as 1e3-weighted
     penalties, over `restarts` independent starts.
+
+    Each restart draws only from its own generator, so the restarts run in
+    lockstep: one stacked eigh per step gives every candidate's violation,
+    and the penalty eigensolves run only for the candidates whose violation
+    alone beats their restart's score, since a penalty can only lower it.
     """
+    if restarts < 1:
+        raise PreconditionFailed(f"restarts must be >= 1, got {restarts}")
     sh, th = hermitian_matrix(s), hermitian_matrix(t)
     if is_comparable(sh, th, tol):
         raise ComparablePair("S and T are comparable; their minimum is the infimum")
@@ -182,40 +189,57 @@ def kadison_witness_search(s, t, iters: int = 2000, restarts: int = 16,
     n = sh.shape[0]
     penalty = 1e3
 
-    def score(m):
-        viol = -_min_eig(c - m, tol)
-        pen = max(0.0, _max_eig(m - sh, tol)) + max(0.0, _max_eig(m - th, tol))
-        return viol - penalty * pen
+    def eigenvalues(x):
+        # hermitian_eigendecompose's eigenvalues, for each matrix of a stack
+        if not np.isfinite(x).all():
+            raise ValueError("matrix entries must be finite")
+        try:
+            return np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2.0)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+
+    def penalized(ms, viol):
+        top = eigenvalues(np.concatenate([ms - sh, ms - th]))[:, -1]
+        over = np.where(top > 0.0, top, 0.0)  # max(0.0, x): 0.0 for NaN too
+        return viol - penalty * (over[:len(ms)] + over[len(ms):])
 
     base = min(_min_eig(sh, tol), _min_eig(th, tol)) - 0.5
+    rngs = [rng_for(seed, r) for r in range(restarts)]
+    m = np.stack([base * np.eye(n, dtype=complex) + 0.05 * random_hermitian(n, rng)
+                  for rng in rngs])
+    cur = penalized(m, -eigenvalues(c - m)[:, 0])
+    step = np.full(restarts, 0.3)
+    stall = np.zeros(restarts, dtype=int)
+    live = np.arange(restarts)  # restarts whose step is still >= 1e-8
+    for _ in range(iters):
+        if not live.size:
+            break
+        cand = m[live] + step[live, None, None] * np.stack(
+            [random_hermitian(n, rngs[r]) for r in live])
+        viol = -eigenvalues(c - cand)[:, 0]
+        up = np.flatnonzero(viol > cur[live])  # NaN never wins
+        if up.size:
+            sc = penalized(cand[up], viol[up])
+            won = sc > cur[live[up]]
+            up, sc = up[won], sc[won]
+            m[live[up]], cur[live[up]] = cand[up], sc
+        stall[live] += 1
+        stall[live[up]] = 0
+        halve = live[stall[live] >= 25]
+        step[halve] *= 0.5
+        stall[halve] = 0
+        live = live[step[live] >= 1e-8]
+
     best_m = None
     best_margin = -np.inf
-    for r in range(restarts):
-        rng = rng_for(seed, r)
-        m = base * np.eye(n, dtype=complex) + 0.05 * random_hermitian(n, rng)
-        cur = score(m)
-        step = 0.3
-        stall = 0
-        for _ in range(iters):
-            cand = m + step * random_hermitian(n, rng)
-            sc = score(cand)
-            if sc > cur:
-                m, cur = cand, sc
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 25:
-                    step *= 0.5
-                    stall = 0
-                    if step < 1e-8:
-                        break
+    for mr in m:
         # repair residual constraint violations by a uniform downward shift
-        shift = max(0.0, _max_eig(m - sh, tol), _max_eig(m - th, tol))
+        shift = max(0.0, _max_eig(mr - sh, tol), _max_eig(mr - th, tol))
         if shift > 0.0:
-            m = m - shift * np.eye(n, dtype=complex)
-        margin = -_min_eig(c - m, tol)
+            mr = mr - shift * np.eye(n, dtype=complex)
+        margin = -_min_eig(c - mr, tol)
         if margin > best_margin:
-            best_margin, best_m = margin, m
+            best_margin, best_m = margin, mr
 
     checks = {
         "le_S": _max_eig(best_m - sh, tol),

@@ -1,13 +1,18 @@
+import collections
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ortholat.suites
-from ortholat.errors import ComparablePair
+from ortholat.errors import ComparablePair, NoConvergence, PreconditionFailed
 from ortholat.linalg import (
     frob,
     hermitian_matrix,
+    is_comparable,
     is_psd,
     jordan_decompose,
     loewner_le,
@@ -21,6 +26,9 @@ from ortholat.linalg import (
 )
 from ortholat.orthogonality import OrthReport
 from ortholat.ortholattice import (
+    WitnessResult,
+    _max_eig,
+    _min_eig,
     kadison_witness_search,
     ortho_inf,
     ortho_sup,
@@ -29,6 +37,9 @@ from ortholat.ortholattice import (
 )
 from ortholat.suites import run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import witness_pair  # noqa: E402
 
 S_FIX = np.diag([1.0, 0.0]).astype(complex)
 T_FIX = 0.5 * np.ones((2, 2), dtype=complex)
@@ -311,3 +322,163 @@ class TestKadisonWitnessSearch:
         r2 = kadison_witness_search(S_FIX, T_FIX, iters=200, restarts=2, seed=7)
         assert np.array_equal(r1.m, r2.m)
         assert r1.margin == r2.margin
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restarts_rejected(self, restarts):
+        with pytest.raises(PreconditionFailed):
+            kadison_witness_search(S_FIX, T_FIX, restarts=restarts, seed=0)
+
+    def test_stacked_eigensolver_failure_is_typed(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def failing_on_stacks(x):
+            if x.ndim > 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_on_stacks)
+        with pytest.raises(NoConvergence):
+            kadison_witness_search(S_FIX, T_FIX, iters=1, restarts=1, seed=0)
+
+
+def _witness_reference(s, t, iters: int = 2000, restarts: int = 16,
+                       seed: int = 0, margin_min: float = 1e-3,
+                       tol: Tolerances = DEFAULT_TOL) -> WitnessResult:
+    """kadison_witness_search running its restarts one after the other,
+    with all three eigensolves for every candidate."""
+    sh, th = hermitian_matrix(s), hermitian_matrix(t)
+    if is_comparable(sh, th, tol):
+        raise ComparablePair("S and T are comparable; their minimum is the infimum")
+    c = ortho_inf(sh, th, tol)
+    n = sh.shape[0]
+    penalty = 1e3
+
+    def score(m):
+        viol = -_min_eig(c - m, tol)
+        pen = max(0.0, _max_eig(m - sh, tol)) + max(0.0, _max_eig(m - th, tol))
+        return viol - penalty * pen
+
+    base = min(_min_eig(sh, tol), _min_eig(th, tol)) - 0.5
+    best_m = None
+    best_margin = -np.inf
+    for r in range(restarts):
+        rng = rng_for(seed, r)
+        m = base * np.eye(n, dtype=complex) + 0.05 * random_hermitian(n, rng)
+        cur = score(m)
+        step = 0.3
+        stall = 0
+        for _ in range(iters):
+            cand = m + step * random_hermitian(n, rng)
+            sc = score(cand)
+            if sc > cur:
+                m, cur = cand, sc
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 25:
+                    step *= 0.5
+                    stall = 0
+                    if step < 1e-8:
+                        break
+        # repair residual constraint violations by a uniform downward shift
+        shift = max(0.0, _max_eig(m - sh, tol), _max_eig(m - th, tol))
+        if shift > 0.0:
+            m = m - shift * np.eye(n, dtype=complex)
+        margin = -_min_eig(c - m, tol)
+        if margin > best_margin:
+            best_margin, best_m = margin, m
+
+    checks = {
+        "le_S": _max_eig(best_m - sh, tol),
+        "le_T": _max_eig(best_m - th, tol),
+        "not_le_c": _min_eig(c - best_m, tol),
+    }
+    feasible = checks["le_S"] <= tol.tol_psd * max(1.0, frob(sh)) and \
+        checks["le_T"] <= tol.tol_psd * max(1.0, frob(th))
+    found = feasible and best_margin >= margin_min
+    return WitnessResult(found, hermitian_matrix(best_m), float(best_margin), checks)
+
+
+def assert_same_witness(s, t, **kwargs):
+    got = json.dumps(kadison_witness_search(s, t, **kwargs).to_json())
+    assert got == json.dumps(_witness_reference(s, t, **kwargs).to_json())
+    return got
+
+
+WITNESS_PAIRS = {"fixture": (S_FIX, T_FIX),
+                 **{f"n{n}": witness_pair(1, 0, n) for n in (2, 3, 8)}}
+
+
+class TestWitnessReference:
+    """The lockstep search against the search that runs its restarts one
+    after the other and solves the penalty for every candidate."""
+
+    @pytest.mark.parametrize("pair", WITNESS_PAIRS)
+    @pytest.mark.parametrize("restarts", [1, 2, 16])
+    @pytest.mark.parametrize("iters", [1, 24, 25, 26, 200])
+    def test_same_report(self, pair, restarts, iters):
+        # 25 rejections in a row halve the step
+        assert_same_witness(*WITNESS_PAIRS[pair], iters=iters,
+                            restarts=restarts, seed=7)
+
+    @pytest.mark.parametrize("pair,restarts", [
+        ("fixture", 1), ("fixture", 2), ("n2", 1), ("n2", 2),
+        ("n3", 1), ("n3", 2), ("n8", 1), ("n8", 2), ("n8", 16)])
+    def test_same_report_long(self, pair, restarts):
+        assert_same_witness(*WITNESS_PAIRS[pair], iters=2000,
+                            restarts=restarts, seed=7)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e10, 1e300, 8e307])
+    def test_scaled_pair(self, scale):
+        with np.errstate(all="ignore"):
+            assert_same_witness(scale * S_FIX, scale * T_FIX, iters=300,
+                                restarts=3, seed=7)
+
+    def test_restarts_stop_at_different_steps(self, monkeypatch):
+        draws = collections.Counter()
+
+        def counting(n, rng, scale=1.0):
+            draws[rng] += 1
+            return random_hermitian(n, rng, scale)
+
+        # the default search on the fixture, as acceptance criterion 6 runs it
+        with monkeypatch.context() as patch:
+            patch.setattr(ortholat.ortholattice, "random_hermitian", counting)
+            kadison_witness_search(S_FIX, T_FIX, seed=42)
+        # one draw for the start, one per step until the step falls below 1e-8
+        assert len(draws) == 16 and max(draws.values()) < 2001
+        assert len(set(draws.values())) > 1
+        assert json.loads(assert_same_witness(S_FIX, T_FIX, seed=42))["found"]
+
+    def test_step_with_skipped_and_solved_penalties(self, eigen_calls):
+        # with one step, the eigh stacks are: ortho_inf and base (1 each),
+        # the starts' violations (16) and penalties (32), the step's
+        # violations (16) and penalties (2 for each of the 14 candidates
+        # whose violation beats its score; the other 2 skip them), then
+        # single matrices for the repairs and the checks
+        s, t = WITNESS_PAIRS["n8"]
+        kadison_witness_search(s, t, iters=1, restarts=16, seed=7)
+        assert eigen_calls.stacks["eigh"] == \
+            [1, 1, 1, 16, 32, 16, 28] + [1] * (3 * 16 + 3)
+        assert_same_witness(s, t, iters=1, restarts=16, seed=7)
+
+
+class TestWitnessEigenCalls:
+    @pytest.mark.parametrize("restarts,calls,matrices", [(2, 359, 812), (16, 456, 6728)])
+    def test_calls_grow_with_steps(self, eigen_calls, restarts, calls, matrices):
+        iters = 200
+        kadison_witness_search(S_FIX, T_FIX, iters=iters, restarts=restarts, seed=7)
+        # ortho_inf 1, base 2, per step at most 2, per restart 3, checks 3
+        assert eigen_calls["eigh"] == calls <= 2 * (iters + 1) + 3 * restarts + 6
+        assert sum(eigen_calls.stacks["eigh"]) == matrices
+        # the two cone tests of the comparability check
+        assert eigen_calls["eigvalsh"] == 2
+        assert eigen_calls["qr"] == 0
+
+    def test_tie_skips_penalty(self, eigen_calls):
+        # at this scale the last steps (1e-5 and below) move the violation
+        # by less than half an ulp, so a feasible restart's candidates tie
+        # its score: a penalty cannot make them win, so no eigensolve runs
+        kadison_witness_search(1e10 * S_FIX, 1e10 * T_FIX, iters=2000,
+                               restarts=2, seed=7)
+        assert eigen_calls["eigh"] == 1915
