@@ -1,5 +1,5 @@
 """Command-line entry point: verification suites, ortho-lattice operations
-on user matrices, Jordan decomposition, and the anti-lattice witness search.
+on user matrices, Jordan decomposition, and the anti-lattice witness.
 
 Exit codes: 0 success, 1 suite failure / witness not found, 2 configuration
 error or comparable pair.
@@ -56,11 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--a", type=str, required=True, help="matrix JSON path")
     common(pd)
 
-    pw = sub.add_parser("witness", help="search a lower bound beating the ortho-infimum")
+    pw = sub.add_parser("witness", help="construct a lower bound beating the ortho-infimum")
     pw.add_argument("--a", type=str, required=True, help="matrix JSON path (S)")
     pw.add_argument("--b", type=str, required=True, help="matrix JSON path (T)")
-    pw.add_argument("--restarts", type=int, default=16)
-    pw.add_argument("--iters", type=int, default=2000)
+    pw.add_argument("--restarts", type=int, default=16,
+                    help="ignored: the witness is constructed, not searched")
+    pw.add_argument("--iters", type=int, default=2000,
+                    help="ignored: the witness is constructed, not searched")
     common(pw)
 
     return parser
@@ -163,7 +165,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    seed = _resolve_seed(args)
     tol = _resolve_tol(args)
     if args.restarts < 1:
         raise SystemExit(_config_error("--restarts must be >= 1"))
@@ -172,12 +173,11 @@ def cmd_witness(args) -> int:
     s = _load_hermitian(args.a, tol)
     t = _load_hermitian(args.b, tol)
     try:
-        result = kadison_witness_search(
-            s, t, iters=args.iters, restarts=args.restarts, seed=seed, tol=tol)
+        result = kadison_witness_search(s, t, tol=tol)
     except ComparablePair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {"command": "witness", "seed": seed, **result.to_json()}
+    report = {"command": "witness", **result.to_json()}
     _emit(report, args.out)
     return 0 if result.found else 1
 

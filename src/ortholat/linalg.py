@@ -55,9 +55,9 @@ def complex_matrix(m) -> np.ndarray:
 
 
 def hermitian_matrix(m) -> np.ndarray:
-    """Validate and symmetrize: returns (M + M*)/2."""
-    a = complex_matrix(m)
-    return (a + a.conj().T) / 2.0
+    """Validate and symmetrize: returns M/2 + M*/2, which cannot overflow."""
+    h = complex_matrix(m) / 2.0
+    return h + h.conj().T
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray):

@@ -1,6 +1,6 @@
 """Ortho-infimum and ortho-supremum on Hermitian matrices, their defining
-properties, uniqueness falsification, and a randomized search for common
-lower bounds that beat the ortho-infimum (the anti-lattice phenomenon).
+properties, uniqueness falsification, and a closed-form common lower bound
+that beats the ortho-infimum (the anti-lattice phenomenon).
 """
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparablePair, NoConvergence, PreconditionFailed
+from .errors import ComparablePair
 from .linalg import (
     frob,
     hermitian_eigendecompose,
@@ -141,7 +141,8 @@ def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
 
 @dataclass
 class WitnessResult:
-    """Outcome of the common-lower-bound search below a non-comparable pair."""
+    """A common lower bound of a non-comparable pair, checked against its
+    ortho-infimum."""
 
     found: bool
     m: np.ndarray
@@ -157,96 +158,42 @@ class WitnessResult:
         }
 
 
-def _min_eig(x, tol):
-    return float(hermitian_eigendecompose(x, tol).eigenvalues[0])
-
-
-def _max_eig(x, tol):
-    return float(hermitian_eigendecompose(x, tol).eigenvalues[-1])
-
-
-def kadison_witness_search(s, t, iters: int = 2000, restarts: int = 16,
-                           seed: int = 0, margin_min: float = 1e-3,
-                           tol: Tolerances = DEFAULT_TOL) -> WitnessResult:
-    """Searches for a Hermitian m with m <= S, m <= T but m not<= S inf T.
+def kadison_witness_search(s, t, tol: Tolerances = DEFAULT_TOL) -> WitnessResult:
+    """Constructs a Hermitian m with m <= S, m <= T but m not<= S inf T.
 
     Such an m shows the ortho-infimum is not a greatest lower bound when S
-    and T are non-comparable. Penalty-based randomized descent: maximize
-    -lambda_min(c - m) with the two upper-bound constraints as 1e3-weighted
-    penalties, over `restarts` independent starts.
+    and T are non-comparable (Kadison's anti-lattice theorem). With
+    c = S inf T, P = (S-T)^+ and N = (S-T)^-, take the top eigenpairs
+    (lp, p) of P and (lq, q) of N; p and q are orthogonal since PN = 0.
+    For lam = min(lp, lq) and x = (p + q)/sqrt(2),
 
-    Each restart draws only from its own generator, so the restarts run in
-    lockstep: one stacked eigh per step gives every candidate's violation,
-    and the penalty eigensolves run only for the candidates whose violation
-    alone beats their restart's score, since a penalty can only lower it.
+        m = c + (4 lam/3) xx* - lam I
+
+    gives S - m = P + lam I - (4 lam/3) xx* >= 0 and likewise T - m >= 0,
+    while lambda_max(m - c) = lam/3: the margin.
+
+    found: both residuals lambda_max(m - S), lambda_max(m - T) and the
+    measured margin are set against the slack tol_psd * max(||S||_F, ||T||_F).
     """
-    if restarts < 1:
-        raise PreconditionFailed(f"restarts must be >= 1, got {restarts}")
     sh, th = hermitian_matrix(s), hermitian_matrix(t)
     if is_comparable(sh, th, tol):
         raise ComparablePair("S and T are comparable; their minimum is the infimum")
-    c = ortho_inf(sh, th, tol)
-    n = sh.shape[0]
-    penalty = 1e3
-
-    def eigenvalues(x):
-        # hermitian_eigendecompose's eigenvalues, for each matrix of a stack
-        if not np.isfinite(x).all():
-            raise ValueError("matrix entries must be finite")
-        try:
-            return np.linalg.eigh((x + x.conj().swapaxes(-1, -2)) / 2.0)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-
-    def penalized(ms, viol):
-        top = eigenvalues(np.concatenate([ms - sh, ms - th]))[:, -1]
-        over = np.where(top > 0.0, top, 0.0)  # max(0.0, x): 0.0 for NaN too
-        return viol - penalty * (over[:len(ms)] + over[len(ms):])
-
-    base = min(_min_eig(sh, tol), _min_eig(th, tol)) - 0.5
-    rngs = [rng_for(seed, r) for r in range(restarts)]
-    m = np.stack([base * np.eye(n, dtype=complex) + 0.05 * random_hermitian(n, rng)
-                  for rng in rngs])
-    cur = penalized(m, -eigenvalues(c - m)[:, 0])
-    step = np.full(restarts, 0.3)
-    stall = np.zeros(restarts, dtype=int)
-    live = np.arange(restarts)  # restarts whose step is still >= 1e-8
-    for _ in range(iters):
-        if not live.size:
-            break
-        cand = m[live] + step[live, None, None] * np.stack(
-            [random_hermitian(n, rngs[r]) for r in live])
-        viol = -eigenvalues(c - cand)[:, 0]
-        up = np.flatnonzero(viol > cur[live])  # NaN never wins
-        if up.size:
-            sc = penalized(cand[up], viol[up])
-            won = sc > cur[live[up]]
-            up, sc = up[won], sc[won]
-            m[live[up]], cur[live[up]] = cand[up], sc
-        stall[live] += 1
-        stall[live[up]] = 0
-        halve = live[stall[live] >= 25]
-        step[halve] *= 0.5
-        stall[halve] = 0
-        live = live[step[live] >= 1e-8]
-
-    best_m = None
-    best_margin = -np.inf
-    for mr in m:
-        # repair residual constraint violations by a uniform downward shift
-        shift = max(0.0, _max_eig(mr - sh, tol), _max_eig(mr - th, tol))
-        if shift > 0.0:
-            mr = mr - shift * np.eye(n, dtype=complex)
-        margin = -_min_eig(c - mr, tol)
-        if margin > best_margin:
-            best_margin, best_m = margin, mr
-
+    spectrum = hermitian_eigendecompose(sh - th, tol)
+    _, _, abs_x = spectrum.jordan_parts()
+    c = (sh + th - abs_x) / 2.0
+    w, u = spectrum.eigenvalues, spectrum.eigenvectors
+    lam = min(w[-1], -w[0])
+    x = (u[:, -1] + u[:, 0]) / np.sqrt(2.0)
+    m = hermitian_matrix(c + (4.0 / 3.0 * lam) * np.outer(x, x.conj())
+                         - lam * np.eye(len(w)))
     checks = {
-        "le_S": _max_eig(best_m - sh, tol),
-        "le_T": _max_eig(best_m - th, tol),
-        "not_le_c": _min_eig(c - best_m, tol),
+        "le_S": float(np.linalg.eigvalsh(m - sh)[-1]),
+        "le_T": float(np.linalg.eigvalsh(m - th)[-1]),
+        "not_le_c": float(np.linalg.eigvalsh(c - m)[0]),
     }
-    feasible = checks["le_S"] <= tol.tol_psd * max(1.0, frob(sh)) and \
-        checks["le_T"] <= tol.tol_psd * max(1.0, frob(th))
-    found = feasible and best_margin >= margin_min
-    return WitnessResult(found, hermitian_matrix(best_m), float(best_margin), checks)
+    margin = -checks["not_le_c"]
+    # norms taken at unit scale, so that they cannot overflow
+    scale = max(np.abs(sh).max(), np.abs(th).max())
+    slack = tol.tol_psd * scale * max(frob(sh / scale), frob(th / scale))
+    found = checks["le_S"] <= slack and checks["le_T"] <= slack and margin > slack
+    return WitnessResult(found, m, margin, checks)

@@ -226,7 +226,7 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         worst = max(worst, float(np.max(np.abs(np.diag(c).real - meet(x, y)))),
                     float(np.max(np.abs(np.diag(d).real - np.maximum(x, y)))),
                     float(np.max(np.abs(c - np.diag(np.diag(c))))))
-    return {"suite": "bridge", "pass": worst <= 1e-12, "trials": trials,
+    return {"suite": "bridge", "pass": worst <= tol.tol_eq, "trials": trials,
             "max_violation": worst}
 
 

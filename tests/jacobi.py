@@ -29,7 +29,9 @@ def _eig2_unitary(app: float, aqq: float, apq: complex) -> np.ndarray:
 
 
 def _offdiag_frob(a: np.ndarray) -> float:
-    return float(np.sqrt(max(0.0, frob(a) ** 2 - np.linalg.norm(np.diag(a)) ** 2)))
+    # taken directly: sqrt(||a||^2 - ||diag a||^2) cancels to about
+    # sqrt(eps) ||a||, far above the convergence threshold
+    return frob(a - np.diag(np.diag(a)))
 
 
 def jacobi_eigendecompose(a, max_sweeps: int = MAX_SWEEPS) -> Spectrum:

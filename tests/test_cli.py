@@ -14,6 +14,8 @@ from ortholat.linalg import (
     rng_for,
 )
 
+from test_ortholattice import BARELY_S, BARELY_T
+
 
 @pytest.fixture
 def matrix_file(tmp_path):
@@ -157,6 +159,11 @@ class TestWitness:
     def test_comparable_exit_two(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("a.json", np.diag([1.0, 0.0])),
                      "--b", matrix_file("b.json", np.diag([2.0, 1.0]))]) == 2
+
+    def test_barely_non_comparable_exit_one(self, matrix_file, capsys):
+        assert main(["witness", "--a", matrix_file("s.json", BARELY_S),
+                     "--b", matrix_file("t.json", BARELY_T)]) == 1
+        assert json.loads(capsys.readouterr().out)["found"] is False
 
     def test_zero_restarts_exit_two(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("s.json", S),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ortholat.suites
 from ortholat.errors import DimensionMismatch, PreconditionFailed
 from ortholat.lattice import (
     am_norm_laws,
@@ -13,6 +14,8 @@ from ortholat.lattice import (
 )
 from ortholat.linalg import rng_for
 from ortholat.ortholattice import ortho_inf, ortho_sup
+from ortholat.suites import suite_bridge
+from ortholat.tolerances import DEFAULT_TOL
 
 
 class TestLatticeOps:
@@ -129,3 +132,10 @@ class TestBridge:
             y = rng.standard_normal(4) * rng.integers(0, 2, size=4)
             assert lattice_orth(x, y) == \
                 alg_orth_sa(np.diag(x).astype(complex), np.diag(y).astype(complex)).holds
+
+    def test_suite_bound_is_tol_eq(self, monkeypatch):
+        # the suite binds the name at import, so patch that binding
+        monkeypatch.setattr(ortholat.suites, "ortho_inf",
+                            lambda a, b, tol: ortho_inf(a, b, tol) + 1e-10)
+        assert suite_bridge(4, 20, 1)["pass"]
+        assert not suite_bridge(4, 20, 1, DEFAULT_TOL.override(tol_eq=1e-11))["pass"]

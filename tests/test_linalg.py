@@ -278,6 +278,13 @@ class TestValidation:
         h = hermitian_matrix(m)
         assert np.allclose(h, h.conj().T)
 
+    def test_hermitize_near_overflow(self):
+        # the sum M + M* of these entries overflows; the halves do not
+        m = np.array([[1e308, 1e308j], [-1e308j, -1e308]])
+        h = hermitian_matrix(m)
+        assert np.isfinite(h).all()
+        assert np.array_equal(h, m)
+
 
 class TestMatrixJson:
     def test_round_trip(self):

@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import sys
@@ -8,7 +7,8 @@ import numpy as np
 import pytest
 
 import ortholat.suites
-from ortholat.errors import ComparablePair, NoConvergence, PreconditionFailed
+from ortholat.cli import main as cli_main
+from ortholat.errors import ComparablePair, NoConvergence
 from ortholat.linalg import (
     frob,
     hermitian_matrix,
@@ -16,6 +16,7 @@ from ortholat.linalg import (
     is_psd,
     jordan_decompose,
     loewner_le,
+    matrix_to_json,
     psd_defect,
     random_hermitian,
     random_psd,
@@ -26,9 +27,6 @@ from ortholat.linalg import (
 )
 from ortholat.orthogonality import OrthReport
 from ortholat.ortholattice import (
-    WitnessResult,
-    _max_eig,
-    _min_eig,
     kadison_witness_search,
     ortho_inf,
     ortho_sup,
@@ -37,6 +35,8 @@ from ortholat.ortholattice import (
 )
 from ortholat.suites import run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
+
+from jacobi import jacobi_eigendecompose
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import witness_pair  # noqa: E402
@@ -48,6 +48,9 @@ INF_FIX = np.array([[(3 - math.sqrt(2)) / 4, 0.25],
                     [0.25, (1 - math.sqrt(2)) / 4]])
 SUP_FIX = np.array([[(3 + math.sqrt(2)) / 4, 0.25],
                     [0.25, (1 + math.sqrt(2)) / 4]])
+# a pair whose difference has eigenvalues {1, -2e-9}, with ||S||_F about 10
+BARELY_T = np.diag([6.0, 8.0]).astype(complex)
+BARELY_S = BARELY_T + np.diag([1.0, -2e-9])
 
 
 class TestOrthoInfSup:
@@ -298,11 +301,11 @@ def grid_search_witness_oracle(s, t, c, margin=1e-3, lo=-2.0, hi=2.0, step=0.05)
 
 class TestKadisonWitnessSearch:
     def test_fixture_witness_found(self):
-        res = kadison_witness_search(S_FIX, T_FIX, seed=42)
+        res = kadison_witness_search(S_FIX, T_FIX)
         assert res.found
         assert res.margin >= 1e-3
-        assert loewner_le(res.m, S_FIX, DEFAULT_TOL.override(tol_psd=1e-6))
-        assert loewner_le(res.m, T_FIX, DEFAULT_TOL.override(tol_psd=1e-6))
+        assert loewner_le(res.m, S_FIX)
+        assert loewner_le(res.m, T_FIX)
         assert not loewner_le(res.m, ortho_inf(S_FIX, T_FIX))
 
     def test_oracle_confirms_existence(self):
@@ -310,99 +313,123 @@ class TestKadisonWitnessSearch:
 
     def test_comparable_pair_rejected(self):
         with pytest.raises(ComparablePair):
-            kadison_witness_search(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]), seed=0)
+            kadison_witness_search(np.diag([1.0, 0.0]), np.diag([2.0, 1.0]))
 
     def test_equal_pair_rejected(self):
         a = random_hermitian(3, rng_for(68))
         with pytest.raises(ComparablePair):
-            kadison_witness_search(a, a, seed=0)
+            kadison_witness_search(a, a)
 
     def test_deterministic(self):
-        r1 = kadison_witness_search(S_FIX, T_FIX, iters=200, restarts=2, seed=7)
-        r2 = kadison_witness_search(S_FIX, T_FIX, iters=200, restarts=2, seed=7)
-        assert np.array_equal(r1.m, r2.m)
-        assert r1.margin == r2.margin
+        r1 = kadison_witness_search(S_FIX, T_FIX)
+        r2 = kadison_witness_search(S_FIX, T_FIX)
+        assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
 
-    @pytest.mark.parametrize("restarts", [0, -1])
-    def test_no_restarts_rejected(self, restarts):
-        with pytest.raises(PreconditionFailed):
-            kadison_witness_search(S_FIX, T_FIX, restarts=restarts, seed=0)
+    def test_eigensolver_failure_is_typed(self, monkeypatch):
+        def failing(x):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_stacked_eigensolver_failure_is_typed(self, monkeypatch):
-        eigh = np.linalg.eigh
-
-        def failing_on_stacks(x):
-            if x.ndim > 2:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(x)
-
-        monkeypatch.setattr(np.linalg, "eigh", failing_on_stacks)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(NoConvergence):
-            kadison_witness_search(S_FIX, T_FIX, iters=1, restarts=1, seed=0)
+            kadison_witness_search(S_FIX, T_FIX)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_feasible_on_random_pairs(self, n, i):
+        s, t = witness_pair(1, i, n)
+        res = kadison_witness_search(s, t)
+        slack = DEFAULT_TOL.tol_psd * max(frob(s), frob(t))
+        assert res.found
+        assert res.checks["le_S"] <= slack and res.checks["le_T"] <= slack
+        assert loewner_le(res.m, s) and loewner_le(res.m, t)
+        assert not loewner_le(res.m, ortho_inf(s, t))
+        assert res.margin == -res.checks["not_le_c"] > slack
+
+    def test_eigen_calls(self, eigen_calls):
+        kadison_witness_search(S_FIX, T_FIX)
+        # the comparability check's two cone tests and the three checks
+        # need eigenvalues only; the construction needs one eigenbasis
+        assert dict(eigen_calls) == {"eigh": 1, "eigvalsh": 5}
+
+    def test_barely_non_comparable_not_found(self):
+        # S - T has eigenvalues {1, -2e-9}: past the cone slack of the
+        # comparability check, but the margin 2e-9/3 is below the witness
+        # slack tol_psd * ||S||_F, about 1e-8
+        s, t = BARELY_S, BARELY_T
+        assert not is_comparable(s, t)
+        res = kadison_witness_search(s, t)
+        assert not res.found
+        assert res.margin == pytest.approx(2e-9 / 3, rel=1e-6)
 
 
-def _witness_reference(s, t, iters: int = 2000, restarts: int = 16,
-                       seed: int = 0, margin_min: float = 1e-3,
-                       tol: Tolerances = DEFAULT_TOL) -> WitnessResult:
-    """kadison_witness_search running its restarts one after the other,
-    with all three eigensolves for every candidate."""
+class TestWitnessMargin:
+    """The constructed witness against its closed-form margin lam/3."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_scale_sweep(self, scale):
+        res = kadison_witness_search(scale * S_FIX, scale * T_FIX)
+        assert res.found
+        # S - T has eigenvalues +-1/sqrt(2), so lam/3 = sqrt(2)/6
+        assert res.margin / scale == pytest.approx(math.sqrt(2) / 6, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_margin_is_lam_over_three(self, n):
+        # lam from the Jacobi eigensolver, not LAPACK
+        s, t = witness_pair(1, 0, n)
+        w = jacobi_eigendecompose(s - t).eigenvalues
+        lam = min(w[-1], -w[0])
+        res = kadison_witness_search(s, t)
+        assert res.margin == pytest.approx(lam / 3, rel=1e-12)
+
+
+def _witness_reference(s, t, tol: Tolerances = DEFAULT_TOL):
+    """The witness built from its definition at unit scale: c = S inf T by
+    ortho_inf, the top eigenpairs of P = (S-T)^+ and N = (S-T)^- each by
+    its own Jacobi eigendecomposition, and the checks by Jacobi eigenvalues.
+    Returns (found, margin, checks), rescaled."""
     sh, th = hermitian_matrix(s), hermitian_matrix(t)
-    if is_comparable(sh, th, tol):
-        raise ComparablePair("S and T are comparable; their minimum is the infimum")
-    c = ortho_inf(sh, th, tol)
-    n = sh.shape[0]
-    penalty = 1e3
+    scale = max(np.abs(sh).max(), np.abs(th).max())
+    su, tu = sh / scale, th / scale
+    c = ortho_inf(su, tu, tol)
+    pos, neg, _ = jordan_decompose(su - tu, tol)
+    p, q = jacobi_eigendecompose(pos), jacobi_eigendecompose(neg)
+    lam = min(p.eigenvalues[-1], q.eigenvalues[-1])
+    x = (p.eigenvectors[:, -1] + q.eigenvectors[:, -1]) / math.sqrt(2.0)
+    m = c + (4.0 / 3.0 * lam) * np.outer(x, x.conj()) - lam * np.eye(len(x))
 
-    def score(m):
-        viol = -_min_eig(c - m, tol)
-        pen = max(0.0, _max_eig(m - sh, tol)) + max(0.0, _max_eig(m - th, tol))
-        return viol - penalty * pen
+    def eigenvalues(a):
+        return jacobi_eigendecompose(a).eigenvalues
 
-    base = min(_min_eig(sh, tol), _min_eig(th, tol)) - 0.5
-    best_m = None
-    best_margin = -np.inf
-    for r in range(restarts):
-        rng = rng_for(seed, r)
-        m = base * np.eye(n, dtype=complex) + 0.05 * random_hermitian(n, rng)
-        cur = score(m)
-        step = 0.3
-        stall = 0
-        for _ in range(iters):
-            cand = m + step * random_hermitian(n, rng)
-            sc = score(cand)
-            if sc > cur:
-                m, cur = cand, sc
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 25:
-                    step *= 0.5
-                    stall = 0
-                    if step < 1e-8:
-                        break
-        # repair residual constraint violations by a uniform downward shift
-        shift = max(0.0, _max_eig(m - sh, tol), _max_eig(m - th, tol))
-        if shift > 0.0:
-            m = m - shift * np.eye(n, dtype=complex)
-        margin = -_min_eig(c - m, tol)
-        if margin > best_margin:
-            best_margin, best_m = margin, m
-
-    checks = {
-        "le_S": _max_eig(best_m - sh, tol),
-        "le_T": _max_eig(best_m - th, tol),
-        "not_le_c": _min_eig(c - best_m, tol),
-    }
-    feasible = checks["le_S"] <= tol.tol_psd * max(1.0, frob(sh)) and \
-        checks["le_T"] <= tol.tol_psd * max(1.0, frob(th))
-    found = feasible and best_margin >= margin_min
-    return WitnessResult(found, hermitian_matrix(best_m), float(best_margin), checks)
+    checks = {"le_S": eigenvalues(m - su)[-1], "le_T": eigenvalues(m - tu)[-1],
+              "not_le_c": eigenvalues(c - m)[0]}
+    slack = tol.tol_psd * max(frob(su), frob(tu))
+    found = checks["le_S"] <= slack and checks["le_T"] <= slack and \
+        -checks["not_le_c"] > slack
+    return found, -checks["not_le_c"] * scale, \
+        {k: v * scale for k, v in checks.items()}
 
 
-def assert_same_witness(s, t, **kwargs):
-    got = json.dumps(kadison_witness_search(s, t, **kwargs).to_json())
-    assert got == json.dumps(_witness_reference(s, t, **kwargs).to_json())
-    return got
+def assert_same_witness(s, t, tmp_path, iters: int = 2000, restarts: int = 16):
+    """The CLI report, whatever its ignored --iters/--restarts say, is the
+    library's report, and that agrees with the reference construction."""
+    paths = []
+    for name, x in (("s.json", s), ("t.json", t)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(matrix_to_json(np.asarray(x, dtype=complex))))
+    out = tmp_path / "witness.json"
+    res = kadison_witness_search(s, t)
+    code = cli_main(["witness", "--a", str(paths[0]), "--b", str(paths[1]),
+                     "--iters", str(iters), "--restarts", str(restarts),
+                     "--out", str(out)])
+    assert code == (0 if res.found else 1)
+    assert json.loads(out.read_text()) == {"command": "witness", **res.to_json()}
+    found, margin, checks = _witness_reference(s, t)
+    assert res.found == found
+    assert res.margin == pytest.approx(margin, rel=1e-12)
+    atol = 1e-12 * max(np.abs(s).max(), np.abs(t).max())
+    for key, value in checks.items():
+        assert res.checks[key] == pytest.approx(value, rel=0.0, abs=atol)
+    return res
 
 
 WITNESS_PAIRS = {"fixture": (S_FIX, T_FIX),
@@ -410,75 +437,27 @@ WITNESS_PAIRS = {"fixture": (S_FIX, T_FIX),
 
 
 class TestWitnessReference:
-    """The lockstep search against the search that runs its restarts one
-    after the other and solves the penalty for every candidate."""
+    """The constructed witness against the reference construction, through
+    the CLI with --iters/--restarts values that must not change the report."""
 
     @pytest.mark.parametrize("pair", WITNESS_PAIRS)
     @pytest.mark.parametrize("restarts", [1, 2, 16])
     @pytest.mark.parametrize("iters", [1, 24, 25, 26, 200])
-    def test_same_report(self, pair, restarts, iters):
-        # 25 rejections in a row halve the step
-        assert_same_witness(*WITNESS_PAIRS[pair], iters=iters,
-                            restarts=restarts, seed=7)
+    def test_same_report(self, pair, restarts, iters, tmp_path):
+        assert assert_same_witness(*WITNESS_PAIRS[pair], tmp_path, iters=iters,
+                                   restarts=restarts).found
 
     @pytest.mark.parametrize("pair,restarts", [
         ("fixture", 1), ("fixture", 2), ("n2", 1), ("n2", 2),
         ("n3", 1), ("n3", 2), ("n8", 1), ("n8", 2), ("n8", 16)])
-    def test_same_report_long(self, pair, restarts):
-        assert_same_witness(*WITNESS_PAIRS[pair], iters=2000,
-                            restarts=restarts, seed=7)
+    def test_same_report_long(self, pair, restarts, tmp_path):
+        assert assert_same_witness(*WITNESS_PAIRS[pair], tmp_path, iters=2000,
+                                   restarts=restarts).found
 
     @pytest.mark.parametrize("scale", [1e-8, 1e10, 1e300, 8e307])
-    def test_scaled_pair(self, scale):
-        with np.errstate(all="ignore"):
-            assert_same_witness(scale * S_FIX, scale * T_FIX, iters=300,
-                                restarts=3, seed=7)
-
-    def test_restarts_stop_at_different_steps(self, monkeypatch):
-        draws = collections.Counter()
-
-        def counting(n, rng, scale=1.0):
-            draws[rng] += 1
-            return random_hermitian(n, rng, scale)
-
-        # the default search on the fixture, as acceptance criterion 6 runs it
-        with monkeypatch.context() as patch:
-            patch.setattr(ortholat.ortholattice, "random_hermitian", counting)
-            kadison_witness_search(S_FIX, T_FIX, seed=42)
-        # one draw for the start, one per step until the step falls below 1e-8
-        assert len(draws) == 16 and max(draws.values()) < 2001
-        assert len(set(draws.values())) > 1
-        assert json.loads(assert_same_witness(S_FIX, T_FIX, seed=42))["found"]
-
-    def test_step_with_skipped_and_solved_penalties(self, eigen_calls):
-        # with one step, the eigh stacks are: ortho_inf and base (1 each),
-        # the starts' violations (16) and penalties (32), the step's
-        # violations (16) and penalties (2 for each of the 14 candidates
-        # whose violation beats its score; the other 2 skip them), then
-        # single matrices for the repairs and the checks
-        s, t = WITNESS_PAIRS["n8"]
-        kadison_witness_search(s, t, iters=1, restarts=16, seed=7)
-        assert eigen_calls.stacks["eigh"] == \
-            [1, 1, 1, 16, 32, 16, 28] + [1] * (3 * 16 + 3)
-        assert_same_witness(s, t, iters=1, restarts=16, seed=7)
-
-
-class TestWitnessEigenCalls:
-    @pytest.mark.parametrize("restarts,calls,matrices", [(2, 359, 812), (16, 456, 6728)])
-    def test_calls_grow_with_steps(self, eigen_calls, restarts, calls, matrices):
-        iters = 200
-        kadison_witness_search(S_FIX, T_FIX, iters=iters, restarts=restarts, seed=7)
-        # ortho_inf 1, base 2, per step at most 2, per restart 3, checks 3
-        assert eigen_calls["eigh"] == calls <= 2 * (iters + 1) + 3 * restarts + 6
-        assert sum(eigen_calls.stacks["eigh"]) == matrices
-        # the two cone tests of the comparability check
-        assert eigen_calls["eigvalsh"] == 2
-        assert eigen_calls["qr"] == 0
-
-    def test_tie_skips_penalty(self, eigen_calls):
-        # at this scale the last steps (1e-5 and below) move the violation
-        # by less than half an ulp, so a feasible restart's candidates tie
-        # its score: a penalty cannot make them win, so no eigensolve runs
-        kadison_witness_search(1e10 * S_FIX, 1e10 * T_FIX, iters=2000,
-                               restarts=2, seed=7)
-        assert eigen_calls["eigh"] == 1915
+    def test_scaled_pair(self, scale, tmp_path):
+        # at 1e300 and up ||S||_F**2 overflows; the witness slack must not
+        res = assert_same_witness(scale * S_FIX, scale * T_FIX, tmp_path,
+                                  iters=300, restarts=3)
+        assert res.found
+        assert res.margin / scale == pytest.approx(math.sqrt(2) / 6, rel=1e-12)
