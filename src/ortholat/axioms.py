@@ -236,10 +236,9 @@ def order_unit_norm(v, model, e=None, tol: Tolerances | None = None) -> float:
     return float(result)
 
 
-def _falsify_decomposition(model, u, rng, tol) -> bool:
-    """True if a perturbed decomposition (u+ + d, u- + d) with d > 0 in the
-    cone still passes the model's orthogonality test, i.e. uniqueness fails."""
-    up, un = model.pos_neg(u)
+def _falsify_decomposition(model, u, up, un, rng, tol) -> bool:
+    """True if a perturbed decomposition (up + d, un + d) of u, with d > 0 in
+    the cone, still passes the model's orthogonality test: uniqueness fails."""
     d = model.sample_positive(rng)
     scale = max(model.vector_norm(u), 1.0)
     d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
@@ -279,7 +278,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0,
                  model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
                  model.orth_residual(up, un))
         # ... and its uniqueness, by perturbation falsification
-        if _falsify_decomposition(model, u, rng, tol):
+        if _falsify_decomposition(model, u, up, un, rng, tol):
             survivors += 1
 
         # (5) u orth v and |w| <= |v|  =>  u orth w

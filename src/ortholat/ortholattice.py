@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComparablePair
+from .errors import ComparablePair, PreconditionFailed
 from .linalg import (
+    complex_matrix,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -93,50 +94,41 @@ def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
     three defining conditions; holds iff no perturbation survives.
 
     max_violation is the number of survivors (0.0 when every perturbation
-    is properly falsified); min_margin is the smallest perturbation margin,
-    the largest of the three checks' residual-to-tolerance ratios.
-
-    The cheapest check, residual orthogonality (one matmul), runs first.
-    Each cone check (one eigvalsh) runs only while it could still change
-    survivors or min_margin: a margin above 1 that is already at least
-    min_margin settles the perturbation, since further checks can only
-    raise it.
+    is properly falsified). Each perturbation stops at its first broken
+    condition, a residual-to-tolerance ratio above 1, checked cheapest
+    first: residual orthogonality (one matmul), then c_i <= a and c_i <= b
+    (one eigvalsh each). It survives only if all three ratios are at most
+    1; a NaN ratio with none above 1 raises PreconditionFailed.
     """
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     c = ortho_inf(ah, bh, tol)
     gap = frob(ah - bh)
     if gap <= tol.tol_eq:
         # a = b: every admissible perturbation magnitude window is empty
-        return OrthReport("uniqueness_falsify", True, 0.0,
-                          [("survivors", 0.0), ("min_margin", np.inf)])
+        return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
     n = ah.shape[0]
     survivors = 0
-    min_margin = np.inf
-
-    def settled(m):
-        # False for NaN, so a NaN residual never skips a check
-        return m > 1.0 and m >= min_margin
-
     for i in range(trials):
         rng = rng_for(seed, i)
         delta = random_hermitian(n, rng)
         delta *= rng.uniform(1e-4, 1.0) * gap / max(frob(delta), 1e-300)
-        ci = c + delta
+        ci = complex_matrix(c + delta)
         ra, rb = ah - ci, bh - ci
         z = zero_product_residual(ra, rb) / tol.tol_zero
-        if settled(z):
+        if z > 1.0:
             continue
         p_a = psd_defect(ra, tol) / tol.tol_psd
-        if settled(max(p_a, z)):
+        if p_a > 1.0:
             continue
         p_b = psd_defect(rb, tol) / tol.tol_psd
-        margin = max((p_a, p_b, z))  # > 1 means at least one condition is broken
-        min_margin = min(min_margin, margin)
-        if margin <= 1.0:
-            survivors += 1
+        if p_b > 1.0:
+            continue
+        for name, r in (("zero-product", z), ("a - c_i", p_a), ("b - c_i", p_b)):
+            if not r <= 1.0:
+                raise PreconditionFailed(f"perturbation {i}: the {name} residual is NaN")
+        survivors += 1
     return OrthReport("uniqueness_falsify", survivors == 0, float(survivors),
-                      [("survivors", float(survivors)),
-                       ("min_margin", float(min_margin))])
+                      [("survivors", float(survivors))])
 
 
 @dataclass

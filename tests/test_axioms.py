@@ -124,6 +124,13 @@ class TestCheckAxioms:
         assert not rep.holds
         assert dict(rep.details)["ax4_uniqueness_survivors"] > 0
 
+    def test_one_decomposition_per_axiom4_trial(self, eigen_calls):
+        # a trial makes 7 orthogonality residuals of 2 eigh each, plus one
+        # eigh in orthogonal_triple, pos_neg and sample_positive and two in
+        # dominated_sample; the uniqueness check reuses pos_neg's parts
+        check_axioms(make_model("matrix-sa", 4), trials=10)
+        assert eigen_calls["eigh"] == 10 * 19
+
 
 class TestCheckTheorem7:
     def test_diagonal_triple(self):

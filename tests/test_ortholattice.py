@@ -8,8 +8,9 @@ import pytest
 
 import ortholat.suites
 from ortholat.cli import main as cli_main
-from ortholat.errors import ComparablePair, NoConvergence
+from ortholat.errors import ComparablePair, NoConvergence, PreconditionFailed
 from ortholat.linalg import (
+    complex_matrix,
     frob,
     hermitian_matrix,
     is_comparable,
@@ -149,33 +150,34 @@ class TestUniquenessFalsify:
 
 
 def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
-    """uniqueness_falsify with all three checks on every perturbation."""
+    """uniqueness_falsify with all three checks on every perturbation: any
+    ratio above 1 falsifies it, all three at most 1 make it survive, and
+    anything else (a NaN ratio) raises."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     c = ortho_inf(ah, bh, tol)
     gap = frob(ah - bh)
     if gap <= tol.tol_eq:
-        return OrthReport("uniqueness_falsify", True, 0.0,
-                          [("survivors", 0.0), ("min_margin", np.inf)])
+        return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
     n = ah.shape[0]
     survivors = 0
-    min_margin = np.inf
     for i in range(trials):
         rng = rng_for(seed, i)
         delta = random_hermitian(n, rng)
         delta *= rng.uniform(1e-4, 1.0) * gap / max(frob(delta), 1e-300)
-        ci = c + delta
-        margins = (
-            psd_defect(ah - ci, tol) / tol.tol_psd,
-            psd_defect(bh - ci, tol) / tol.tol_psd,
-            zero_product_residual(ah - ci, bh - ci) / tol.tol_zero,
-        )
-        margin = max(margins)
-        min_margin = min(min_margin, margin)
-        if margin <= 1.0:
-            survivors += 1
+        ci = complex_matrix(c + delta)
+        ratios = {
+            "zero-product": zero_product_residual(ah - ci, bh - ci) / tol.tol_zero,
+            "a - c_i": psd_defect(ah - ci, tol) / tol.tol_psd,
+            "b - c_i": psd_defect(bh - ci, tol) / tol.tol_psd,
+        }
+        if any(r > 1.0 for r in ratios.values()):
+            continue
+        for name, r in ratios.items():
+            if not r <= 1.0:
+                raise PreconditionFailed(f"perturbation {i}: the {name} residual is NaN")
+        survivors += 1
     return OrthReport("uniqueness_falsify", survivors == 0, float(survivors),
-                      [("survivors", float(survivors)),
-                       ("min_margin", float(min_margin))])
+                      [("survivors", float(survivors))])
 
 
 def _same(x, y):
@@ -186,7 +188,7 @@ def _outcome(fn, *args, **kwargs):
     """The report of fn, or the type and message of the error it raises."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, PreconditionFailed) as exc:
         return type(exc), str(exc)
 
 
@@ -195,7 +197,7 @@ def assert_same_outcome(a, b, **kwargs):
     want = _outcome(_uniqueness_reference, a, b, **kwargs)
     if not isinstance(want, OrthReport):
         assert got == want
-        return
+        return got
     assert isinstance(got, OrthReport)
     assert (got.relation, got.holds) == (want.relation, want.holds)
     assert _same(got.max_violation, want.max_violation)
@@ -212,8 +214,8 @@ class TestUniquenessReference:
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e100, 6e153, 1e160])
     def test_random_pair(self, n, scale):
         # 1e100: residual products overflow to inf; 6e153 (n >= 2) and
-        # 1e160: the gap itself overflows, and both loops raise once a
-        # perturbation is drawn; test_nan_residuals covers NaN ratios
+        # 1e160: the gap itself overflows, and both loops raise ValueError
+        # once a perturbation is drawn; test_nan_residuals covers NaN ratios
         rng = rng_for(69, n)
         a, b = scale * random_hermitian(n, rng), scale * random_hermitian(n, rng)
         with np.errstate(all="ignore"):
@@ -221,6 +223,8 @@ class TestUniquenessReference:
                 assert_same_outcome(a, b, trials=trials, seed=n + trials)
 
     def test_nan_residuals(self, monkeypatch):
+        # a NaN ratio with no ratio above 1 neither breaks a condition nor
+        # shows that all three hold, so it ends in a typed error
         residuals = []
 
         def recording(x, y):
@@ -231,9 +235,9 @@ class TestUniquenessReference:
         rng = rng_for(5, 1)
         a, b = 6e153 * random_hermitian(1, rng), 6e153 * random_hermitian(1, rng)
         with np.errstate(all="ignore"):
-            rep = assert_same_outcome(a, b, trials=100, seed=3)
+            assert assert_same_outcome(a, b, trials=100, seed=3) == (
+                PreconditionFailed, "perturbation 3: the zero-product residual is NaN")
         assert any(math.isnan(r) for r in residuals)
-        assert rep.details[0][1] > 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_equal_pair(self, n):
@@ -249,13 +253,42 @@ class TestUniquenessReference:
         assert rep.details[0][1] > 0.0
 
     def test_margin_of_exactly_one_survives(self, monkeypatch):
-        # a margin of exactly 1 breaks no condition, so it never settles
+        # a ratio of exactly 1 breaks no condition, so it never settles
         monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
                             lambda x, y: DEFAULT_TOL.tol_zero)
+        monkeypatch.setattr(ortholat.ortholattice, "psd_defect",
+                            lambda x, tol: tol.tol_psd)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         rep = uniqueness_falsify(a, b, trials=5, seed=0,
                                  tol=DEFAULT_TOL.override(tol_psd=1e6))
-        assert rep.details == [("survivors", 5.0), ("min_margin", 1.0)]
+        assert rep.details == [("survivors", 5.0)]
+
+    def test_checks_run_cheapest_first(self, monkeypatch):
+        # zero product, then c_i <= a, then c_i <= b; no condition breaks
+        log = []
+        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+                            lambda x, y: log.append("zero") or 0.0)
+        monkeypatch.setattr(ortholat.ortholattice, "psd_defect",
+                            lambda x, tol: log.append(x) or 0.0)
+        a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
+        assert uniqueness_falsify(a, b, trials=5, seed=0).details == [("survivors", 5.0)]
+        assert len(log) == 3 * 5
+        for zero, ra, rb in zip(log[::3], log[1::3], log[2::3]):
+            assert zero == "zero"
+            assert np.allclose(ra - rb, a - b)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_overflowing_perturbation_rejected_at_the_draw(self, n, monkeypatch):
+        # the gap overflows to inf, so the first perturbation is not finite;
+        # it is rejected before any residual is formed
+        residuals = []
+        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+                            lambda x, y: residuals.append(x) or 0.0)
+        rng = rng_for(69, n)
+        a, b = 1e160 * random_hermitian(n, rng), 1e160 * random_hermitian(n, rng)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            uniqueness_falsify(a, b, trials=1)
+        assert residuals == []
 
     @pytest.mark.parametrize("seed", [42, 1, 2])
     def test_theorem4_suite_unchanged(self, seed, monkeypatch):
@@ -274,11 +307,24 @@ class TestUniquenessReference:
         assert got == want
 
     def test_theorem4_eigvalsh_count(self, eigen_calls):
-        # verify_theorem4 makes 4 eigvalsh calls a trial; each of the 10
-        # perturbations used to make 2 more, 20 * 24 = 480 in all
+        # verify_theorem4 makes 4 eigvalsh calls a trial; the zero-product
+        # check settles every perturbation, so uniqueness_falsify makes none
         suite_theorem4(64, 20, 1)
-        assert eigen_calls["eigvalsh"] == 20 * 4 + 151 < 480
+        assert eigen_calls["eigvalsh"] == 20 * 4
         assert eigen_calls["eigh"] == 20 * 3
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_zero_product_settles_random_pairs(self, n, eigen_calls):
+        # at the default tolerances every random perturbation breaks residual
+        # orthogonality, so no cone check runs
+        for i in range(5):
+            rng = rng_for(72, n, i)
+            a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+            before = eigen_calls["eigvalsh"]
+            got = uniqueness_falsify(a, b, trials=100, seed=i)
+            assert eigen_calls["eigvalsh"] == before
+            assert got == _uniqueness_reference(a, b, trials=100, seed=i)
+            assert got.holds
 
 
 def grid_search_witness_oracle(s, t, c, margin=1e-3, lo=-2.0, hi=2.0, step=0.05):
