@@ -1,14 +1,13 @@
 """Orthogonality-based substitutes for infimum and supremum on the
-self-adjoint part of matrix algebras, with a coordinatewise-lattice model,
-axiom checkers, verification suites, and a CLI."""
+self-adjoint part of matrix algebras and, as their commuting case, on the
+coordinatewise lattice R^n, with axiom checkers, verification suites, and
+a CLI."""
 
 from .errors import (
     ComparablePair,
-    ConfigError,
     DimensionMismatch,
     InternalInconsistency,
     NoConvergence,
-    NotOrderUnit,
     NotPositive,
     OrtholatError,
     PreconditionFailed,
@@ -28,6 +27,13 @@ from .linalg import (
     matrix_to_json,
     sqrt_psd,
 )
+from .carriers import (
+    BrokenOrthModel,
+    CoordinateModel,
+    MatrixSaModel,
+    make_model,
+    sup_norm,
+)
 from .orthogonality import (
     KGrid,
     OrthReport,
@@ -37,7 +43,6 @@ from .orthogonality import (
     alg_orth_sa,
     check_prop2_equivalence,
     hereditary_check,
-    infty_orth,
 )
 from .ortholattice import (
     WitnessResult,
@@ -47,24 +52,7 @@ from .ortholattice import (
     uniqueness_falsify,
     verify_theorem4,
 )
-from .lattice import (
-    am_norm_laws,
-    join,
-    lattice_orth,
-    meet,
-    prop6_check,
-    sup_norm,
-    verify_corollary5,
-)
-from .axioms import (
-    BrokenOrthModel,
-    CoordinateModel,
-    MatrixSaModel,
-    check_axioms,
-    check_theorem7,
-    make_model,
-    order_unit_norm,
-)
+from .axioms import check_axioms, check_theorem7
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __version__ = "0.1.0"

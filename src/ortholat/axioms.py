@@ -1,6 +1,6 @@
-"""Order-unit norms and the absolutely-ordered-vector-space axiom suite,
-instantiated on two carriers: Hermitian n x n matrices with unit I, and
-R^n with coordinatewise order and unit (1, ..., 1).
+"""The absolutely-ordered-vector-space axiom suite and the Theorem 7
+checks, run on a carrier model (see carriers): Hermitian n x n matrices
+with unit I, or R^n with coordinatewise order and unit (1, ..., 1).
 
 On positives both models decide absolute infinity-orthogonality exactly via
 the algebraic test (zero product / disjoint support); grid sampling runs
@@ -10,230 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotOrderUnit, PreconditionFailed
-from .linalg import (
-    frob,
-    hermitian_eigendecompose,
-    hermitian_matrix,
-    hermitian_norm,
-    jordan_decompose,
-    psd_defect,
-    random_hermitian,
-    random_unitary,
-    rng_for,
-    sqrt_psd,
-    zero_product_residual,
-)
-from .lattice import BoxSampler, sup_norm
+from .linalg import rng_for
 from .orthogonality import (
-    OrderIntervalSampler,
     OrthReport,
     infty_deviations,
     interval_pairs,
     sample_chunks,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import Tolerances
 
 __all__ = [
-    "MatrixSaModel",
-    "CoordinateModel",
-    "BrokenOrthModel",
-    "make_model",
-    "order_unit_norm",
     "check_axioms",
     "check_theorem7",
 ]
-
-
-class MatrixSaModel:
-    """Hermitian matrices with the Loewner order and unit I."""
-
-    carrier = "matrix-sa"
-
-    def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
-        self.n = n
-        self.tol = tol
-
-    def unit(self):
-        return np.eye(self.n, dtype=complex)
-
-    def zero(self):
-        return np.zeros((self.n, self.n), dtype=complex)
-
-    def sample(self, rng):
-        return random_hermitian(self.n, rng)
-
-    def sample_positive(self, rng):
-        p, _, _ = jordan_decompose(random_hermitian(self.n, rng), self.tol)
-        return p
-
-    def cone_defect(self, x) -> float:
-        return psd_defect(x, self.tol)
-
-    def pos_neg(self, x):
-        p, m, _ = jordan_decompose(x, self.tol)
-        return p, m
-
-    def absolute(self, x):
-        _, _, a = jordan_decompose(x, self.tol)
-        return a
-
-    def orth_residual(self, x, y) -> float:
-        return zero_product_residual(self.absolute(x), self.absolute(y))
-
-    norm = staticmethod(hermitian_norm)
-
-    def vector_norm(self, x) -> float:
-        return frob(x)
-
-    def interval_sampler(self, a):
-        return OrderIntervalSampler(a, self.tol)
-
-    def dominated_sample(self, v, rng):
-        """w with |w| <= |v|: shrink and sign-flip eigenvalues of |v| in place."""
-        s = hermitian_eigendecompose(self.absolute(v), self.tol)
-        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
-        u = s.eigenvectors
-        return hermitian_matrix((u * (t * s.eigenvalues)) @ u.conj().T)
-
-    def orthogonal_triple(self, rng):
-        """u positive on one block, v and w arbitrary on the complement,
-        conjugated by a random unitary to avoid purely diagonal structure."""
-        n1 = int(rng.integers(1, self.n))
-        q = random_unitary(self.n, rng)
-        gu = random_hermitian(n1, rng)
-        up = np.zeros((self.n, self.n), dtype=complex)
-        up[:n1, :n1] = jordan_decompose(gu, self.tol)[2]  # |gu| is positive
-        v = np.zeros((self.n, self.n), dtype=complex)
-        w = np.zeros((self.n, self.n), dtype=complex)
-        v[n1:, n1:] = random_hermitian(self.n - n1, rng)
-        w[n1:, n1:] = random_hermitian(self.n - n1, rng)
-        conj = lambda x: hermitian_matrix(q @ x @ q.conj().T)
-        return conj(up), conj(v), conj(w)
-
-    def to_json(self):
-        return {"carrier": self.carrier, "n": self.n}
-
-
-class CoordinateModel:
-    """R^n with coordinatewise order, sup norm, and unit (1, ..., 1)."""
-
-    carrier = "coordinate"
-
-    def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
-        self.n = n
-        self.tol = tol
-
-    def unit(self):
-        return np.ones(self.n)
-
-    def zero(self):
-        return np.zeros(self.n)
-
-    def sample(self, rng):
-        return rng.standard_normal(self.n)
-
-    def sample_positive(self, rng):
-        return np.abs(rng.standard_normal(self.n))
-
-    def cone_defect(self, x) -> float:
-        lo = float(np.min(x, initial=0.0))
-        return max(0.0, -lo) / max(1.0, float(np.max(np.abs(x), initial=0.0)))
-
-    def pos_neg(self, x):
-        return np.maximum(x, 0.0), np.maximum(-x, 0.0)
-
-    def absolute(self, x):
-        return np.abs(x)
-
-    def orth_residual(self, x, y) -> float:
-        overlap = float(np.max(np.minimum(np.abs(x), np.abs(y)), initial=0.0))
-        return overlap / max(1.0, float(np.max(np.abs(x), initial=0.0))
-                             * float(np.max(np.abs(y), initial=0.0)))
-
-    norm = staticmethod(sup_norm)
-
-    def vector_norm(self, x) -> float:
-        return self.norm(x)
-
-    def interval_sampler(self, a):
-        return BoxSampler(a)
-
-    def dominated_sample(self, v, rng):
-        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
-        return t * np.abs(v)
-
-    def orthogonal_triple(self, rng):
-        n1 = int(rng.integers(1, self.n))
-        u = np.zeros(self.n)
-        u[:n1] = np.abs(rng.standard_normal(n1))
-        v = np.zeros(self.n)
-        w = np.zeros(self.n)
-        v[n1:] = rng.standard_normal(self.n - n1)
-        w[n1:] = rng.standard_normal(self.n - n1)
-        perm = rng.permutation(self.n)
-        return u[perm], v[perm], w[perm]
-
-    def to_json(self):
-        return {"carrier": self.carrier, "n": self.n}
-
-
-class BrokenOrthModel(CoordinateModel):
-    """Negative control: the orthogonality relation is always true, which
-    destroys uniqueness of positive decompositions (axiom 4)."""
-
-    carrier = "broken"
-
-    def orth_residual(self, x, y) -> float:
-        return 0.0
-
-
-def make_model(carrier: str, n: int, tol: Tolerances = DEFAULT_TOL):
-    if carrier == "matrix-sa":
-        return MatrixSaModel(n, tol)
-    if carrier == "coordinate":
-        return CoordinateModel(n, tol)
-    if carrier == "broken":
-        return BrokenOrthModel(n, tol)
-    raise ValueError(f"unknown carrier {carrier!r}")
-
-
-def order_unit_norm(v, model, e=None, tol: Tolerances | None = None) -> float:
-    """inf{k > 0 : k e +/- v in the cone}, with certification.
-
-    For the default unit this is the spectral max (matrix carrier) or the
-    sup norm (coordinate carrier); a general positive-definite e is handled
-    by rescaling. Certifies cone membership at k(1 + tol_eq) and failure at
-    k(1 - 10 tol_eq).
-    """
-    tol = tol or model.tol
-    if e is None:
-        e = model.unit()
-    if model.carrier == "matrix-sa":
-        eh = hermitian_matrix(e)
-        s = hermitian_eigendecompose(eh, tol)
-        if s.eigenvalues[0] <= tol.tol_psd:
-            raise NotOrderUnit("order unit must be positive definite")
-        root_inv = (s.eigenvectors * (1.0 / np.sqrt(s.eigenvalues))) @ \
-            s.eigenvectors.conj().T
-        x = hermitian_matrix(root_inv @ hermitian_matrix(v) @ root_inv)
-        result = model.norm(x)
-        probe = lambda k: max(model.cone_defect(k * eh + hermitian_matrix(v)),
-                              model.cone_defect(k * eh - hermitian_matrix(v)))
-    else:
-        ev = np.asarray(e, dtype=float)
-        if np.min(ev, initial=np.inf) <= tol.tol_psd:
-            raise NotOrderUnit("order unit must be strictly positive")
-        vv = np.asarray(v, dtype=float)
-        result = float(np.max(np.abs(vv) / ev, initial=0.0))
-        probe = lambda k: max(model.cone_defect(k * ev + vv),
-                              model.cone_defect(k * ev - vv))
-    # certification: membership just above, failure just below
-    if probe(result * (1.0 + tol.tol_eq) if result > 0 else 0.0) > tol.tol_psd:
-        raise NotOrderUnit(f"certification failed at k = {result:.6g}")
-    if result > 0 and probe(result * (1.0 - 10.0 * tol.tol_eq)) <= 0.0:
-        raise NotOrderUnit(f"k = {result:.6g} is not the infimum")
-    return float(result)
 
 
 def _falsify_decomposition(model, u, up, un, rng, tol) -> bool:
@@ -273,7 +62,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0,
         r3 = max(r3, model.orth_residual(ut, k * vt + wt))
 
         # (4) existence of the orthogonal decomposition ...
-        up, un = model.pos_neg(u)
+        up, un, _ = model.jordan(u)
         r4 = max(r4, model.cone_defect(up), model.cone_defect(un),
                  model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
                  model.orth_residual(up, un))
@@ -312,7 +101,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
     for i in range(trials):
         rng = rng_for(seed, i)
         u = model.sample(rng)
-        up, un = model.pos_neg(u)
+        up, un, _ = model.jordan(u)
 
         # (1)(a) exact orthogonality of the parts
         ra_exact = max(ra_exact, model.orth_residual(up, un))
@@ -326,8 +115,8 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         ut, vt, wt = model.orthogonal_triple(rng)
-        rb = max(rb, model.orth_residual(ut, model.absolute(vt + wt)),
-                 model.orth_residual(ut, model.absolute(vt - wt)))
+        rb = max(rb, model.orth_residual(ut, model.jordan(vt + wt)[2]),
+                 model.orth_residual(ut, model.jordan(vt - wt)[2]))
 
     derived = check_axioms(model, trials, seed + 1, tol)
 

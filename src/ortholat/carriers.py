@@ -1,0 +1,270 @@
+"""The two carriers of the ortho-lattice: Hermitian n x n matrices with the
+Loewner order, and R^n with the coordinatewise order. A model holds what the
+carriers do differently (input checks, the Jordan parts of one
+decomposition, the cone defect, the zero-product residual, the norms and
+the samplers), so every check built on it is written once for both.
+
+`carrier_operands` picks the model from the operands: a 1-D array is a
+vector of R^n, anything else must be a square matrix.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DimensionMismatch, NotPositive
+from .linalg import (
+    complex_matrix,
+    frob,
+    hermitian_eigendecompose,
+    hermitian_matrix,
+    hermitian_norm,
+    jordan_decompose,
+    psd_defect,
+    random_complex,
+    random_hermitian,
+    random_unitary,
+    sqrt_psd,
+    zero_product_residual,
+)
+from .tolerances import DEFAULT_TOL, Tolerances
+
+__all__ = [
+    "MatrixSaModel",
+    "CoordinateModel",
+    "BrokenOrthModel",
+    "make_model",
+    "carrier_operands",
+    "sup_norm",
+    "lattice_vector",
+    "require_positive",
+    "OrderIntervalSampler",
+    "BoxSampler",
+]
+
+
+def sup_norm(x):
+    """max_i |x_i|, of a vector or of each vector of a stack along the last axis."""
+    return np.abs(np.asarray(x, dtype=float)).max(-1, initial=0.0)
+
+
+def lattice_vector(v) -> np.ndarray:
+    """Validate a real vector with finite entries."""
+    x = np.asarray(v, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("vector entries must be finite")
+    return x
+
+
+def require_positive(defect: float, name: str, tol: Tolerances) -> None:
+    """NotPositive unless the cone defect of the operand `name` is within tol_psd."""
+    if defect > tol.tol_psd:
+        raise NotPositive(f"{name} is not positive (defect {defect:.3e})")
+
+
+class OrderIntervalSampler:
+    """Draws elements of the order interval [0, a] via a^(1/2) w a^(1/2)
+    with w a seeded random contraction 0 <= w <= 1.
+
+    A sample is made in two steps: `raw` takes its random numbers from a
+    generator, and `draw` turns a sequence of raw draws into samples with
+    one stacked LAPACK call, so the random-draw order of a loop is kept.
+    """
+
+    def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
+        ah = hermitian_matrix(a)
+        require_positive(psd_defect(ah, tol), "a", tol)
+        self.root = sqrt_psd(ah, tol)
+        self.n = ah.shape[0]
+
+    def raw(self, rng: np.random.Generator):
+        """The normals of a random unitary and the uniforms of its
+        eigenvalues t, in the order one sample takes them from `rng`."""
+        return random_complex(self.n, rng), rng.uniform(0.0, 1.0, size=self.n)
+
+    def draw(self, rng) -> np.ndarray:
+        """The sample of [0, a] drawn from the generator `rng`; given a
+        non-empty sequence of `raw` draws instead, the stack of their
+        samples."""
+        if isinstance(rng, np.random.Generator):
+            return self.draw([self.raw(rng)])[0]
+        g = np.array([g for g, _ in rng])
+        t = np.array([t for _, t in rng])[:, None, :]
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
+        w = (u * t) @ u.conj().swapaxes(-1, -2)
+        s = self.root @ w @ self.root
+        if not np.all(np.isfinite(s)):
+            raise ValueError("matrix entries must be finite")
+        return (s + s.conj().swapaxes(-1, -2)) / 2.0
+
+
+class BoxSampler:
+    """Draws elements of the order interval [0, a] of R^n as t * a with t
+    uniform in the unit box; `raw` and `draw` split a sample as in
+    OrderIntervalSampler."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+
+    def raw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, size=self.a.shape)
+
+    def draw(self, raws) -> np.ndarray:
+        """The stack of the samples of a non-empty sequence of `raw` draws."""
+        return np.array(raws) * self.a
+
+
+class _Carrier:
+    """What the carriers share: orthogonality is the zero-product residual
+    of the absolute values."""
+
+    def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
+        self.n = n
+        self.tol = tol
+
+    def orth_residual(self, x, y) -> float:
+        return self.zero_product(self.jordan(x)[2], self.jordan(y)[2])
+
+    def to_json(self):
+        return {"carrier": self.carrier, "n": self.n}
+
+
+class MatrixSaModel(_Carrier):
+    """Hermitian matrices with the Loewner order and unit I."""
+
+    carrier = "matrix-sa"
+    element = staticmethod(hermitian_matrix)   # validated and symmetrized
+    finite = staticmethod(complex_matrix)      # validated only
+    norm = staticmethod(hermitian_norm)        # batched operator norm
+    vector_norm = staticmethod(frob)
+
+    def zero(self):
+        return np.zeros((self.n, self.n), dtype=complex)
+
+    def sample(self, rng):
+        return random_hermitian(self.n, rng)
+
+    def sample_positive(self, rng):
+        return self.jordan(random_hermitian(self.n, rng))[0]
+
+    def jordan(self, x):
+        """(pos, neg, abs) of x from one eigendecomposition."""
+        return jordan_decompose(x, self.tol)
+
+    def cone_defect(self, x) -> float:
+        return psd_defect(x, self.tol)
+
+    def zero_product(self, x, y) -> float:
+        return zero_product_residual(x, y)
+
+    def interval_sampler(self, a):
+        return OrderIntervalSampler(a, self.tol)
+
+    def dominated_sample(self, v, rng):
+        """w with |w| <= |v|: shrink and sign-flip eigenvalues of |v| in place."""
+        s = hermitian_eigendecompose(self.jordan(v)[2], self.tol)
+        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
+        u = s.eigenvectors
+        return hermitian_matrix((u * (t * s.eigenvalues)) @ u.conj().T)
+
+    def orthogonal_triple(self, rng):
+        """u positive on one block, v and w arbitrary on the complement,
+        conjugated by a random unitary to avoid purely diagonal structure."""
+        n1 = int(rng.integers(1, self.n))
+        q = random_unitary(self.n, rng)
+        gu = random_hermitian(n1, rng)
+        up = np.zeros((self.n, self.n), dtype=complex)
+        up[:n1, :n1] = jordan_decompose(gu, self.tol)[2]  # |gu| is positive
+        v = np.zeros((self.n, self.n), dtype=complex)
+        w = np.zeros((self.n, self.n), dtype=complex)
+        v[n1:, n1:] = random_hermitian(self.n - n1, rng)
+        w[n1:, n1:] = random_hermitian(self.n - n1, rng)
+        conj = lambda x: hermitian_matrix(q @ x @ q.conj().T)
+        return conj(up), conj(v), conj(w)
+
+
+class CoordinateModel(_Carrier):
+    """R^n with coordinatewise order, sup norm, and unit (1, ..., 1)."""
+
+    carrier = "coordinate"
+    element = staticmethod(lattice_vector)
+    finite = staticmethod(lattice_vector)
+    norm = staticmethod(sup_norm)
+    vector_norm = staticmethod(sup_norm)
+
+    def zero(self):
+        return np.zeros(self.n)
+
+    def sample(self, rng):
+        return rng.standard_normal(self.n)
+
+    def sample_positive(self, rng):
+        return np.abs(rng.standard_normal(self.n))
+
+    def jordan(self, x):
+        return np.maximum(x, 0.0), np.maximum(-x, 0.0), np.abs(x)
+
+    def cone_defect(self, x) -> float:
+        lo = float(np.min(x, initial=0.0))
+        return max(0.0, -lo) / max(1.0, float(np.max(np.abs(x), initial=0.0)))
+
+    def zero_product(self, x, y) -> float:
+        """max_i min(|x_i|, |y_i|) / max(1, ||x|| ||y||): the lattice meet
+        |x| ^ |y| stands in for the product, which vanishes with it."""
+        overlap = float(np.max(np.minimum(np.abs(x), np.abs(y)), initial=0.0))
+        return overlap / max(1.0, float(np.max(np.abs(x), initial=0.0))
+                             * float(np.max(np.abs(y), initial=0.0)))
+
+    def interval_sampler(self, a):
+        require_positive(self.cone_defect(a), "a", self.tol)
+        return BoxSampler(a)
+
+    def dominated_sample(self, v, rng):
+        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
+        return t * np.abs(v)
+
+    def orthogonal_triple(self, rng):
+        n1 = int(rng.integers(1, self.n))
+        u = np.zeros(self.n)
+        u[:n1] = np.abs(rng.standard_normal(n1))
+        v = np.zeros(self.n)
+        w = np.zeros(self.n)
+        v[n1:] = rng.standard_normal(self.n - n1)
+        w[n1:] = rng.standard_normal(self.n - n1)
+        perm = rng.permutation(self.n)
+        return u[perm], v[perm], w[perm]
+
+
+class BrokenOrthModel(CoordinateModel):
+    """Negative control: the orthogonality relation is always true, which
+    destroys uniqueness of positive decompositions (axiom 4)."""
+
+    carrier = "broken"
+
+    def zero_product(self, x, y) -> float:
+        return 0.0
+
+
+def make_model(carrier: str, n: int, tol: Tolerances = DEFAULT_TOL):
+    if carrier == "matrix-sa":
+        return MatrixSaModel(n, tol)
+    if carrier == "coordinate":
+        return CoordinateModel(n, tol)
+    if carrier == "broken":
+        return BrokenOrthModel(n, tol)
+    raise ValueError(f"unknown carrier {carrier!r}")
+
+
+def carrier_operands(a, b, tol: Tolerances = DEFAULT_TOL):
+    """(model, x, y): the carrier model of the operands a and b, and the
+    operands as its elements. Raises ValueError on a non-finite entry and
+    DimensionMismatch on a shape outside the carrier or two shapes that
+    differ."""
+    model = CoordinateModel if np.ndim(a) == 1 else MatrixSaModel
+    x, y = model.element(a), model.element(b)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return model(len(x), tol), x, y

@@ -31,10 +31,3 @@ class PreconditionFailed(OrtholatError):
 class ComparablePair(OrtholatError):
     """The two operands are comparable in the Loewner order."""
 
-
-class NotOrderUnit(OrtholatError):
-    """The supplied element is not a valid order unit."""
-
-
-class ConfigError(OrtholatError):
-    """Invalid run configuration (CLI exit code 2)."""

@@ -1,6 +1,7 @@
-"""Orthogonality predicates on Hermitian and general complex matrices:
-algebraic, infinity-norm, and absolute infinity-norm variants, plus the
-equivalence checks tying them together and order-interval sampling.
+"""Orthogonality predicates: algebraic orthogonality on Hermitian and
+general complex matrices with the equivalence checks tying its routes
+together, the infinity-norm identity, and the sampled absolute
+infinity-orthogonality test, written once over the carrier models.
 """
 from __future__ import annotations
 
@@ -8,25 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InternalInconsistency,
-    NotPositive,
-    PreconditionFailed,
-)
+from .carriers import OrderIntervalSampler, carrier_operands, require_positive
+from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     abs_general,
     complex_matrix,
     embed_offdiag,
     frob,
     hermitian_matrix,
-    hermitian_norm,
     jordan_decompose,
     psd_defect,
-    random_complex,
     rel_diff,
     rng_for,
-    sqrt_psd,
     zero_product_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -39,9 +33,7 @@ __all__ = [
     "alg_orth_general",
     "check_prop2_equivalence",
     "infty_deviations",
-    "infty_orth",
     "sample_chunks",
-    "OrderIntervalSampler",
     "interval_pairs",
     "abs_infty_orth_sampled",
     "hereditary_check",
@@ -113,8 +105,10 @@ def infty_deviations(u, v, norm, grid: KGrid | None = None):
         for row, g in zip(ks, grids):
             row[:g.size] = g
             row[g.size:] = g[-1]
-    elem = (1,) * (np.ndim(u) - 1)
-    lhs = norm(u[:, None] + ks.reshape(ks.shape + elem) * v[:, None])
+    # k v for every pair and k, with the elements flattened so that one
+    # broadcast serves vectors and matrices alike
+    kv = (ks[..., None] * v.reshape(len(v), 1, -1)).reshape(ks.shape + v.shape[1:])
+    lhs = norm(u[:, None] + kv)
     rhs = np.maximum(nu[:, None], np.abs(ks) * nv[:, None])
     return ks, np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
@@ -137,12 +131,6 @@ def sample_chunks(start: int, stop: int, entries: int, first: int | None = None)
         start, size = end, min(2 * size, cap)
 
 
-def _require_psd(x, name: str, tol: Tolerances):
-    d = psd_defect(x, tol)
-    if d > tol.tol_psd:
-        raise NotPositive(f"{name} is not PSD (defect {d:.3e})")
-
-
 def _check_dims(a, b):
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -152,8 +140,8 @@ def alg_orth_positive(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """Algebraic orthogonality of positives: ab = 0."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     _check_dims(ah, bh)
-    _require_psd(ah, "a", tol)
-    _require_psd(bh, "b", tol)
+    require_positive(psd_defect(ah, tol), "a", tol)
+    require_positive(psd_defect(bh, tol), "b", tol)
     r = zero_product_residual(ah, bh)
     return OrthReport("alg_orth_positive", r <= tol.tol_zero, r, [("ab", r)])
 
@@ -233,57 +221,6 @@ def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     return OrthReport("prop2_equivalence", verdicts[0], max(r1, r2, r3), details)
 
 
-def infty_orth(u, v, grid: KGrid | None = None,
-               tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """||u + kv|| = max(||u||, |k| ||v||) for every k on the grid."""
-    um, vm = hermitian_matrix(u), hermitian_matrix(v)
-    _check_dims(um, vm)
-    ks, dev = infty_deviations(um[None], vm[None], hermitian_norm, grid)
-    worst = float(dev.max(initial=0.0))
-    # the first k attaining the maximum; 0 when the identity holds exactly
-    worst_k = float(ks[0, np.argmax(dev[0])]) if worst > 0.0 else 0.0
-    return OrthReport("infty_orth", worst <= tol.tol_eq, worst,
-                      [("worst_k", worst_k), ("deviation", worst)])
-
-
-class OrderIntervalSampler:
-    """Draws elements of the order interval [0, a] via a^(1/2) w a^(1/2)
-    with w a seeded random contraction 0 <= w <= 1.
-
-    A sample is made in two steps: `raw` takes its random numbers from a
-    generator, and `draw` turns a sequence of raw draws into samples with
-    one stacked LAPACK call, so the random-draw order of a loop is kept.
-    """
-
-    def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
-        ah = hermitian_matrix(a)
-        _require_psd(ah, "a", tol)
-        self.root = sqrt_psd(ah, tol)
-        self.n = ah.shape[0]
-
-    def raw(self, rng: np.random.Generator):
-        """The normals of a random unitary and the uniforms of its
-        eigenvalues t, in the order one sample takes them from `rng`."""
-        return random_complex(self.n, rng), rng.uniform(0.0, 1.0, size=self.n)
-
-    def draw(self, rng) -> np.ndarray:
-        """The sample of [0, a] drawn from the generator `rng`; given a
-        non-empty sequence of `raw` draws instead, the stack of their
-        samples."""
-        if isinstance(rng, np.random.Generator):
-            return self.draw([self.raw(rng)])[0]
-        g = np.array([g for g, _ in rng])
-        t = np.array([t for _, t in rng])[:, None, :]
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
-        w = (u * t) @ u.conj().swapaxes(-1, -2)
-        s = self.root @ w @ self.root
-        if not np.all(np.isfinite(s)):
-            raise ValueError("matrix entries must be finite")
-        return (s + s.conj().swapaxes(-1, -2)) / 2.0
-
-
 def interval_pairs(sampler_a, sampler_b, rngs):
     """Stacks (cs, ds) of samples of [0, a] x [0, b], one pair per entry of
     `rngs`, each pair drawing c before d, so a generator listed twice gives
@@ -296,21 +233,21 @@ def interval_pairs(sampler_a, sampler_b, rngs):
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
                            tol: Tolerances = DEFAULT_TOL,
                            stop_on_violation: bool = False) -> OrthReport:
-    """Falsification-only sampling test of absolute infinity-orthogonality.
+    """Falsification-only sampling test of absolute infinity-orthogonality
+    of positive a and b, on either carrier.
 
     Draws pairs from [0,a] x [0,b] (the endpoints (a, b) are trial zero) and
     grid-checks the norm identity on each. The exact decision procedure on
-    positives is alg_orth_positive; its residual is recorded alongside.
+    positives is the carrier's zero-product residual, recorded alongside.
 
     Trial zero is checked alone and the later trials in chunks that double
     in size. With stop_on_violation no chunk after the first violation is
     drawn, and the worst deviation covers the trials up to that violation.
     """
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_dims(ah, bh)
-    sampler_a = OrderIntervalSampler(ah, tol)
-    sampler_b = OrderIntervalSampler(bh, tol)
-    exact = zero_product_residual(ah, bh)
+    model, ah, bh = carrier_operands(a, b, tol)
+    sampler_a = model.interval_sampler(ah)
+    sampler_b = model.interval_sampler(bh)
+    exact = model.zero_product(ah, bh)
 
     worst = 0.0
     first_violation = -1
@@ -320,7 +257,7 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
         else:
             cs, ds = interval_pairs(sampler_a, sampler_b,
                                     [rng_for(seed, i) for i in chunk])
-        dev = infty_deviations(cs, ds, hermitian_norm)[1].max(-1)
+        dev = infty_deviations(cs, ds, model.norm)[1].max(-1)
         violations = np.flatnonzero(~(dev <= tol.tol_eq))
         if first_violation < 0 and violations.size:
             first_violation = chunk.start + int(violations[0])

@@ -1,6 +1,9 @@
-"""Ortho-infimum and ortho-supremum on Hermitian matrices, their defining
-properties, uniqueness falsification, and a closed-form common lower bound
-that beats the ortho-infimum (the anti-lattice phenomenon).
+"""Ortho-infimum and ortho-supremum, their defining properties and
+uniqueness falsification, written once over the carrier models: on
+Hermitian matrices this is Theorem 4, on R^n (the commuting case) it is
+Corollary 5, where the ortho-infimum and ortho-supremum are the lattice
+meet and join. Also a closed-form common lower bound of two Hermitian
+matrices that beats the ortho-infimum (the anti-lattice phenomenon).
 """
 from __future__ import annotations
 
@@ -8,20 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .carriers import carrier_operands
 from .errors import ComparablePair, PreconditionFailed
 from .linalg import (
-    complex_matrix,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
     is_comparable,
-    jordan_decompose,
     matrix_to_json,
-    psd_defect,
     rel_diff,
-    random_hermitian,
     rng_for,
-    zero_product_residual,
 )
 from .orthogonality import OrthReport
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -38,16 +37,14 @@ __all__ = [
 
 def ortho_inf(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(a + b - |a - b|) / 2, the ortho-infimum."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _, _, abs_diff = jordan_decompose(ah - bh, tol)
-    return (ah + bh - abs_diff) / 2.0
+    model, x, y = carrier_operands(a, b, tol)
+    return (x + y - model.jordan(x - y)[2]) / 2.0
 
 
 def ortho_sup(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(a + b + |a - b|) / 2, the ortho-supremum."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _, _, abs_diff = jordan_decompose(ah - bh, tol)
-    return (ah + bh + abs_diff) / 2.0
+    model, x, y = carrier_operands(a, b, tol)
+    return (x + y + model.jordan(x - y)[2]) / 2.0
 
 
 def verify_theorem4(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
@@ -58,18 +55,18 @@ def verify_theorem4(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     the residual identities a-c = (a-b)^+ and b-c = (a-b)^-; and the
     duality sup(a,b) = -inf(-a,-b).
     """
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    xp, xn, abs_x = jordan_decompose(ah - bh, tol)
+    model, ah, bh = carrier_operands(a, b, tol)
+    xp, xn, abs_x = model.jordan(ah - bh)
     c = (ah + bh - abs_x) / 2.0
     d = (ah + bh + abs_x) / 2.0
 
     details = [
-        ("c_le_a", psd_defect(ah - c, tol)),
-        ("c_le_b", psd_defect(bh - c, tol)),
-        ("inf_residuals_orth", zero_product_residual(ah - c, bh - c)),
-        ("a_le_d", psd_defect(d - ah, tol)),
-        ("b_le_d", psd_defect(d - bh, tol)),
-        ("sup_residuals_orth", zero_product_residual(d - ah, d - bh)),
+        ("c_le_a", model.cone_defect(ah - c)),
+        ("c_le_b", model.cone_defect(bh - c)),
+        ("inf_residuals_orth", model.zero_product(ah - c, bh - c)),
+        ("a_le_d", model.cone_defect(d - ah)),
+        ("b_le_d", model.cone_defect(d - bh)),
+        ("sup_residuals_orth", model.zero_product(d - ah, d - bh)),
         ("a_minus_c_is_pos_part", rel_diff(ah - c, xp)),
         ("b_minus_c_is_neg_part", rel_diff(bh - c, xn)),
         ("sup_duality", rel_diff(d, -ortho_inf(-ah, -bh, tol))),
@@ -94,33 +91,34 @@ def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
     three defining conditions; holds iff no perturbation survives.
 
     max_violation is the number of survivors (0.0 when every perturbation
-    is properly falsified). Each perturbation stops at its first broken
-    condition, a residual-to-tolerance ratio above 1, checked cheapest
-    first: residual orthogonality (one matmul), then c_i <= a and c_i <= b
+    is properly falsified). A perturbation is the carrier's random sample
+    scaled to a random fraction of the gap ||a - b|| in the carrier's
+    vector norm. Each perturbation stops at its first broken condition, a
+    residual-to-tolerance ratio above 1, checked cheapest first: residual
+    orthogonality (one matmul on matrices), then c_i <= a and c_i <= b
     (one eigvalsh each). It survives only if all three ratios are at most
     1; a NaN ratio with none above 1 raises PreconditionFailed.
     """
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
+    model, ah, bh = carrier_operands(a, b, tol)
     c = ortho_inf(ah, bh, tol)
-    gap = frob(ah - bh)
+    gap = model.vector_norm(ah - bh)
     if gap <= tol.tol_eq:
         # a = b: every admissible perturbation magnitude window is empty
         return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
-    n = ah.shape[0]
     survivors = 0
     for i in range(trials):
         rng = rng_for(seed, i)
-        delta = random_hermitian(n, rng)
-        delta *= rng.uniform(1e-4, 1.0) * gap / max(frob(delta), 1e-300)
-        ci = complex_matrix(c + delta)
+        delta = model.sample(rng)
+        delta *= rng.uniform(1e-4, 1.0) * gap / max(model.vector_norm(delta), 1e-300)
+        ci = model.finite(c + delta)
         ra, rb = ah - ci, bh - ci
-        z = zero_product_residual(ra, rb) / tol.tol_zero
+        z = model.zero_product(ra, rb) / tol.tol_zero
         if z > 1.0:
             continue
-        p_a = psd_defect(ra, tol) / tol.tol_psd
+        p_a = model.cone_defect(ra) / tol.tol_psd
         if p_a > 1.0:
             continue
-        p_b = psd_defect(rb, tol) / tol.tol_psd
+        p_b = model.cone_defect(rb) / tol.tol_psd
         if p_b > 1.0:
             continue
         for name, r in (("zero-product", z), ("a - c_i", p_a), ("b - c_i", p_b)):

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axioms import check_axioms, check_theorem7, make_model
+from .axioms import check_axioms, check_theorem7
+from .carriers import make_model
 from .errors import InternalInconsistency
-from .lattice import am_norm_laws, meet, prop6_check, verify_corollary5
 from .linalg import (
     hermitian_matrix,
     jordan_decompose,
@@ -125,41 +125,46 @@ def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             "max_violation": worst, "disagreements": disagreements}
 
 
-def suite_theorem4(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Defining properties and uniqueness of ortho-inf/sup."""
+def _theorem4_suite(name, pair, trials, seed, tol):
+    """verify_theorem4 and uniqueness_falsify on the pairs pair(0), ...,
+    pair(trials - 1)."""
     worst = 0.0
     failures = 0
     for i in range(trials):
-        rng = rng_for(seed, 4, i)
-        n = _dim_for(rng, dim)
-        a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+        a, b = pair(i)
         rep = verify_theorem4(a, b, tol)
         uniq = uniqueness_falsify(a, b, trials=10, seed=seed + i, tol=tol)
         worst = max(worst, rep.max_violation)
         if not (rep.holds and uniq.holds):
             failures += 1
-    return {"suite": "theorem4", "pass": failures == 0, "trials": trials,
+    return {"suite": name, "pass": failures == 0, "trials": trials,
             "max_violation": worst, "failures": failures}
+
+
+def suite_theorem4(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
+    """Defining properties and uniqueness of ortho-inf/sup."""
+    def pair(i):
+        rng = rng_for(seed, 4, i)
+        n = _dim_for(rng, dim)
+        return random_hermitian(n, rng), random_hermitian(n, rng)
+    return _theorem4_suite("theorem4", pair, trials, seed, tol)
 
 
 def suite_corollary5(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Meet/join as unique disjoint-residual bounds in R^n."""
+    """Theorem 4 on R^n: meet/join as unique disjoint-residual bounds."""
     n = max(2, min(16, 2 * dim))
-    failures = 0
-    worst = 0.0
-    for i in range(trials):
+
+    def pair(i):
         rng = rng_for(seed, 5, i)
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        rep = verify_corollary5(x, y, trials=10, seed=seed + i, tol=tol)
-        worst = max(worst, rep.max_violation)
-        if not rep.holds:
-            failures += 1
-    return {"suite": "corollary5", "pass": failures == 0, "trials": trials,
-            "max_violation": worst, "failures": failures}
+        return rng.standard_normal(n), rng.standard_normal(n)
+    return _theorem4_suite("corollary5", pair, trials, seed, tol)
 
 
 def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Disjointness equals absolute infinity-orthogonality in the lattice."""
+    """Disjointness equals absolute infinity-orthogonality in the lattice:
+    the sampled test holds on disjoint pairs, and on overlapping pairs the
+    common part w = u inf v, in [0, u] and [0, v], breaks the identity for
+    (w, w) at k = 1."""
     n = max(2, min(16, 2 * dim))
     failures = 0
     worst = 0.0
@@ -171,13 +176,14 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             split = int(rng.integers(1, n))
             u[split:] = 0.0
             v[:split] = 0.0
-        rep = prop6_check(u, v, trials=20, seed=seed + i, tol=tol)
-        norms = am_norm_laws(u, v, tol)
-        # disjoint pairs carry the sampled norm-identity residual; the
-        # overlap witness of the other direction is meant to be large
-        worst = max(worst, norms.max_violation,
-                    dict(rep.details).get("sampled_deviation", 0.0))
-        if not (rep.holds and norms.holds):
+            rep = abs_infty_orth_sampled(u, v, trials=20, seed=seed + i, tol=tol)
+            # only disjoint pairs carry a residual; the witness is meant to be large
+            worst = max(worst, rep.max_violation)
+            ok = rep.holds
+        else:
+            w = ortho_inf(u, v, tol)
+            ok = not abs_infty_orth_sampled(w, w, trials=1, tol=tol).holds
+        if not ok:
             failures += 1
     return {"suite": "prop6", "pass": failures == 0, "trials": trials,
             "max_violation": worst, "failures": failures}
@@ -215,7 +221,8 @@ def suite_axioms(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
 
 def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Diagonal matrices and coordinate vectors give the same lattice ops."""
+    """The matrix carrier's ortho-inf/sup of diagonal matrices is diagonal
+    and matches the coordinate carrier's on their diagonals."""
     worst = 0.0
     for i in range(trials):
         rng = rng_for(seed, 8, i)
@@ -223,8 +230,8 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         c = ortho_inf(np.diag(x).astype(complex), np.diag(y).astype(complex), tol)
         d = ortho_sup(np.diag(x).astype(complex), np.diag(y).astype(complex), tol)
-        worst = max(worst, float(np.max(np.abs(np.diag(c).real - meet(x, y)))),
-                    float(np.max(np.abs(np.diag(d).real - np.maximum(x, y)))),
+        worst = max(worst, float(np.max(np.abs(np.diag(c).real - ortho_inf(x, y, tol)))),
+                    float(np.max(np.abs(np.diag(d).real - ortho_sup(x, y, tol)))),
                     float(np.max(np.abs(c - np.diag(np.diag(c))))))
     return {"suite": "bridge", "pass": worst <= tol.tol_eq, "trials": trials,
             "max_violation": worst}

@@ -7,8 +7,8 @@ import sys
 
 import numpy as np
 
-from ortholat.axioms import check_axioms, check_theorem7, make_model
-from ortholat.lattice import am_norm_laws, meet, join, prop6_check, verify_corollary5
+from ortholat.axioms import check_axioms, check_theorem7
+from ortholat.carriers import make_model
 from ortholat.linalg import (
     frob,
     jordan_decompose,
@@ -17,7 +17,13 @@ from ortholat.linalg import (
     rng_for,
 )
 from ortholat.orthogonality import abs_infty_orth_sampled
-from ortholat.ortholattice import kadison_witness_search, ortho_inf, ortho_sup
+from ortholat.ortholattice import (
+    kadison_witness_search,
+    ortho_inf,
+    ortho_sup,
+    uniqueness_falsify,
+    verify_theorem4,
+)
 from ortholat.suites import (
     _orthogonal_psd_pair,
     suite_prop2,
@@ -126,28 +132,33 @@ def test_criterion_7_alg_equals_abs_infty():
 
 
 def test_criterion_8_lattice_model():
+    # Corollary 5 and Prop 6 are Theorem 4 and the sampled check on R^n
     worst_bridge = 0.0
     failures = 0
     for i in range(500):
         rng = rng_for(8008, i)
         n = int(rng.integers(2, 17))
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        if not verify_corollary5(x, y, trials=10, seed=8100 + i).holds:
+        if not (verify_theorem4(x, y).holds
+                and uniqueness_falsify(x, y, trials=10, seed=8100 + i).holds):
             failures += 1
         u, v = np.abs(rng.standard_normal(n)), np.abs(rng.standard_normal(n))
         if i % 2 == 0:
             split = int(rng.integers(1, n))
             u[split:] = 0.0
             v[:split] = 0.0
-        if not (prop6_check(u, v, trials=10, seed=8200 + i).holds
-                and am_norm_laws(u, v).holds):
+            ok = abs_infty_orth_sampled(u, v, trials=10, seed=8200 + i).holds
+        else:
+            w = ortho_inf(u, v)
+            ok = not abs_infty_orth_sampled(w, w, trials=1).holds
+        if not ok:
             failures += 1
         c = ortho_inf(np.diag(x).astype(complex), np.diag(y).astype(complex))
         d = ortho_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
         worst_bridge = max(
             worst_bridge,
-            float(np.max(np.abs(np.diag(c).real - meet(x, y)))),
-            float(np.max(np.abs(np.diag(d).real - join(x, y)))))
+            float(np.max(np.abs(np.diag(c).real - np.minimum(x, y)))),
+            float(np.max(np.abs(np.diag(d).real - np.maximum(x, y)))))
     report(8, failures == 0 and worst_bridge <= 1e-12,
            f"500 instances, {failures} failures, bridge deviation {worst_bridge:.2e}")
 

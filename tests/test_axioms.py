@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from ortholat.axioms import (
+from ortholat.axioms import check_axioms, check_theorem7
+from ortholat.carriers import (
     BrokenOrthModel,
     CoordinateModel,
     MatrixSaModel,
-    check_axioms,
-    check_theorem7,
     make_model,
-    order_unit_norm,
 )
-from ortholat.errors import NotOrderUnit
 from ortholat.linalg import (
     jordan_decompose,
     random_hermitian,
@@ -19,49 +16,18 @@ from ortholat.linalg import (
 )
 
 
-class TestOrderUnitNorm:
-    def test_matrix_example(self):
-        model = MatrixSaModel(2)
-        assert order_unit_norm(np.diag([2.0, -5.0]), model) == pytest.approx(5.0)
-
-    def test_coordinate_example(self):
-        model = CoordinateModel(2)
-        assert order_unit_norm(np.array([0.5, -2.0]), model) == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert order_unit_norm(np.zeros((3, 3)), MatrixSaModel(3)) == 0.0
-        assert order_unit_norm(np.zeros(3), CoordinateModel(3)) == 0.0
-
-    def test_general_unit(self):
-        model = CoordinateModel(2)
-        assert order_unit_norm(np.array([1.0, 3.0]), model,
-                               e=np.array([1.0, 2.0])) == pytest.approx(1.5)
-
-    def test_invalid_unit(self):
-        with pytest.raises(NotOrderUnit):
-            order_unit_norm(np.ones(2), CoordinateModel(2), e=np.array([1.0, 0.0]))
-        with pytest.raises(NotOrderUnit):
-            order_unit_norm(np.eye(2), MatrixSaModel(2), e=np.diag([1.0, -1.0]))
-
-    def test_matches_operator_norm(self):
-        model = MatrixSaModel(5)
-        for i in range(100):
-            v = random_hermitian(5, rng_for(80, i))
-            assert order_unit_norm(v, model) == pytest.approx(np.linalg.norm(v, 2))
-
-
 class TestModels:
     def test_decomposition_matches_jordan(self):
         model = MatrixSaModel(4)
         v = random_hermitian(4, rng_for(81))
-        up, un = model.pos_neg(v)
+        up, un, _ = model.jordan(v)
         jp, jn, _ = jordan_decompose(v)
         assert np.array_equal(up, jp) and np.array_equal(un, jn)
 
     def test_coordinate_decomposition(self):
         model = CoordinateModel(3)
         v = np.array([1.0, -2.0, 0.0])
-        up, un = model.pos_neg(v)
+        up, un, _ = model.jordan(v)
         assert np.array_equal(up, [1.0, 0.0, 0.0])
         assert np.array_equal(un, [0.0, 2.0, 0.0])
 
@@ -80,10 +46,10 @@ class TestModels:
         model = MatrixSaModel(4)
         from ortholat.linalg import loewner_le
         v = random_hermitian(4, rng_for(83))
-        abs_v = model.absolute(v)
+        abs_v = model.jordan(v)[2]
         for i in range(20):
             w = model.dominated_sample(v, rng_for(84, i))
-            assert loewner_le(model.absolute(w), abs_v)
+            assert loewner_le(model.jordan(w)[2], abs_v)
 
     def test_orthogonal_triple(self):
         for carrier in ("matrix-sa", "coordinate"):
@@ -126,8 +92,8 @@ class TestCheckAxioms:
 
     def test_one_decomposition_per_axiom4_trial(self, eigen_calls):
         # a trial makes 7 orthogonality residuals of 2 eigh each, plus one
-        # eigh in orthogonal_triple, pos_neg and sample_positive and two in
-        # dominated_sample; the uniqueness check reuses pos_neg's parts
+        # eigh in orthogonal_triple, jordan and sample_positive and two in
+        # dominated_sample; the uniqueness check reuses jordan's parts
         check_axioms(make_model("matrix-sa", 4), trials=10)
         assert eigen_calls["eigh"] == 10 * 19
 
@@ -138,8 +104,8 @@ class TestCheckTheorem7:
         u = np.diag([1.0, 0.0, 0.0]).astype(complex)
         v = np.diag([0.0, 1.0, 0.0]).astype(complex)
         w = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        assert model.orth_residual(u, model.absolute(v + w)) <= model.tol.tol_zero
-        assert model.orth_residual(u, model.absolute(v - w)) <= model.tol.tol_zero
+        assert model.orth_residual(u, model.jordan(v + w)[2]) <= model.tol.tol_zero
+        assert model.orth_residual(u, model.jordan(v - w)[2]) <= model.tol.tol_zero
 
     def test_block_triple(self):
         model = MatrixSaModel(3)
@@ -151,8 +117,8 @@ class TestCheckTheorem7:
             w = np.zeros((3, 3), dtype=complex)
             v[1:, 1:] = random_hermitian(2, rng)
             w[1:, 1:] = random_hermitian(2, rng)
-            assert model.orth_residual(u, model.absolute(v + w)) <= model.tol.tol_zero
-            assert model.orth_residual(u, model.absolute(v - w)) <= model.tol.tol_zero
+            assert model.orth_residual(u, model.jordan(v + w)[2]) <= model.tol.tol_zero
+            assert model.orth_residual(u, model.jordan(v - w)[2]) <= model.tol.tol_zero
 
     def test_matrix_carrier(self):
         rep = check_theorem7(MatrixSaModel(3), trials=30, seed=4)

@@ -1,0 +1,222 @@
+"""The carrier models and the checks written once over them, on R^n
+(Corollary 5, Prop 6) and against the matrix carrier."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ortholat.suites
+from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, sup_norm
+from ortholat.errors import DimensionMismatch, NotPositive
+from ortholat.linalg import random_hermitian, rng_for
+from ortholat.orthogonality import abs_infty_orth_sampled, alg_orth_sa
+from ortholat.ortholattice import ortho_inf, ortho_sup, uniqueness_falsify, verify_theorem4
+from ortholat.suites import suite_bridge
+from ortholat.tolerances import DEFAULT_TOL
+
+EPS = np.finfo(float).eps
+
+# entries 0 or of magnitude 1e-100 to 1e100: scaled by 2^k, |k| <= 27, no
+# sum or difference leaves the normal range, and no diagonal matrix is
+# rescaled by LAPACK before its eigendecomposition
+_entry = st.floats(-1e100, 1e100, allow_nan=False).map(lambda v: v if abs(v) >= 1e-100 else 0.0)
+
+
+@st.composite
+def _vector_pairs(draw):
+    n = draw(st.integers(1, 16))
+    x = np.array(draw(st.lists(_entry, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(_entry, min_size=n, max_size=n)))
+    return x, y, 2.0 ** draw(st.integers(-27, 27))
+
+
+_property = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestVectorProperties:
+    @_property
+    @given(_vector_pairs())
+    def test_power_of_two_equivariance(self, pair):
+        x, y, s = pair
+        for op in (ortho_inf, ortho_sup):
+            assert op(s * x, s * y).tobytes() == (s * op(x, y)).tobytes()
+
+    @_property
+    @given(_vector_pairs())
+    def test_close_to_min_max(self, pair):
+        x, y, _ = pair
+        bound = 2.0 * EPS * np.maximum(np.abs(x), np.abs(y))
+        assert np.all(np.abs(ortho_inf(x, y) - np.minimum(x, y)) <= bound)
+        assert np.all(np.abs(ortho_sup(x, y) - np.maximum(x, y)) <= bound)
+
+    @_property
+    @given(_vector_pairs())
+    def test_diagonal_matrices_match_vectors(self, pair):
+        x, y, _ = pair
+        for op in (ortho_inf, ortho_sup):
+            c = op(np.diag(x), np.diag(y))
+            assert np.array_equal(np.diag(c).real, op(x, y))
+            assert np.array_equal(c, np.diag(np.diag(c)))
+
+
+class TestVectorOrthoLattice:
+    def test_meet_join(self):
+        x, y = np.array([3.0, -1.0]), np.array([1.0, 2.0])
+        assert np.array_equal(ortho_inf(x, y), [1.0, -1.0])
+        assert np.array_equal(ortho_sup(x, y), [3.0, 2.0])
+
+    def test_idempotent(self):
+        x = np.array([1.0, 2.0, -3.0])
+        assert np.array_equal(ortho_inf(x, x), x)
+        assert np.array_equal(ortho_sup(x, x), x)
+
+    def test_join_norm_law(self):
+        # an AM-space law on positives: ||u sup v|| = max(||u||, ||v||)
+        u, v = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+        assert sup_norm(ortho_sup(u, v)) == max(sup_norm(u), sup_norm(v))
+
+
+class TestCorollary5:
+    def test_example(self):
+        x, y = [3.0, -1.0], [1.0, 2.0]
+        assert verify_theorem4(x, y).holds
+        assert uniqueness_falsify(x, y).holds
+
+    def test_identical(self):
+        x = np.array([1.0, -2.0])
+        assert verify_theorem4(x, x).holds
+        assert uniqueness_falsify(x, x).holds
+
+    def test_random_pairs(self):
+        for i in range(100):
+            rng = rng_for(71, i)
+            n = int(rng.integers(2, 17))
+            x, y = rng.standard_normal(n), rng.standard_normal(n)
+            assert verify_theorem4(x, y).holds
+            assert uniqueness_falsify(x, y, trials=20, seed=90 + i).holds
+
+
+class TestCoordinateOrth:
+    def test_disjoint(self):
+        x, y = np.array([1.0, 0.0, -2.0]), np.array([0.0, 3.0, 0.0])
+        assert CoordinateModel(3).orth_residual(x, y) == 0.0
+
+    def test_overlap(self):
+        x, y = np.array([1.0, 1.0]), np.array([0.0, 1.0])
+        assert CoordinateModel(2).orth_residual(x, y) > DEFAULT_TOL.tol_zero
+
+    def test_zero(self):
+        assert CoordinateModel(2).orth_residual(np.array([5.0, -1.0]), np.zeros(2)) == 0.0
+
+
+class TestProp6:
+    def test_disjoint_supports(self):
+        rep = abs_infty_orth_sampled([1.0, 0.0, 2.0], [0.0, 3.0, 0.0], trials=200, seed=5)
+        assert rep.holds
+        assert dict(rep.details)["exact_alg_orth"] == 0.0
+
+    def test_overlap_witness(self):
+        # w = u inf v = (0,1): ||w + w|| = 2 != 1 = ||w||
+        w = ortho_inf([1.0, 1.0], [0.0, 1.0])
+        assert np.array_equal(w, [0.0, 1.0])
+        rep = abs_infty_orth_sampled(w, w, trials=1)
+        assert not rep.holds
+        assert rep.max_violation == 1.0
+        assert dict(rep.details)["first_violation_trial"] == 0.0
+
+    def test_zero_pair(self):
+        assert abs_infty_orth_sampled([0.0, 0.0], [0.0, 0.0]).holds
+
+
+class TestNorms:
+    def test_matrix_norm_example(self):
+        assert MatrixSaModel.norm(np.diag([2.0, -5.0])) == pytest.approx(5.0)
+
+    def test_coordinate_norm_example(self):
+        assert CoordinateModel.norm(np.array([0.5, -2.0])) == 2.0
+
+    def test_zero(self):
+        assert MatrixSaModel.norm(np.zeros((3, 3))) == 0.0
+        assert CoordinateModel.norm(np.zeros(3)) == 0.0
+
+    def test_matrix_norm_is_operator_norm(self):
+        for i in range(100):
+            v = random_hermitian(5, rng_for(80, i))
+            assert MatrixSaModel.norm(v) == pytest.approx(np.linalg.norm(v, 2))
+
+    def test_sup_norm_of_stack(self):
+        stack = np.array([[0.5, -2.0], [3.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(sup_norm(stack), [2.0, 3.0, 0.0])
+
+
+VEC = np.array([1.0, 2.0])
+MAT = np.eye(2)
+PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, uniqueness_falsify,
+               abs_infty_orth_sampled]
+
+
+class TestOperandChecks:
+    """Each carrier keeps its input checks behind the dispatch."""
+
+    def test_picks_the_carrier(self):
+        assert isinstance(carrier_operands(VEC, VEC)[0], CoordinateModel)
+        assert isinstance(carrier_operands(MAT, MAT)[0], MatrixSaModel)
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS)
+    @pytest.mark.parametrize("a, b", [
+        (np.array([np.nan, 1.0]), VEC),
+        (VEC, np.array([1.0, np.inf])),
+        (np.diag([np.nan, 1.0]), MAT),
+        (MAT, np.diag([1.0, np.inf])),
+    ], ids=["vector-a", "vector-b", "matrix-a", "matrix-b"])
+    def test_non_finite_entry(self, check, a, b):
+        with pytest.raises(ValueError):
+            check(a, b)
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS)
+    @pytest.mark.parametrize("a, b", [
+        (VEC, np.ones((2, 2, 2))),
+        (VEC, np.ones((2, 3))),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+        (MAT, np.ones((2, 3))),
+        (np.ones(()), np.ones(())),
+    ], ids=["vector-3d", "vector-matrix", "3d", "non-square", "scalar"])
+    def test_operand_outside_the_carrier(self, check, a, b):
+        with pytest.raises(DimensionMismatch):
+            check(a, b)
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS)
+    @pytest.mark.parametrize("a, b", [(VEC, np.ones(3)), (MAT, np.eye(3))],
+                             ids=["vector", "matrix"])
+    def test_mismatched_shapes(self, check, a, b):
+        with pytest.raises(DimensionMismatch):
+            check(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([-1.0], [1.0]),
+        ([1.0], [-1.0]),
+        (np.diag([1.0, -1.0]), MAT),
+        (MAT, np.diag([1.0, -1.0])),
+    ], ids=["vector-a", "vector-b", "matrix-a", "matrix-b"])
+    def test_non_positive_operand(self, a, b):
+        with pytest.raises(NotPositive):
+            abs_infty_orth_sampled(a, b)
+
+
+class TestBridge:
+    def test_orth_verdicts_match(self):
+        for i in range(50):
+            rng = rng_for(73, i)
+            x = rng.standard_normal(4) * rng.integers(0, 2, size=4)
+            y = rng.standard_normal(4) * rng.integers(0, 2, size=4)
+            model = CoordinateModel(4)
+            assert (model.orth_residual(x, y) <= model.tol.tol_zero) == \
+                alg_orth_sa(np.diag(x).astype(complex), np.diag(y).astype(complex)).holds
+
+    def test_suite_bound_is_tol_eq(self, monkeypatch):
+        # the suite binds the name at import, so patch that binding; only
+        # the matrix carrier's result moves
+        def shifted(a, b, tol):
+            return ortho_inf(a, b, tol) + (1e-10 if np.ndim(a) == 2 else 0.0)
+        monkeypatch.setattr(ortholat.suites, "ortho_inf", shifted)
+        assert suite_bridge(4, 20, 1)["pass"]
+        assert not suite_bridge(4, 20, 1, DEFAULT_TOL.override(tol_eq=1e-11))["pass"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from ortholat.carriers import OrderIntervalSampler, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
-from ortholat.lattice import sup_norm
 from ortholat.linalg import (
     frob,
     hermitian_matrix,
@@ -18,7 +18,6 @@ from ortholat.linalg import (
 )
 from ortholat.orthogonality import (
     KGrid,
-    OrderIntervalSampler,
     abs_infty_orth_sampled,
     alg_orth_general,
     alg_orth_positive,
@@ -26,7 +25,6 @@ from ortholat.orthogonality import (
     check_prop2_equivalence,
     hereditary_check,
     infty_deviations,
-    infty_orth,
     interval_pairs,
     sample_chunks,
 )
@@ -191,15 +189,11 @@ _TIE = np.array([0.0, -1.0, 1.0])  # ||u - u|| and ||u + u|| deviate equally
 ], ids=["matrix", "matrix-n1", "matrix-v0", "matrix-one-k", "matrix-tie",
         "coord", "coord-n1", "coord-v0", "coord-one-k", "coord-tie"])
 def test_infty_deviations_match_scalar_loop(carrier, u, v, grid):
-    want_ks, want, worst, worst_k = _scalar_loop(_scalar_norm(carrier), u, v, grid)
+    want_ks, want, _, _ = _scalar_loop(_scalar_norm(carrier), u, v, grid)
     batched = hermitian_norm if carrier == "matrix" else sup_norm
     ks, dev = infty_deviations(u[None], v[None], batched, grid)  # a stack of one
     assert np.array_equal(ks, [want_ks])
     assert np.array_equal(dev, [want])
-    if carrier == "matrix":
-        details = dict(infty_orth(u, v, grid).details)
-        assert details["deviation"] == worst
-        assert details["worst_k"] == worst_k
 
 
 @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
@@ -230,18 +224,25 @@ def test_infty_deviations_stack_pads_each_grid(carrier):
     assert _scalar_loop(norm, tie, tie)[3] == -1.0
 
 
-class TestInftyOrth:
+def _matrix_deviations(u, v, grid=None):
+    """The deviations of the one pair (u, v) of Hermitian matrices."""
+    return infty_deviations(hermitian_matrix(u)[None], hermitian_matrix(v)[None],
+                            hermitian_norm, grid)[1][0]
+
+
+class TestInftyDeviations:
     def test_disjoint_diagonal(self):
-        assert infty_orth(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).holds
+        dev = _matrix_deviations(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert dev.max() <= DEFAULT_TOL.tol_eq
 
     def test_self_pair_violates_at_one(self):
         u = np.diag([1.0, 0.0])
-        rep = infty_orth(u, u, KGrid(np.array([1.0])))
-        assert not rep.holds
-        assert rep.max_violation == pytest.approx(1.0)  # ||u+u||=2 vs max=1
+        dev = _matrix_deviations(u, u, KGrid(np.array([1.0])))
+        assert dev.tolist() == [pytest.approx(1.0)]  # ||u+u||=2 vs max=1
 
     def test_zero_partner(self):
-        assert infty_orth(random_hermitian(3, rng_for(44)), np.zeros((3, 3))).holds
+        dev = _matrix_deviations(random_hermitian(3, rng_for(44)), np.zeros((3, 3)))
+        assert dev.max() <= DEFAULT_TOL.tol_eq
 
 
 def _draw_one(root, rng):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ortholat.carriers
 import ortholat.suites
 from ortholat.cli import main as cli_main
 from ortholat.errors import ComparablePair, NoConvergence, PreconditionFailed
@@ -231,7 +232,7 @@ class TestUniquenessReference:
             residuals.append(zero_product_residual(x, y))
             return residuals[-1]
 
-        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual", recording)
+        monkeypatch.setattr(ortholat.carriers, "zero_product_residual", recording)
         rng = rng_for(5, 1)
         a, b = 6e153 * random_hermitian(1, rng), 6e153 * random_hermitian(1, rng)
         with np.errstate(all="ignore"):
@@ -254,9 +255,9 @@ class TestUniquenessReference:
 
     def test_margin_of_exactly_one_survives(self, monkeypatch):
         # a ratio of exactly 1 breaks no condition, so it never settles
-        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+        monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: DEFAULT_TOL.tol_zero)
-        monkeypatch.setattr(ortholat.ortholattice, "psd_defect",
+        monkeypatch.setattr(ortholat.carriers, "psd_defect",
                             lambda x, tol: tol.tol_psd)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         rep = uniqueness_falsify(a, b, trials=5, seed=0,
@@ -266,9 +267,9 @@ class TestUniquenessReference:
     def test_checks_run_cheapest_first(self, monkeypatch):
         # zero product, then c_i <= a, then c_i <= b; no condition breaks
         log = []
-        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+        monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: log.append("zero") or 0.0)
-        monkeypatch.setattr(ortholat.ortholattice, "psd_defect",
+        monkeypatch.setattr(ortholat.carriers, "psd_defect",
                             lambda x, tol: log.append(x) or 0.0)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert uniqueness_falsify(a, b, trials=5, seed=0).details == [("survivors", 5.0)]
@@ -282,7 +283,7 @@ class TestUniquenessReference:
         # the gap overflows to inf, so the first perturbation is not finite;
         # it is rejected before any residual is formed
         residuals = []
-        monkeypatch.setattr(ortholat.ortholattice, "zero_product_residual",
+        monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: residuals.append(x) or 0.0)
         rng = rng_for(69, n)
         a, b = 1e160 * random_hermitian(n, rng), 1e160 * random_hermitian(n, rng)
