@@ -19,10 +19,7 @@ from .linalg import (
     embed_offdiag,
     hermitian_eigendecompose,
     hermitian_matrix,
-    is_comparable,
-    is_psd,
     jordan_decompose,
-    loewner_le,
     matrix_from_json,
     matrix_to_json,
     sqrt_psd,
@@ -31,7 +28,6 @@ from .carriers import (
     BrokenOrthModel,
     CoordinateModel,
     MatrixSaModel,
-    make_model,
     sup_norm,
 )
 from .orthogonality import (

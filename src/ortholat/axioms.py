@@ -17,7 +17,6 @@ from .orthogonality import (
     interval_pairs,
     sample_chunks,
 )
-from .tolerances import Tolerances
 
 __all__ = [
     "check_axioms",
@@ -25,7 +24,7 @@ __all__ = [
 ]
 
 
-def _falsify_decomposition(model, u, up, un, rng, tol) -> bool:
+def _falsify_decomposition(model, u, up, un, rng) -> bool:
     """True if a perturbed decomposition (up + d, un + d) of u, with d > 0 in
     the cone, still passes the model's orthogonality test: uniqueness fails."""
     d = model.sample_positive(rng)
@@ -33,17 +32,17 @@ def _falsify_decomposition(model, u, up, un, rng, tol) -> bool:
     d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
     # a zero draw (the positive part of a negative definite sample) is no
     # perturbation, so it cannot survive
-    return bool(np.any(d)) and model.orth_residual(up + d, un + d) <= tol.tol_zero
+    return bool(np.any(d)) and model.orth_residual(up + d, un + d) <= model.tol.tol_zero
 
 
-def check_axioms(model, trials: int = 200, seed: int = 0,
-                 tol: Tolerances | None = None) -> OrthReport:
-    """The five axioms of an absolutely ordered vector space, sampled.
+def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
+    """The five axioms of an absolutely ordered vector space, sampled, with
+    the model's tolerances.
 
     Each detail is a violation (0 = good): residuals for the must-hold
     axioms, and a survivor count for the uniqueness half of axiom 4.
     """
-    tol = tol or model.tol
+    tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
     for i in range(trials):
@@ -67,7 +66,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0,
                  model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
                  model.orth_residual(up, un))
         # ... and its uniqueness, by perturbation falsification
-        if _falsify_decomposition(model, u, up, un, rng, tol):
+        if _falsify_decomposition(model, u, up, un, rng):
             survivors += 1
 
         # (5) u orth v and |w| <= |v|  =>  u orth w
@@ -88,14 +87,14 @@ def check_axioms(model, trials: int = 200, seed: int = 0,
 
 
 def check_theorem7(model, trials: int = 200, seed: int = 0,
-                   tol: Tolerances | None = None, inner: int = 8) -> OrthReport:
+                   inner: int = 8) -> OrthReport:
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
     infinity-orthogonal (exact test plus grid sampling), (b) orthogonality
     of u to v and w forces orthogonality to |v + w| and |v - w|, and the
-    full axiom suite for the derived relation.
+    full axiom suite for the derived relation. Uses the model's tolerances.
     """
-    tol = tol or model.tol
+    tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
     # `inner` = interval/grid samples per decomposition
     for i in range(trials):
@@ -118,7 +117,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         rb = max(rb, model.orth_residual(ut, model.jordan(vt + wt)[2]),
                  model.orth_residual(ut, model.jordan(vt - wt)[2]))
 
-    derived = check_axioms(model, trials, seed + 1, tol)
+    derived = check_axioms(model, trials, seed + 1)
 
     details = [
         ("parts_exact_orth", ra_exact),

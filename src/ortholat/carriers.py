@@ -32,7 +32,6 @@ __all__ = [
     "MatrixSaModel",
     "CoordinateModel",
     "BrokenOrthModel",
-    "make_model",
     "carrier_operands",
     "sup_norm",
     "lattice_vector",
@@ -73,10 +72,8 @@ class OrderIntervalSampler:
     """
 
     def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
-        ah = hermitian_matrix(a)
-        require_positive(psd_defect(ah, tol), "a", tol)
-        self.root = sqrt_psd(ah, tol)
-        self.n = ah.shape[0]
+        self.root = sqrt_psd(a, tol)   # raises NotPositive unless a >= 0
+        self.n = len(self.root)
 
     def raw(self, rng: np.random.Generator):
         """The normals of a random unitary and the uniforms of its
@@ -128,9 +125,6 @@ class _Carrier:
     def orth_residual(self, x, y) -> float:
         return self.zero_product(self.jordan(x)[2], self.jordan(y)[2])
 
-    def to_json(self):
-        return {"carrier": self.carrier, "n": self.n}
-
 
 class MatrixSaModel(_Carrier):
     """Hermitian matrices with the Loewner order and unit I."""
@@ -152,10 +146,10 @@ class MatrixSaModel(_Carrier):
 
     def jordan(self, x):
         """(pos, neg, abs) of x from one eigendecomposition."""
-        return jordan_decompose(x, self.tol)
+        return jordan_decompose(x)
 
     def cone_defect(self, x) -> float:
-        return psd_defect(x, self.tol)
+        return psd_defect(x)
 
     def zero_product(self, x, y) -> float:
         return zero_product_residual(x, y)
@@ -165,7 +159,7 @@ class MatrixSaModel(_Carrier):
 
     def dominated_sample(self, v, rng):
         """w with |w| <= |v|: shrink and sign-flip eigenvalues of |v| in place."""
-        s = hermitian_eigendecompose(self.jordan(v)[2], self.tol)
+        s = hermitian_eigendecompose(self.jordan(v)[2])
         t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
         u = s.eigenvectors
         return hermitian_matrix((u * (t * s.eigenvalues)) @ u.conj().T)
@@ -177,7 +171,7 @@ class MatrixSaModel(_Carrier):
         q = random_unitary(self.n, rng)
         gu = random_hermitian(n1, rng)
         up = np.zeros((self.n, self.n), dtype=complex)
-        up[:n1, :n1] = jordan_decompose(gu, self.tol)[2]  # |gu| is positive
+        up[:n1, :n1] = jordan_decompose(gu)[2]  # |gu| is positive
         v = np.zeros((self.n, self.n), dtype=complex)
         w = np.zeros((self.n, self.n), dtype=complex)
         v[n1:, n1:] = random_hermitian(self.n - n1, rng)
@@ -246,16 +240,6 @@ class BrokenOrthModel(CoordinateModel):
 
     def zero_product(self, x, y) -> float:
         return 0.0
-
-
-def make_model(carrier: str, n: int, tol: Tolerances = DEFAULT_TOL):
-    if carrier == "matrix-sa":
-        return MatrixSaModel(n, tol)
-    if carrier == "coordinate":
-        return CoordinateModel(n, tol)
-    if carrier == "broken":
-        return BrokenOrthModel(n, tol)
-    raise ValueError(f"unknown carrier {carrier!r}")
 
 
 def carrier_operands(a, b, tol: Tolerances = DEFAULT_TOL):

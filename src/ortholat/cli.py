@@ -139,8 +139,8 @@ def cmd_ortho(args) -> int:
     rep = verify_theorem4(a, b, tol)
     report = {
         "command": "ortho",
-        "inf": matrix_to_json(ortho_inf(a, b, tol)),
-        "sup": matrix_to_json(ortho_sup(a, b, tol)),
+        "inf": matrix_to_json(ortho_inf(a, b)),
+        "sup": matrix_to_json(ortho_sup(a, b)),
         "theorem4": rep.to_json(),
     }
     _emit(report, args.out)
@@ -150,7 +150,7 @@ def cmd_ortho(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
-    spectrum = hermitian_eigendecompose(a, tol)
+    spectrum = hermitian_eigendecompose(a)
     pos, neg, absval = spectrum.jordan_parts()
     report = {
         "command": "decompose",

@@ -28,9 +28,6 @@ __all__ = [
     "embed_offdiag",
     "hermitian_norm",
     "psd_defect",
-    "is_psd",
-    "loewner_le",
-    "is_comparable",
     "rng_for",
     "random_complex",
     "random_hermitian",
@@ -60,11 +57,6 @@ def hermitian_matrix(m) -> np.ndarray:
     return h + h.conj().T
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray):
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # norms and residuals
 
@@ -79,7 +71,8 @@ def rel_diff(x: np.ndarray, y: np.ndarray) -> float:
 
 def zero_product_residual(a: np.ndarray, b: np.ndarray) -> float:
     """||ab|| / max(1, ||a||*||b||), the toleranced 'ab = 0' residual."""
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
     return frob(a @ b) / max(1.0, frob(a) * frob(b))
 
 
@@ -93,10 +86,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
     def jordan_parts(self):
         """(pos, neg, abs) of the decomposed matrix: pos - neg is the
         matrix, pos * neg = 0 and abs = pos + neg."""
@@ -108,7 +97,7 @@ class Spectrum:
         return pos, neg, pos + neg
 
 
-def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def hermitian_eigendecompose(a) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh),
     eigenvalues ascending."""
     h = hermitian_matrix(a)
@@ -128,9 +117,9 @@ def hermitian_norm(x):
 # ---------------------------------------------------------------------------
 # functional-calculus derived operations
 
-def jordan_decompose(a, tol: Tolerances = DEFAULT_TOL):
+def jordan_decompose(a):
     """Unique decomposition a = pos - neg with pos*neg = 0; abs = pos + neg."""
-    return hermitian_eigendecompose(a, tol).jordan_parts()
+    return hermitian_eigendecompose(a).jordan_parts()
 
 
 def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -139,7 +128,7 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Clamping the whole band (not just the negatives) keeps round-off noise
     from being amplified by the square root near the kernel.
     """
-    s = hermitian_eigendecompose(a, tol)
+    s = hermitian_eigendecompose(a)
     w = s.eigenvalues
     slack = tol.tol_psd * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if w.size and w[0] < -slack:
@@ -163,30 +152,15 @@ def embed_offdiag(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cone predicates
+# cone defect
 
-def psd_defect(a, tol: Tolerances = DEFAULT_TOL) -> float:
+def psd_defect(a) -> float:
     """Relative depth of the most negative eigenvalue (0 for PSD input)."""
     w = np.linalg.eigvalsh(hermitian_matrix(a))
     if w.size == 0:
         return 0.0
     scale = max(1.0, float(np.max(np.abs(w))))
     return max(0.0, -float(w[0])) / scale
-
-
-def is_psd(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return psd_defect(a, tol) <= tol.tol_psd
-
-
-def loewner_le(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """a <= b in the Loewner order, i.e. b - a is PSD within slack."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_same_dim(ah, bh)
-    return is_psd(bh - ah, tol)
-
-
-def is_comparable(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return loewner_le(a, b, tol) or loewner_le(b, a, tol)
 
 
 # ---------------------------------------------------------------------------

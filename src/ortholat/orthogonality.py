@@ -6,19 +6,16 @@ infinity-orthogonality test, written once over the carrier models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .carriers import OrderIntervalSampler, carrier_operands, require_positive
-from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
+from .carriers import carrier_operands, require_positive
+from .errors import InternalInconsistency, PreconditionFailed
 from .linalg import (
     abs_general,
     complex_matrix,
     embed_offdiag,
-    frob,
-    hermitian_matrix,
-    jordan_decompose,
-    psd_defect,
     rel_diff,
     rng_for,
     zero_product_residual,
@@ -131,28 +128,19 @@ def sample_chunks(start: int, stop: int, entries: int, first: int | None = None)
         start, size = end, min(2 * size, cap)
 
 
-def _check_dims(a, b):
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def alg_orth_positive(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Algebraic orthogonality of positives: ab = 0."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_dims(ah, bh)
-    require_positive(psd_defect(ah, tol), "a", tol)
-    require_positive(psd_defect(bh, tol), "b", tol)
-    r = zero_product_residual(ah, bh)
+    """Algebraic orthogonality of positives, on either carrier: ab = 0."""
+    model, x, y = carrier_operands(a, b, tol)
+    require_positive(model.cone_defect(x), "a", tol)
+    require_positive(model.cone_defect(y), "b", tol)
+    r = model.zero_product(x, y)
     return OrthReport("alg_orth_positive", r <= tol.tol_zero, r, [("ab", r)])
 
 
 def alg_orth_sa(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Algebraic orthogonality of self-adjoints: |a||b| = 0."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_dims(ah, bh)
-    _, _, abs_a = jordan_decompose(ah, tol)
-    _, _, abs_b = jordan_decompose(bh, tol)
-    r = zero_product_residual(abs_a, abs_b)
+    """Algebraic orthogonality of self-adjoints, on either carrier: |a||b| = 0."""
+    model, x, y = carrier_operands(a, b, tol)
+    r = model.orth_residual(x, y)
     return OrthReport("alg_orth_sa", r <= tol.tol_zero, r, [("|a||b|", r)])
 
 
@@ -164,7 +152,6 @@ def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     InternalInconsistency.
     """
     am, bm = complex_matrix(a), complex_matrix(b)
-    _check_dims(am, bm)
     r_ab_star = zero_product_residual(am, bm.conj().T)
     r_astar_b = zero_product_residual(am.conj().T, bm)
     primary = max(r_ab_star, r_astar_b)
@@ -193,26 +180,19 @@ def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
 
 
 def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Three equivalent faces of self-adjoint orthogonality:
-    (1) |a||b| = 0; (2) the four Jordan parts are mutually algebraically
-    orthogonal; (3) |a +/- b| = |a| + |b|. Verdicts must coincide.
+    """Three equivalent faces of self-adjoint orthogonality, on either
+    carrier: (1) |a||b| = 0; (2) the four Jordan parts are mutually
+    algebraically orthogonal; (3) |a +/- b| = |a| + |b|. Verdicts must
+    coincide.
     """
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_dims(ah, bh)
-    ap, an, abs_a = jordan_decompose(ah, tol)
-    bp, bn, abs_b = jordan_decompose(bh, tol)
+    model, x, y = carrier_operands(a, b, tol)
+    xp, xn, abs_x = model.jordan(x)
+    yp, yn, abs_y = model.jordan(y)
 
-    r1 = zero_product_residual(abs_a, abs_b)
-
-    parts = [ap, an, bp, bn]
-    r2 = 0.0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            r2 = max(r2, zero_product_residual(parts[i], parts[j]))
-
-    _, _, abs_sum = jordan_decompose(ah + bh, tol)
-    _, _, abs_dif = jordan_decompose(ah - bh, tol)
-    r3 = max(rel_diff(abs_sum, abs_a + abs_b), rel_diff(abs_dif, abs_a + abs_b))
+    r1 = model.zero_product(abs_x, abs_y)
+    r2 = max(model.zero_product(p, q) for p, q in combinations([xp, xn, yp, yn], 2))
+    abs_sum, abs_dif = model.jordan(x + y)[2], model.jordan(x - y)[2]
+    r3 = max(rel_diff(abs_sum, abs_x + abs_y), rel_diff(abs_dif, abs_x + abs_y))
 
     verdicts = [r1 <= tol.tol_zero, r2 <= tol.tol_zero, r3 <= tol.tol_eq]
     details = [("|a||b|", r1), ("jordan_parts", r2), ("|a+-b|=|a|+|b|", r3)]
@@ -240,9 +220,10 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     grid-checks the norm identity on each. The exact decision procedure on
     positives is the carrier's zero-product residual, recorded alongside.
 
-    Trial zero is checked alone and the later trials in chunks that double
-    in size. With stop_on_violation no chunk after the first violation is
-    drawn, and the worst deviation covers the trials up to that violation.
+    Trial zero is checked alone and the later trials in chunks. With
+    stop_on_violation the chunks double in size from 2 and no chunk after
+    the first violation is drawn, and the worst deviation covers the trials
+    up to that violation.
     """
     model, ah, bh = carrier_operands(a, b, tol)
     sampler_a = model.interval_sampler(ah)
@@ -251,7 +232,8 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
 
     worst = 0.0
     first_violation = -1
-    for chunk in sample_chunks(0, trials, ah.size, first=1):
+    later = sample_chunks(1, trials, ah.size, first=2 if stop_on_violation else None)
+    for chunk in [range(1), *later] if trials > 0 else []:
         if chunk.start == 0:
             cs, ds = ah[None], bh[None]
         else:
@@ -274,21 +256,18 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
 
 def hereditary_check(a, b, trials: int = 100, seed: int = 0,
                      tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0."""
-    ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    _check_dims(ah, bh)
-    pre = alg_orth_positive(ah, bh, tol)
+    """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0, on
+    either carrier (Lemma 1)."""
+    model, x, y = carrier_operands(a, b, tol)
+    pre = alg_orth_positive(x, y, tol)
     if not pre.holds:
         raise PreconditionFailed(
             f"a and b are not algebraically orthogonal (residual {pre.max_violation:.3e})")
-    sampler_a = OrderIntervalSampler(ah, tol)
-    sampler_b = OrderIntervalSampler(bh, tol)
+    sampler_a, sampler_b = model.interval_sampler(x), model.interval_sampler(y)
     worst = 0.0
-    for chunk in sample_chunks(0, trials, ah.size):
+    for chunk in sample_chunks(0, trials, x.size):
         cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(seed, i) for i in chunk])
-        # zero_product_residual of each pair, from one stacked product; the
-        # Frobenius norms stay per matrix, as a stacked norm rounds differently
-        for c, d, cd in zip(cs, ds, cs @ ds):
-            worst = max(worst, frob(cd) / max(1.0, frob(c) * frob(d)))
+        for c, d in zip(cs, ds):
+            worst = max(worst, model.zero_product(c, d))
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])

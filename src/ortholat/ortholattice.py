@@ -17,7 +17,6 @@ from .linalg import (
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
-    is_comparable,
     matrix_to_json,
     rel_diff,
     rng_for,
@@ -35,15 +34,15 @@ __all__ = [
 ]
 
 
-def ortho_inf(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def ortho_inf(a, b) -> np.ndarray:
     """(a + b - |a - b|) / 2, the ortho-infimum."""
-    model, x, y = carrier_operands(a, b, tol)
+    model, x, y = carrier_operands(a, b)
     return (x + y - model.jordan(x - y)[2]) / 2.0
 
 
-def ortho_sup(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def ortho_sup(a, b) -> np.ndarray:
     """(a + b + |a - b|) / 2, the ortho-supremum."""
-    model, x, y = carrier_operands(a, b, tol)
+    model, x, y = carrier_operands(a, b)
     return (x + y + model.jordan(x - y)[2]) / 2.0
 
 
@@ -69,7 +68,7 @@ def verify_theorem4(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
         ("sup_residuals_orth", model.zero_product(d - ah, d - bh)),
         ("a_minus_c_is_pos_part", rel_diff(ah - c, xp)),
         ("b_minus_c_is_neg_part", rel_diff(bh - c, xn)),
-        ("sup_duality", rel_diff(d, -ortho_inf(-ah, -bh, tol))),
+        ("sup_duality", rel_diff(d, -ortho_inf(-ah, -bh))),
         ("inf_plus_sup", rel_diff(c + d, ah + bh)),
         ("sup_minus_inf", rel_diff(d - c, abs_x)),
     ]
@@ -100,7 +99,7 @@ def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
     1; a NaN ratio with none above 1 raises PreconditionFailed.
     """
     model, ah, bh = carrier_operands(a, b, tol)
-    c = ortho_inf(ah, bh, tol)
+    c = ortho_inf(ah, bh)
     gap = model.vector_norm(ah - bh)
     if gap <= tol.tol_eq:
         # a = b: every admissible perturbation magnitude window is empty
@@ -162,17 +161,22 @@ def kadison_witness_search(s, t, tol: Tolerances = DEFAULT_TOL) -> WitnessResult
     gives S - m = P + lam I - (4 lam/3) xx* >= 0 and likewise T - m >= 0,
     while lambda_max(m - c) = lam/3: the margin.
 
+    The pair is comparable (ComparablePair) iff S <= T or T <= S within
+    the cone slack, that is iff lam <= tol_psd * max(1, max |eig(S - T)|),
+    read from the same spectrum of S - T that builds m.
+
     found: both residuals lambda_max(m - S), lambda_max(m - T) and the
     measured margin are set against the slack tol_psd * max(||S||_F, ||T||_F).
     """
-    sh, th = hermitian_matrix(s), hermitian_matrix(t)
-    if is_comparable(sh, th, tol):
+    _, sh, th = carrier_operands(s, t, tol)   # validated, of one shape
+    spectrum = hermitian_eigendecompose(sh - th)
+    w, u = spectrum.eigenvalues, spectrum.eigenvectors
+    # 0 for an empty spectrum, which is comparable
+    lam = min(w.max(initial=0.0), -w.min(initial=0.0))
+    if lam <= tol.tol_psd * max(1.0, np.abs(w).max(initial=0.0)):
         raise ComparablePair("S and T are comparable; their minimum is the infimum")
-    spectrum = hermitian_eigendecompose(sh - th, tol)
     _, _, abs_x = spectrum.jordan_parts()
     c = (sh + th - abs_x) / 2.0
-    w, u = spectrum.eigenvalues, spectrum.eigenvectors
-    lam = min(w[-1], -w[0])
     x = (u[:, -1] + u[:, 0]) / np.sqrt(2.0)
     m = hermitian_matrix(c + (4.0 / 3.0 * lam) * np.outer(x, x.conj())
                          - lam * np.eye(len(w)))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .axioms import check_axioms, check_theorem7
-from .carriers import make_model
+from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
     hermitian_matrix,
@@ -181,7 +181,7 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             worst = max(worst, rep.max_violation)
             ok = rep.holds
         else:
-            w = ortho_inf(u, v, tol)
+            w = ortho_inf(u, v)
             ok = not abs_infty_orth_sampled(w, w, trials=1, tol=tol).holds
         if not ok:
             failures += 1
@@ -193,9 +193,9 @@ def suite_theorem7(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Order-unit decomposition and block-triple suite on both carriers."""
     per = max(1, trials // 10)
     reports = {}
-    for carrier, n in (("matrix-sa", min(dim, 4)), ("coordinate", 2 * dim)):
-        model = make_model(carrier, max(2, n), tol)
-        reports[carrier] = check_theorem7(model, trials=per, seed=seed, tol=tol)
+    for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
+                  CoordinateModel(max(2, 2 * dim), tol)):
+        reports[model.carrier] = check_theorem7(model, trials=per, seed=seed)
     worst = max(r.max_violation for r in reports.values())
     ok = all(r.holds for r in reports.values())
     return {"suite": "theorem7", "pass": ok, "trials": 2 * per,
@@ -207,11 +207,10 @@ def suite_axioms(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Five-axiom suite on both carriers plus the broken negative control."""
     per = max(1, trials // 2)
     reports = {}
-    for carrier, n in (("matrix-sa", min(dim, 4)), ("coordinate", 2 * dim)):
-        model = make_model(carrier, max(2, n), tol)
-        reports[carrier] = check_axioms(model, trials=per, seed=seed, tol=tol)
-    broken = check_axioms(make_model("broken", max(2, dim), tol),
-                          trials=min(per, 50), seed=seed, tol=tol)
+    for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
+                  CoordinateModel(max(2, 2 * dim), tol)):
+        reports[model.carrier] = check_axioms(model, trials=per, seed=seed)
+    broken = check_axioms(BrokenOrthModel(max(2, dim), tol), trials=min(per, 50), seed=seed)
     ok = all(r.holds for r in reports.values()) and not broken.holds
     worst = max(r.max_violation for r in reports.values())
     return {"suite": "axioms", "pass": ok, "trials": 2 * per,
@@ -228,10 +227,10 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         rng = rng_for(seed, 8, i)
         n = _dim_for(rng, dim)
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        c = ortho_inf(np.diag(x).astype(complex), np.diag(y).astype(complex), tol)
-        d = ortho_sup(np.diag(x).astype(complex), np.diag(y).astype(complex), tol)
-        worst = max(worst, float(np.max(np.abs(np.diag(c).real - ortho_inf(x, y, tol)))),
-                    float(np.max(np.abs(np.diag(d).real - ortho_sup(x, y, tol)))),
+        c = ortho_inf(np.diag(x).astype(complex), np.diag(y).astype(complex))
+        d = ortho_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
+        worst = max(worst, float(np.max(np.abs(np.diag(c).real - ortho_inf(x, y)))),
+                    float(np.max(np.abs(np.diag(d).real - ortho_sup(x, y)))),
                     float(np.max(np.abs(c - np.diag(np.diag(c))))))
     return {"suite": "bridge", "pass": worst <= tol.tol_eq, "trials": trials,
             "max_violation": worst}

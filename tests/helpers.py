@@ -1,7 +1,19 @@
-"""Random test matrices that the package itself does not need."""
+"""Random test matrices and Loewner-order oracles that the package itself
+does not need."""
 import numpy as np
 
-from ortholat.linalg import hermitian_matrix, random_unitary
+from ortholat.linalg import hermitian_matrix, psd_defect, random_unitary
+from ortholat.tolerances import DEFAULT_TOL
+
+
+def is_psd(a) -> bool:
+    """a >= 0 within the default cone slack."""
+    return psd_defect(a) <= DEFAULT_TOL.tol_psd
+
+
+def loewner_le(a, b) -> bool:
+    """a <= b in the Loewner order within the default cone slack."""
+    return is_psd(np.asarray(b) - np.asarray(a))
 
 
 def random_projection(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from ortholat.axioms import check_axioms, check_theorem7
-from ortholat.carriers import make_model
+from ortholat.carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from ortholat.linalg import (
     frob,
     jordan_decompose,
@@ -166,13 +166,12 @@ def test_criterion_8_lattice_model():
 def test_criterion_9_axioms_theorem7():
     ok = True
     parts = []
-    for carrier, n in (("matrix-sa", 4), ("coordinate", 8)):
-        model = make_model(carrier, n)
+    for model in (MatrixSaModel(4), CoordinateModel(8)):
         ax = check_axioms(model, trials=500, seed=9009)
         t7 = check_theorem7(model, trials=500, seed=9010, inner=2)
         ok = ok and ax.holds and t7.holds
-        parts.append(f"{carrier}: axioms={ax.holds}, theorem7={t7.holds}")
-    broken = check_axioms(make_model("broken", 4), trials=50, seed=9011)
+        parts.append(f"{model.carrier}: axioms={ax.holds}, theorem7={t7.holds}")
+    broken = check_axioms(BrokenOrthModel(4), trials=50, seed=9011)
     neg_ok = not broken.holds and dict(broken.details)["ax4_uniqueness_survivors"] > 0
     ok = ok and neg_ok
     parts.append(f"negative control failed as expected: {neg_ok}")

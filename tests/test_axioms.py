@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
 from ortholat.axioms import check_axioms, check_theorem7
 from ortholat.carriers import (
     BrokenOrthModel,
     CoordinateModel,
     MatrixSaModel,
-    make_model,
 )
 from ortholat.linalg import (
     jordan_decompose,
@@ -14,6 +12,8 @@ from ortholat.linalg import (
     rel_diff,
     rng_for,
 )
+
+from helpers import loewner_le
 
 
 class TestModels:
@@ -44,7 +44,6 @@ class TestModels:
 
     def test_dominated_sample(self):
         model = MatrixSaModel(4)
-        from ortholat.linalg import loewner_le
         v = random_hermitian(4, rng_for(83))
         abs_v = model.jordan(v)[2]
         for i in range(20):
@@ -52,21 +51,12 @@ class TestModels:
             assert loewner_le(model.jordan(w)[2], abs_v)
 
     def test_orthogonal_triple(self):
-        for carrier in ("matrix-sa", "coordinate"):
-            model = make_model(carrier, 4)
+        for model in (MatrixSaModel(4), CoordinateModel(4)):
             for i in range(20):
                 u, v, w = model.orthogonal_triple(rng_for(85, i))
                 assert model.cone_defect(u) <= model.tol.tol_psd
                 assert model.orth_residual(u, v) <= model.tol.tol_zero
                 assert model.orth_residual(u, w) <= model.tol.tol_zero
-
-    def test_make_model_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_model("nosuch", 3)
-
-    def test_model_json(self):
-        assert MatrixSaModel(4).to_json() == {"carrier": "matrix-sa", "n": 4}
-        assert CoordinateModel(8).to_json() == {"carrier": "coordinate", "n": 8}
 
 
 class TestCheckAxioms:
@@ -94,7 +84,7 @@ class TestCheckAxioms:
         # a trial makes 7 orthogonality residuals of 2 eigh each, plus one
         # eigh in orthogonal_triple, jordan and sample_positive and two in
         # dominated_sample; the uniqueness check reuses jordan's parts
-        check_axioms(make_model("matrix-sa", 4), trials=10)
+        check_axioms(MatrixSaModel(4), trials=10)
         assert eigen_calls["eigh"] == 10 * 19
 
 

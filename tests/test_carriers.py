@@ -215,8 +215,8 @@ class TestBridge:
     def test_suite_bound_is_tol_eq(self, monkeypatch):
         # the suite binds the name at import, so patch that binding; only
         # the matrix carrier's result moves
-        def shifted(a, b, tol):
-            return ortho_inf(a, b, tol) + (1e-10 if np.ndim(a) == 2 else 0.0)
+        def shifted(a, b):
+            return ortho_inf(a, b) + (1e-10 if np.ndim(a) == 2 else 0.0)
         monkeypatch.setattr(ortholat.suites, "ortho_inf", shifted)
         assert suite_bridge(4, 20, 1)["pass"]
         assert not suite_bridge(4, 20, 1, DEFAULT_TOL.override(tol_eq=1e-11))["pass"]

@@ -14,13 +14,11 @@ from ortholat.linalg import (
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    is_comparable,
-    is_psd,
     jordan_decompose,
-    loewner_le,
     matrix_from_json,
     matrix_to_json,
     random_complex,
+    psd_defect,
     random_hermitian,
     random_unitary,
     rel_diff,
@@ -30,7 +28,7 @@ from ortholat.linalg import (
 )
 from ortholat.tolerances import DEFAULT_TOL
 
-from helpers import random_projection
+from helpers import is_psd, loewner_le, random_projection
 from jacobi import jacobi_eigendecompose
 
 TOL_RECON = 1e-9  # spectral reconstruction threshold (relative Frobenius)
@@ -231,13 +229,10 @@ class TestOperatorNorm:
 
 
 class TestConePredicates:
-    def test_is_psd(self):
-        assert is_psd(np.diag([1.0, 0.0]))
-        assert not is_psd(np.diag([1.0, -0.5]))
-
-    def test_loewner_le(self):
-        assert loewner_le(np.diag([0.0, 0.0]), np.diag([1.0, 2.0]))
-        assert not loewner_le(np.diag([1.0, 2.0]), np.diag([0.0, 0.0]))
+    def test_psd_defect(self):
+        assert psd_defect(np.diag([1.0, 0.0])) == 0.0
+        assert psd_defect(np.diag([1.0, -0.5])) == 0.5
+        assert psd_defect(np.diag([4.0, -0.5])) == 0.125
 
     def test_noncomparable_fixture(self):
         s = np.diag([1.0, 0.0]).astype(complex)
@@ -245,11 +240,7 @@ class TestConePredicates:
         lo, hi = eig2_oracle(diff)
         assert lo < 0 < hi  # mixed signs: +-1/sqrt(2)
         assert lo == pytest.approx(-1 / math.sqrt(2))
-        assert not is_comparable(s, HALF_ONES)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            loewner_le(np.eye(2), np.eye(3))
+        assert not loewner_le(s, HALF_ONES) and not loewner_le(HALF_ONES, s)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ortholat.orthogonality
 from ortholat.carriers import OrderIntervalSampler, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
 from ortholat.linalg import (
@@ -31,7 +32,7 @@ from ortholat.orthogonality import (
 from ortholat.suites import _dim_for, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
 
-from helpers import random_projection
+from helpers import is_psd, random_projection
 
 
 def matrix_unit(n, i, j):
@@ -321,7 +322,7 @@ class TestOrderIntervalSampler:
             assert np.max(np.abs(c[:, 1])) <= 1e-12
 
     def test_stays_in_interval(self):
-        from ortholat.linalg import is_psd, random_psd
+        from ortholat.linalg import random_psd
         a = random_psd(4, rng_for(45))
         sampler = OrderIntervalSampler(a)
         for i in range(30):
@@ -376,7 +377,8 @@ def test_sample_chunks_double_up_to_the_cap():
 
 
 class TestAbsInftyMatchesOneAtATime:
-    # trial 0 is checked alone, then trials 1-2, 3-6, 7-14, ...
+    # trial 0 is checked alone, then trials 1-2, 3-6, 7-14, ... when a
+    # violation stops the check, else chunks as large as the cap allows
     @pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
     @pytest.mark.parametrize("a, b, seed, first", [
         (*_SAME, 1, 0),
@@ -405,6 +407,20 @@ class TestAbsInftyMatchesOneAtATime:
         a, b = _orthogonal_psd_pair(32, rng_for(58))
         rep = abs_infty_orth_sampled(a, b, trials=12, seed=2)
         assert rep.max_violation == _abs_infty_loop(a, b, 12, 2)[0]
+
+
+@pytest.mark.parametrize("stop, calls", [(False, 2), (True, 5)])
+def test_chunks_double_only_when_stopping(monkeypatch, stop, calls):
+    # 20 trials: trial 0, then 1-19 in one chunk, or 1-2, 3-6, 7-14, 15-19
+    seen = []
+
+    def counting(cs, ds, norm):
+        seen.append(len(cs))
+        return infty_deviations(cs, ds, norm)
+    monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
+    assert abs_infty_orth_sampled(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), trials=20,
+                                  seed=1, stop_on_violation=stop).holds
+    assert len(seen) == calls and sum(seen) == 20
 
 
 def test_infty_suite_verdicts_do_not_depend_on_stopping():
@@ -452,6 +468,60 @@ class TestHereditaryCheck:
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             hereditary_check(np.eye(2), np.eye(2))
+
+
+class TestOnVectors:
+    """Lemma 1, Prop 2 and the algebraic predicates on R^n, the commutative
+    case: orthogonality is disjoint support."""
+
+    X = np.array([1.0, -2.0, 0.0, 0.0])
+    DISJOINT = np.array([0.0, 0.0, 3.0, -0.5])
+    OVERLAP = np.array([0.0, 1.0, 3.0, 0.0])
+
+    def test_alg_orth_positive(self):
+        assert alg_orth_positive(np.abs(self.X), np.abs(self.DISJOINT)).holds
+        rep = alg_orth_positive(np.abs(self.X), np.abs(self.OVERLAP))
+        assert not rep.holds
+        assert rep.max_violation == pytest.approx(1.0 / 6.0)
+        with pytest.raises(NotPositive):
+            alg_orth_positive(self.X, np.abs(self.DISJOINT))
+
+    def test_alg_orth_sa(self):
+        assert alg_orth_sa(self.X, self.DISJOINT).holds
+        assert not alg_orth_sa(self.X, self.OVERLAP).holds
+
+    def test_prop2(self):
+        rep = check_prop2_equivalence(self.X, self.DISJOINT)
+        assert rep.holds and rep.max_violation == 0.0
+        rep = check_prop2_equivalence(self.X, self.OVERLAP)
+        assert not rep.holds
+        assert all(r > DEFAULT_TOL.tol_eq for _, r in rep.details)
+
+    def test_lemma1(self):
+        rep = hereditary_check(np.abs(self.X), np.abs(self.DISJOINT), trials=50, seed=1)
+        assert rep.holds and rep.max_violation == 0.0
+        with pytest.raises(PreconditionFailed):
+            hereditary_check(np.abs(self.X), np.abs(self.OVERLAP))
+
+    def test_random_supports(self):
+        # each verdict is disjointness of the supports, as on diag(x), diag(y)
+        for i in range(50):
+            rng = rng_for(97, i)
+            x = rng.standard_normal(5) * rng.integers(0, 2, size=5)
+            y = rng.standard_normal(5) * rng.integers(0, 2, size=5)
+            disjoint = not np.any((x != 0) & (y != 0))
+            dx, dy = np.diag(x).astype(complex), np.diag(y).astype(complex)
+            assert alg_orth_sa(x, y).holds == alg_orth_sa(dx, dy).holds == disjoint
+            assert check_prop2_equivalence(x, y).holds == disjoint
+            assert alg_orth_positive(np.abs(x), np.abs(y)).holds == disjoint
+            if disjoint:
+                assert hereditary_check(np.abs(x), np.abs(y), trials=10, seed=i).holds
+
+    @pytest.mark.parametrize("check", [alg_orth_positive, alg_orth_sa,
+                                       check_prop2_equivalence, hereditary_check])
+    def test_mismatched_lengths(self, check):
+        with pytest.raises(DimensionMismatch):
+            check(np.ones(2), np.ones(3))
 
 
 class TestPredicateProperties:

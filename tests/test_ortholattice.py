@@ -9,15 +9,17 @@ import pytest
 import ortholat.carriers
 import ortholat.suites
 from ortholat.cli import main as cli_main
-from ortholat.errors import ComparablePair, NoConvergence, PreconditionFailed
+from ortholat.errors import (
+    ComparablePair,
+    DimensionMismatch,
+    NoConvergence,
+    PreconditionFailed,
+)
 from ortholat.linalg import (
     complex_matrix,
     frob,
     hermitian_matrix,
-    is_comparable,
-    is_psd,
     jordan_decompose,
-    loewner_le,
     matrix_to_json,
     psd_defect,
     random_hermitian,
@@ -38,6 +40,7 @@ from ortholat.ortholattice import (
 from ortholat.suites import run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
+from helpers import loewner_le
 from jacobi import jacobi_eigendecompose
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -155,7 +158,7 @@ def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
     ratio above 1 falsifies it, all three at most 1 make it survive, and
     anything else (a NaN ratio) raises."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    c = ortho_inf(ah, bh, tol)
+    c = ortho_inf(ah, bh)
     gap = frob(ah - bh)
     if gap <= tol.tol_eq:
         return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
@@ -168,8 +171,8 @@ def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
         ci = complex_matrix(c + delta)
         ratios = {
             "zero-product": zero_product_residual(ah - ci, bh - ci) / tol.tol_zero,
-            "a - c_i": psd_defect(ah - ci, tol) / tol.tol_psd,
-            "b - c_i": psd_defect(bh - ci, tol) / tol.tol_psd,
+            "a - c_i": psd_defect(ah - ci) / tol.tol_psd,
+            "b - c_i": psd_defect(bh - ci) / tol.tol_psd,
         }
         if any(r > 1.0 for r in ratios.values()):
             continue
@@ -257,11 +260,11 @@ class TestUniquenessReference:
         # a ratio of exactly 1 breaks no condition, so it never settles
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: DEFAULT_TOL.tol_zero)
+        loose = DEFAULT_TOL.override(tol_psd=1e6)
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
-                            lambda x, tol: tol.tol_psd)
+                            lambda x: loose.tol_psd)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        rep = uniqueness_falsify(a, b, trials=5, seed=0,
-                                 tol=DEFAULT_TOL.override(tol_psd=1e6))
+        rep = uniqueness_falsify(a, b, trials=5, seed=0, tol=loose)
         assert rep.details == [("survivors", 5.0)]
 
     def test_checks_run_cheapest_first(self, monkeypatch):
@@ -270,7 +273,7 @@ class TestUniquenessReference:
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: log.append("zero") or 0.0)
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
-                            lambda x, tol: log.append(x) or 0.0)
+                            lambda x: log.append(x) or 0.0)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert uniqueness_falsify(a, b, trials=5, seed=0).details == [("survivors", 5.0)]
         assert len(log) == 3 * 5
@@ -394,19 +397,69 @@ class TestKadisonWitnessSearch:
 
     def test_eigen_calls(self, eigen_calls):
         kadison_witness_search(S_FIX, T_FIX)
-        # the comparability check's two cone tests and the three checks
-        # need eigenvalues only; the construction needs one eigenbasis
-        assert dict(eigen_calls) == {"eigh": 1, "eigvalsh": 5}
+        # comparability and the construction share one eigenbasis of S - T;
+        # the three checks need eigenvalues only
+        assert dict(eigen_calls) == {"eigh": 1, "eigvalsh": 3}
 
     def test_barely_non_comparable_not_found(self):
         # S - T has eigenvalues {1, -2e-9}: past the cone slack of the
         # comparability check, but the margin 2e-9/3 is below the witness
         # slack tol_psd * ||S||_F, about 1e-8
         s, t = BARELY_S, BARELY_T
-        assert not is_comparable(s, t)
+        assert not loewner_le(s, t) and not loewner_le(t, s)
         res = kadison_witness_search(s, t)
         assert not res.found
         assert res.margin == pytest.approx(2e-9 / 3, rel=1e-6)
+
+
+def _comparable_reference(s, t, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """The comparability rule as two cone tests: S <= T or T <= S, each by
+    the cone defect of its own difference."""
+    return psd_defect(t - s) <= tol.tol_psd or psd_defect(s - t) <= tol.tol_psd
+
+
+def _witness_rejects(s, t) -> bool:
+    try:
+        kadison_witness_search(s, t)
+    except ComparablePair:
+        return True
+    return False
+
+
+class TestWitnessComparability:
+    """The witness reads comparability from its own spectrum of S - T."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_matches_cone_defects_on_random_pairs(self, n):
+        for i in range(30):
+            rng = rng_for(95, n, i)
+            s = random_hermitian(n, rng)
+            t = [random_hermitian(n, rng), s + random_psd(n, rng),
+                 s - random_psd(n, rng)][i % 3]
+            assert _witness_rejects(s, t) == _comparable_reference(s, t)
+
+    @pytest.mark.parametrize("top", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_matches_cone_defects_at_the_slack(self, top, sign, factor):
+        # S - T = sign * U diag(-delta, top/2, top) U*, with delta just inside
+        # or just outside the slack tol_psd * max(1, top)
+        rng = rng_for(96)
+        delta = factor * DEFAULT_TOL.tol_psd * max(1.0, top)
+        u = random_unitary(3, rng)
+        d = hermitian_matrix((u * (sign * np.array([-delta, top / 2, top]))) @ u.conj().T)
+        s = random_hermitian(3, rng)
+        t = s - d
+        assert _witness_rejects(s, t) == (factor < 1.0)
+        assert _comparable_reference(s, t) == (factor < 1.0)
+
+    def test_empty_pair_is_comparable(self):
+        with pytest.raises(ComparablePair):
+            kadison_witness_search(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            kadison_witness_search(np.eye(2), np.eye(3))
 
 
 class TestWitnessMargin:
@@ -437,8 +490,8 @@ def _witness_reference(s, t, tol: Tolerances = DEFAULT_TOL):
     sh, th = hermitian_matrix(s), hermitian_matrix(t)
     scale = max(np.abs(sh).max(), np.abs(th).max())
     su, tu = sh / scale, th / scale
-    c = ortho_inf(su, tu, tol)
-    pos, neg, _ = jordan_decompose(su - tu, tol)
+    c = ortho_inf(su, tu)
+    pos, neg, _ = jordan_decompose(su - tu)
     p, q = jacobi_eigendecompose(pos), jacobi_eigendecompose(neg)
     lam = min(p.eigenvalues[-1], q.eigenvalues[-1])
     x = (p.eigenvectors[:, -1] + q.eigenvectors[:, -1]) / math.sqrt(2.0)
