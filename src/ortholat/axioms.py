@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import rng_for
-from .orthogonality import (
-    OrthReport,
-    infty_deviations,
-    interval_pairs,
-    sample_chunks,
-)
+from .orthogonality import OrthReport, abs_infty_orth_sampled
 
 __all__ = [
     "check_axioms",
@@ -90,27 +85,24 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
                    inner: int = 8) -> OrthReport:
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
-    infinity-orthogonal (exact test plus grid sampling), (b) orthogonality
-    of u to v and w forces orthogonality to |v + w| and |v - w|, and the
-    full axiom suite for the derived relation. Uses the model's tolerances.
+    infinity-orthogonal (the model's exact test, plus abs_infty_orth_sampled
+    on the endpoints and `inner` interval sub-pairs per trial), (b)
+    orthogonality of u to v and w forces orthogonality to |v + w| and
+    |v - w|, and the full axiom suite for the derived relation. Uses the
+    model's tolerances.
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
-    # `inner` = interval/grid samples per decomposition
     for i in range(trials):
         rng = rng_for(seed, i)
         u = model.sample(rng)
         up, un, _ = model.jordan(u)
 
-        # (1)(a) exact orthogonality of the parts
-        ra_exact = max(ra_exact, model.orth_residual(up, un))
-        # plus sampled infinity-orthogonality on interval sub-pairs, all
-        # drawn from this trial's generator
-        sampler_p, sampler_n = model.interval_sampler(up), model.interval_sampler(un)
-        for chunk in sample_chunks(0, inner, up.size):
-            cs, ds = interval_pairs(sampler_p, sampler_n, [rng] * len(chunk))
-            _, dev = infty_deviations(cs, ds, model.norm)
-            ra_sampled = max(ra_sampled, float(dev.max()))
+        # (1)(a) the parts are positive, so |up| = up and |un| = un
+        ra_exact = max(ra_exact, model.zero_product(up, un))
+        parts = abs_infty_orth_sampled(up, un, trials=inner + 1,
+                                       seed=int(rng.integers(1 << 62)), tol=tol)
+        ra_sampled = max(ra_sampled, parts.max_violation)
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         ut, vt, wt = model.orthogonal_triple(rng)

@@ -80,14 +80,10 @@ class OrderIntervalSampler:
         eigenvalues t, in the order one sample takes them from `rng`."""
         return random_complex(self.n, rng), rng.uniform(0.0, 1.0, size=self.n)
 
-    def draw(self, rng) -> np.ndarray:
-        """The sample of [0, a] drawn from the generator `rng`; given a
-        non-empty sequence of `raw` draws instead, the stack of their
-        samples."""
-        if isinstance(rng, np.random.Generator):
-            return self.draw([self.raw(rng)])[0]
-        g = np.array([g for g, _ in rng])
-        t = np.array([t for _, t in rng])[:, None, :]
+    def draw(self, raws) -> np.ndarray:
+        """The stack of the samples of a non-empty sequence of `raw` draws."""
+        g = np.array([g for g, _ in raws])
+        t = np.array([t for _, t in raws])[:, None, :]
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
@@ -158,11 +154,12 @@ class MatrixSaModel(_Carrier):
         return OrderIntervalSampler(a, self.tol)
 
     def dominated_sample(self, v, rng):
-        """w with |w| <= |v|: shrink and sign-flip eigenvalues of |v| in place."""
-        s = hermitian_eigendecompose(self.jordan(v)[2])
+        """w with |w| <= |v|: shrink and sign-flip the eigenvalues of |v|
+        (the absolute eigenvalues of v) on v's own eigenvectors."""
+        s = hermitian_eigendecompose(v)
         t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
         u = s.eigenvectors
-        return hermitian_matrix((u * (t * s.eigenvalues)) @ u.conj().T)
+        return hermitian_matrix((u * (t * np.abs(s.eigenvalues))) @ u.conj().T)
 
     def orthogonal_triple(self, rng):
         """u positive on one block, v and w arbitrary on the complement,

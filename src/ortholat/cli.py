@@ -133,9 +133,6 @@ def cmd_ortho(args) -> int:
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
     b = _load_hermitian(args.b, tol)
-    if a.shape != b.shape:
-        raise SystemExit(_config_error(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"))
     rep = verify_theorem4(a, b, tol)
     report = {
         "command": "ortho",

@@ -80,34 +80,30 @@ class KGrid:
         return KGrid(np.unique(np.asarray(ks, dtype=float)))
 
 
-def infty_deviations(u, v, norm, grid: KGrid | None = None):
+def infty_deviations(u, v, norm):
     """Relative deviations |lhs - rhs| / max(1, rhs) from the identity
     lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs, for a stack of pairs
-    (u[i], v[i]) along the leading axis, one deviation per pair and k.
+    (u[i], v[i]) along the leading axis, one deviation per pair and k of
+    the pair's grid KGrid.for_norms(||u[i]||, ||v[i]||).
 
     `norm` is the carrier's batched norm: it maps a stack of elements along
     the leading axes to their norms, so all pairs and the whole grid are one
-    evaluation. The grid defaults to KGrid.for_norms(||u[i]||, ||v[i]||) for
-    each pair; grids shorter than the longest are padded with copies of
+    evaluation. Grids shorter than the longest are padded with copies of
     their last value, which leaves the first k of the largest deviation
-    unchanged. Returns the grid values and the deviations, both of shape
-    (pairs, grid points).
+    unchanged. Returns the deviations, of shape (pairs, grid points).
     """
     nu, nv = norm(np.stack((u, v)))
-    if grid is not None:
-        ks = np.broadcast_to(grid.values, (len(nu), grid.values.size))
-    else:
-        grids = [KGrid.for_norms(a, b).values for a, b in zip(nu, nv)]
-        ks = np.empty((len(grids), max(g.size for g in grids)))
-        for row, g in zip(ks, grids):
-            row[:g.size] = g
-            row[g.size:] = g[-1]
+    grids = [KGrid.for_norms(a, b).values for a, b in zip(nu, nv)]
+    ks = np.empty((len(grids), max(g.size for g in grids)))
+    for row, g in zip(ks, grids):
+        row[:g.size] = g
+        row[g.size:] = g[-1]
     # k v for every pair and k, with the elements flattened so that one
     # broadcast serves vectors and matrices alike
     kv = (ks[..., None] * v.reshape(len(v), 1, -1)).reshape(ks.shape + v.shape[1:])
     lhs = norm(u[:, None] + kv)
     rhs = np.maximum(nu[:, None], np.abs(ks) * nv[:, None])
-    return ks, np.abs(lhs - rhs) / np.maximum(1.0, rhs)
+    return np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
 
 # A chunk of stacked samples holds at most this many entries of its elements,
@@ -239,7 +235,7 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
         else:
             cs, ds = interval_pairs(sampler_a, sampler_b,
                                     [rng_for(seed, i) for i in chunk])
-        dev = infty_deviations(cs, ds, model.norm)[1].max(-1)
+        dev = infty_deviations(cs, ds, model.norm).max(-1)
         violations = np.flatnonzero(~(dev <= tol.tol_eq))
         if first_violation < 0 and violations.size:
             first_violation = chunk.start + int(violations[0])
@@ -259,11 +255,12 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0, on
     either carrier (Lemma 1)."""
     model, x, y = carrier_operands(a, b, tol)
-    pre = alg_orth_positive(x, y, tol)
-    if not pre.holds:
-        raise PreconditionFailed(
-            f"a and b are not algebraically orthogonal (residual {pre.max_violation:.3e})")
+    # the samplers raise NotPositive unless a, b >= 0
     sampler_a, sampler_b = model.interval_sampler(x), model.interval_sampler(y)
+    r = model.zero_product(x, y)
+    if r > tol.tol_zero:
+        raise PreconditionFailed(
+            f"a and b are not algebraically orthogonal (residual {r:.3e})")
     worst = 0.0
     for chunk in sample_chunks(0, trials, x.size):
         cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(seed, i) for i in chunk])

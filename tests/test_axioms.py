@@ -1,5 +1,6 @@
 import numpy as np
 
+import ortholat.axioms
 from ortholat.axioms import check_axioms, check_theorem7
 from ortholat.carriers import (
     BrokenOrthModel,
@@ -12,6 +13,7 @@ from ortholat.linalg import (
     rel_diff,
     rng_for,
 )
+from ortholat.orthogonality import OrthReport
 
 from helpers import loewner_le
 
@@ -50,6 +52,10 @@ class TestModels:
             w = model.dominated_sample(v, rng_for(84, i))
             assert loewner_le(model.jordan(w)[2], abs_v)
 
+    def test_dominated_sample_decomposes_v_once(self, eigen_calls):
+        MatrixSaModel(4).dominated_sample(random_hermitian(4, rng_for(83)), rng_for(84))
+        assert dict(eigen_calls) == {"eigh": 1}
+
     def test_orthogonal_triple(self):
         for model in (MatrixSaModel(4), CoordinateModel(4)):
             for i in range(20):
@@ -82,10 +88,10 @@ class TestCheckAxioms:
 
     def test_one_decomposition_per_axiom4_trial(self, eigen_calls):
         # a trial makes 7 orthogonality residuals of 2 eigh each, plus one
-        # eigh in orthogonal_triple, jordan and sample_positive and two in
+        # eigh in orthogonal_triple, jordan, sample_positive and
         # dominated_sample; the uniqueness check reuses jordan's parts
         check_axioms(MatrixSaModel(4), trials=10)
-        assert eigen_calls["eigh"] == 10 * 19
+        assert eigen_calls["eigh"] == 10 * 18
 
 
 class TestCheckTheorem7:
@@ -117,3 +123,25 @@ class TestCheckTheorem7:
     def test_coordinate_carrier(self):
         rep = check_theorem7(CoordinateModel(6), trials=50, seed=5)
         assert rep.holds
+
+    def test_eigensolver_calls(self, eigen_calls):
+        # a trial: 10 eigh (jordan, a square root per part, orthogonal_triple,
+        # |v + w|, |v - w| and their two residuals of 2 each), 4 eigvalsh
+        # (the norms of the endpoints, then of the 8 samples) and 3 qr (the
+        # samples of each part, orthogonal_triple); the derived axioms add
+        # 18 eigh, 2 eigvalsh and one qr a trial
+        check_theorem7(MatrixSaModel(4), trials=10, seed=3)
+        assert dict(eigen_calls) == {"eigh": 280, "eigvalsh": 60, "qr": 40}
+
+    def test_parts_verdict_is_the_shared_sampled_check(self, monkeypatch):
+        calls = []
+
+        def violating(a, b, **kwargs):
+            calls.append(kwargs)
+            return OrthReport("abs_infty_orth_sampled", False, 0.5,
+                              [("sampled_deviation", 0.5)])
+        monkeypatch.setattr(ortholat.axioms, "abs_infty_orth_sampled", violating)
+        rep = check_theorem7(CoordinateModel(4), trials=3, seed=6)
+        assert not rep.holds
+        assert dict(rep.details)["parts_infty_sampled"] == 0.5
+        assert len(calls) == 3 and all(c["trials"] == 9 for c in calls)

@@ -94,6 +94,8 @@ class TestOrtho:
     def test_dimension_mismatch_exit_two(self, matrix_file, capsys):
         assert main(["ortho", "--a", matrix_file("a.json", np.eye(2)),
                      "--b", matrix_file("b.json", np.eye(3))]) == 2
+        err = capsys.readouterr().err
+        assert "(2, 2)" in err and "(3, 3)" in err
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

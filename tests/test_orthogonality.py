@@ -149,10 +149,10 @@ def _scalar_norm(carrier):
     return lambda x: float(np.max(np.abs(x), initial=0.0))
 
 
-def _scalar_loop(norm, u, v, grid=None):
+def _scalar_loop(norm, u, v):
     """The per-k loop over one pair: its grid, its deviations, the largest
     deviation and the first k attaining it (0 when every deviation is 0)."""
-    ks = KGrid.for_norms(norm(u), norm(v)).values if grid is None else grid.values
+    ks = KGrid.for_norms(norm(u), norm(v)).values
     devs = []
     worst, worst_k = 0.0, 0.0
     for k in ks:
@@ -173,27 +173,18 @@ def _kernel_inputs(carrier, n, seed, v_zero=False):
     return u, (np.zeros_like(v) if v_zero else v)
 
 
-_TIE = np.array([0.0, -1.0, 1.0])  # ||u - u|| and ||u + u|| deviate equally
-
-
-@pytest.mark.parametrize("carrier, u, v, grid", [
-    ("matrix", *_kernel_inputs("matrix", 4, 0), None),
-    ("matrix", *_kernel_inputs("matrix", 1, 1), None),
-    ("matrix", *_kernel_inputs("matrix", 3, 2, v_zero=True), None),
-    ("matrix", *_kernel_inputs("matrix", 3, 3), KGrid(np.array([0.75]))),
-    ("matrix", np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), KGrid(_TIE)),
-    ("coordinate", *_kernel_inputs("coordinate", 6, 4), None),
-    ("coordinate", *_kernel_inputs("coordinate", 1, 5), None),
-    ("coordinate", *_kernel_inputs("coordinate", 6, 6, v_zero=True), None),
-    ("coordinate", *_kernel_inputs("coordinate", 6, 7), KGrid(np.array([-0.75]))),
-    ("coordinate", np.array([1.0, 0.0]), np.array([1.0, 0.0]), KGrid(_TIE)),
-], ids=["matrix", "matrix-n1", "matrix-v0", "matrix-one-k", "matrix-tie",
-        "coord", "coord-n1", "coord-v0", "coord-one-k", "coord-tie"])
-def test_infty_deviations_match_scalar_loop(carrier, u, v, grid):
-    want_ks, want, _, _ = _scalar_loop(_scalar_norm(carrier), u, v, grid)
+@pytest.mark.parametrize("carrier, u, v", [
+    ("matrix", *_kernel_inputs("matrix", 4, 0)),
+    ("matrix", *_kernel_inputs("matrix", 1, 1)),
+    ("matrix", *_kernel_inputs("matrix", 3, 2, v_zero=True)),
+    ("coordinate", *_kernel_inputs("coordinate", 6, 4)),
+    ("coordinate", *_kernel_inputs("coordinate", 1, 5)),
+    ("coordinate", *_kernel_inputs("coordinate", 6, 6, v_zero=True)),
+], ids=["matrix", "matrix-n1", "matrix-v0", "coord", "coord-n1", "coord-v0"])
+def test_infty_deviations_match_scalar_loop(carrier, u, v):
+    _, want, _, _ = _scalar_loop(_scalar_norm(carrier), u, v)
     batched = hermitian_norm if carrier == "matrix" else sup_norm
-    ks, dev = infty_deviations(u[None], v[None], batched, grid)  # a stack of one
-    assert np.array_equal(ks, [want_ks])
+    dev = infty_deviations(u[None], v[None], batched)  # a stack of one
     assert np.array_equal(dev, [want])
 
 
@@ -209,26 +200,24 @@ def test_infty_deviations_stack_pads_each_grid(carrier):
     batched = hermitian_norm if carrier == "matrix" else sup_norm
     us, vs = np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
 
-    ks, dev = infty_deviations(us, vs, batched)
+    dev = infty_deviations(us, vs, batched)
     lengths = set()
-    for row_ks, row_dev, (u, v) in zip(ks, dev, pairs):
+    for row_dev, (u, v) in zip(dev, pairs):
         want_ks, want, worst, worst_k = _scalar_loop(norm, u, v)
         size = len(want_ks)
         lengths.add(size)
-        assert np.array_equal(row_ks[:size], want_ks)
-        assert np.all(row_ks[size:] == want_ks[-1])
         assert np.array_equal(row_dev[:size], want)
         assert np.all(row_dev[size:] == want[-1])
         assert row_dev.max() == worst
-        assert (row_ks[np.argmax(row_dev)] if worst > 0.0 else 0.0) == worst_k
+        assert (want_ks[np.argmax(row_dev)] if worst > 0.0 else 0.0) == worst_k
     assert len(lengths) > 1
     assert _scalar_loop(norm, tie, tie)[3] == -1.0
 
 
-def _matrix_deviations(u, v, grid=None):
+def _matrix_deviations(u, v):
     """The deviations of the one pair (u, v) of Hermitian matrices."""
     return infty_deviations(hermitian_matrix(u)[None], hermitian_matrix(v)[None],
-                            hermitian_norm, grid)[1][0]
+                            hermitian_norm)[0]
 
 
 class TestInftyDeviations:
@@ -238,8 +227,9 @@ class TestInftyDeviations:
 
     def test_self_pair_violates_at_one(self):
         u = np.diag([1.0, 0.0])
-        dev = _matrix_deviations(u, u, KGrid(np.array([1.0])))
-        assert dev.tolist() == [pytest.approx(1.0)]  # ||u+u||=2 vs max=1
+        dev = _matrix_deviations(u, u)
+        ks = KGrid.for_norms(1.0, 1.0).values
+        assert dev[ks == 1.0].tolist() == [pytest.approx(1.0)]  # ||u+u||=2 vs max=1
 
     def test_zero_partner(self):
         dev = _matrix_deviations(random_hermitian(3, rng_for(44)), np.zeros((3, 3)))
@@ -252,6 +242,11 @@ def _draw_one(root, rng):
     u = random_unitary(n, rng)
     t = rng.uniform(0.0, 1.0, size=n)
     return hermitian_matrix(root @ ((u * t) @ u.conj().T) @ root)
+
+
+def _draw(sampler, rng):
+    """The one sample of `sampler` drawn from `rng`."""
+    return sampler.draw([sampler.raw(rng)])[0]
 
 
 def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
@@ -293,7 +288,7 @@ class TestOrderIntervalSampler:
         want = [_draw_one(sampler.root, rng_for(55, i)) for i in range(12)]
         stack = sampler.draw([sampler.raw(rng_for(55, i)) for i in range(12)])
         assert np.array_equal(stack, want)
-        assert np.array_equal(sampler.draw(rng_for(55, 3)), want[3])
+        assert np.array_equal(_draw(sampler, rng_for(55, 3)), want[3])
 
     def test_pairs_from_one_generator_keep_the_draw_order(self):
         a, b = random_psd(3, rng_for(56, 0)), random_psd(3, rng_for(56, 1))
@@ -306,10 +301,10 @@ class TestOrderIntervalSampler:
         assert np.array_equal(ds, [d for _, d in want])
 
     def test_zero(self):
-        assert frob(OrderIntervalSampler(np.zeros((3, 3))).draw(rng_for(0))) == 0.0
+        assert frob(_draw(OrderIntervalSampler(np.zeros((3, 3))), rng_for(0))) == 0.0
 
     def test_identity_interval(self):
-        c = OrderIntervalSampler(np.eye(4)).draw(rng_for(5))
+        c = _draw(OrderIntervalSampler(np.eye(4)), rng_for(5))
         w = np.linalg.eigvalsh(c)
         assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
 
@@ -317,7 +312,7 @@ class TestOrderIntervalSampler:
         a = np.diag([4.0, 0.0]).astype(complex)
         sampler = OrderIntervalSampler(a)
         for seed in range(20):
-            c = sampler.draw(rng_for(seed))
+            c = _draw(sampler, rng_for(seed))
             assert np.max(np.abs(c[1, :])) <= 1e-12
             assert np.max(np.abs(c[:, 1])) <= 1e-12
 
@@ -326,14 +321,14 @@ class TestOrderIntervalSampler:
         a = random_psd(4, rng_for(45))
         sampler = OrderIntervalSampler(a)
         for i in range(30):
-            c = sampler.draw(rng_for(46, i))
+            c = _draw(sampler, rng_for(46, i))
             assert is_psd(c)
             assert is_psd(a - c)
 
     def test_deterministic(self):
         a = np.eye(3) * 2.0
-        assert np.array_equal(OrderIntervalSampler(a).draw(rng_for(9)),
-                              OrderIntervalSampler(a).draw(rng_for(9)))
+        assert np.array_equal(_draw(OrderIntervalSampler(a), rng_for(9)),
+                              _draw(OrderIntervalSampler(a), rng_for(9)))
 
     def test_not_positive(self):
         with pytest.raises(NotPositive):
@@ -468,6 +463,16 @@ class TestHereditaryCheck:
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             hereditary_check(np.eye(2), np.eye(2))
+        # positivity is checked first, operand by operand
+        with pytest.raises(NotPositive):
+            hereditary_check(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_one_decomposition_per_operand(self, eigen_calls):
+        # the square root of each operand is its only eigensolve; the
+        # samples take one qr per operand and chunk
+        hereditary_check(np.diag([2.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 3.0, 1.0]),
+                         trials=10, seed=4)
+        assert dict(eigen_calls) == {"eigh": 2, "qr": 2}
 
 
 class TestOnVectors:
