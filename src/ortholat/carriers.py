@@ -66,28 +66,24 @@ class OrderIntervalSampler:
     """Draws elements of the order interval [0, a] via a^(1/2) w a^(1/2)
     with w a seeded random contraction 0 <= w <= 1.
 
-    A sample is made in two steps: `raw` takes its random numbers from a
-    generator, and `draw` turns a sequence of raw draws into samples with
-    one stacked LAPACK call, so the random-draw order of a loop is kept.
+    `draw` takes one sample's random numbers from each generator it is
+    given (the normals of a random unitary, then the uniforms of its
+    eigenvalues t) and makes the whole stack with one stacked LAPACK call.
     """
 
     def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
         self.root = sqrt_psd(a, tol)   # raises NotPositive unless a >= 0
         self.n = len(self.root)
 
-    def raw(self, rng: np.random.Generator):
-        """The normals of a random unitary and the uniforms of its
-        eigenvalues t, in the order one sample takes them from `rng`."""
-        return random_complex(self.n, rng), rng.uniform(0.0, 1.0, size=self.n)
-
-    def draw(self, raws) -> np.ndarray:
-        """The stack of the samples of a non-empty sequence of `raw` draws."""
-        g = np.array([g for g, _ in raws])
-        t = np.array([t for _, t in raws])[:, None, :]
+    def draw(self, rngs) -> np.ndarray:
+        """The stack of one sample from each of a non-empty sequence of
+        generators."""
+        g, t = map(np.array, zip(*[(random_complex(self.n, rng),
+                                    rng.uniform(0.0, 1.0, size=self.n)) for rng in rngs]))
         q, r = np.linalg.qr(g)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
-        w = (u * t) @ u.conj().swapaxes(-1, -2)
+        w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
         s = self.root @ w @ self.root
         if not np.all(np.isfinite(s)):
             raise ValueError("matrix entries must be finite")
@@ -96,18 +92,14 @@ class OrderIntervalSampler:
 
 class BoxSampler:
     """Draws elements of the order interval [0, a] of R^n as t * a with t
-    uniform in the unit box; `raw` and `draw` split a sample as in
+    uniform in the unit box, one sample from each generator as in
     OrderIntervalSampler."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
 
-    def raw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=self.a.shape)
-
-    def draw(self, raws) -> np.ndarray:
-        """The stack of the samples of a non-empty sequence of `raw` draws."""
-        return np.array(raws) * self.a
+    def draw(self, rngs) -> np.ndarray:
+        return np.array([rng.uniform(0.0, 1.0, size=self.a.shape) for rng in rngs]) * self.a
 
 
 class _Carrier:
@@ -150,8 +142,12 @@ class MatrixSaModel(_Carrier):
     def zero_product(self, x, y) -> float:
         return zero_product_residual(x, y)
 
-    def interval_sampler(self, a):
-        return OrderIntervalSampler(a, self.tol)
+    def interval_sampler(self, a, name: str):
+        """The sampler of [0, a]; NotPositive names the operand `name`."""
+        try:
+            return OrderIntervalSampler(a, self.tol)
+        except NotPositive as exc:
+            raise NotPositive(f"{name} is not positive ({exc})") from None
 
     def dominated_sample(self, v, rng):
         """w with |w| <= |v|: shrink and sign-flip the eigenvalues of |v|
@@ -209,8 +205,8 @@ class CoordinateModel(_Carrier):
         return overlap / max(1.0, float(np.max(np.abs(x), initial=0.0))
                              * float(np.max(np.abs(y), initial=0.0)))
 
-    def interval_sampler(self, a):
-        require_positive(self.cone_defect(a), "a", self.tol)
+    def interval_sampler(self, a, name: str):
+        require_positive(self.cone_defect(a), name, self.tol)
         return BoxSampler(a)
 
     def dominated_sample(self, v, rng):

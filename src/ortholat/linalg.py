@@ -137,10 +137,15 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return hermitian_matrix((u * np.sqrt(np.where(w < slack, 0.0, w))) @ u.conj().T)
 
 
-def abs_general(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """|x| = (x* x)^(1/2) for an arbitrary square complex x."""
-    a = complex_matrix(x)
-    return sqrt_psd(a.conj().T @ a, tol)
+def abs_general(x) -> np.ndarray:
+    """|x| = (x* x)^(1/2) = V diag(s) V* for an arbitrary square complex x,
+    from its singular value decomposition x = U diag(s) V* (LAPACK gesdd,
+    not the eigensolver): no singular value is clamped, however small."""
+    try:
+        _, s, vh = np.linalg.svd(complex_matrix(x))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - svd rarely fails
+        raise NoConvergence(str(exc)) from exc
+    return hermitian_matrix((vh.conj().T * s) @ vh)
 
 
 def embed_offdiag(a) -> np.ndarray:

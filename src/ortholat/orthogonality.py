@@ -31,7 +31,6 @@ __all__ = [
     "check_prop2_equivalence",
     "infty_deviations",
     "sample_chunks",
-    "interval_pairs",
     "abs_infty_orth_sampled",
     "hereditary_check",
 ]
@@ -111,17 +110,12 @@ def infty_deviations(u, v, norm):
 _CHUNK_ENTRIES = 4096
 
 
-def sample_chunks(start: int, stop: int, entries: int, first: int | None = None):
-    """Consecutive ranges covering start, ..., stop - 1, none with more than
-    _CHUNK_ENTRIES entries at `entries` per sample. Given `first`, the first
-    range is that long and each next one twice as long as the one before,
-    so a check that stops early draws few samples past its stop."""
-    cap = max(1, _CHUNK_ENTRIES // max(1, entries))
-    size = cap if first is None else max(1, min(first, cap))
-    while start < stop:
-        end = min(stop, start + size)
-        yield range(start, end)
-        start, size = end, min(2 * size, cap)
+def sample_chunks(start: int, stop: int, entries: int):
+    """Consecutive ranges covering start, ..., stop - 1, each as long as
+    _CHUNK_ENTRIES entries at `entries` per sample allow (the last may be
+    shorter)."""
+    size = max(1, _CHUNK_ENTRIES // max(1, entries))
+    return (range(i, min(stop, i + size)) for i in range(start, stop, size))
 
 
 def alg_orth_positive(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
@@ -145,16 +139,17 @@ def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
 
     Also evaluates the two equivalent routes (|a||b| = 0 = |a*||b*|, and the
     doubled-dimension off-diagonal embedding) and flags disagreement as
-    InternalInconsistency.
+    InternalInconsistency. The routes run on different kernels: matrix
+    products, the singular value decomposition (|x|), and the Hermitian
+    eigensolver (the embedding).
     """
     am, bm = complex_matrix(a), complex_matrix(b)
     r_ab_star = zero_product_residual(am, bm.conj().T)
     r_astar_b = zero_product_residual(am.conj().T, bm)
     primary = max(r_ab_star, r_astar_b)
 
-    r_abs = zero_product_residual(abs_general(am, tol), abs_general(bm, tol))
-    r_abs_star = zero_product_residual(
-        abs_general(am.conj().T, tol), abs_general(bm.conj().T, tol))
+    r_abs = zero_product_residual(abs_general(am), abs_general(bm))
+    r_abs_star = zero_product_residual(abs_general(am.conj().T), abs_general(bm.conj().T))
     route_abs = max(r_abs, r_abs_star)
 
     m2 = alg_orth_sa(embed_offdiag(am), embed_offdiag(bm), tol)
@@ -197,15 +192,6 @@ def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     return OrthReport("prop2_equivalence", verdicts[0], max(r1, r2, r3), details)
 
 
-def interval_pairs(sampler_a, sampler_b, rngs):
-    """Stacks (cs, ds) of samples of [0, a] x [0, b], one pair per entry of
-    `rngs`, each pair drawing c before d, so a generator listed twice gives
-    the same pairs as drawing them one at a time."""
-    raws = [(sampler_a.raw(rng), sampler_b.raw(rng)) for rng in rngs]
-    return (sampler_a.draw([r for r, _ in raws]),
-            sampler_b.draw([r for _, r in raws]))
-
-
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
                            tol: Tolerances = DEFAULT_TOL,
                            stop_on_violation: bool = False) -> OrthReport:
@@ -217,24 +203,23 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     positives is the carrier's zero-product residual, recorded alongside.
 
     Trial zero is checked alone and the later trials in chunks. With
-    stop_on_violation the chunks double in size from 2 and no chunk after
-    the first violation is drawn, and the worst deviation covers the trials
-    up to that violation.
+    stop_on_violation no chunk after the one that holds the first violation
+    is drawn, and the worst deviation covers the trials up to that
+    violation.
     """
     model, ah, bh = carrier_operands(a, b, tol)
-    sampler_a = model.interval_sampler(ah)
-    sampler_b = model.interval_sampler(bh)
+    sampler_a = model.interval_sampler(ah, "a")
+    sampler_b = model.interval_sampler(bh, "b")
     exact = model.zero_product(ah, bh)
 
     worst = 0.0
     first_violation = -1
-    later = sample_chunks(1, trials, ah.size, first=2 if stop_on_violation else None)
-    for chunk in [range(1), *later] if trials > 0 else []:
+    for chunk in [range(1), *sample_chunks(1, trials, ah.size)] if trials > 0 else []:
         if chunk.start == 0:
             cs, ds = ah[None], bh[None]
         else:
-            cs, ds = interval_pairs(sampler_a, sampler_b,
-                                    [rng_for(seed, i) for i in chunk])
+            rngs = [rng_for(seed, i) for i in chunk]
+            cs, ds = sampler_a.draw(rngs), sampler_b.draw(rngs)
         dev = infty_deviations(cs, ds, model.norm).max(-1)
         violations = np.flatnonzero(~(dev <= tol.tol_eq))
         if first_violation < 0 and violations.size:
@@ -256,14 +241,15 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     either carrier (Lemma 1)."""
     model, x, y = carrier_operands(a, b, tol)
     # the samplers raise NotPositive unless a, b >= 0
-    sampler_a, sampler_b = model.interval_sampler(x), model.interval_sampler(y)
+    sampler_a, sampler_b = model.interval_sampler(x, "a"), model.interval_sampler(y, "b")
     r = model.zero_product(x, y)
     if r > tol.tol_zero:
         raise PreconditionFailed(
             f"a and b are not algebraically orthogonal (residual {r:.3e})")
     worst = 0.0
     for chunk in sample_chunks(0, trials, x.size):
-        cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(seed, i) for i in chunk])
+        rngs = [rng_for(seed, i) for i in chunk]
+        cs, ds = sampler_a.draw(rngs), sampler_b.draw(rngs)
         for c, d in zip(cs, ds):
             worst = max(worst, model.zero_product(c, d))
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,

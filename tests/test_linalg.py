@@ -174,6 +174,12 @@ class TestAbsGeneral:
     def test_zero(self):
         assert frob(abs_general(np.zeros((2, 2)))) == 0.0
 
+    def test_near_singular(self):
+        # singular values far below sqrt(eps) * ||x|| are kept, not clamped
+        u = random_unitary(4, rng_for(3))
+        x = (u * np.array([1.0, 0.5, 1e-6, -1e-7])) @ u.conj().T
+        assert rel_diff(abs_general(x), jordan_decompose(x)[2]) <= 1e-12
+
     def test_unitary_invariance(self):
         # |x| invariant under left multiplication, |x*| under right
         for i in range(20):

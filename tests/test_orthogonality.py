@@ -26,10 +26,9 @@ from ortholat.orthogonality import (
     check_prop2_equivalence,
     hereditary_check,
     infty_deviations,
-    interval_pairs,
     sample_chunks,
 )
-from ortholat.suites import _dim_for, _orthogonal_psd_pair
+from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
 
 from helpers import is_psd, random_projection
@@ -101,6 +100,17 @@ class TestAlgOrthGeneral:
             a, b = random_complex(3, rng), random_complex(3, rng)
             rep = alg_orth_general(a, b)  # must not raise InternalInconsistency
             assert not rep.holds
+
+    def test_routes_use_three_kernels(self, monkeypatch):
+        # |x| comes from the SVD; only the 2n x 2n embedding is eigensolved
+        shapes = {"eigh": [], "svd": []}
+        for name, calls in shapes.items():
+            def recording(x, *args, _fn=getattr(np.linalg, name), _calls=calls, **kwargs):
+                _calls.append(np.shape(x))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recording)
+        alg_orth_general(*_orthogonal_general_pair(3, rng_for(43)))
+        assert shapes == {"eigh": [(6, 6)] * 2, "svd": [(3, 3)] * 4}
 
 
 class TestProp2Equivalence:
@@ -246,7 +256,7 @@ def _draw_one(root, rng):
 
 def _draw(sampler, rng):
     """The one sample of `sampler` drawn from `rng`."""
-    return sampler.draw([sampler.raw(rng)])[0]
+    return sampler.draw([rng])[0]
 
 
 def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
@@ -286,19 +296,9 @@ class TestOrderIntervalSampler:
     def test_stack_matches_one_at_a_time(self, n):
         sampler = OrderIntervalSampler(random_psd(n, rng_for(54, n)))
         want = [_draw_one(sampler.root, rng_for(55, i)) for i in range(12)]
-        stack = sampler.draw([sampler.raw(rng_for(55, i)) for i in range(12)])
+        stack = sampler.draw([rng_for(55, i) for i in range(12)])
         assert np.array_equal(stack, want)
         assert np.array_equal(_draw(sampler, rng_for(55, 3)), want[3])
-
-    def test_pairs_from_one_generator_keep_the_draw_order(self):
-        a, b = random_psd(3, rng_for(56, 0)), random_psd(3, rng_for(56, 1))
-        sampler_a, sampler_b = OrderIntervalSampler(a), OrderIntervalSampler(b)
-        rng = rng_for(56, 2)
-        want = [(_draw_one(sampler_a.root, rng), _draw_one(sampler_b.root, rng))
-                for _ in range(5)]
-        cs, ds = interval_pairs(sampler_a, sampler_b, [rng_for(56, 2)] * 5)
-        assert np.array_equal(cs, [c for c, _ in want])
-        assert np.array_equal(ds, [d for _, d in want])
 
     def test_zero(self):
         assert frob(_draw(OrderIntervalSampler(np.zeros((3, 3))), rng_for(0))) == 0.0
@@ -359,29 +359,30 @@ _NEAR = (np.diag([1.0, 1e-8, 0.0]), np.diag([0.0, 1e-8, 1.0]))
 _SAME = (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
 
-def test_sample_chunks_double_up_to_the_cap():
+def test_sample_chunks_fill_up_to_the_cap():
     def sizes(*args):
         chunks = list(sample_chunks(*args))
         assert [i for c in chunks for i in c] == list(range(args[0], args[1]))
         return [len(c) for c in chunks]
-    assert sizes(0, 40, 16, 1) == [1, 2, 4, 8, 16, 9]
-    assert sizes(0, 20, 32 * 32, 1) == [1, 2, 4, 4, 4, 4, 1]  # 4096 entries a chunk
+    assert sizes(0, 20, 32 * 32) == [4, 4, 4, 4, 4]  # 4096 entries a chunk
     assert sizes(0, 10, 32 * 32) == [4, 4, 2]
+    assert sizes(1, 10, 40 * 40) == [2, 2, 2, 2, 1]
     assert sizes(3, 10, 16) == [7]
-    assert sizes(0, 0, 16, 1) == []
+    assert sizes(0, 0, 16) == []
 
 
 class TestAbsInftyMatchesOneAtATime:
-    # trial 0 is checked alone, then trials 1-2, 3-6, 7-14, ... when a
-    # violation stops the check, else chunks as large as the cap allows
+    # trial 0 is checked alone, then the later trials in chunks as large as
+    # the cap allows (here one chunk); a violation that stops the check
+    # also stops the worst deviation
     @pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
     @pytest.mark.parametrize("a, b, seed, first", [
         (*_SAME, 1, 0),
-        (*_NEAR, 17, 21),  # a later trial of its chunk deviates more
+        (*_NEAR, 17, 21),  # a later trial deviates more
         (*_NEAR, 9, 3),
         (*_NEAR, 1, 14),
         (*_NEAR, 0, -1),
-    ], ids=["trial-0", "inside-chunk", "chunk-start", "chunk-end", "none"])
+    ], ids=["trial-0", "trial-21", "trial-3", "trial-14", "none"])
     def test_worst_and_first_violation(self, a, b, seed, first, stop):
         worst, want_first = _abs_infty_loop(a, b, 40, seed, stop)
         assert want_first == first
@@ -404,18 +405,57 @@ class TestAbsInftyMatchesOneAtATime:
         assert rep.max_violation == _abs_infty_loop(a, b, 12, 2)[0]
 
 
-@pytest.mark.parametrize("stop, calls", [(False, 2), (True, 5)])
-def test_chunks_double_only_when_stopping(monkeypatch, stop, calls):
-    # 20 trials: trial 0, then 1-19 in one chunk, or 1-2, 3-6, 7-14, 15-19
+def _chunk_sizes(monkeypatch, a, b, **kwargs):
+    """The stack size of each infty_deviations call of one
+    abs_infty_orth_sampled(a, b, **kwargs), and its report."""
     seen = []
 
     def counting(cs, ds, norm):
         seen.append(len(cs))
         return infty_deviations(cs, ds, norm)
     monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
-    assert abs_infty_orth_sampled(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), trials=20,
-                                  seed=1, stop_on_violation=stop).holds
-    assert len(seen) == calls and sum(seen) == 20
+    return seen, abs_infty_orth_sampled(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_chunks_same_when_stopping(monkeypatch, stop):
+    # 20 trials without a violation: trial 0, then 1-19 in one chunk
+    seen, rep = _chunk_sizes(monkeypatch, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                             trials=20, seed=1, stop_on_violation=stop)
+    assert rep.holds and seen == [1, 19]
+
+
+@pytest.mark.parametrize("stop, sizes", [(False, [1] + [4] * 9 + [3]),
+                                         (True, [1] + [4] * 6)])
+def test_stop_after_the_chunk_of_the_first_violation(monkeypatch, stop, sizes):
+    # 4 samples of 3 x 3 a chunk: trials 1-4, 5-8, ...; the first violation,
+    # trial 21, is in the sixth
+    monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", 4 * 9)
+    seen, rep = _chunk_sizes(monkeypatch, *_NEAR, trials=40, seed=17,
+                             stop_on_violation=stop)
+    assert seen == sizes
+    assert dict(rep.details)["first_violation_trial"] == 21.0
+    assert rep.max_violation == _abs_infty_loop(*_NEAR, 40, 17, stop)[0]
+
+
+class TestNotPositiveNamesTheOperand:
+    """The sampled checks say which operand is not positive, on either
+    carrier, from the decomposition that builds its sampler."""
+
+    CARRIERS = {"matrix": (np.eye(2), np.diag([1.0, -1.0])),
+                "coordinate": (np.ones(2), np.array([1.0, -1.0]))}
+
+    @pytest.mark.parametrize("check", [abs_infty_orth_sampled, hereditary_check])
+    @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+    def test_second_operand(self, check, carrier, eigen_calls):
+        pos, neg = self.CARRIERS[carrier]
+        with pytest.raises(NotPositive, match="^b is not positive"):
+            check(pos, neg)
+        with pytest.raises(NotPositive, match="^a is not positive"):
+            check(neg, pos)
+        # on matrices, one square root an operand up to the first that is
+        # not positive (2 + 1 calls); on vectors none
+        assert dict(eigen_calls) == ({"eigh": 3} if carrier == "matrix" else {})
 
 
 def test_infty_suite_verdicts_do_not_depend_on_stopping():

@@ -82,11 +82,23 @@ class TestOrthoInfSup:
             assert rel_diff(c, ortho_inf(b, a)) <= 1e-12
             assert rel_diff(c + d, a + b) <= 1e-12
             assert rel_diff(d - c, jordan_decompose(a - b)[2]) <= 1e-12
+            # the negation duality and the sup-side facts, which
+            # verify_theorem4 covers through c + d = a + b
+            assert rel_diff(d, -ortho_inf(-a, -b)) <= 1e-12
+            assert loewner_le(a, d) and loewner_le(b, d)
+            assert zero_product_residual(d - a, d - b) <= DEFAULT_TOL.tol_zero
             # translation covariance and positive scaling
             t = random_hermitian(n, rng)
             assert rel_diff(ortho_inf(a + t, b + t), c + t) <= 1e-11
             s = float(rng.uniform(0.1, 5.0))
             assert rel_diff(ortho_inf(s * a, s * b), s * c) <= 1e-11
+
+    def test_duality_on_vectors_is_exact(self):
+        # negation is exact and |y - x| = |x - y| bit for bit on R^n
+        for i in range(50):
+            rng = rng_for(66, i)
+            x, y = rng.standard_normal(7), rng.standard_normal(7)
+            assert np.array_equal(ortho_sup(x, y), -ortho_inf(-x, -y))
 
     def test_commuting_pair_is_simultaneous_min(self):
         for i in range(20):
@@ -122,6 +134,16 @@ class TestVerifyTheorem4:
     def test_identical_pair(self):
         a = random_hermitian(3, rng_for(65))
         rep = verify_theorem4(a, a)
+        assert rep.holds
+
+    @pytest.mark.parametrize("a, b", [(S_FIX, T_FIX), (np.array([1.0, -2.0, 0.5]),
+                                                       np.array([0.0, 1.0, 0.5]))],
+                             ids=["matrix", "coordinate"])
+    def test_details_are_the_inf_side_plus_one_link(self, a, b):
+        rep = verify_theorem4(a, b)
+        assert [name for name, _ in rep.details] == [
+            "c_le_a", "c_le_b", "inf_residuals_orth",
+            "a_minus_c_is_pos_part", "b_minus_c_is_neg_part", "inf_plus_sup"]
         assert rep.holds
 
 
@@ -311,11 +333,12 @@ class TestUniquenessReference:
         assert got == want
 
     def test_theorem4_eigvalsh_count(self, eigen_calls):
-        # verify_theorem4 makes 4 eigvalsh calls a trial; the zero-product
-        # check settles every perturbation, so uniqueness_falsify makes none
+        # verify_theorem4 makes 1 eigh and 2 eigvalsh calls a trial, and
+        # uniqueness_falsify 1 eigh: the zero-product check settles every
+        # perturbation, so it makes no eigvalsh call
         suite_theorem4(64, 20, 1)
-        assert eigen_calls["eigvalsh"] == 20 * 4
-        assert eigen_calls["eigh"] == 20 * 3
+        assert eigen_calls["eigvalsh"] == 20 * 2
+        assert eigen_calls["eigh"] == 20 * 2
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_zero_product_settles_random_pairs(self, n, eigen_calls):
