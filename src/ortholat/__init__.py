@@ -45,7 +45,6 @@ from .ortholattice import (
     kadison_witness_search,
     ortho_inf,
     ortho_sup,
-    uniqueness_falsify,
     verify_theorem4,
 )
 from .axioms import check_axioms, check_theorem7

@@ -86,9 +86,9 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
     infinity-orthogonal (the model's exact test, plus abs_infty_orth_sampled
-    on the endpoints and `inner` interval sub-pairs per trial), (b)
+    on the endpoints and `inner` interval sub-pairs per trial) and (b)
     orthogonality of u to v and w forces orthogonality to |v + w| and
-    |v - w|, and the full axiom suite for the derived relation. Uses the
+    |v - w|. The axioms of the relation are check_axioms' part. Uses the
     model's tolerances.
     """
     tol = model.tol
@@ -109,15 +109,11 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         rb = max(rb, model.orth_residual(ut, model.jordan(vt + wt)[2]),
                  model.orth_residual(ut, model.jordan(vt - wt)[2]))
 
-    derived = check_axioms(model, trials, seed + 1)
-
     details = [
         ("parts_exact_orth", ra_exact),
         ("parts_infty_sampled", ra_sampled),
         ("block_triple_abs_orth", rb),
-        ("derived_relation_axioms", derived.max_violation),
     ]
     worst = max(r for _, r in details)
-    holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and \
-        rb <= tol.tol_zero and derived.holds
+    holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
     return OrthReport("theorem7", holds, worst, details)

@@ -130,12 +130,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ortho(args) -> int:
+    seed = _resolve_seed(args)
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
     b = _load_hermitian(args.b, tol)
-    rep = verify_theorem4(a, b, tol)
+    rep = verify_theorem4(a, b, seed=seed, tol=tol)
     report = {
         "command": "ortho",
+        "seed": seed,
         "inf": matrix_to_json(ortho_inf(a, b)),
         "sup": matrix_to_json(ortho_sup(a, b)),
         "theorem4": rep.to_json(),

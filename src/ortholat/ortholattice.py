@@ -1,5 +1,5 @@
-"""Ortho-infimum and ortho-supremum, their defining properties and
-uniqueness falsification, written once over the carrier models: on
+"""Ortho-infimum and ortho-supremum and Theorem 4's check of their defining
+properties and uniqueness, written once over the carrier models: on
 Hermitian matrices this is Theorem 4, on R^n (the commuting case) it is
 Corollary 5, where the ortho-infimum and ortho-supremum are the lattice
 meet and join. Also a closed-form common lower bound of two Hermitian
@@ -28,7 +28,6 @@ __all__ = [
     "ortho_inf",
     "ortho_sup",
     "verify_theorem4",
-    "uniqueness_falsify",
     "WitnessResult",
     "kadison_witness_search",
 ]
@@ -46,19 +45,30 @@ def ortho_sup(a, b) -> np.ndarray:
     return (x + y + model.jordan(x - y)[2]) / 2.0
 
 
-def verify_theorem4(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Checks the defining properties of the ortho-infimum c and, through
-    one link, of the ortho-supremum d for the pair (a, b):
+def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
+                    tol: Tolerances = DEFAULT_TOL) -> OrthReport:
+    """Theorem 4 for (a, b): c = (a + b - |a - b|)/2 is the unique element
+    with c <= a, c <= b and (a-c) orth (b-c), checked on one decomposition
+    of a - b.
 
-    c <= a, c <= b, (a-c) orth (b-c); the residual identities
-    a-c = (a-b)^+ and b-c = (a-b)^-; and c + d = a + b. The last gives
-    d-a = b-c and d-b = a-c, so a <= d, b <= d and (d-a) orth (d-b) are
-    the inf-side checks again. The negation duality sup(a,b) = -inf(-a,-b)
-    is left out: it would restate the closed form on a second
-    eigendecomposition of a - b.
+    Existence is six facts, the worst of which is max_violation: the three
+    conditions, a-c = (a-b)^+, b-c = (a-b)^- and c + d = a + b for the
+    ortho-supremum d. The last gives d-a = b-c and d-b = a-c, so the
+    inf-side checks cover d. (The negation duality is left to the tests:
+    it would need a second decomposition of a - b.)
+
+    Uniqueness: each of `trials` perturbations c_i of c (the carrier's
+    sample from rng_for(seed, i), scaled to a random fraction of the gap
+    ||a - b|| in the carrier's vector norm; none when a = b) must break a
+    condition, that is have a residual-to-tolerance ratio above 1. They are
+    settled cheapest first: residual orthogonality (one matmul on
+    matrices), then c_i <= a, then c_i <= b (one eigvalsh each). The detail
+    uniqueness_survivors counts those that break none, and holds needs 0.
+    A NaN ratio with none above 1 raises PreconditionFailed.
     """
     model, ah, bh = carrier_operands(a, b, tol)
-    xp, xn, abs_x = model.jordan(ah - bh)
+    x = ah - bh
+    xp, xn, abs_x = model.jordan(x)
     c = (ah + bh - abs_x) / 2.0
     d = (ah + bh + abs_x) / 2.0
 
@@ -76,31 +86,11 @@ def verify_theorem4(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
               "inf_residuals_orth": tol.tol_zero}
     holds = all(r <= bounds.get(name, tol.tol_eq) for name, r in details)
     worst = max(r for _, r in details)
-    return OrthReport("theorem4", holds, worst, details)
 
-
-def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
-                       tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Random perturbations of the ortho-infimum must each break one of its
-    three defining conditions; holds iff no perturbation survives.
-
-    max_violation is the number of survivors (0.0 when every perturbation
-    is properly falsified). A perturbation is the carrier's random sample
-    scaled to a random fraction of the gap ||a - b|| in the carrier's
-    vector norm. Each perturbation stops at its first broken condition, a
-    residual-to-tolerance ratio above 1, checked cheapest first: residual
-    orthogonality (one matmul on matrices), then c_i <= a and c_i <= b
-    (one eigvalsh each). It survives only if all three ratios are at most
-    1; a NaN ratio with none above 1 raises PreconditionFailed.
-    """
-    model, ah, bh = carrier_operands(a, b, tol)
-    c = ortho_inf(ah, bh)
-    gap = model.vector_norm(ah - bh)
-    if gap <= tol.tol_eq:
-        # a = b: every admissible perturbation magnitude window is empty
-        return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
+    gap = model.vector_norm(x)
     survivors = 0
-    for i in range(trials):
+    # a = b draws nothing: every admissible perturbation magnitude window is empty
+    for i in range(trials if gap > tol.tol_eq else 0):
         rng = rng_for(seed, i)
         delta = model.sample(rng)
         delta *= rng.uniform(1e-4, 1.0) * gap / max(model.vector_norm(delta), 1e-300)
@@ -119,8 +109,8 @@ def uniqueness_falsify(a, b, trials: int = 100, seed: int = 0,
             if not r <= 1.0:
                 raise PreconditionFailed(f"perturbation {i}: the {name} residual is NaN")
         survivors += 1
-    return OrthReport("uniqueness_falsify", survivors == 0, float(survivors),
-                      [("survivors", float(survivors))])
+    details.append(("uniqueness_survivors", float(survivors)))
+    return OrthReport("theorem4", holds and survivors == 0, worst, details)
 
 
 @dataclass

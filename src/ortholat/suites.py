@@ -25,7 +25,7 @@ from .orthogonality import (
     check_prop2_equivalence,
     hereditary_check,
 )
-from .ortholattice import ortho_inf, ortho_sup, uniqueness_falsify, verify_theorem4
+from .ortholattice import ortho_inf, ortho_sup, verify_theorem4
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = ["SUITES", "run_suite", "run_suites"]
@@ -126,16 +126,13 @@ def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
 
 def _theorem4_suite(name, pair, trials, seed, tol):
-    """verify_theorem4 and uniqueness_falsify on the pairs pair(0), ...,
-    pair(trials - 1)."""
+    """verify_theorem4 on the pairs pair(0), ..., pair(trials - 1)."""
     worst = 0.0
     failures = 0
     for i in range(trials):
-        a, b = pair(i)
-        rep = verify_theorem4(a, b, tol)
-        uniq = uniqueness_falsify(a, b, trials=10, seed=seed + i, tol=tol)
+        rep = verify_theorem4(*pair(i), seed=seed + i, tol=tol)
         worst = max(worst, rep.max_violation)
-        if not (rep.holds and uniq.holds):
+        if not rep.holds:
             failures += 1
     return {"suite": name, "pass": failures == 0, "trials": trials,
             "max_violation": worst, "failures": failures}

@@ -128,10 +128,9 @@ class TestCheckTheorem7:
         # a trial: 10 eigh (jordan, a square root per part, orthogonal_triple,
         # |v + w|, |v - w| and their two residuals of 2 each), 4 eigvalsh
         # (the norms of the endpoints, then of the 8 samples) and 3 qr (the
-        # samples of each part, orthogonal_triple); the derived axioms add
-        # 18 eigh, 2 eigvalsh and one qr a trial
+        # samples of each part, orthogonal_triple)
         check_theorem7(MatrixSaModel(4), trials=10, seed=3)
-        assert dict(eigen_calls) == {"eigh": 280, "eigvalsh": 60, "qr": 40}
+        assert dict(eigen_calls) == {"eigh": 100, "eigvalsh": 40, "qr": 30}
 
     def test_parts_verdict_is_the_shared_sampled_check(self, monkeypatch):
         calls = []

@@ -9,7 +9,7 @@ from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, 
 from ortholat.errors import DimensionMismatch, NotPositive
 from ortholat.linalg import random_hermitian, rng_for
 from ortholat.orthogonality import abs_infty_orth_sampled, alg_orth_sa
-from ortholat.ortholattice import ortho_inf, ortho_sup, uniqueness_falsify, verify_theorem4
+from ortholat.ortholattice import kadison_witness_search, ortho_inf, ortho_sup, verify_theorem4
 from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
 
@@ -78,21 +78,24 @@ class TestVectorOrthoLattice:
 class TestCorollary5:
     def test_example(self):
         x, y = [3.0, -1.0], [1.0, 2.0]
-        assert verify_theorem4(x, y).holds
-        assert uniqueness_falsify(x, y).holds
+        rep = verify_theorem4(x, y, trials=100)
+        assert rep.holds
+        assert dict(rep.details)["uniqueness_survivors"] == 0.0
 
     def test_identical(self):
         x = np.array([1.0, -2.0])
-        assert verify_theorem4(x, x).holds
-        assert uniqueness_falsify(x, x).holds
+        rep = verify_theorem4(x, x, trials=100)
+        assert rep.holds
+        assert dict(rep.details)["uniqueness_survivors"] == 0.0
 
     def test_random_pairs(self):
         for i in range(100):
             rng = rng_for(71, i)
             n = int(rng.integers(2, 17))
             x, y = rng.standard_normal(n), rng.standard_normal(n)
-            assert verify_theorem4(x, y).holds
-            assert uniqueness_falsify(x, y, trials=20, seed=90 + i).holds
+            rep = verify_theorem4(x, y, trials=20, seed=90 + i)
+            assert rep.holds
+            assert dict(rep.details)["uniqueness_survivors"] == 0.0
 
 
 class TestCoordinateOrth:
@@ -150,7 +153,7 @@ class TestNorms:
 
 VEC = np.array([1.0, 2.0])
 MAT = np.eye(2)
-PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, uniqueness_falsify,
+PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, kadison_witness_search,
                abs_infty_orth_sampled]
 
 

@@ -73,6 +73,22 @@ class TestOrtho:
         assert np.allclose(matrix_from_json(report["sup"]), np.diag([3.0, 2.0]))
         assert report["theorem4"]["holds"] is True
 
+    def test_checks_uniqueness_at_the_seed(self, matrix_file, capsys):
+        a, b = matrix_file("s.json", S), matrix_file("t.json", T)
+        assert main(["ortho", "--a", a, "--b", b, "--seed", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["seed"] == 7
+        assert len(report["theorem4"]["details"]) == 7
+        assert report["theorem4"]["details"][6] == ["uniqueness_survivors", 0.0]
+
+    def test_determinism(self, matrix_file, capsys):
+        a, b = matrix_file("s.json", S), matrix_file("t.json", T)
+        outs = []
+        for _ in range(2):
+            assert main(["ortho", "--a", a, "--b", b, "--seed", "7"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_closed_form_pair(self, matrix_file, capsys):
         code = main(["ortho", "--a", matrix_file("s.json", S),
                      "--b", matrix_file("t.json", T)])

@@ -34,7 +34,6 @@ from ortholat.ortholattice import (
     kadison_witness_search,
     ortho_inf,
     ortho_sup,
-    uniqueness_falsify,
     verify_theorem4,
 )
 from ortholat.suites import run_suite, suite_theorem4
@@ -141,10 +140,25 @@ class TestVerifyTheorem4:
                              ids=["matrix", "coordinate"])
     def test_details_are_the_inf_side_plus_one_link(self, a, b):
         rep = verify_theorem4(a, b)
+        assert rep.details[-1] == ("uniqueness_survivors", 0.0)
         assert [name for name, _ in rep.details] == [
             "c_le_a", "c_le_b", "inf_residuals_orth",
-            "a_minus_c_is_pos_part", "b_minus_c_is_neg_part", "inf_plus_sup"]
+            "a_minus_c_is_pos_part", "b_minus_c_is_neg_part", "inf_plus_sup",
+            "uniqueness_survivors"]
         assert rep.holds
+        # max_violation is the worst existence residual, not the survivor count
+        assert rep.max_violation == max(r for _, r in rep.details[:-1])
+
+    @pytest.mark.parametrize("a, b, calls", [
+        (S_FIX, T_FIX, {"eigh": 1, "eigvalsh": 2}),
+        (np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 0.5]), {}),
+    ], ids=["matrix", "coordinate"])
+    def test_one_decomposition_per_call(self, a, b, calls, eigen_calls):
+        # one eigh of a - b and the two cone defects of the existence half;
+        # every one of the 10 perturbations is settled by the zero product
+        rep = verify_theorem4(a, b, trials=10, seed=0)
+        assert dict(rep.details)["uniqueness_survivors"] == 0.0
+        assert dict(eigen_calls) == calls
 
 
 class TestUniquenessFalsify:
@@ -167,23 +181,26 @@ class TestUniquenessFalsify:
         for i in range(20):
             rng = rng_for(66, i)
             a, b = random_hermitian(4, rng), random_hermitian(4, rng)
-            rep = uniqueness_falsify(a, b, trials=500, seed=80 + i)
+            rep = verify_theorem4(a, b, trials=500, seed=80 + i)
+            assert dict(rep.details)["uniqueness_survivors"] == 0.0
             assert rep.holds
 
     def test_equal_pair(self):
         a = random_hermitian(3, rng_for(67))
-        assert uniqueness_falsify(a, a, trials=10, seed=0).holds
+        rep = verify_theorem4(a, a, trials=10, seed=0)
+        assert rep.details[-1] == ("uniqueness_survivors", 0.0)
+        assert rep.holds
 
 
-def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
-    """uniqueness_falsify with all three checks on every perturbation: any
-    ratio above 1 falsifies it, all three at most 1 make it survive, and
-    anything else (a NaN ratio) raises."""
+def _uniqueness_reference(a, b, trials=10, seed=0, tol=DEFAULT_TOL):
+    """The survivor count of verify_theorem4's uniqueness half with all
+    three checks on every perturbation: any ratio above 1 falsifies it, all
+    three at most 1 make it survive, and anything else (a NaN ratio) raises."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     c = ortho_inf(ah, bh)
     gap = frob(ah - bh)
     if gap <= tol.tol_eq:
-        return OrthReport("uniqueness_falsify", True, 0.0, [("survivors", 0.0)])
+        return 0.0
     n = ah.shape[0]
     survivors = 0
     for i in range(trials):
@@ -202,16 +219,15 @@ def _uniqueness_reference(a, b, trials=100, seed=0, tol=DEFAULT_TOL):
             if not r <= 1.0:
                 raise PreconditionFailed(f"perturbation {i}: the {name} residual is NaN")
         survivors += 1
-    return OrthReport("uniqueness_falsify", survivors == 0, float(survivors),
-                      [("survivors", float(survivors))])
+    return float(survivors)
 
 
-def _same(x, y):
-    return x == y or (math.isnan(x) and math.isnan(y))
+def _survivors(a, b, **kwargs):
+    return dict(verify_theorem4(a, b, **kwargs).details)["uniqueness_survivors"]
 
 
 def _outcome(fn, *args, **kwargs):
-    """The report of fn, or the type and message of the error it raises."""
+    """The value of fn, or the type and message of the error it raises."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, PreconditionFailed) as exc:
@@ -219,17 +235,10 @@ def _outcome(fn, *args, **kwargs):
 
 
 def assert_same_outcome(a, b, **kwargs):
-    got = _outcome(uniqueness_falsify, a, b, **kwargs)
-    want = _outcome(_uniqueness_reference, a, b, **kwargs)
-    if not isinstance(want, OrthReport):
-        assert got == want
-        return got
-    assert isinstance(got, OrthReport)
-    assert (got.relation, got.holds) == (want.relation, want.holds)
-    assert _same(got.max_violation, want.max_violation)
-    assert [name for name, _ in got.details] == [name for name, _ in want.details]
-    for (_, g), (_, w) in zip(got.details, want.details):
-        assert _same(g, w)
+    """verify_theorem4's survivor count, or the error it raises, is the
+    reference's."""
+    got = _outcome(_survivors, a, b, **kwargs)
+    assert got == _outcome(_uniqueness_reference, a, b, **kwargs)
     return got
 
 
@@ -275,8 +284,7 @@ class TestUniquenessReference:
         loose = Tolerances(tol_zero=1e6, tol_psd=1e6)
         rng = rng_for(71, n)
         a, b = random_hermitian(n, rng), random_hermitian(n, rng)
-        rep = assert_same_outcome(a, b, trials=20, seed=3, tol=loose)
-        assert rep.details[0][1] > 0.0
+        assert assert_same_outcome(a, b, trials=20, seed=3, tol=loose) > 0.0
 
     def test_margin_of_exactly_one_survives(self, monkeypatch):
         # a ratio of exactly 1 breaks no condition, so it never settles
@@ -286,8 +294,7 @@ class TestUniquenessReference:
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
                             lambda x: loose.tol_psd)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        rep = uniqueness_falsify(a, b, trials=5, seed=0, tol=loose)
-        assert rep.details == [("survivors", 5.0)]
+        assert _survivors(a, b, trials=5, seed=0, tol=loose) == 5.0
 
     def test_checks_run_cheapest_first(self, monkeypatch):
         # zero product, then c_i <= a, then c_i <= b; no condition breaks
@@ -297,7 +304,10 @@ class TestUniquenessReference:
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
                             lambda x: log.append(x) or 0.0)
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        assert uniqueness_falsify(a, b, trials=5, seed=0).details == [("survivors", 5.0)]
+        assert _survivors(a, b, trials=5, seed=0) == 5.0
+        # the existence half first: c <= a, c <= b, then the zero product
+        assert log[2] == "zero"
+        log = log[3:]
         assert len(log) == 3 * 5
         for zero, ra, rb in zip(log[::3], log[1::3], log[2::3]):
             assert zero == "zero"
@@ -306,39 +316,45 @@ class TestUniquenessReference:
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_overflowing_perturbation_rejected_at_the_draw(self, n, monkeypatch):
         # the gap overflows to inf, so the first perturbation is not finite;
-        # it is rejected before any residual is formed
+        # it is rejected before any of its residuals is formed, and the one
+        # zero product seen is the existence half's (a - c) orth (b - c)
         residuals = []
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: residuals.append(x) or 0.0)
         rng = rng_for(69, n)
         a, b = 1e160 * random_hermitian(n, rng), 1e160 * random_hermitian(n, rng)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-            uniqueness_falsify(a, b, trials=1)
-        assert residuals == []
+            verify_theorem4(a, b, trials=1)
+        assert len(residuals) == 1
+        assert np.array_equal(residuals[0], hermitian_matrix(a) - ortho_inf(a, b))
 
     @pytest.mark.parametrize("seed", [42, 1, 2])
     def test_theorem4_suite_unchanged(self, seed, monkeypatch):
         want_calls = []
 
-        def reference(*args, **kwargs):
-            want_calls.append(args)
-            return _uniqueness_reference(*args, **kwargs)
+        def reference(a, b, trials=10, seed=0, tol=DEFAULT_TOL):
+            # the existence half alone, then the reference's survivors
+            want_calls.append((a, b))
+            rep = verify_theorem4(a, b, trials=0, tol=tol)
+            survivors = _uniqueness_reference(a, b, trials, seed, tol)
+            return OrthReport(rep.relation, rep.holds and survivors == 0,
+                              rep.max_violation,
+                              rep.details[:-1] + [("uniqueness_survivors", survivors)])
 
         got = run_suite("theorem4", 8, 50, seed)
-        # the suite binds the name at import, so patch that binding too
-        monkeypatch.setattr(ortholat.ortholattice, "uniqueness_falsify", reference)
-        monkeypatch.setattr(ortholat.suites, "uniqueness_falsify", reference)
+        # the suite binds the name at import
+        monkeypatch.setattr(ortholat.suites, "verify_theorem4", reference)
         want = run_suite("theorem4", 8, 50, seed)
         assert len(want_calls) == 50
         assert got == want
 
     def test_theorem4_eigvalsh_count(self, eigen_calls):
-        # verify_theorem4 makes 1 eigh and 2 eigvalsh calls a trial, and
-        # uniqueness_falsify 1 eigh: the zero-product check settles every
-        # perturbation, so it makes no eigvalsh call
+        # verify_theorem4 makes 1 eigh and 2 eigvalsh calls a trial: the
+        # zero-product check settles every perturbation, so the uniqueness
+        # half makes no eigensolver call
         suite_theorem4(64, 20, 1)
         assert eigen_calls["eigvalsh"] == 20 * 2
-        assert eigen_calls["eigh"] == 20 * 2
+        assert eigen_calls["eigh"] == 20
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_zero_product_settles_random_pairs(self, n, eigen_calls):
@@ -348,9 +364,11 @@ class TestUniquenessReference:
             rng = rng_for(72, n, i)
             a, b = random_hermitian(n, rng), random_hermitian(n, rng)
             before = eigen_calls["eigvalsh"]
-            got = uniqueness_falsify(a, b, trials=100, seed=i)
-            assert eigen_calls["eigvalsh"] == before
-            assert got == _uniqueness_reference(a, b, trials=100, seed=i)
+            got = verify_theorem4(a, b, trials=100, seed=i)
+            # the existence half's two cone defects, and none for the draws
+            assert eigen_calls["eigvalsh"] == before + 2
+            assert dict(got.details)["uniqueness_survivors"] == _uniqueness_reference(
+                a, b, trials=100, seed=i)
             assert got.holds
 
 
