@@ -1,5 +1,7 @@
 """The carrier models and the checks written once over them, on R^n
 (Corollary 5, Prop 6) and against the matrix carrier."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,8 +155,18 @@ class TestNorms:
 
 VEC = np.array([1.0, 2.0])
 MAT = np.eye(2)
-PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, kadison_witness_search,
-               abs_infty_orth_sampled]
+
+
+def uniqueness_falsify(a, b):
+    """Theorem 4's uniqueness half: verify_theorem4 with perturbations to draw,
+    which must reject the operands before the first draw."""
+    with mock.patch("ortholat.ortholattice.rng_for",
+                    side_effect=AssertionError("perturbation drawn before the operand check")):
+        return verify_theorem4(a, b, trials=10, seed=0)
+
+
+PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, uniqueness_falsify,
+               kadison_witness_search, abs_infty_orth_sampled]
 
 
 class TestOperandChecks:
