@@ -85,8 +85,8 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
                    inner: int = 8) -> OrthReport:
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
-    infinity-orthogonal (the model's exact test, plus abs_infty_orth_sampled
-    on the endpoints and `inner` interval sub-pairs per trial) and (b)
+    infinity-orthogonal (abs_infty_orth_sampled: its exact zero product, and
+    the endpoints plus `inner` interval sub-pairs per trial) and (b)
     orthogonality of u to v and w forces orthogonality to |v + w| and
     |v - w|. The axioms of the relation are check_axioms' part. Uses the
     model's tolerances.
@@ -98,10 +98,10 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         u = model.sample(rng)
         up, un, _ = model.jordan(u)
 
-        # (1)(a) the parts are positive, so |up| = up and |un| = un
-        ra_exact = max(ra_exact, model.zero_product(up, un))
+        # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0
         parts = abs_infty_orth_sampled(up, un, trials=inner + 1,
                                        seed=int(rng.integers(1 << 62)), tol=tol)
+        ra_exact = max(ra_exact, dict(parts.details)["exact_alg_orth"])
         ra_sampled = max(ra_sampled, parts.max_violation)
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|

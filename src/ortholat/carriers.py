@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
 from .linalg import (
-    complex_matrix,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -119,7 +118,6 @@ class MatrixSaModel(_Carrier):
 
     carrier = "matrix-sa"
     element = staticmethod(hermitian_matrix)   # validated and symmetrized
-    finite = staticmethod(complex_matrix)      # validated only
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
 
@@ -178,7 +176,6 @@ class CoordinateModel(_Carrier):
 
     carrier = "coordinate"
     element = staticmethod(lattice_vector)
-    finite = staticmethod(lattice_vector)
     norm = staticmethod(sup_norm)
     vector_norm = staticmethod(sup_norm)
 

@@ -176,12 +176,12 @@ def rng_for(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, indices)])
 
 
-def random_complex(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(n, rng, scale)
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = random_complex(n, rng)
     return (g + g.conj().T) / 2.0
 
 
@@ -191,8 +191,8 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(np.where(d == 0, 1.0, d)))
 
 
-def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(n, rng, scale)
+def random_psd(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = random_complex(n, rng)
     return hermitian_matrix(g @ g.conj().T / n)
 
 

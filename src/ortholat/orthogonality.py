@@ -6,7 +6,6 @@ infinity-orthogonality test, written once over the carrier models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -172,16 +171,17 @@ def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
 
 def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """Three equivalent faces of self-adjoint orthogonality, on either
-    carrier: (1) |a||b| = 0; (2) the four Jordan parts are mutually
-    algebraically orthogonal; (3) |a +/- b| = |a| + |b|. Verdicts must
-    coincide.
+    carrier: (1) |a||b| = 0; (2) pq = 0 for p in {a+, a-}, q in {b+, b-}
+    (the four products sum to |a||b|; a+ a- = 0 and b+ b- = 0 are the
+    Jordan decomposition's own, stated by check_axioms); (3) |a +/- b| =
+    |a| + |b|. Verdicts must coincide.
     """
     model, x, y = carrier_operands(a, b, tol)
     xp, xn, abs_x = model.jordan(x)
     yp, yn, abs_y = model.jordan(y)
 
     r1 = model.zero_product(abs_x, abs_y)
-    r2 = max(model.zero_product(p, q) for p, q in combinations([xp, xn, yp, yn], 2))
+    r2 = max(model.zero_product(p, q) for p in (xp, xn) for q in (yp, yn))
     abs_sum, abs_dif = model.jordan(x + y)[2], model.jordan(x - y)[2]
     r3 = max(rel_diff(abs_sum, abs_x + abs_y), rel_diff(abs_dif, abs_x + abs_y))
 

@@ -51,11 +51,13 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     with c <= a, c <= b and (a-c) orth (b-c), checked on one decomposition
     of a - b.
 
-    Existence is six facts, the worst of which is max_violation: the three
-    conditions, a-c = (a-b)^+, b-c = (a-b)^- and c + d = a + b for the
-    ortho-supremum d. The last gives d-a = b-c and d-b = a-c, so the
-    inf-side checks cover d. (The negation duality is left to the tests:
-    it would need a second decomposition of a - b.)
+    Existence is the three conditions plus spectral_residual, the relative
+    distance of (a-b)^+ - (a-b)^- from a - b; max_violation is the worst of
+    the four. With x = a - b, a - c - x^+ = (x - (x^+ - x^-))/2 = x^- - (b - c),
+    so both parts of c rest on that one residual. The ortho-supremum d needs
+    no check of its own: d = c + |a - b|, so d - a = b - c and d - b = a - c
+    are the inf-side matrices again. (The negation duality is left to the
+    tests: it would need a second decomposition of a - b.)
 
     Uniqueness: each of `trials` perturbations c_i of c (the carrier's
     sample from rng_for(seed, i), scaled to a random fraction of the gap
@@ -70,21 +72,16 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     x = ah - bh
     xp, xn, abs_x = model.jordan(x)
     c = (ah + bh - abs_x) / 2.0
-    d = (ah + bh + abs_x) / 2.0
+    ra, rb = ah - c, bh - c
 
     details = [
-        ("c_le_a", model.cone_defect(ah - c)),
-        ("c_le_b", model.cone_defect(bh - c)),
-        ("inf_residuals_orth", model.zero_product(ah - c, bh - c)),
-        ("a_minus_c_is_pos_part", rel_diff(ah - c, xp)),
-        ("b_minus_c_is_neg_part", rel_diff(bh - c, xn)),
-        ("inf_plus_sup", rel_diff(c + d, ah + bh)),
+        ("c_le_a", model.cone_defect(ra)),
+        ("c_le_b", model.cone_defect(rb)),
+        ("inf_residuals_orth", model.zero_product(ra, rb)),
+        ("spectral_residual", rel_diff(xp - xn, x)),
     ]
-    # cone defects compare against tol_psd, the product against tol_zero,
-    # equalities against tol_eq
-    bounds = {"c_le_a": tol.tol_psd, "c_le_b": tol.tol_psd,
-              "inf_residuals_orth": tol.tol_zero}
-    holds = all(r <= bounds.get(name, tol.tol_eq) for name, r in details)
+    bounds = (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq)
+    holds = all(r <= bound for (_, r), bound in zip(details, bounds))
     worst = max(r for _, r in details)
 
     gap = model.vector_norm(x)
@@ -94,7 +91,7 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
         rng = rng_for(seed, i)
         delta = model.sample(rng)
         delta *= rng.uniform(1e-4, 1.0) * gap / max(model.vector_norm(delta), 1e-300)
-        ci = model.finite(c + delta)
+        ci = model.element(c + delta)
         ra, rb = ah - ci, bh - ci
         z = model.zero_product(ra, rb) / tol.tol_zero
         if z > 1.0:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import ortholat.axioms
 from ortholat.axioms import check_axioms, check_theorem7
@@ -138,9 +139,22 @@ class TestCheckTheorem7:
         def violating(a, b, **kwargs):
             calls.append(kwargs)
             return OrthReport("abs_infty_orth_sampled", False, 0.5,
-                              [("sampled_deviation", 0.5)])
+                              [("exact_alg_orth", 0.25), ("sampled_deviation", 0.5)])
         monkeypatch.setattr(ortholat.axioms, "abs_infty_orth_sampled", violating)
         rep = check_theorem7(CoordinateModel(4), trials=3, seed=6)
         assert not rep.holds
         assert dict(rep.details)["parts_infty_sampled"] == 0.5
+        # the exact half is the sampled check's own, not computed again
+        assert dict(rep.details)["parts_exact_orth"] == 0.25
         assert len(calls) == 3 and all(c["trials"] == 9 for c in calls)
+
+    @pytest.mark.parametrize("model", [MatrixSaModel, CoordinateModel])
+    def test_zero_product_calls(self, model, monkeypatch):
+        # a trial: the exact half inside abs_infty_orth_sampled, then the
+        # orthogonality residuals to |v + w| and |v - w|
+        calls = []
+        zero_product = model.zero_product
+        monkeypatch.setattr(model, "zero_product",
+                            lambda self, x, y: calls.append(1) or zero_product(self, x, y))
+        assert check_theorem7(model(4), trials=10, seed=3).holds
+        assert len(calls) == 3 * 10

@@ -78,8 +78,8 @@ class TestOrtho:
         assert main(["ortho", "--a", a, "--b", b, "--seed", "7"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 7
-        assert len(report["theorem4"]["details"]) == 7
-        assert report["theorem4"]["details"][6] == ["uniqueness_survivors", 0.0]
+        assert len(report["theorem4"]["details"]) == 5
+        assert report["theorem4"]["details"][4] == ["uniqueness_survivors", 0.0]
 
     def test_determinism(self, matrix_file, capsys):
         a, b = matrix_file("s.json", S), matrix_file("t.json", T)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import ortholat.orthogonality
-from ortholat.carriers import OrderIntervalSampler, sup_norm
+from ortholat.carriers import (
+    CoordinateModel,
+    MatrixSaModel,
+    OrderIntervalSampler,
+    sup_norm,
+)
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
 from ortholat.linalg import (
     frob,
@@ -130,6 +135,20 @@ class TestProp2Equivalence:
             a = u @ np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
             b = u @ np.diag([0.0, 0.0, 2.0, -3.0]).astype(complex) @ u.conj().T
             assert check_prop2_equivalence(a, b).holds
+
+    @pytest.mark.parametrize("model, a, b", [
+        (MatrixSaModel, np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 2.0])),
+        (CoordinateModel, np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 2.0])),
+    ], ids=["matrix", "coordinate"])
+    def test_zero_product_calls(self, model, a, b, monkeypatch):
+        # face (1) once and face (2) on the four cross products; a+ a- and
+        # b+ b- are the Jordan decomposition's own
+        calls = []
+        zero_product = model.zero_product
+        monkeypatch.setattr(model, "zero_product",
+                            lambda self, x, y: calls.append(1) or zero_product(self, x, y))
+        assert check_prop2_equivalence(a, b).holds
+        assert len(calls) == 5
 
 
 class TestKGrid:

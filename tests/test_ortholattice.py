@@ -82,7 +82,7 @@ class TestOrthoInfSup:
             assert rel_diff(c + d, a + b) <= 1e-12
             assert rel_diff(d - c, jordan_decompose(a - b)[2]) <= 1e-12
             # the negation duality and the sup-side facts, which
-            # verify_theorem4 covers through c + d = a + b
+            # verify_theorem4 covers through d - a = b - c, d - b = a - c
             assert rel_diff(d, -ortho_inf(-a, -b)) <= 1e-12
             assert loewner_le(a, d) and loewner_le(b, d)
             assert zero_product_residual(d - a, d - b) <= DEFAULT_TOL.tol_zero
@@ -142,12 +142,37 @@ class TestVerifyTheorem4:
         rep = verify_theorem4(a, b)
         assert rep.details[-1] == ("uniqueness_survivors", 0.0)
         assert [name for name, _ in rep.details] == [
-            "c_le_a", "c_le_b", "inf_residuals_orth",
-            "a_minus_c_is_pos_part", "b_minus_c_is_neg_part", "inf_plus_sup",
+            "c_le_a", "c_le_b", "inf_residuals_orth", "spectral_residual",
             "uniqueness_survivors"]
         assert rep.holds
         # max_violation is the worst existence residual, not the survivor count
         assert rep.max_violation == max(r for _, r in rep.details[:-1])
+        # x+ - x- = x holds exactly on the coordinate carrier
+        if np.ndim(a) == 1:
+            assert dict(rep.details)["spectral_residual"] == 0.0
+
+    def test_jordan_mutants_are_caught(self, monkeypatch):
+        # each defect of the decomposition of a - b fires the detail that
+        # measures it: scaled eigenvalues break x+ - x- = x, while a PSD
+        # shift s of both parts keeps x+ - x- = x and breaks (a-c)(b-c) = 0
+        rng = rng_for(73)
+        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
+        s = 0.1 * random_psd(4, rng)
+
+        def scaled(self, x):
+            return [1.01 * p for p in jordan_decompose(x)]
+
+        def shifted(self, x):
+            xp, xn, abs_x = jordan_decompose(x)
+            return xp + s, xn + s, abs_x + 2 * s
+
+        reports = {}
+        for mutant in (scaled, shifted):
+            monkeypatch.setattr(ortholat.carriers.MatrixSaModel, "jordan", mutant)
+            reports[mutant.__name__] = dict(verify_theorem4(a, b, trials=0).details)
+        assert reports["scaled"]["spectral_residual"] > DEFAULT_TOL.tol_eq
+        assert reports["shifted"]["spectral_residual"] <= DEFAULT_TOL.tol_eq
+        assert reports["shifted"]["inf_residuals_orth"] > DEFAULT_TOL.tol_zero
 
     @pytest.mark.parametrize("a, b, calls", [
         (S_FIX, T_FIX, {"eigh": 1, "eigvalsh": 2}),
