@@ -19,23 +19,17 @@ __all__ = [
 ]
 
 
-def _falsify_decomposition(model, u, up, un, rng) -> bool:
-    """True if a perturbed decomposition (up + d, un + d) of u, with d > 0 in
-    the cone, still passes the model's orthogonality test: uniqueness fails."""
-    d = model.sample_positive(rng)
-    scale = max(model.vector_norm(u), 1.0)
-    d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
-    # a zero draw (the positive part of a negative definite sample) is no
-    # perturbation, so it cannot survive
-    return bool(np.any(d)) and model.orth_residual(up + d, un + d) <= model.tol.tol_zero
-
-
 def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     """The five axioms of an absolutely ordered vector space, sampled, with
     the model's tolerances.
 
     Each detail is a violation (0 = good): residuals for the must-hold
     axioms, and a survivor count for the uniqueness half of axiom 4.
+
+    A trial takes each element's |.| once with model.jordan; the Jordan parts
+    and their perturbations are positive, so each is its own |.|. A matrix
+    trial makes 8 eigh. dominated_sample decomposes vt again, as it needs
+    vt's eigenbasis.
     """
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
@@ -43,30 +37,36 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     for i in range(trials):
         rng = rng_for(seed, i)
         u = model.sample(rng)
+        up, un, au = model.jordan(u)
 
         # (1) u orth 0
-        r1 = max(r1, model.orth_residual(u, model.zero()))
+        r1 = max(r1, model.zero_product(au, np.zeros_like(au)))
 
         # (2) symmetry, on a constructed orthogonal pair
         ut, vt, wt = model.orthogonal_triple(rng)
-        r2 = max(r2, abs(model.orth_residual(ut, vt) - model.orth_residual(vt, ut)))
+        aut, avt = model.jordan(ut)[2], model.jordan(vt)[2]
+        r2 = max(r2, abs(model.zero_product(aut, avt) - model.zero_product(avt, aut)))
 
         # (3) u orth v, u orth w  =>  u orth (k v + w)
         k = float(rng.uniform(-4.0, 4.0))
-        r3 = max(r3, model.orth_residual(ut, k * vt + wt))
+        r3 = max(r3, model.zero_product(aut, model.jordan(k * vt + wt)[2]))
 
         # (4) existence of the orthogonal decomposition ...
-        up, un, _ = model.jordan(u)
         r4 = max(r4, model.cone_defect(up), model.cone_defect(un),
                  model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
-                 model.orth_residual(up, un))
-        # ... and its uniqueness, by perturbation falsification
-        if _falsify_decomposition(model, u, up, un, rng):
+                 model.zero_product(up, un))
+        # ... and its uniqueness: the decomposition (up + d, un + d) of u, with
+        # d > 0, survives if still orthogonal; a zero d (the positive part of
+        # a negative definite sample) is no perturbation, so it cannot survive
+        d = model.sample_positive(rng)
+        scale = max(model.vector_norm(u), 1.0)
+        d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
+        if np.any(d) and model.zero_product(up + d, un + d) <= tol.tol_zero:
             survivors += 1
 
         # (5) u orth v and |w| <= |v|  =>  u orth w
         w5 = model.dominated_sample(vt, rng)
-        r5 = max(r5, model.orth_residual(ut, w5))
+        r5 = max(r5, model.zero_product(aut, model.jordan(w5)[2]))
 
     details = [
         ("ax1_orth_zero", r1),
@@ -89,7 +89,8 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
     the endpoints plus `inner` interval sub-pairs per trial) and (b)
     orthogonality of u to v and w forces orthogonality to |v + w| and
     |v - w|. The axioms of the relation are check_axioms' part. Uses the
-    model's tolerances.
+    model's tolerances. A trial takes |ut| once and compares it with
+    |vt +/- wt|: 7 eigh on the matrix carrier.
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
@@ -106,8 +107,9 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         ut, vt, wt = model.orthogonal_triple(rng)
-        rb = max(rb, model.orth_residual(ut, model.jordan(vt + wt)[2]),
-                 model.orth_residual(ut, model.jordan(vt - wt)[2]))
+        aut = model.jordan(ut)[2]
+        rb = max(rb, model.zero_product(aut, model.jordan(vt + wt)[2]),
+                 model.zero_product(aut, model.jordan(vt - wt)[2]))
 
     details = [
         ("parts_exact_orth", ra_exact),

@@ -121,9 +121,6 @@ class MatrixSaModel(_Carrier):
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
 
-    def zero(self):
-        return np.zeros((self.n, self.n), dtype=complex)
-
     def sample(self, rng):
         return random_hermitian(self.n, rng)
 
@@ -178,9 +175,6 @@ class CoordinateModel(_Carrier):
     element = staticmethod(lattice_vector)
     norm = staticmethod(sup_norm)
     vector_norm = staticmethod(sup_norm)
-
-    def zero(self):
-        return np.zeros(self.n)
 
     def sample(self, rng):
         return rng.standard_normal(self.n)

@@ -210,11 +210,18 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The matrix of an {"n", "re", "im"} object or its text ("im" defaults
+    to zero); ValueError on a non-object or a field of the wrong type,
+    DimensionMismatch unless both parts are n x n."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((n, n))), dtype=float)
+    try:
+        n = int(obj["n"])
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
+    except TypeError as exc:
+        raise ValueError(f'matrix JSON must be an object with numeric "n", "re" '
+                         f'and "im" ({exc})') from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise DimensionMismatch(f"matrix JSON shape mismatch for n={n}")
     return complex_matrix(re + 1j * im)

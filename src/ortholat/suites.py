@@ -81,47 +81,23 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             "trials": pairs * samples, "max_violation": worst}
 
 
-def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Three-way equivalence of self-adjoint orthogonality."""
+def _routes_suite(name, stream, pairs, check, dim, trials, seed, tol):
+    """check(a, b, tol) on pairs from pairs[0] and pairs[1] in turn: a raised
+    InternalInconsistency is a disagreement of the routes, and only pairs
+    the check calls orthogonal carry a residual."""
     worst = 0.0
     disagreements = 0
     for i in range(trials):
-        rng = rng_for(seed, 2, i)
+        rng = rng_for(seed, stream, i)
         n = _dim_for(rng, dim)
-        if i % 2 == 0:
-            a, b = _orthogonal_sa_pair(n, rng)
-        else:
-            a, b = random_hermitian(n, rng), random_hermitian(n, rng)
         try:
-            rep = check_prop2_equivalence(a, b, tol)
+            rep = check(*pairs[i % 2](n, rng), tol)
         except InternalInconsistency:
             disagreements += 1
             continue
         if rep.holds:
             worst = max(worst, rep.max_violation)
-    return {"suite": "prop2", "pass": disagreements == 0, "trials": trials,
-            "max_violation": worst, "disagreements": disagreements}
-
-
-def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Agreement of the four routes to general algebraic orthogonality."""
-    worst = 0.0
-    disagreements = 0
-    for i in range(trials):
-        rng = rng_for(seed, 3, i)
-        n = _dim_for(rng, dim)
-        if i % 2 == 0:
-            a, b = _orthogonal_general_pair(n, rng)
-        else:
-            a, b = random_complex(n, rng), random_complex(n, rng)
-        try:
-            rep = alg_orth_general(a, b, tol)
-        except InternalInconsistency:
-            disagreements += 1
-            continue
-        if rep.holds:
-            worst = max(worst, rep.max_violation)
-    return {"suite": "prop3", "pass": disagreements == 0, "trials": trials,
+    return {"suite": name, "pass": disagreements == 0, "trials": trials,
             "max_violation": worst, "disagreements": disagreements}
 
 
@@ -136,6 +112,20 @@ def _theorem4_suite(name, pair, trials, seed, tol):
             failures += 1
     return {"suite": name, "pass": failures == 0, "trials": trials,
             "max_violation": worst, "failures": failures}
+
+
+def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
+    """Three-way equivalence of self-adjoint orthogonality."""
+    pairs = (_orthogonal_sa_pair,
+             lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
+    return _routes_suite("prop2", 2, pairs, check_prop2_equivalence, dim, trials, seed, tol)
+
+
+def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
+    """Agreement of the four routes to general algebraic orthogonality."""
+    pairs = (_orthogonal_general_pair,
+             lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
+    return _routes_suite("prop3", 3, pairs, alg_orth_general, dim, trials, seed, tol)
 
 
 def suite_theorem4(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):

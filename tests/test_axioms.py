@@ -34,14 +34,16 @@ class TestModels:
         assert np.array_equal(up, [1.0, 0.0, 0.0])
         assert np.array_equal(un, [0.0, 2.0, 0.0])
 
-    def test_orth_matches_exact_predicate_on_positives(self):
-        model = MatrixSaModel(4)
-        from ortholat.linalg import zero_product_residual
+    @pytest.mark.parametrize("model", [MatrixSaModel, CoordinateModel])
+    def test_orth_matches_exact_predicate_on_positives(self, model):
+        # check_axioms and check_theorem7 judge positives by zero_product
+        # alone: each positive is its own absolute value
+        model = model(4)
         for i in range(50):
             rng = rng_for(82, i)
             a = model.sample_positive(rng)
             b = model.sample_positive(rng)
-            exact = zero_product_residual(a, b) <= model.tol.tol_zero
+            exact = model.zero_product(a, b) <= model.tol.tol_zero
             derived = model.orth_residual(a, b) <= model.tol.tol_zero
             assert exact == derived
 
@@ -88,11 +90,13 @@ class TestCheckAxioms:
         assert dict(rep.details)["ax4_uniqueness_survivors"] > 0
 
     def test_one_decomposition_per_axiom4_trial(self, eigen_calls):
-        # a trial makes 7 orthogonality residuals of 2 eigh each, plus one
-        # eigh in orthogonal_triple, jordan, sample_positive and
-        # dominated_sample; the uniqueness check reuses jordan's parts
+        # a trial makes 8 eigh: jordan(u), whose parts serve axioms 1 and 4,
+        # orthogonal_triple, |ut| and |vt| (shared by axioms 2, 3 and 5),
+        # |k vt + wt|, sample_positive, dominated_sample (which decomposes vt
+        # again for its eigenbasis) and |w5|; the Jordan parts and their
+        # perturbations are positive, so none of them is decomposed
         check_axioms(MatrixSaModel(4), trials=10)
-        assert eigen_calls["eigh"] == 10 * 18
+        assert eigen_calls["eigh"] == 10 * 8
 
 
 class TestCheckTheorem7:
@@ -126,12 +130,12 @@ class TestCheckTheorem7:
         assert rep.holds
 
     def test_eigensolver_calls(self, eigen_calls):
-        # a trial: 10 eigh (jordan, a square root per part, orthogonal_triple,
-        # |v + w|, |v - w| and their two residuals of 2 each), 4 eigvalsh
-        # (the norms of the endpoints, then of the 8 samples) and 3 qr (the
-        # samples of each part, orthogonal_triple)
+        # a trial: 7 eigh (jordan, a square root per part, orthogonal_triple,
+        # |ut|, |v + w| and |v - w|), 4 eigvalsh (the norms of the endpoints,
+        # then of the 8 samples) and 3 qr (the samples of each part,
+        # orthogonal_triple)
         check_theorem7(MatrixSaModel(4), trials=10, seed=3)
-        assert dict(eigen_calls) == {"eigh": 100, "eigvalsh": 40, "qr": 30}
+        assert dict(eigen_calls) == {"eigh": 70, "eigvalsh": 40, "qr": 30}
 
     def test_parts_verdict_is_the_shared_sampled_check(self, monkeypatch):
         calls = []

@@ -114,11 +114,14 @@ class TestOrtho:
         assert "(2, 2)" in err and "(3, 3)" in err
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
         good = tmp_path / "good.json"
         good.write_text(json.dumps(matrix_to_json(np.eye(2).astype(complex))))
-        assert main(["ortho", "--a", str(bad), "--b", str(good)]) == 2
+        bad = tmp_path / "bad.json"
+        # not JSON, an n too large to allocate, not an object, a null n
+        for text in ("{not json", '{"n": 1000000000, "re": [[1.0]]}', "[1, 2]",
+                     '{"n": null, "re": [[1.0]]}'):
+            bad.write_text(text)
+            assert main(["ortho", "--a", str(bad), "--b", str(good)]) == 2
 
     def test_asymmetric_input_warns(self, tmp_path, capsys):
         p = tmp_path / "m.json"

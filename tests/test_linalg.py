@@ -295,8 +295,18 @@ class TestMatrixJson:
         assert np.array_equal(m, np.diag([1.0, 2.0]).astype(complex))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matrix_from_json({"n": 3, "re": [[1.0]]})
+        # a missing "im" is built from "re"'s shape, never from n, so a huge
+        # n is rejected before anything of its size is allocated
+        for n in (3, 1000000000):
+            with pytest.raises(DimensionMismatch):
+                matrix_from_json({"n": n, "re": [[1.0]]})
+
+    @pytest.mark.parametrize("obj", [[1, 2], {"n": None, "re": [[1.0]]},
+                                     {"n": 1, "re": {"a": 1.0}}],
+                             ids=["array", "null_n", "object_re"])
+    def test_wrong_types_rejected(self, obj):
+        with pytest.raises(ValueError, match="must be an object"):
+            matrix_from_json(obj)
 
 
 class TestRandomHelpers:
