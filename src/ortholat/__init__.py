@@ -43,8 +43,7 @@ from .orthogonality import (
 from .ortholattice import (
     WitnessResult,
     kadison_witness_search,
-    ortho_inf,
-    ortho_sup,
+    ortho_inf_sup,
     verify_theorem4,
 )
 from .axioms import check_axioms, check_theorem7

@@ -20,7 +20,7 @@ from .linalg import (
     matrix_to_json,
     rel_diff,
 )
-from .ortholattice import kadison_witness_search, ortho_inf, ortho_sup, verify_theorem4
+from .ortholattice import kadison_witness_search, ortho_inf_sup, verify_theorem4
 from .suites import SUITES, run_suites
 from .tolerances import DEFAULT_TOL
 
@@ -134,12 +134,13 @@ def cmd_ortho(args) -> int:
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
     b = _load_hermitian(args.b, tol)
+    inf, sup = ortho_inf_sup(a, b)
     rep = verify_theorem4(a, b, seed=seed, tol=tol)
     report = {
         "command": "ortho",
         "seed": seed,
-        "inf": matrix_to_json(ortho_inf(a, b)),
-        "sup": matrix_to_json(ortho_sup(a, b)),
+        "inf": matrix_to_json(inf),
+        "sup": matrix_to_json(sup),
         "theorem4": rep.to_json(),
     }
     _emit(report, args.out)

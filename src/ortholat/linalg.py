@@ -211,12 +211,14 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     """The matrix of an {"n", "re", "im"} object or its text ("im" defaults
-    to zero); ValueError on a non-object or a field of the wrong type,
-    DimensionMismatch unless both parts are n x n."""
+    to zero); ValueError on a non-object, an n that is not an integer or a
+    field of the wrong type, DimensionMismatch unless both parts are n x n."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n is {n!r}, not an integer")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
     except TypeError as exc:

@@ -25,24 +25,20 @@ from .orthogonality import OrthReport
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
-    "ortho_inf",
-    "ortho_sup",
+    "ortho_inf_sup",
     "verify_theorem4",
     "WitnessResult",
     "kadison_witness_search",
 ]
 
 
-def ortho_inf(a, b) -> np.ndarray:
-    """(a + b - |a - b|) / 2, the ortho-infimum."""
+def ortho_inf_sup(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(inf, sup) = ((a + b - |a - b|) / 2, (a + b + |a - b|) / 2), the
+    ortho-infimum and ortho-supremum, from one absolute value of a - b.
+    verify_theorem4 takes its own."""
     model, x, y = carrier_operands(a, b)
-    return (x + y - model.jordan(x - y)[2]) / 2.0
-
-
-def ortho_sup(a, b) -> np.ndarray:
-    """(a + b + |a - b|) / 2, the ortho-supremum."""
-    model, x, y = carrier_operands(a, b)
-    return (x + y + model.jordan(x - y)[2]) / 2.0
+    abs_x = model.jordan(x - y)[2]
+    return (x + y - abs_x) / 2.0, (x + y + abs_x) / 2.0
 
 
 def verify_theorem4(a, b, trials: int = 10, seed: int = 0,

@@ -19,8 +19,7 @@ from ortholat.linalg import (
 from ortholat.orthogonality import abs_infty_orth_sampled
 from ortholat.ortholattice import (
     kadison_witness_search,
-    ortho_inf,
-    ortho_sup,
+    ortho_inf_sup,
     verify_theorem4,
 )
 from ortholat.suites import (
@@ -87,13 +86,13 @@ def test_criterion_4_theorem4_suite():
 
 
 def test_criterion_5_closed_form_fixture():
-    dev = float(np.max(np.abs(ortho_inf(S_FIX, T_FIX) - INF_FIX)))
+    dev = float(np.max(np.abs(ortho_inf_sup(S_FIX, T_FIX)[0] - INF_FIX)))
     report(5, dev <= 1e-9, f"entrywise deviation {dev:.2e}")
 
 
 def test_criterion_6_kadison_witness():
     res = kadison_witness_search(S_FIX, T_FIX)
-    oracle = grid_search_witness_oracle(S_FIX, T_FIX, ortho_inf(S_FIX, T_FIX))
+    oracle = grid_search_witness_oracle(S_FIX, T_FIX, ortho_inf_sup(S_FIX, T_FIX)[0])
     report(6, res.found and res.margin >= 1e-3 and oracle,
            f"witness margin {res.margin:.4f}, grid oracle found witness: {oracle}")
 
@@ -148,12 +147,11 @@ def test_criterion_8_lattice_model():
             v[:split] = 0.0
             ok = abs_infty_orth_sampled(u, v, trials=10, seed=8200 + i).holds
         else:
-            w = ortho_inf(u, v)
+            w = ortho_inf_sup(u, v)[0]
             ok = not abs_infty_orth_sampled(w, w, trials=1).holds
         if not ok:
             failures += 1
-        c = ortho_inf(np.diag(x).astype(complex), np.diag(y).astype(complex))
-        d = ortho_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
+        c, d = ortho_inf_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
         worst_bridge = max(
             worst_bridge,
             float(np.max(np.abs(np.diag(c).real - np.minimum(x, y)))),

@@ -11,7 +11,7 @@ from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, 
 from ortholat.errors import DimensionMismatch, NotPositive
 from ortholat.linalg import random_hermitian, rng_for
 from ortholat.orthogonality import abs_infty_orth_sampled, alg_orth_sa
-from ortholat.ortholattice import kadison_witness_search, ortho_inf, ortho_sup, verify_theorem4
+from ortholat.ortholattice import kadison_witness_search, ortho_inf_sup, verify_theorem4
 from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
 
@@ -39,42 +39,42 @@ class TestVectorProperties:
     @given(_vector_pairs())
     def test_power_of_two_equivariance(self, pair):
         x, y, s = pair
-        for op in (ortho_inf, ortho_sup):
-            assert op(s * x, s * y).tobytes() == (s * op(x, y)).tobytes()
+        for got, want in zip(ortho_inf_sup(s * x, s * y), ortho_inf_sup(x, y)):
+            assert got.tobytes() == (s * want).tobytes()
 
     @_property
     @given(_vector_pairs())
     def test_close_to_min_max(self, pair):
         x, y, _ = pair
         bound = 2.0 * EPS * np.maximum(np.abs(x), np.abs(y))
-        assert np.all(np.abs(ortho_inf(x, y) - np.minimum(x, y)) <= bound)
-        assert np.all(np.abs(ortho_sup(x, y) - np.maximum(x, y)) <= bound)
+        c, d = ortho_inf_sup(x, y)
+        assert np.all(np.abs(c - np.minimum(x, y)) <= bound)
+        assert np.all(np.abs(d - np.maximum(x, y)) <= bound)
 
     @_property
     @given(_vector_pairs())
     def test_diagonal_matrices_match_vectors(self, pair):
         x, y, _ = pair
-        for op in (ortho_inf, ortho_sup):
-            c = op(np.diag(x), np.diag(y))
-            assert np.array_equal(np.diag(c).real, op(x, y))
+        for c, cx in zip(ortho_inf_sup(np.diag(x), np.diag(y)), ortho_inf_sup(x, y)):
+            assert np.array_equal(np.diag(c).real, cx)
             assert np.array_equal(c, np.diag(np.diag(c)))
 
 
 class TestVectorOrthoLattice:
     def test_meet_join(self):
-        x, y = np.array([3.0, -1.0]), np.array([1.0, 2.0])
-        assert np.array_equal(ortho_inf(x, y), [1.0, -1.0])
-        assert np.array_equal(ortho_sup(x, y), [3.0, 2.0])
+        c, d = ortho_inf_sup(np.array([3.0, -1.0]), np.array([1.0, 2.0]))
+        assert np.array_equal(c, [1.0, -1.0])
+        assert np.array_equal(d, [3.0, 2.0])
 
     def test_idempotent(self):
         x = np.array([1.0, 2.0, -3.0])
-        assert np.array_equal(ortho_inf(x, x), x)
-        assert np.array_equal(ortho_sup(x, x), x)
+        for m in ortho_inf_sup(x, x):
+            assert np.array_equal(m, x)
 
     def test_join_norm_law(self):
         # an AM-space law on positives: ||u sup v|| = max(||u||, ||v||)
         u, v = np.array([1.0, 0.0]), np.array([0.0, 0.5])
-        assert sup_norm(ortho_sup(u, v)) == max(sup_norm(u), sup_norm(v))
+        assert sup_norm(ortho_inf_sup(u, v)[1]) == max(sup_norm(u), sup_norm(v))
 
 
 class TestCorollary5:
@@ -121,7 +121,7 @@ class TestProp6:
 
     def test_overlap_witness(self):
         # w = u inf v = (0,1): ||w + w|| = 2 != 1 = ||w||
-        w = ortho_inf([1.0, 1.0], [0.0, 1.0])
+        w = ortho_inf_sup([1.0, 1.0], [0.0, 1.0])[0]
         assert np.array_equal(w, [0.0, 1.0])
         rep = abs_infty_orth_sampled(w, w, trials=1)
         assert not rep.holds
@@ -165,7 +165,10 @@ def uniqueness_falsify(a, b):
         return verify_theorem4(a, b, trials=10, seed=0)
 
 
-PAIR_CHECKS = [ortho_inf, ortho_sup, verify_theorem4, uniqueness_falsify,
+# one id for each of the two results of ortho_inf_sup
+PAIR_CHECKS = [pytest.param(lambda a, b: ortho_inf_sup(a, b)[0], id="ortho_inf"),
+               pytest.param(lambda a, b: ortho_inf_sup(a, b)[1], id="ortho_sup"),
+               verify_theorem4, uniqueness_falsify,
                kadison_witness_search, abs_infty_orth_sampled]
 
 
@@ -229,9 +232,15 @@ class TestBridge:
 
     def test_suite_bound_is_tol_eq(self, monkeypatch):
         # the suite binds the name at import, so patch that binding; only
-        # the matrix carrier's result moves
+        # the matrix carrier's inf moves
         def shifted(a, b):
-            return ortho_inf(a, b) + (1e-10 if np.ndim(a) == 2 else 0.0)
-        monkeypatch.setattr(ortholat.suites, "ortho_inf", shifted)
+            c, d = ortho_inf_sup(a, b)
+            return c + (1e-10 if np.ndim(a) == 2 else 0.0), d
+        monkeypatch.setattr(ortholat.suites, "ortho_inf_sup", shifted)
         assert suite_bridge(4, 20, 1)["pass"]
         assert not suite_bridge(4, 20, 1, DEFAULT_TOL.override(tol_eq=1e-11))["pass"]
+
+    def test_one_decomposition_per_trial(self, eigen_calls):
+        # one eigh for the matrix carrier's pair; the vectors need none
+        suite_bridge(4, 500, 42)
+        assert dict(eigen_calls) == {"eigh": 500}

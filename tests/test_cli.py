@@ -81,6 +81,14 @@ class TestOrtho:
         assert len(report["theorem4"]["details"]) == 5
         assert report["theorem4"]["details"][4] == ["uniqueness_survivors", 0.0]
 
+    def test_eigen_calls(self, matrix_file, capsys, eigen_calls):
+        # one eigh of a - b for the inf and sup fields and one for Theorem 4's
+        # check, with the two cone defects of its existence half; every one
+        # of the 10 perturbations is settled by the zero product
+        a, b = matrix_file("s.json", S), matrix_file("t.json", T)
+        assert main(["ortho", "--a", a, "--b", b, "--seed", "7"]) == 0
+        assert dict(eigen_calls) == {"eigh": 2, "eigvalsh": 2}
+
     def test_determinism(self, matrix_file, capsys):
         a, b = matrix_file("s.json", S), matrix_file("t.json", T)
         outs = []
@@ -117,9 +125,12 @@ class TestOrtho:
         good = tmp_path / "good.json"
         good.write_text(json.dumps(matrix_to_json(np.eye(2).astype(complex))))
         bad = tmp_path / "bad.json"
-        # not JSON, an n too large to allocate, not an object, a null n
+        # not JSON, an n too large to allocate, not an object, an n that is
+        # null, fractional, boolean or a string
         for text in ("{not json", '{"n": 1000000000, "re": [[1.0]]}', "[1, 2]",
-                     '{"n": null, "re": [[1.0]]}'):
+                     '{"n": null, "re": [[1.0]]}',
+                     '{"n": 2.9, "re": [[1.0, 0.0], [0.0, -1.0]]}',
+                     '{"n": true, "re": [[1.0]]}', '{"n": "1", "re": [[1.0]]}'):
             bad.write_text(text)
             assert main(["ortho", "--a", str(bad), "--b", str(good)]) == 2
 

@@ -302,8 +302,12 @@ class TestMatrixJson:
                 matrix_from_json({"n": n, "re": [[1.0]]})
 
     @pytest.mark.parametrize("obj", [[1, 2], {"n": None, "re": [[1.0]]},
-                                     {"n": 1, "re": {"a": 1.0}}],
-                             ids=["array", "null_n", "object_re"])
+                                     {"n": 1, "re": {"a": 1.0}},
+                                     {"n": 2.9, "re": [[1.0, 0.0], [0.0, -1.0]]},
+                                     {"n": True, "re": [[1.0]]},
+                                     {"n": "1", "re": [[1.0]]}],
+                             ids=["array", "null_n", "object_re", "float_n", "bool_n",
+                                  "string_n"])
     def test_wrong_types_rejected(self, obj):
         with pytest.raises(ValueError, match="must be an object"):
             matrix_from_json(obj)

@@ -32,8 +32,7 @@ from ortholat.linalg import (
 from ortholat.orthogonality import OrthReport
 from ortholat.ortholattice import (
     kadison_witness_search,
-    ortho_inf,
-    ortho_sup,
+    ortho_inf_sup,
     verify_theorem4,
 )
 from ortholat.suites import run_suite, suite_theorem4
@@ -59,45 +58,61 @@ BARELY_S = BARELY_T + np.diag([1.0, -2e-9])
 
 class TestOrthoInfSup:
     def test_diagonal_is_coordinatewise(self):
-        a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        assert np.allclose(ortho_inf(a, b), np.diag([1.0, 1.0]))
-        assert np.allclose(ortho_sup(a, b), np.diag([3.0, 2.0]))
+        c, d = ortho_inf_sup(np.diag([3.0, 1.0]), np.diag([1.0, 2.0]))
+        assert np.allclose(c, np.diag([1.0, 1.0]))
+        assert np.allclose(d, np.diag([3.0, 2.0]))
 
     def test_idempotent(self):
         a = random_hermitian(4, rng_for(60))
-        assert rel_diff(ortho_inf(a, a), a) <= 1e-12
-        assert rel_diff(ortho_sup(a, a), a) <= 1e-12
+        for m in ortho_inf_sup(a, a):
+            assert rel_diff(m, a) <= 1e-12
 
     def test_closed_form_fixture(self):
-        assert np.max(np.abs(ortho_inf(S_FIX, T_FIX) - INF_FIX)) <= 1e-9
-        assert np.max(np.abs(ortho_sup(S_FIX, T_FIX) - SUP_FIX)) <= 1e-9
+        c, d = ortho_inf_sup(S_FIX, T_FIX)
+        assert np.max(np.abs(c - INF_FIX)) <= 1e-9
+        assert np.max(np.abs(d - SUP_FIX)) <= 1e-9
+
+    @pytest.mark.parametrize("pair", [
+        lambda rng: (random_hermitian(5, rng), random_hermitian(5, rng)),
+        lambda rng: (rng.standard_normal(7), rng.standard_normal(7)),
+    ], ids=["matrix", "coordinate"])
+    def test_closed_forms_of_one_absolute_value(self, pair):
+        # the inf and the sup are the two closed forms over the one |x - y|
+        # that model.jordan gives, bit for bit
+        for i in range(20):
+            a, b = pair(rng_for(59, i))
+            model, x, y = ortholat.carriers.carrier_operands(a, b)
+            abs_d = model.jordan(x - y)[2]
+            c, d = ortho_inf_sup(a, b)
+            assert np.array_equal(c, (x + y - abs_d) / 2.0)
+            assert np.array_equal(d, (x + y + abs_d) / 2.0)
 
     def test_algebraic_identities(self):
         for i in range(50):
             rng = rng_for(61, i)
             n = int(rng.integers(2, 9))
             a, b = random_hermitian(n, rng), random_hermitian(n, rng)
-            c, d = ortho_inf(a, b), ortho_sup(a, b)
-            assert rel_diff(c, ortho_inf(b, a)) <= 1e-12
+            c, d = ortho_inf_sup(a, b)
+            assert rel_diff(c, ortho_inf_sup(b, a)[0]) <= 1e-12
             assert rel_diff(c + d, a + b) <= 1e-12
             assert rel_diff(d - c, jordan_decompose(a - b)[2]) <= 1e-12
             # the negation duality and the sup-side facts, which
             # verify_theorem4 covers through d - a = b - c, d - b = a - c
-            assert rel_diff(d, -ortho_inf(-a, -b)) <= 1e-12
+            assert rel_diff(d, -ortho_inf_sup(-a, -b)[0]) <= 1e-12
             assert loewner_le(a, d) and loewner_le(b, d)
             assert zero_product_residual(d - a, d - b) <= DEFAULT_TOL.tol_zero
             # translation covariance and positive scaling
             t = random_hermitian(n, rng)
-            assert rel_diff(ortho_inf(a + t, b + t), c + t) <= 1e-11
+            assert rel_diff(ortho_inf_sup(a + t, b + t)[0], c + t) <= 1e-11
             s = float(rng.uniform(0.1, 5.0))
-            assert rel_diff(ortho_inf(s * a, s * b), s * c) <= 1e-11
+            assert rel_diff(ortho_inf_sup(s * a, s * b)[0], s * c) <= 1e-11
 
     def test_duality_on_vectors_is_exact(self):
         # negation is exact and |y - x| = |x - y| bit for bit on R^n
         for i in range(50):
             rng = rng_for(66, i)
             x, y = rng.standard_normal(7), rng.standard_normal(7)
-            assert np.array_equal(ortho_sup(x, y), -ortho_inf(-x, -y))
+            assert np.array_equal(ortho_inf_sup(x, y)[1], -ortho_inf_sup(-x, -y)[0])
 
     def test_commuting_pair_is_simultaneous_min(self):
         for i in range(20):
@@ -107,14 +122,15 @@ class TestOrthoInfSup:
             a = u @ np.diag(da).astype(complex) @ u.conj().T
             b = u @ np.diag(db).astype(complex) @ u.conj().T
             want = u @ np.diag(np.minimum(da, db)).astype(complex) @ u.conj().T
-            assert rel_diff(ortho_inf(a, b), want) <= DEFAULT_TOL.tol_eq
+            assert rel_diff(ortho_inf_sup(a, b)[0], want) <= DEFAULT_TOL.tol_eq
 
     def test_ordered_pair(self):
         rng = rng_for(63)
         a = random_hermitian(4, rng)
         b = a + random_psd(4, rng)
-        assert rel_diff(ortho_inf(a, b), a) <= DEFAULT_TOL.tol_eq
-        assert rel_diff(ortho_sup(a, b), b) <= DEFAULT_TOL.tol_eq
+        c, d = ortho_inf_sup(a, b)
+        assert rel_diff(c, a) <= DEFAULT_TOL.tol_eq
+        assert rel_diff(d, b) <= DEFAULT_TOL.tol_eq
 
 
 class TestVerifyTheorem4:
@@ -190,15 +206,14 @@ class TestUniquenessFalsify:
     def test_manual_upward_perturbation(self):
         # c = diag(1,1); c + diag(0.1, 0) stays below a but not below b
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        c = ortho_inf(a, b)
-        ci = c + np.diag([0.1, 0.0])
+        ci = ortho_inf_sup(a, b)[0] + np.diag([0.1, 0.0])
         assert loewner_le(ci, a)
         assert not loewner_le(ci, b)
 
     def test_manual_downward_perturbation(self):
         # pushing the infimum down breaks residual orthogonality
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
-        ci = ortho_inf(a, b) - np.diag([0.1, 0.0])
+        ci = ortho_inf_sup(a, b)[0] - np.diag([0.1, 0.0])
         assert loewner_le(ci, a) and loewner_le(ci, b)
         assert zero_product_residual(a - ci, b - ci) > DEFAULT_TOL.tol_zero
 
@@ -222,7 +237,7 @@ def _uniqueness_reference(a, b, trials=10, seed=0, tol=DEFAULT_TOL):
     three checks on every perturbation: any ratio above 1 falsifies it, all
     three at most 1 make it survive, and anything else (a NaN ratio) raises."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
-    c = ortho_inf(ah, bh)
+    c = ortho_inf_sup(ah, bh)[0]
     gap = frob(ah - bh)
     if gap <= tol.tol_eq:
         return 0.0
@@ -351,7 +366,7 @@ class TestUniquenessReference:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
             verify_theorem4(a, b, trials=1)
         assert len(residuals) == 1
-        assert np.array_equal(residuals[0], hermitian_matrix(a) - ortho_inf(a, b))
+        assert np.array_equal(residuals[0], hermitian_matrix(a) - ortho_inf_sup(a, b)[0])
 
     @pytest.mark.parametrize("seed", [42, 1, 2])
     def test_theorem4_suite_unchanged(self, seed, monkeypatch):
@@ -422,10 +437,10 @@ class TestKadisonWitnessSearch:
         assert res.margin >= 1e-3
         assert loewner_le(res.m, S_FIX)
         assert loewner_le(res.m, T_FIX)
-        assert not loewner_le(res.m, ortho_inf(S_FIX, T_FIX))
+        assert not loewner_le(res.m, ortho_inf_sup(S_FIX, T_FIX)[0])
 
     def test_oracle_confirms_existence(self):
-        assert grid_search_witness_oracle(S_FIX, T_FIX, ortho_inf(S_FIX, T_FIX))
+        assert grid_search_witness_oracle(S_FIX, T_FIX, ortho_inf_sup(S_FIX, T_FIX)[0])
 
     def test_comparable_pair_rejected(self):
         with pytest.raises(ComparablePair):
@@ -458,7 +473,7 @@ class TestKadisonWitnessSearch:
         assert res.found
         assert res.checks["le_S"] <= slack and res.checks["le_T"] <= slack
         assert loewner_le(res.m, s) and loewner_le(res.m, t)
-        assert not loewner_le(res.m, ortho_inf(s, t))
+        assert not loewner_le(res.m, ortho_inf_sup(s, t)[0])
         assert res.margin == -res.checks["not_le_c"] > slack
 
     def test_eigen_calls(self, eigen_calls):
@@ -550,13 +565,13 @@ class TestWitnessMargin:
 
 def _witness_reference(s, t, tol: Tolerances = DEFAULT_TOL):
     """The witness built from its definition at unit scale: c = S inf T by
-    ortho_inf, the top eigenpairs of P = (S-T)^+ and N = (S-T)^- each by
+    ortho_inf_sup, the top eigenpairs of P = (S-T)^+ and N = (S-T)^- each by
     its own Jacobi eigendecomposition, and the checks by Jacobi eigenvalues.
     Returns (found, margin, checks), rescaled."""
     sh, th = hermitian_matrix(s), hermitian_matrix(t)
     scale = max(np.abs(sh).max(), np.abs(th).max())
     su, tu = sh / scale, th / scale
-    c = ortho_inf(su, tu)
+    c = ortho_inf_sup(su, tu)[0]
     pos, neg, _ = jordan_decompose(su - tu)
     p, q = jacobi_eigendecompose(pos), jacobi_eigendecompose(neg)
     lam = min(p.eigenvalues[-1], q.eigenvalues[-1])
