@@ -3,6 +3,9 @@ Loewner order, and R^n with the coordinatewise order. A model holds what the
 carriers do differently (input checks, the Jordan parts of one
 decomposition, the cone defect, the zero-product residual, the norms and
 the samplers), so every check built on it is written once for both.
+`element`, `jordan`, `cone_defect`, `zero_product`, `rel_diff`, `norm`
+and `vector_norm` also take stacks of elements along leading axes, and give
+each element of a stack bit for bit what it gets alone.
 
 `carrier_operands` picks the model from the operands: a 1-D array is a
 vector of R^n, anything else must be a square matrix.
@@ -13,6 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
 from .linalg import (
+    _pymax,
+    _scalar,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -22,6 +27,7 @@ from .linalg import (
     random_complex,
     random_hermitian,
     random_unitary,
+    rel_diff,
     sqrt_psd,
     zero_product_residual,
 )
@@ -46,9 +52,10 @@ def sup_norm(x):
 
 
 def lattice_vector(v) -> np.ndarray:
-    """Validate a real vector with finite entries."""
+    """Validate a real vector, or a stack of them along leading axes, with
+    finite entries."""
     x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
+    if x.ndim < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
@@ -103,7 +110,8 @@ class BoxSampler:
 
 class _Carrier:
     """What the carriers share: orthogonality is the zero-product residual
-    of the absolute values."""
+    of the absolute values. An element has `rank` axes; `element` validates
+    one element or a stack of them."""
 
     def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
         self.n = n
@@ -117,9 +125,11 @@ class MatrixSaModel(_Carrier):
     """Hermitian matrices with the Loewner order and unit I."""
 
     carrier = "matrix-sa"
+    rank, kind = 2, "a square matrix"
     element = staticmethod(hermitian_matrix)   # validated and symmetrized
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
+    rel_diff = staticmethod(rel_diff)
 
     def sample(self, rng):
         return random_hermitian(self.n, rng)
@@ -131,10 +141,10 @@ class MatrixSaModel(_Carrier):
         """(pos, neg, abs) of x from one eigendecomposition."""
         return jordan_decompose(x)
 
-    def cone_defect(self, x) -> float:
+    def cone_defect(self, x):
         return psd_defect(x)
 
-    def zero_product(self, x, y) -> float:
+    def zero_product(self, x, y):
         return zero_product_residual(x, y)
 
     def interval_sampler(self, a, name: str):
@@ -172,6 +182,7 @@ class CoordinateModel(_Carrier):
     """R^n with coordinatewise order, sup norm, and unit (1, ..., 1)."""
 
     carrier = "coordinate"
+    rank, kind = 1, "a 1-D vector"
     element = staticmethod(lattice_vector)
     norm = staticmethod(sup_norm)
     vector_norm = staticmethod(sup_norm)
@@ -185,16 +196,20 @@ class CoordinateModel(_Carrier):
     def jordan(self, x):
         return np.maximum(x, 0.0), np.maximum(-x, 0.0), np.abs(x)
 
-    def cone_defect(self, x) -> float:
-        lo = float(np.min(x, initial=0.0))
-        return max(0.0, -lo) / max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    def cone_defect(self, x):
+        lo = x.min(-1, initial=0.0)
+        return _scalar(_pymax(0.0, -lo) / _pymax(1.0, sup_norm(x)))
 
-    def zero_product(self, x, y) -> float:
+    def zero_product(self, x, y):
         """max_i min(|x_i|, |y_i|) / max(1, ||x|| ||y||): the lattice meet
         |x| ^ |y| stands in for the product, which vanishes with it."""
-        overlap = float(np.max(np.minimum(np.abs(x), np.abs(y)), initial=0.0))
-        return overlap / max(1.0, float(np.max(np.abs(x), initial=0.0))
-                             * float(np.max(np.abs(y), initial=0.0)))
+        overlap = np.minimum(np.abs(x), np.abs(y)).max(-1, initial=0.0)
+        return _scalar(overlap / _pymax(1.0, sup_norm(x) * sup_norm(y)))
+
+    def rel_diff(self, x, y):
+        """linalg.rel_diff of the vectors as one-column matrices, so in the
+        Euclidean norm."""
+        return rel_diff(x[..., None], y[..., None])
 
     def interval_sampler(self, a, name: str):
         require_positive(self.cone_defect(a), name, self.tol)
@@ -222,8 +237,16 @@ class BrokenOrthModel(CoordinateModel):
 
     carrier = "broken"
 
-    def zero_product(self, x, y) -> float:
-        return 0.0
+    def zero_product(self, x, y):
+        return _scalar(np.zeros(np.shape(x)[:-1]))
+
+
+def _operand(model, v):
+    """v as one element of the model: its element() also takes stacks."""
+    x = model.element(v)
+    if x.ndim != model.rank:
+        raise DimensionMismatch(f"expected {model.kind}, got shape {x.shape}")
+    return x
 
 
 def carrier_operands(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -232,7 +255,7 @@ def carrier_operands(a, b, tol: Tolerances = DEFAULT_TOL):
     DimensionMismatch on a shape outside the carrier or two shapes that
     differ."""
     model = CoordinateModel if np.ndim(a) == 1 else MatrixSaModel
-    x, y = model.element(a), model.element(b)
+    x, y = _operand(model, a), _operand(model, b)
     if x.shape != y.shape:
         raise DimensionMismatch(f"dimension mismatch: {x.shape} vs {y.shape}")
     return model(len(x), tol), x, y

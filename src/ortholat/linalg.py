@@ -2,7 +2,10 @@
 decomposition and square roots, norms, Loewner-order predicates, and JSON I/O.
 
 All operations are pure functions of ndarrays; matrices are square complex
-arrays and Hermitian inputs are symmetrized at the boundary.
+arrays and Hermitian inputs are symmetrized at the boundary. The validators,
+the norms and residuals, the Jordan parts, `abs_general`, `embed_offdiag` and
+`psd_defect` also take stacks of matrices along leading axes, and give each
+matrix of a stack bit for bit what it gets alone.
 """
 from __future__ import annotations
 
@@ -42,38 +45,73 @@ __all__ = [
 # construction / validation
 
 def complex_matrix(m) -> np.ndarray:
-    """Validate a square complex matrix with finite entries."""
+    """Validate a square complex matrix, or a stack of them along leading
+    axes, with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
+def _pymax(first, *rest):
+    """Python's max(first, *rest), elementwise over arrays: a later value
+    replaces the running one only where it is larger, so a NaN after the
+    first value is passed over and of two equal zeros the first is kept."""
+    if all(isinstance(r, float) for r in (first, *rest)):
+        return max(first, *rest)
+    for r in rest:
+        first = np.where(r > first, r, first)
+    return first
+
+
+def _scalar(r):
+    """A kernel's result: a Python float for one element, as the kernels
+    gave before they took stacks, and the array for a stack."""
+    return r if isinstance(r, np.ndarray) and r.ndim else float(r)
+
+
 def hermitian_matrix(m) -> np.ndarray:
     """Validate and symmetrize: returns M/2 + M*/2, which cannot overflow."""
     h = complex_matrix(m) / 2.0
-    return h + h.conj().T
+    herm = np.conjugate(h.mT, order="C")   # M*/2 in one pass, not conj() then add
+    herm += h
+    return herm
 
 
 # ---------------------------------------------------------------------------
 # norms and residuals
 
-def frob(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+def frob(x):
+    """Frobenius norm of a matrix, or of each matrix of a stack along the
+    leading axes: bit for bit np.linalg.norm of each, which sums the squares
+    in memory order (so a transposed view is read column by column), real
+    parts before imaginary parts. One matrix takes np.linalg.norm itself."""
+    x = np.asarray(x)
+    if x.ndim == 2:
+        return float(np.linalg.norm(x))
+    if x.strides[-2] < x.strides[-1]:   # column-major matrices
+        x = x.mT
+    flat = np.ascontiguousarray(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)))
+    if np.iscomplexobj(flat):
+        re, im = flat.real, flat.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
-def rel_diff(x: np.ndarray, y: np.ndarray) -> float:
-    """Relative Frobenius distance ||X-Y|| / max(1, ||X||, ||Y||)."""
-    return frob(x - y) / max(1.0, frob(x), frob(y))
+def rel_diff(x: np.ndarray, y: np.ndarray):
+    """Relative Frobenius distance ||X-Y|| / max(1, ||X||, ||Y||), of two
+    matrices or of each pair of two stacks."""
+    return frob(x - y) / _pymax(1.0, frob(x), frob(y))
 
 
-def zero_product_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """||ab|| / max(1, ||a||*||b||), the toleranced 'ab = 0' residual."""
+def zero_product_residual(a: np.ndarray, b: np.ndarray):
+    """||ab|| / max(1, ||a||*||b||), the toleranced 'ab = 0' residual, of
+    two matrices or of each pair of two stacks of one shape."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return frob(a @ b) / max(1.0, frob(a) * frob(b))
+    return frob(a @ b) / _pymax(1.0, frob(a) * frob(b))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +119,8 @@ def zero_product_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) with an orthonormal eigenbasis in columns."""
+    """Eigenvalues (ascending) with an orthonormal eigenbasis in columns, of
+    one matrix or of each matrix of a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -90,16 +129,16 @@ class Spectrum:
         """(pos, neg, abs) of the decomposed matrix: pos - neg is the
         matrix, pos * neg = 0 and abs = pos + neg."""
         u = self.eigenvectors
-        wp = np.maximum(self.eigenvalues, 0.0)
-        wn = np.maximum(-self.eigenvalues, 0.0)
-        pos = hermitian_matrix((u * wp) @ u.conj().T)
-        neg = hermitian_matrix((u * wn) @ u.conj().T)
+        wp = np.maximum(self.eigenvalues, 0.0)[..., None, :]
+        wn = np.maximum(-self.eigenvalues, 0.0)[..., None, :]
+        pos = hermitian_matrix((u * wp) @ u.conj().mT)
+        neg = hermitian_matrix((u * wn) @ u.conj().mT)
         return pos, neg, pos + neg
 
 
 def hermitian_eigendecompose(a) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh),
-    eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (LAPACK via numpy.linalg.eigh), eigenvalues ascending."""
     h = hermitian_matrix(a)
     try:
         w, u = np.linalg.eigh(h)
@@ -139,33 +178,37 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def abs_general(x) -> np.ndarray:
     """|x| = (x* x)^(1/2) = V diag(s) V* for an arbitrary square complex x,
-    from its singular value decomposition x = U diag(s) V* (LAPACK gesdd,
-    not the eigensolver): no singular value is clamped, however small."""
+    or each matrix of a stack, from its singular value decomposition
+    x = U diag(s) V* (LAPACK gesdd, not the eigensolver): no singular value
+    is clamped, however small."""
     try:
         _, s, vh = np.linalg.svd(complex_matrix(x))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - svd rarely fails
         raise NoConvergence(str(exc)) from exc
-    return hermitian_matrix((vh.conj().T * s) @ vh)
+    return hermitian_matrix((vh.conj().mT * s[..., None, :]) @ vh)
 
 
 def embed_offdiag(a) -> np.ndarray:
-    """The 2n x 2n Hermitian block matrix [[0, a], [a*, 0]]."""
+    """The 2n x 2n Hermitian block matrix [[0, a], [a*, 0]], of a matrix or
+    of each matrix of a stack."""
     m = complex_matrix(a)
-    n = m.shape[0]
-    z = np.zeros((n, n), dtype=complex)
-    return np.block([[z, m], [m.conj().T, z]])
+    n = m.shape[-1]
+    out = np.zeros(m.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, n:] = m
+    out[..., n:, :n] = m.conj().mT
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cone defect
 
-def psd_defect(a) -> float:
-    """Relative depth of the most negative eigenvalue (0 for PSD input)."""
+def psd_defect(a):
+    """Relative depth of the most negative eigenvalue (0 for PSD input), of
+    a matrix or of each matrix of a stack."""
     w = np.linalg.eigvalsh(hermitian_matrix(a))
-    if w.size == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return max(0.0, -float(w[0])) / scale
+    scale = _pymax(1.0, np.abs(w).max(-1, initial=0.0))
+    lowest = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
+    return _scalar(_pymax(0.0, -lowest) / scale)
 
 
 # ---------------------------------------------------------------------------

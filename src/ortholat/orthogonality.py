@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carriers import carrier_operands, require_positive
-from .errors import InternalInconsistency, PreconditionFailed
+from .carriers import MatrixSaModel, carrier_operands, require_positive
+from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     abs_general,
     complex_matrix,
     embed_offdiag,
-    rel_diff,
     rng_for,
     zero_product_residual,
 )
@@ -133,6 +132,22 @@ def alg_orth_sa(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     return OrthReport("alg_orth_sa", r <= tol.tol_zero, r, [("|a||b|", r)])
 
 
+def _sole(outcomes):
+    """The report of a stack of one pair, or the error its check raised."""
+    outcome, = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _matrix(m) -> np.ndarray:
+    """m validated as one square complex matrix, not a stack."""
+    x = complex_matrix(m)
+    if x.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
+    return x
+
+
 def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """Algebraic orthogonality of arbitrary elements: ab* = 0 = a*b.
 
@@ -142,31 +157,47 @@ def alg_orth_general(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     products, the singular value decomposition (|x|), and the Hermitian
     eigensolver (the embedding).
     """
-    am, bm = complex_matrix(a), complex_matrix(b)
-    r_ab_star = zero_product_residual(am, bm.conj().T)
-    r_astar_b = zero_product_residual(am.conj().T, bm)
-    primary = max(r_ab_star, r_astar_b)
+    am, bm = _matrix(a), _matrix(b)
+    if am.shape != bm.shape:
+        raise DimensionMismatch(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    return _sole(_alg_orth_general_stack(am[None], bm[None], tol))
 
-    r_abs = zero_product_residual(abs_general(am), abs_general(bm))
-    r_abs_star = zero_product_residual(abs_general(am.conj().T), abs_general(bm.conj().T))
-    route_abs = max(r_abs, r_abs_star)
 
-    m2 = alg_orth_sa(embed_offdiag(am), embed_offdiag(bm), tol)
+def _alg_orth_general_stack(a, b, tol: Tolerances) -> list:
+    """alg_orth_general on each pair (a[i], b[i]) of two stacks of square
+    complex matrices: the report of each pair, or the InternalInconsistency
+    its check raises. The four |x| of all pairs are one stacked SVD, and
+    the two embeddings one stacked eigendecomposition."""
+    a_star, b_star = a.conj().mT, b.conj().mT
+    abs_a, abs_b, abs_a_star, abs_b_star = np.split(
+        abs_general(np.concatenate((a, b, a_star, b_star))), 4)
+    model = MatrixSaModel(2 * a.shape[-1], tol)
+    abs_ea, abs_eb = np.split(
+        model.jordan(model.element(embed_offdiag(np.concatenate((a, b)))))[2], 2)
+    routes = (zero_product_residual(a, b_star), zero_product_residual(a_star, b),
+              zero_product_residual(abs_a, abs_b),
+              zero_product_residual(abs_a_star, abs_b_star),
+              model.zero_product(abs_ea, abs_eb))
 
-    verdicts = [primary <= tol.tol_zero,
-                route_abs <= tol.tol_zero,
-                m2.holds]
-    details = [
-        ("ab*", r_ab_star),
-        ("a*b", r_astar_b),
-        ("|a||b|", r_abs),
-        ("|a*||b*|", r_abs_star),
-        ("M2_embed", m2.max_violation),
-    ]
-    if len(set(verdicts)) != 1:
-        raise InternalInconsistency(
-            f"orthogonality routes disagree: {details}")
-    return OrthReport("alg_orth_general", verdicts[0], primary, details)
+    outcomes = []
+    for r_ab_star, r_astar_b, r_abs, r_abs_star, r_m2 in zip(*(r.tolist() for r in routes)):
+        primary = max(r_ab_star, r_astar_b)
+        route_abs = max(r_abs, r_abs_star)
+        verdicts = [primary <= tol.tol_zero,
+                    route_abs <= tol.tol_zero,
+                    r_m2 <= tol.tol_zero]
+        details = [
+            ("ab*", r_ab_star),
+            ("a*b", r_astar_b),
+            ("|a||b|", r_abs),
+            ("|a*||b*|", r_abs_star),
+            ("M2_embed", r_m2),
+        ]
+        outcomes.append(
+            OrthReport("alg_orth_general", verdicts[0], primary, details)
+            if len(set(verdicts)) == 1 else
+            InternalInconsistency(f"orthogonality routes disagree: {details}"))
+    return outcomes
 
 
 def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
@@ -177,19 +208,34 @@ def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     |a| + |b|. Verdicts must coincide.
     """
     model, x, y = carrier_operands(a, b, tol)
-    xp, xn, abs_x = model.jordan(x)
-    yp, yn, abs_y = model.jordan(y)
+    return _sole(_prop2_stack(model, x[None], y[None]))
 
-    r1 = model.zero_product(abs_x, abs_y)
-    r2 = max(model.zero_product(p, q) for p in (xp, xn) for q in (yp, yn))
-    abs_sum, abs_dif = model.jordan(x + y)[2], model.jordan(x - y)[2]
-    r3 = max(rel_diff(abs_sum, abs_x + abs_y), rel_diff(abs_dif, abs_x + abs_y))
 
-    verdicts = [r1 <= tol.tol_zero, r2 <= tol.tol_zero, r3 <= tol.tol_eq]
-    details = [("|a||b|", r1), ("jordan_parts", r2), ("|a+-b|=|a|+|b|", r3)]
-    if len(set(verdicts)) != 1:
-        raise InternalInconsistency(f"Prop2 verdicts disagree: {details}")
-    return OrthReport("prop2_equivalence", verdicts[0], max(r1, r2, r3), details)
+def _prop2_stack(model, x, y) -> list:
+    """check_prop2_equivalence on each pair (x[i], y[i]) of two stacks of
+    elements of the model, at the model's tolerances: the report of each
+    pair, or the InternalInconsistency its check raises. The Jordan parts
+    of x, y, x + y and x - y of all pairs are one stacked decomposition."""
+    tol = model.tol
+    pos, neg, absv = (np.split(part, 4)
+                      for part in model.jordan(np.concatenate((x, y, x + y, x - y))))
+    (xp, yp, _, _), (xn, yn, _, _), (abs_x, abs_y, abs_sum, abs_dif) = pos, neg, absv
+    faces = (
+        model.zero_product(abs_x, abs_y),
+        *(model.zero_product(p, q) for p in (xp, xn) for q in (yp, yn)),
+        model.rel_diff(abs_sum, abs_x + abs_y), model.rel_diff(abs_dif, abs_x + abs_y),
+    )
+
+    outcomes = []
+    for r1, *r in zip(*(f.tolist() for f in faces)):
+        r2, r3 = max(r[:4]), max(r[4:])
+        verdicts = [r1 <= tol.tol_zero, r2 <= tol.tol_zero, r3 <= tol.tol_eq]
+        details = [("|a||b|", r1), ("jordan_parts", r2), ("|a+-b|=|a|+|b|", r3)]
+        outcomes.append(
+            OrthReport("prop2_equivalence", verdicts[0], max(r1, r2, r3), details)
+            if len(set(verdicts)) == 1 else
+            InternalInconsistency(f"Prop2 verdicts disagree: {details}"))
+    return outcomes
 
 
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
@@ -250,7 +296,6 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     for chunk in sample_chunks(0, trials, x.size):
         rngs = [rng_for(seed, i) for i in chunk]
         cs, ds = sampler_a.draw(rngs), sampler_b.draw(rngs)
-        for c, d in zip(cs, ds):
-            worst = max(worst, model.zero_product(c, d))
+        worst = max([worst, *model.zero_product(cs, ds).tolist()])
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])

@@ -14,14 +14,14 @@ import numpy as np
 from .carriers import carrier_operands
 from .errors import ComparablePair, PreconditionFailed
 from .linalg import (
+    _pymax,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
     matrix_to_json,
-    rel_diff,
     rng_for,
 )
-from .orthogonality import OrthReport
+from .orthogonality import OrthReport, _sole, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -62,48 +62,126 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     settled cheapest first: residual orthogonality (one matmul on
     matrices), then c_i <= a, then c_i <= b (one eigvalsh each). The detail
     uniqueness_survivors counts those that break none, and holds needs 0.
-    A NaN ratio with none above 1 raises PreconditionFailed.
+    A NaN ratio with none above 1 raises PreconditionFailed, and a
+    perturbation that is not finite raises the carrier's ValueError; the
+    first perturbation that does either decides which.
     """
     model, ah, bh = carrier_operands(a, b, tol)
-    x = ah - bh
-    xp, xn, abs_x = model.jordan(x)
-    c = (ah + bh - abs_x) / 2.0
-    ra, rb = ah - c, bh - c
+    return _sole(_theorem4_stack(model, ah[None], bh[None], [seed], trials))
 
-    details = [
-        ("c_le_a", model.cone_defect(ra)),
-        ("c_le_b", model.cone_defect(rb)),
-        ("inf_residuals_orth", model.zero_product(ra, rb)),
-        ("spectral_residual", rel_diff(xp - xn, x)),
-    ]
+
+_EXISTENCE = ("c_le_a", "c_le_b", "inf_residuals_orth", "spectral_residual")
+_RATIOS = ("zero-product", "a - c_i", "b - c_i")
+
+
+def _theorem4_stack(model, a, b, seeds, trials: int) -> list:
+    """verify_theorem4 on each pair (a[i], b[i]) of two stacks of elements of
+    the model, at the model's tolerances, with perturbation j of pair i
+    drawn from rng_for(seeds[i], j): the report of each pair, or the error
+    its check raises. The perturbations of all pairs are settled in stacks
+    of at most _CHUNK_ENTRIES entries, pair by pair in order (see
+    _settle_perturbations)."""
+    tol = model.tol
+    x = a - b
+    xp, xn, abs_x = model.jordan(x)
+    c = (a + b - abs_x) / 2.0
+    ra, rb = a - c, b - c
+    existence = zip(*(r.tolist() for r in (
+        model.cone_defect(ra), model.cone_defect(rb), model.zero_product(ra, rb),
+        model.rel_diff(xp - xn, x))))
     bounds = (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq)
-    holds = all(r <= bound for (_, r), bound in zip(details, bounds))
-    worst = max(r for _, r in details)
 
     gap = model.vector_norm(x)
-    survivors = 0
+    del x, xp, xn, abs_x, ra, rb   # held no longer than the existence half
     # a = b draws nothing: every admissible perturbation magnitude window is empty
-    for i in range(trials if gap > tol.tol_eq else 0):
-        rng = rng_for(seed, i)
-        delta = model.sample(rng)
-        delta *= rng.uniform(1e-4, 1.0) * gap / max(model.vector_norm(delta), 1e-300)
-        ci = model.element(c + delta)
-        ra, rb = ah - ci, bh - ci
-        z = model.zero_product(ra, rb) / tol.tol_zero
-        if z > 1.0:
+    todo = [(i, j) for i in range(len(a)) if gap[i] > tol.tol_eq for j in range(trials)]
+    outcomes = [0] * len(a)   # the survivor count of each pair, or its error
+    for part in sample_chunks(0, len(todo), c[0].size):
+        # a pair that raised in an earlier slab draws no further perturbation
+        slab = [todo[p] for p in part if not isinstance(outcomes[todo[p][0]], Exception)]
+        if slab:
+            _settle_perturbations(model, a, b, c, gap, seeds, slab, outcomes)
+
+    reports = []
+    for residuals, survivors in zip(existence, outcomes):
+        if isinstance(survivors, Exception):
+            reports.append(survivors)
             continue
-        p_a = model.cone_defect(ra) / tol.tol_psd
-        if p_a > 1.0:
+        holds = all(r <= bound for r, bound in zip(residuals, bounds))
+        details = [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))]
+        reports.append(OrthReport("theorem4", holds and survivors == 0, max(residuals),
+                                  details))
+    return reports
+
+
+def _settle_perturbations(model, a, b, c, gap, seeds, slab, outcomes) -> None:
+    """Theorem 4's uniqueness half on the perturbations (i, j) of `slab`, in
+    order: c_i = c[i] + delta, delta the carrier's sample from rng_for(seeds[i],
+    j) scaled to a random fraction of gap[i]. The zero product of every
+    perturbation is taken first, then c_i <= a for those it leaves, then
+    c_i <= b for those left after that. outcomes[i] counts the survivors
+    of pair i, or becomes the error of its first perturbation that is not
+    finite or has a NaN ratio and breaks no condition."""
+    tol = model.tol
+    owner = np.array([i for i, _ in slab])
+    deltas = np.empty((len(slab),) + c.shape[1:], dtype=c.dtype)
+    fractions = np.empty(len(slab))
+    for row, (i, j) in enumerate(slab):
+        rng = rng_for(seeds[i], j)
+        deltas[row] = model.sample(rng)
+        fractions[row] = rng.uniform(1e-4, 1.0)
+    spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
+    deltas *= (fractions * gap[owner] / _pymax(model.vector_norm(deltas), 1e-300))[spread]
+    raw = np.add(c[owner], deltas, out=deltas)   # c + delta
+    left = np.ones(len(slab), dtype=bool)
+    stopped = {}
+    try:
+        cs = model.element(raw)
+    except ValueError:
+        # a pair's perturbations from its first one that is not finite on are
+        # not checked: that one raises the carrier's error, unless one before
+        # it raised
+        finite = np.isfinite(raw).all(axis=tuple(range(1, raw.ndim)))
+        for row in np.flatnonzero(~finite):
+            i = int(owner[row])
+            if i not in stopped:
+                left[row:] &= owner[row:] != i
+                try:
+                    model.element(raw[row])
+                except ValueError as exc:
+                    stopped[i] = exc
+        cs = model.element(np.where(left[spread], raw, 0.0))
+    del raw, deltas
+    ra = a[owner] - cs
+    rb = np.subtract(b[owner], cs, out=cs)   # in the memory of c_i
+
+    ratios = np.full((len(_RATIOS), len(slab)), np.nan)
+    residuals = (lambda m: model.zero_product(ra[m], rb[m]) / tol.tol_zero,
+                 lambda m: model.cone_defect(ra[m]) / tol.tol_psd,
+                 lambda m: model.cone_defect(rb[m]) / tol.tol_psd)
+    for ratio, residual in zip(ratios, residuals):
+        if not left.any():
+            break
+        if left.all():   # none settled yet: the check reads views, not copies
+            ratio[...] = residual(...)
+        else:
+            ratio[left] = residual(left)
+        left &= ~(ratio > 1.0)
+    # what is left broke no condition: it survives, or has a NaN ratio; a
+    # pair's first NaN comes before its first perturbation that is not finite
+    for row in np.flatnonzero(left):
+        i = int(owner[row])
+        if isinstance(outcomes[i], Exception):
             continue
-        p_b = model.cone_defect(rb) / tol.tol_psd
-        if p_b > 1.0:
-            continue
-        for name, r in (("zero-product", z), ("a - c_i", p_a), ("b - c_i", p_b)):
-            if not r <= 1.0:
-                raise PreconditionFailed(f"perturbation {i}: the {name} residual is NaN")
-        survivors += 1
-    details.append(("uniqueness_survivors", float(survivors)))
-    return OrthReport("theorem4", holds and survivors == 0, worst, details)
+        if (ratios[:, row] <= 1.0).all():
+            outcomes[i] += 1
+        else:
+            name = _RATIOS[int(np.argmin(ratios[:, row] <= 1.0))]
+            outcomes[i] = PreconditionFailed(
+                f"perturbation {slab[row][1]}: the {name} residual is NaN")
+    for i, exc in stopped.items():
+        if not isinstance(outcomes[i], Exception):
+            outcomes[i] = exc
 
 
 @dataclass

@@ -10,6 +10,7 @@ from .axioms import check_axioms, check_theorem7
 from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
+    complex_matrix,
     hermitian_matrix,
     jordan_decompose,
     random_complex,
@@ -20,12 +21,13 @@ from .linalg import (
     zero_product_residual,
 )
 from .orthogonality import (
+    _alg_orth_general_stack,
+    _prop2_stack,
     abs_infty_orth_sampled,
-    alg_orth_general,
-    check_prop2_equivalence,
     hereditary_check,
+    sample_chunks,
 )
-from .ortholattice import ortho_inf_sup, verify_theorem4
+from .ortholattice import _theorem4_stack, ortho_inf_sup
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = ["SUITES", "run_suite", "run_suites"]
@@ -81,32 +83,68 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             "trials": pairs * samples, "max_violation": worst}
 
 
-def _routes_suite(name, stream, pairs, check, dim, trials, seed, tol):
-    """check(a, b, tol) on pairs from pairs[0] and pairs[1] in turn: a raised
-    InternalInconsistency is a disagreement of the routes, and only pairs
-    the check calls orthogonal carry a residual."""
+def _checked_in_stacks(trials, seed, stream, dims, draw, check, rank=2) -> list:
+    """The outcome of each trial i, in trial order. Its pair is draw(i, n,
+    rng), where rng = rng_for(seed, stream, i) and n = dims(rng) is read from
+    it first. The pairs of equal n are checked together: check(chunk, a, b)
+    gets the trials of a chunk in order and the stacks of their first and
+    second elements, and returns one outcome per pair. A chunk holds at most
+    _CHUNK_ENTRIES entries of its first elements (`rank` axes of length n
+    each), as sample_chunks allows. Each trial's generator is made again to
+    draw its pair, so no more than one is kept."""
+    groups = {}
+    for i in range(trials):
+        groups.setdefault(dims(rng_for(seed, stream, i)), []).append(i)
+    outcomes = [None] * trials
+    for n, members in groups.items():
+        for part in sample_chunks(0, len(members), n ** rank):
+            chunk = [members[j] for j in part]
+            pairs = []
+            for i in chunk:
+                rng = rng_for(seed, stream, i)
+                dims(rng)   # the n read above; the pair comes after it
+                pairs.append(draw(i, n, rng))
+            a, b = map(np.stack, zip(*pairs))
+            for i, outcome in zip(chunk, check(chunk, a, b)):
+                outcomes[i] = outcome
+    return outcomes
+
+
+def _routes_suite(name, stream, pairs, check, dim, trials, seed):
+    """check(a, b) on stacks of equal-n pairs from pairs[0] and pairs[1] in
+    turn: a returned InternalInconsistency is a disagreement of the routes,
+    and only pairs the check calls orthogonal carry a residual."""
     worst = 0.0
     disagreements = 0
-    for i in range(trials):
-        rng = rng_for(seed, stream, i)
-        n = _dim_for(rng, dim)
-        try:
-            rep = check(*pairs[i % 2](n, rng), tol)
-        except InternalInconsistency:
+    for rep in _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim),
+                                  lambda i, n, rng: pairs[i % 2](n, rng),
+                                  lambda chunk, a, b: check(a, b)):
+        if isinstance(rep, InternalInconsistency):
             disagreements += 1
-            continue
-        if rep.holds:
+        elif rep.holds:
             worst = max(worst, rep.max_violation)
     return {"suite": name, "pass": disagreements == 0, "trials": trials,
             "max_violation": worst, "disagreements": disagreements}
 
 
-def _theorem4_suite(name, pair, trials, seed, tol):
-    """verify_theorem4 on the pairs pair(0), ..., pair(trials - 1)."""
+def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
+    """verify_theorem4 with seed seed + i on the pair of each trial i: two
+    samples of carrier(n) from rng_for(seed, stream, i), after dims reads n
+    from it. The pairs of equal n are checked in stacks."""
+    def draw(i, n, rng):
+        model = carrier(n, tol)
+        return model.sample(rng), model.sample(rng)
+
+    def check(chunk, a, b):
+        model = carrier(a.shape[-1], tol)
+        return _theorem4_stack(model, model.element(a), model.element(b),
+                               [seed + i for i in chunk], 10)
+
     worst = 0.0
     failures = 0
-    for i in range(trials):
-        rep = verify_theorem4(*pair(i), seed=seed + i, tol=tol)
+    for rep in _checked_in_stacks(trials, seed, stream, dims, draw, check, carrier.rank):
+        if isinstance(rep, Exception):
+            raise rep
         worst = max(worst, rep.max_violation)
         if not rep.holds:
             failures += 1
@@ -118,33 +156,33 @@ def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Three-way equivalence of self-adjoint orthogonality."""
     pairs = (_orthogonal_sa_pair,
              lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
-    return _routes_suite("prop2", 2, pairs, check_prop2_equivalence, dim, trials, seed, tol)
+
+    def check(a, b):
+        model = MatrixSaModel(a.shape[-1], tol)
+        return _prop2_stack(model, model.element(a), model.element(b))
+    return _routes_suite("prop2", 2, pairs, check, dim, trials, seed)
 
 
 def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Agreement of the four routes to general algebraic orthogonality."""
     pairs = (_orthogonal_general_pair,
              lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
-    return _routes_suite("prop3", 3, pairs, alg_orth_general, dim, trials, seed, tol)
+    return _routes_suite(
+        "prop3", 3, pairs,
+        lambda a, b: _alg_orth_general_stack(complex_matrix(a), complex_matrix(b), tol),
+        dim, trials, seed)
 
 
 def suite_theorem4(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Defining properties and uniqueness of ortho-inf/sup."""
-    def pair(i):
-        rng = rng_for(seed, 4, i)
-        n = _dim_for(rng, dim)
-        return random_hermitian(n, rng), random_hermitian(n, rng)
-    return _theorem4_suite("theorem4", pair, trials, seed, tol)
+    return _theorem4_suite("theorem4", MatrixSaModel, 4, lambda rng: _dim_for(rng, dim),
+                           trials, seed, tol)
 
 
 def suite_corollary5(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Theorem 4 on R^n: meet/join as unique disjoint-residual bounds."""
     n = max(2, min(16, 2 * dim))
-
-    def pair(i):
-        rng = rng_for(seed, 5, i)
-        return rng.standard_normal(n), rng.standard_normal(n)
-    return _theorem4_suite("corollary5", pair, trials, seed, tol)
+    return _theorem4_suite("corollary5", CoordinateModel, 5, lambda rng: n, trials, seed, tol)
 
 
 def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):

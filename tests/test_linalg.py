@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ortholat.carriers import CoordinateModel, MatrixSaModel
 from ortholat.errors import DimensionMismatch, NoConvergence, NotPositive
 from ortholat.linalg import (
     Spectrum,
@@ -327,3 +329,82 @@ class TestRandomHelpers:
         a = random_hermitian(4, rng_for(32, 1))
         b = random_hermitian(4, rng_for(32, 1))
         assert np.array_equal(a, b)
+
+
+def _stack_pair(seed, k, n, exponent, transposed, vectors=False):
+    """Two stacks of k elements, complex n x n matrices or real n-vectors,
+    of entries up to 10**exponent with about a third exactly 0; transposed
+    gives the conjugate transposes of matrices (views read column by
+    column) and column-major stacks of vectors."""
+    rng = rng_for(seed)
+
+    def stack():
+        shape = (k, n) if vectors else (k, n, n)
+        m = rng.standard_normal(shape) * 10.0 ** exponent
+        if not vectors:
+            m = m + 1j * rng.standard_normal(shape) * 10.0 ** exponent
+        m[rng.random(shape) < 0.3] = 0.0
+        if transposed:
+            return np.asfortranarray(m) if vectors else m.conj().mT
+        return m
+    return stack(), stack()
+
+
+MATRIX_KERNELS = {
+    "frob": lambda x, y: frob(x),
+    "rel_diff": rel_diff,
+    "zero_product_residual": zero_product_residual,
+    "psd_defect": lambda x, y: psd_defect(x),
+    "hermitian_matrix": lambda x, y: hermitian_matrix(x),
+    "jordan_parts": lambda x, y: jordan_decompose(x),
+    "abs_general": lambda x, y: abs_general(x),
+    "embed_offdiag": lambda x, y: embed_offdiag(x),
+}
+
+
+def _model_kernels(model):
+    return {
+        "element": lambda x, y: model.element(x),
+        "jordan": lambda x, y: model.jordan(x),
+        "cone_defect": lambda x, y: model.cone_defect(x),
+        "zero_product": model.zero_product,
+        "rel_diff": model.rel_diff,
+        "vector_norm": lambda x, y: model.vector_norm(x),
+    }
+
+
+def assert_stack_is_each(kernels, x, y):
+    """Each kernel on the stacks (x, y) gives, bit for bit, what it gives
+    each pair (x[i], y[i]) alone."""
+    for name, kernel in kernels.items():
+        stacked = kernel(x, y)
+        parts = stacked if isinstance(stacked, tuple) else (stacked,)
+        for i in range(len(x)):
+            alone = kernel(x[i], y[i])
+            for got, want in zip(parts, alone if isinstance(alone, tuple) else (alone,)):
+                assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes(), (name, i)
+
+
+_stack_property = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_stack_args = (st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
+               st.integers(-100, 100), st.booleans())
+
+
+class TestStackedKernels:
+    """The kernels that take stacks along leading axes give each element
+    what it gets alone, also on conjugate-transposed views (as prop3 reads
+    b*) and at magnitudes where products overflow."""
+
+    @_stack_property
+    @given(*_stack_args)
+    def test_matrix_kernels(self, seed, k, n, exponent, transposed):
+        x, y = _stack_pair(seed, k, n, exponent, transposed)
+        with np.errstate(all="ignore"):
+            assert_stack_is_each({**MATRIX_KERNELS, **_model_kernels(MatrixSaModel(n))}, x, y)
+
+    @_stack_property
+    @given(*_stack_args)
+    def test_vector_kernels(self, seed, k, n, exponent, transposed):
+        x, y = _stack_pair(seed, k, n, exponent, transposed, vectors=True)
+        with np.errstate(all="ignore"):
+            assert_stack_is_each(_model_kernels(CoordinateModel(n)), x, y)

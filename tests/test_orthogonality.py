@@ -107,7 +107,8 @@ class TestAlgOrthGeneral:
             assert not rep.holds
 
     def test_routes_use_three_kernels(self, monkeypatch):
-        # |x| comes from the SVD; only the 2n x 2n embedding is eigensolved
+        # |x| comes from the SVD, the four of the pair in one stack; only the
+        # two 2n x 2n embeddings are eigensolved, in one stack
         shapes = {"eigh": [], "svd": []}
         for name, calls in shapes.items():
             def recording(x, *args, _fn=getattr(np.linalg, name), _calls=calls, **kwargs):
@@ -115,7 +116,7 @@ class TestAlgOrthGeneral:
                 return _fn(x, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recording)
         alg_orth_general(*_orthogonal_general_pair(3, rng_for(43)))
-        assert shapes == {"eigh": [(6, 6)] * 2, "svd": [(3, 3)] * 4}
+        assert shapes == {"eigh": [(2, 6, 6)], "svd": [(4, 3, 3)]}
 
 
 class TestProp2Equivalence:

@@ -29,13 +29,12 @@ from ortholat.linalg import (
     rng_for,
     zero_product_residual,
 )
-from ortholat.orthogonality import OrthReport
 from ortholat.ortholattice import (
     kadison_witness_search,
     ortho_inf_sup,
     verify_theorem4,
 )
-from ortholat.suites import run_suite, suite_theorem4
+from ortholat.suites import _dim_for, run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
 from helpers import loewner_le
@@ -303,8 +302,8 @@ class TestUniquenessReference:
         residuals = []
 
         def recording(x, y):
-            residuals.append(zero_product_residual(x, y))
-            return residuals[-1]
+            residuals.append(np.ravel(zero_product_residual(x, y)))
+            return zero_product_residual(x, y)
 
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual", recording)
         rng = rng_for(5, 1)
@@ -312,7 +311,7 @@ class TestUniquenessReference:
         with np.errstate(all="ignore"):
             assert assert_same_outcome(a, b, trials=100, seed=3) == (
                 PreconditionFailed, "perturbation 3: the zero-product residual is NaN")
-        assert any(math.isnan(r) for r in residuals)
+        assert np.isnan(np.concatenate(residuals)).any()
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_equal_pair(self, n):
@@ -327,31 +326,37 @@ class TestUniquenessReference:
         assert assert_same_outcome(a, b, trials=20, seed=3, tol=loose) > 0.0
 
     def test_margin_of_exactly_one_survives(self, monkeypatch):
-        # a ratio of exactly 1 breaks no condition, so it never settles
+        # a ratio of exactly 1 breaks no condition, so it never settles; the
+        # stand-ins give each matrix of a stack its residual, as the kernels do
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
-                            lambda x, y: DEFAULT_TOL.tol_zero)
+                            lambda x, y: np.full(x.shape[:-2], DEFAULT_TOL.tol_zero))
         loose = DEFAULT_TOL.override(tol_psd=1e6)
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
-                            lambda x: loose.tol_psd)
+                            lambda x: np.full(x.shape[:-2], loose.tol_psd))
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert _survivors(a, b, trials=5, seed=0, tol=loose) == 5.0
 
     def test_checks_run_cheapest_first(self, monkeypatch):
-        # zero product, then c_i <= a, then c_i <= b; no condition breaks
+        # zero product, then c_i <= a, then c_i <= b; no condition breaks.
+        # The stand-ins log the stack each check reads and give each matrix
+        # of it a residual of 0.
         log = []
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
-                            lambda x, y: log.append("zero") or 0.0)
+                            lambda x, y: log.append(("zero", x)) or np.zeros(x.shape[:-2]))
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
-                            lambda x: log.append(x) or 0.0)
+                            lambda x: log.append(("cone", x)) or np.zeros(x.shape[:-2]))
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert _survivors(a, b, trials=5, seed=0) == 5.0
-        # the existence half first: c <= a, c <= b, then the zero product
-        assert log[2] == "zero"
-        log = log[3:]
-        assert len(log) == 3 * 5
-        for zero, ra, rb in zip(log[::3], log[1::3], log[2::3]):
-            assert zero == "zero"
-            assert np.allclose(ra - rb, a - b)
+        # the existence half first: c <= a, c <= b, then the zero product;
+        # then the zero product of every perturbation, then c_i <= a, then
+        # c_i <= b, each on the stack of all 5
+        assert [check for check, _ in log] == ["cone", "cone", "zero", "zero", "cone", "cone"]
+        (_, zero_ra), (_, ra), (_, rb) = (
+            (check, x.reshape(-1, 2, 2)) for check, x in log[3:])
+        assert len(ra) == 5
+        assert np.array_equal(zero_ra, ra)
+        for ra_i, rb_i in zip(ra, rb):
+            assert np.allclose(ra_i - rb_i, a - b)
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_overflowing_perturbation_rejected_at_the_draw(self, n, monkeypatch):
@@ -360,41 +365,40 @@ class TestUniquenessReference:
         # zero product seen is the existence half's (a - c) orth (b - c)
         residuals = []
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
-                            lambda x, y: residuals.append(x) or 0.0)
+                            lambda x, y: residuals.append(x) or np.zeros(x.shape[:-2]))
         rng = rng_for(69, n)
         a, b = 1e160 * random_hermitian(n, rng), 1e160 * random_hermitian(n, rng)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
             verify_theorem4(a, b, trials=1)
         assert len(residuals) == 1
-        assert np.array_equal(residuals[0], hermitian_matrix(a) - ortho_inf_sup(a, b)[0])
+        # a stack of one: the pair's own a - c
+        assert np.array_equal(residuals[0], [hermitian_matrix(a) - ortho_inf_sup(a, b)[0]])
 
     @pytest.mark.parametrize("seed", [42, 1, 2])
-    def test_theorem4_suite_unchanged(self, seed, monkeypatch):
-        want_calls = []
-
-        def reference(a, b, trials=10, seed=0, tol=DEFAULT_TOL):
-            # the existence half alone, then the reference's survivors
-            want_calls.append((a, b))
-            rep = verify_theorem4(a, b, trials=0, tol=tol)
-            survivors = _uniqueness_reference(a, b, trials, seed, tol)
-            return OrthReport(rep.relation, rep.holds and survivors == 0,
-                              rep.max_violation,
-                              rep.details[:-1] + [("uniqueness_survivors", survivors)])
-
-        got = run_suite("theorem4", 8, 50, seed)
-        # the suite binds the name at import
-        monkeypatch.setattr(ortholat.suites, "verify_theorem4", reference)
-        want = run_suite("theorem4", 8, 50, seed)
-        assert len(want_calls) == 50
-        assert got == want
+    def test_theorem4_suite_unchanged(self, seed):
+        # the suite, which checks stacks of equal-n pairs, against the fold
+        # in trial order of the existence half alone and the reference's
+        # survivors, pair by pair
+        worst, failures = 0.0, 0
+        for i in range(50):
+            rng = rng_for(seed, 4, i)
+            n = _dim_for(rng, 8)
+            a, b = random_hermitian(n, rng), random_hermitian(n, rng)
+            rep = verify_theorem4(a, b, trials=0)
+            survivors = _uniqueness_reference(a, b, 10, seed + i)
+            worst = max(worst, rep.max_violation)
+            failures += not (rep.holds and survivors == 0)
+        assert run_suite("theorem4", 8, 50, seed) == {
+            "suite": "theorem4", "pass": failures == 0, "trials": 50,
+            "max_violation": worst, "failures": failures, "seed": seed}
 
     def test_theorem4_eigvalsh_count(self, eigen_calls):
-        # verify_theorem4 makes 1 eigh and 2 eigvalsh calls a trial: the
-        # zero-product check settles every perturbation, so the uniqueness
-        # half makes no eigensolver call
+        # each pair's a - b is decomposed once, and a - c and b - c are the
+        # 2 matrices of its cone defects: the zero-product check settles
+        # every perturbation, so the uniqueness half decomposes none
         suite_theorem4(64, 20, 1)
-        assert eigen_calls["eigvalsh"] == 20 * 2
-        assert eigen_calls["eigh"] == 20
+        assert sum(eigen_calls.stacks["eigvalsh"]) == 20 * 2
+        assert sum(eigen_calls.stacks["eigh"]) == 20
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_zero_product_settles_random_pairs(self, n, eigen_calls):

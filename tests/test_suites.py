@@ -1,0 +1,112 @@
+"""The grouped suites against the fold of their public single-pair checks:
+theorem4, corollary5, prop2 and prop3 check each stack of equal-n pairs in
+one call, and must report bit for bit what one call per pair, in trial
+order, reports."""
+import numpy as np
+import pytest
+
+import ortholat.orthogonality
+from ortholat.errors import InternalInconsistency
+from ortholat.linalg import random_complex, random_hermitian, rng_for
+from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence
+from ortholat.ortholattice import verify_theorem4
+from ortholat.suites import (
+    _checked_in_stacks,
+    _dim_for,
+    _orthogonal_general_pair,
+    _orthogonal_sa_pair,
+    run_suite,
+)
+
+SEEDS = [42, 1, 2]
+# dim 64 draws n up to 64, where a chunk of _CHUNK_ENTRIES entries holds one pair
+DIMS_TRIALS = [(4, 60), (16, 30), (64, 12)]
+
+
+def _draws(stream, dims, draw, trials, seed):
+    """(i, a, b) for each trial in order, drawn as the suite draws it."""
+    for i in range(trials):
+        rng = rng_for(seed, stream, i)
+        yield (i, *draw(i, dims(rng), rng))
+
+
+def _theorem4_fold(name, stream, dims, sample, trials, seed):
+    """The theorem4 suite as one verify_theorem4 call per pair."""
+    worst = 0.0
+    failures = 0
+    for i, a, b in _draws(stream, dims, lambda i, n, rng: (sample(n, rng), sample(n, rng)),
+                          trials, seed):
+        rep = verify_theorem4(a, b, seed=seed + i)
+        worst = max(worst, rep.max_violation)
+        if not rep.holds:
+            failures += 1
+    return {"suite": name, "pass": failures == 0, "trials": trials,
+            "max_violation": worst, "failures": failures, "seed": seed}
+
+
+def _routes_fold(name, stream, pairs, check, dim, trials, seed):
+    """The prop2 or prop3 suite as one check call per pair."""
+    worst = 0.0
+    disagreements = 0
+    for _, a, b in _draws(stream, lambda rng: _dim_for(rng, dim),
+                          lambda i, n, rng: pairs[i % 2](n, rng), trials, seed):
+        try:
+            rep = check(a, b)
+        except InternalInconsistency:
+            disagreements += 1
+            continue
+        if rep.holds:
+            worst = max(worst, rep.max_violation)
+    return {"suite": name, "pass": disagreements == 0, "trials": trials,
+            "max_violation": worst, "disagreements": disagreements, "seed": seed}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim, trials", DIMS_TRIALS)
+class TestGroupedSuitesAreTheFold:
+    def test_theorem4(self, dim, trials, seed):
+        want = _theorem4_fold("theorem4", 4, lambda rng: _dim_for(rng, dim),
+                              random_hermitian, trials, seed)
+        assert run_suite("theorem4", dim, trials, seed) == want
+
+    def test_corollary5(self, dim, trials, seed):
+        n = max(2, min(16, 2 * dim))
+        want = _theorem4_fold("corollary5", 5, lambda rng: n,
+                              lambda n, rng: rng.standard_normal(n), trials, seed)
+        assert run_suite("corollary5", dim, trials, seed) == want
+
+    def test_prop2(self, dim, trials, seed):
+        pairs = (_orthogonal_sa_pair,
+                 lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
+        want = _routes_fold("prop2", 2, pairs, check_prop2_equivalence, dim, trials, seed)
+        assert run_suite("prop2", dim, trials, seed) == want
+
+    def test_prop3(self, dim, trials, seed):
+        pairs = (_orthogonal_general_pair,
+                 lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
+        want = _routes_fold("prop3", 3, pairs, alg_orth_general, dim, trials, seed)
+        assert run_suite("prop3", dim, trials, seed) == want
+
+
+@pytest.mark.parametrize("entries", [16, 4096])
+def test_stacks_group_by_n_within_the_cap(monkeypatch, entries):
+    # every trial once, in trial order within a chunk, each chunk of one n
+    # and within the cap unless it holds a single pair; the outcomes come
+    # back in trial order
+    monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", entries)
+    seen = []
+
+    def check(chunk, a, b):
+        assert chunk == sorted(chunk)
+        assert a.shape == b.shape == (len(chunk),) + a.shape[1:]
+        assert [int(m[0, 0]) for m in a] == chunk
+        assert len(chunk) == 1 or a.size <= entries
+        assert [_dim_for(rng_for(7, 4, i), 6) for i in chunk] == [a.shape[-1]] * len(chunk)
+        seen.extend(chunk)
+        return [-i for i in chunk]
+
+    outcomes = _checked_in_stacks(40, 7, 4, lambda rng: _dim_for(rng, 6),
+                                  lambda i, n, rng: (np.full((n, n), i), np.zeros((n, n))),
+                                  check)
+    assert sorted(seen) == list(range(40))
+    assert outcomes == [-i for i in range(40)]
