@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import rng_for
+from .linalg import rngs_for
 from .orthogonality import OrthReport, abs_infty_orth_sampled
 
 __all__ = [
@@ -34,8 +34,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
+    for rng in rngs_for(seed, np.arange(trials)):
         u = model.sample(rng)
         up, un, au = model.jordan(u)
 
@@ -94,8 +93,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
-    for i in range(trials):
-        rng = rng_for(seed, i)
+    for rng in rngs_for(seed, np.arange(trials)):
         u = model.sample(rng)
         up, un, _ = model.jordan(u)
 

@@ -9,6 +9,7 @@ matrix of a stack bit for bit what it gets alone.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "hermitian_norm",
     "psd_defect",
     "rng_for",
+    "rngs_for",
     "random_complex",
     "random_hermitian",
     "random_unitary",
@@ -213,14 +215,213 @@ def psd_defect(a):
 
 # ---------------------------------------------------------------------------
 # seeded randomness
+#
+# The generator of a key [seed mod 2**64, *indices] is numpy's
+# default_rng(key): PCG64 seeded with four 64-bit words that SeedSequence
+# hashes from the key's 32-bit words (NEP 19). rngs_for hashes the keys of
+# many trials in one numpy pass, key by key the same arithmetic, and hands
+# each generator its words through SeedWords, so a trial draws bit for bit
+# what default_rng(key) draws without a SeedSequence of its own.
+
+_SEED_MASK = (1 << 64) - 1
+_KEY_BLOCK = 1024   # keys hashed in one pass; their words are kept until the next
+_MULT_A = 0x931E8875   # SeedSequence's entropy-mix multiplier
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, count: int) -> list:
+    """init * mult**t mod 2**32 for t < count: SeedSequence's hash constants."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# The entropy mix takes its constants in a fixed order: four for the pool's
+# first words, then three for each pool word mixed into the other three, then
+# four for each entropy word beyond the pool. Each hashmix XORs the value with
+# one constant and multiplies it by the next.
+_HASH_A = _powers(0x43B0D7E5, _MULT_A, 17)
+_FIRST = _column(_HASH_A[:4]), _column(_HASH_A[1:5])
+
+
+def _cross_constants(src: int):
+    """The (XOR, multiply) constants with which pool word src is hashed for
+    each other pool word, in that word's row: the mix takes them in order of
+    the other word. Its own row holds 0, and the word is put back after."""
+    xor, mul = [0] * 4, [0] * 4
+    for k, dst in enumerate(d for d in range(4) if d != src):
+        xor[dst], mul[dst] = _HASH_A[4 + 3 * src + k], _HASH_A[5 + 3 * src + k]
+    return _column(xor), _column(mul)
+
+
+_CROSS = [_cross_constants(src) for src in range(4)]
+_GENERATE = _powers(0x8B51F9DD, 0x58F38DED, 9)   # generate_state's constants
+_STATE = (np.array(_GENERATE[:8], dtype=np.uint32),
+          np.array(_GENERATE[1:], dtype=np.uint32))
+
+
+def _hashmix(v, xor, mul):
+    v = v ^ xor
+    v *= mul
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x, y):
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _SHIFT
+    return x
+
+
+def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) of each column of
+    `entropy`, a (length, keys) array of 32-bit words, as rows of a C-ordered
+    (keys, 4) array."""
+    length, keys = entropy.shape
+    pool = np.zeros((4, keys), dtype=np.uint32)
+    pool[:min(length, 4)] = entropy[:4]
+    pool = _hashmix(pool, *_FIRST)
+    for src, consts in enumerate(_CROSS):   # each pool word into the others
+        mixed = _mix(pool, _hashmix(pool[src], *consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    if length > 4:   # each entropy word beyond the pool into every pool word
+        extra = _column(_powers(_HASH_A[-1], _MULT_A, 4 * (length - 4) + 1))
+        for src in range(4, length):
+            t = 4 * (src - 4)
+            pool = _mix(pool, _hashmix(entropy[src], extra[t:t + 4], extra[t + 1:t + 5]))
+    state = _hashmix(np.concatenate((pool.T, pool.T), axis=1), *_STATE).astype(np.uint64)
+    words = state[:, 1::2] << np.uint64(32)   # little-endian pairs of 32-bit words
+    words |= state[:, 0::2]
+    return np.ascontiguousarray(words)   # PCG64 reads each row's memory
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """The PCG64 seed words of each key, a column of `keys` (uint64, shape
+    (width, keys)). A value takes one 32-bit word below 2**32 and two from
+    there on, so keys are hashed in groups of one word pattern."""
+    wide = keys >> np.uint64(32) != 0
+    if not wide.any():
+        return _pcg64_words(keys.astype(np.uint32))
+    pattern = (1 << np.arange(len(keys))) @ wide
+    words = np.empty((keys.shape[1], 4), dtype=np.uint64)
+    for p in set(pattern.tolist()):
+        rows = pattern == p
+        parts = []
+        for j, column in enumerate(keys[:, rows]):
+            parts.append(column)   # its low word, by the cast below
+            if p >> j & 1:
+                parts.append(column >> np.uint64(32))
+        words[rows] = _pcg64_words(np.array(parts).astype(np.uint32))
+    return words
+
+
+@functools.cache
+def _seed_words_type():
+    """The one ISeedSequence that hands PCG64 precomputed seed words;
+    defined on first use, so that importing this module does not import
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise NotImplementedError("SeedWords holds PCG64's four uint64 words only")
+            return self.words
+
+    return SeedWords
+
+
+class _Generators:
+    """rngs_for's generators: row r's is built when it is asked for, from
+    the words of the block of _KEY_BLOCK keys that holds it."""
+
+    def __init__(self, columns, length):
+        self._columns = columns
+        self._length = length
+        self._start = 0
+        self._words = np.empty((0, 4), dtype=np.uint64)
+
+    def __len__(self):
+        return self._length
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._length))
+
+    def __getitem__(self, r):
+        if not 0 <= r < self._length:
+            raise IndexError(r)
+        if not 0 <= r - self._start < len(self._words):
+            self._start = r - r % _KEY_BLOCK
+            stop = min(self._length, self._start + _KEY_BLOCK)
+            keys = np.empty((len(self._columns), stop - self._start), dtype=np.uint64)
+            for row, column in zip(keys, self._columns):
+                row[...] = column if column.ndim == 0 else column[self._start:stop]
+            self._words = _seed_words(keys)
+        seed_words = _seed_words_type()(self._words[r - self._start])
+        return np.random.Generator(np.random.PCG64(seed_words))
+
+
+def _index_column(index) -> np.ndarray:
+    if isinstance(index, int):
+        if index < 0:
+            raise ValueError("expected non-negative integer")
+        if index >> 64:
+            raise ValueError(f"index {index} is not below 2**64")
+        return np.uint64(index)
+    col = np.asarray(index)
+    if col.dtype.kind == "i" and (col < 0).any():
+        raise ValueError("expected non-negative integer")
+    if col.dtype.kind not in "iu" or col.ndim > 1:
+        raise ValueError(f"an index must be an integer in [0, 2**64) or a 1-D array "
+                         f"of them, got {index!r}")
+    return col.astype(np.uint64, copy=False)
+
+
+def rngs_for(seeds, *indices) -> _Generators:
+    """The generators rng_for(seeds[r], *(index[r] for index in indices)) of
+    many trials, as a sequence: `seeds` is an int or a sequence of ints and
+    each index an int or a 1-D integer array; those that are not ints have
+    one length, the number of generators. The keys are hashed a block at a
+    time, and a generator is built when it is asked for."""
+    if isinstance(seeds, (int, np.integer)):
+        seeds = np.uint64(int(seeds) & _SEED_MASK)
+    else:
+        seeds = np.array([int(s) & _SEED_MASK for s in seeds], dtype=np.uint64)
+    columns = [seeds, *map(_index_column, indices)]
+    lengths = {len(c) for c in columns if c.ndim}
+    if len(lengths) > 1:
+        raise ValueError(f"key columns of different lengths {sorted(lengths)}")
+    return _Generators(columns, lengths.pop() if lengths else 1)
+
 
 def rng_for(seed: int, *indices: int) -> np.random.Generator:
-    """Deterministic derived generator for (seed, index...) trials."""
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *map(int, indices)])
+    """Deterministic derived generator for (seed, index...) trials: bit for
+    bit np.random.default_rng([seed mod 2**64, *indices]), for indices in
+    [0, 2**64) (a negative one raises ValueError, as there)."""
+    return rngs_for(int(seed), *map(int, indices))[0]
 
 
 def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """A complex n x n matrix of standard normal real and then imaginary
+    parts."""
+    parts = rng.standard_normal((2, n, n))
+    z = np.empty((n, n), dtype=complex)
+    z.real = parts[0]
+    z.imag = parts[1]
+    return z
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

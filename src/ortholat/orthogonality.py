@@ -15,7 +15,7 @@ from .linalg import (
     abs_general,
     complex_matrix,
     embed_offdiag,
-    rng_for,
+    rngs_for,
     zero_product_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -74,7 +74,12 @@ class KGrid:
             for off in (-0.10, -0.075, -0.05, -0.025, 0.0, 0.025, 0.05, 0.075, 0.10):
                 ks.append(rho * (1.0 + off))
                 ks.append(-rho * (1.0 + off))
-        return KGrid(np.unique(np.asarray(ks, dtype=float)))
+        # sorted, one of each value and one NaN, as np.unique gives them
+        # without importing numpy.ma on its first call
+        ks = np.sort(np.asarray(ks, dtype=float))
+        first = np.ones(ks.shape, dtype=bool)
+        first[1:] = (ks[1:] != ks[:-1]) & ~np.isnan(ks[:-1])
+        return KGrid(ks[first])
 
 
 def infty_deviations(u, v, norm):
@@ -260,12 +265,13 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
 
     worst = 0.0
     first_violation = -1
+    rngs = rngs_for(seed, np.arange(trials))   # trial 0's is not drawn from
     for chunk in [range(1), *sample_chunks(1, trials, ah.size)] if trials > 0 else []:
         if chunk.start == 0:
             cs, ds = ah[None], bh[None]
         else:
-            rngs = [rng_for(seed, i) for i in chunk]
-            cs, ds = sampler_a.draw(rngs), sampler_b.draw(rngs)
+            drawn = [rngs[i] for i in chunk]
+            cs, ds = sampler_a.draw(drawn), sampler_b.draw(drawn)
         dev = infty_deviations(cs, ds, model.norm).max(-1)
         violations = np.flatnonzero(~(dev <= tol.tol_eq))
         if first_violation < 0 and violations.size:
@@ -293,9 +299,10 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
         raise PreconditionFailed(
             f"a and b are not algebraically orthogonal (residual {r:.3e})")
     worst = 0.0
+    rngs = rngs_for(seed, np.arange(trials))
     for chunk in sample_chunks(0, trials, x.size):
-        rngs = [rng_for(seed, i) for i in chunk]
-        cs, ds = sampler_a.draw(rngs), sampler_b.draw(rngs)
+        drawn = [rngs[i] for i in chunk]
+        cs, ds = sampler_a.draw(drawn), sampler_b.draw(drawn)
         worst = max([worst, *model.zero_product(cs, ds).tolist()])
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])

@@ -19,7 +19,7 @@ from .linalg import (
     hermitian_eigendecompose,
     hermitian_matrix,
     matrix_to_json,
-    rng_for,
+    rngs_for,
 )
 from .orthogonality import OrthReport, _sole, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -95,12 +95,14 @@ def _theorem4_stack(model, a, b, seeds, trials: int) -> list:
     del x, xp, xn, abs_x, ra, rb   # held no longer than the existence half
     # a = b draws nothing: every admissible perturbation magnitude window is empty
     todo = [(i, j) for i in range(len(a)) if gap[i] > tol.tol_eq for j in range(trials)]
+    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
     outcomes = [0] * len(a)   # the survivor count of each pair, or its error
     for part in sample_chunks(0, len(todo), c[0].size):
         # a pair that raised in an earlier slab draws no further perturbation
-        slab = [todo[p] for p in part if not isinstance(outcomes[todo[p][0]], Exception)]
+        slab = [p for p in part if not isinstance(outcomes[todo[p][0]], Exception)]
         if slab:
-            _settle_perturbations(model, a, b, c, gap, seeds, slab, outcomes)
+            _settle_perturbations(model, a, b, c, gap, [todo[p] for p in slab],
+                                  (rngs[p] for p in slab), outcomes)
 
     reports = []
     for residuals, survivors in zip(existence, outcomes):
@@ -114,10 +116,10 @@ def _theorem4_stack(model, a, b, seeds, trials: int) -> list:
     return reports
 
 
-def _settle_perturbations(model, a, b, c, gap, seeds, slab, outcomes) -> None:
+def _settle_perturbations(model, a, b, c, gap, slab, rngs, outcomes) -> None:
     """Theorem 4's uniqueness half on the perturbations (i, j) of `slab`, in
-    order: c_i = c[i] + delta, delta the carrier's sample from rng_for(seeds[i],
-    j) scaled to a random fraction of gap[i]. The zero product of every
+    order: c_i = c[i] + delta, delta the carrier's sample from the next of
+    `rngs` scaled to a random fraction of gap[i]. The zero product of every
     perturbation is taken first, then c_i <= a for those it leaves, then
     c_i <= b for those left after that. outcomes[i] counts the survivors
     of pair i, or becomes the error of its first perturbation that is not
@@ -126,8 +128,7 @@ def _settle_perturbations(model, a, b, c, gap, seeds, slab, outcomes) -> None:
     owner = np.array([i for i, _ in slab])
     deltas = np.empty((len(slab),) + c.shape[1:], dtype=c.dtype)
     fractions = np.empty(len(slab))
-    for row, (i, j) in enumerate(slab):
-        rng = rng_for(seeds[i], j)
+    for row, rng in enumerate(rngs):
         deltas[row] = model.sample(rng)
         fractions[row] = rng.uniform(1e-4, 1.0)
     spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation

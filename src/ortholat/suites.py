@@ -10,6 +10,7 @@ from .axioms import check_axioms, check_theorem7
 from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
+    _KEY_BLOCK,
     complex_matrix,
     hermitian_matrix,
     jordan_decompose,
@@ -17,7 +18,7 @@ from .linalg import (
     random_hermitian,
     random_psd,
     random_unitary,
-    rng_for,
+    rngs_for,
     zero_product_residual,
 )
 from .orthogonality import (
@@ -74,8 +75,7 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     pairs = max(1, trials // 10)
     samples = min(trials, 100)
     worst = 0.0
-    for i in range(pairs):
-        rng = rng_for(seed, 1, i)
+    for i, rng in enumerate(rngs_for(seed, 1, np.arange(pairs))):
         a, b = _orthogonal_psd_pair(_dim_for(rng, dim), rng)
         rep = hereditary_check(a, b, trials=samples, seed=seed + i, tol=tol)
         worst = max(worst, rep.max_violation)
@@ -83,42 +83,51 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             "trials": pairs * samples, "max_violation": worst}
 
 
-def _checked_in_stacks(trials, seed, stream, dims, draw, check, rank=2) -> list:
+def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list:
     """The outcome of each trial i, in trial order. Its pair is draw(i, n,
     rng), where rng = rng_for(seed, stream, i) and n = dims(rng) is read from
     it first. The pairs of equal n are checked together: check(chunk, a, b)
     gets the trials of a chunk in order and the stacks of their first and
     second elements, and returns one outcome per pair. A chunk holds at most
-    _CHUNK_ENTRIES entries of its first elements (`rank` axes of length n
-    each), as sample_chunks allows. Each trial's generator is made again to
-    draw its pair, so no more than one is kept."""
-    groups = {}
-    for i in range(trials):
-        groups.setdefault(dims(rng_for(seed, stream, i)), []).append(i)
+    _CHUNK_ENTRIES of the entries that its check stacks, entries(n) per
+    pair, as sample_chunks allows. The trials go in blocks of _KEY_BLOCK,
+    whose keys one rngs_for hashes. A trial's generator is made to read n
+    and made again from the same seed words to draw the pair, so none is
+    kept: 500 kept generators raised the peak memory of a theorem4 run at
+    --dim 64 by 0.4 MB."""
     outcomes = [None] * trials
-    for n, members in groups.items():
-        for part in sample_chunks(0, len(members), n ** rank):
-            chunk = [members[j] for j in part]
-            pairs = []
-            for i in chunk:
-                rng = rng_for(seed, stream, i)
-                dims(rng)   # the n read above; the pair comes after it
-                pairs.append(draw(i, n, rng))
-            a, b = map(np.stack, zip(*pairs))
-            for i, outcome in zip(chunk, check(chunk, a, b)):
-                outcomes[i] = outcome
+    for start in range(0, trials, _KEY_BLOCK):
+        block = np.arange(start, min(trials, start + _KEY_BLOCK))
+        rngs = rngs_for(seed, stream, block)
+        groups = {}
+        for i, rng in zip(block.tolist(), rngs):
+            groups.setdefault(dims(rng), []).append(i)
+
+        def pair(i, n):
+            rng = rngs[i - start]
+            dims(rng)   # the n read above; the pair comes after it
+            return draw(i, n, rng)
+
+        for n, members in groups.items():
+            for part in sample_chunks(0, len(members), entries(n)):
+                chunk = [members[j] for j in part]
+                a, b = map(np.stack, zip(*(pair(i, n) for i in chunk)))
+                for i, outcome in zip(chunk, check(chunk, a, b)):
+                    outcomes[i] = outcome
     return outcomes
 
 
-def _routes_suite(name, stream, pairs, check, dim, trials, seed):
+def _routes_suite(name, stream, pairs, check, stacked, dim, trials, seed):
     """check(a, b) on stacks of equal-n pairs from pairs[0] and pairs[1] in
-    turn: a returned InternalInconsistency is a disagreement of the routes,
-    and only pairs the check calls orthogonal carry a residual."""
+    turn, `stacked` times n * n entries a pair: a returned
+    InternalInconsistency is a disagreement of the routes, and only pairs
+    the check calls orthogonal carry a residual."""
     worst = 0.0
     disagreements = 0
     for rep in _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim),
                                   lambda i, n, rng: pairs[i % 2](n, rng),
-                                  lambda chunk, a, b: check(a, b)):
+                                  lambda chunk, a, b: check(a, b),
+                                  lambda n: stacked * n * n):
         if isinstance(rep, InternalInconsistency):
             disagreements += 1
         elif rep.holds:
@@ -142,7 +151,8 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
 
     worst = 0.0
     failures = 0
-    for rep in _checked_in_stacks(trials, seed, stream, dims, draw, check, carrier.rank):
+    for rep in _checked_in_stacks(trials, seed, stream, dims, draw, check,
+                                  lambda n: n ** carrier.rank):
         if isinstance(rep, Exception):
             raise rep
         worst = max(worst, rep.max_violation)
@@ -160,7 +170,8 @@ def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     def check(a, b):
         model = MatrixSaModel(a.shape[-1], tol)
         return _prop2_stack(model, model.element(a), model.element(b))
-    return _routes_suite("prop2", 2, pairs, check, dim, trials, seed)
+    # the Jordan parts of x, y, x + y and x - y: three each
+    return _routes_suite("prop2", 2, pairs, check, 12, dim, trials, seed)
 
 
 def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -170,7 +181,7 @@ def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     return _routes_suite(
         "prop3", 3, pairs,
         lambda a, b: _alg_orth_general_stack(complex_matrix(a), complex_matrix(b), tol),
-        dim, trials, seed)
+        24, dim, trials, seed)   # |x| of a, b, a*, b*; 2n x 2n embeddings, and their parts
 
 
 def suite_theorem4(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -193,8 +204,7 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     where rounding can break it: on the matrix carrier by the infty suite."""
     n = max(2, min(16, 2 * dim))
     failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, 6, i)
+    for rng in rngs_for(seed, 6, np.arange(trials)):
         u = np.abs(rng.standard_normal(n))
         v = np.abs(rng.standard_normal(n))
         w = ortho_inf_sup(u, v)[0]
@@ -238,8 +248,7 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """The matrix carrier's ortho-inf/sup of diagonal matrices is diagonal
     and matches the coordinate carrier's on their diagonals."""
     worst = 0.0
-    for i in range(trials):
-        rng = rng_for(seed, 8, i)
+    for rng in rngs_for(seed, 8, np.arange(trials)):
         n = _dim_for(rng, dim)
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         c, d = ortho_inf_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
@@ -258,8 +267,7 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     samples = 40
     worst = 0.0
     missed = 0
-    for i in range(pairs):
-        rng = rng_for(seed, 9, i)
+    for i, rng in enumerate(rngs_for(seed, 9, np.arange(pairs))):
         n = _dim_for(rng, dim)
         a, b = _orthogonal_psd_pair(n, rng)
         rep = abs_infty_orth_sampled(a, b, trials=samples, seed=seed + i, tol=tol)

@@ -160,7 +160,7 @@ MAT = np.eye(2)
 def uniqueness_falsify(a, b):
     """Theorem 4's uniqueness half: verify_theorem4 with perturbations to draw,
     which must reject the operands before the first draw."""
-    with mock.patch("ortholat.ortholattice.rng_for",
+    with mock.patch("ortholat.ortholattice.rngs_for",
                     side_effect=AssertionError("perturbation drawn before the operand check")):
         return verify_theorem4(a, b, trials=10, seed=0)
 

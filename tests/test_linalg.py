@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,9 +28,11 @@ from ortholat.linalg import (
     random_unitary,
     rel_diff,
     rng_for,
+    rngs_for,
     sqrt_psd,
     zero_product_residual,
 )
+import ortholat
 from ortholat.tolerances import DEFAULT_TOL
 
 from helpers import is_psd, loewner_le, random_projection
@@ -329,6 +334,89 @@ class TestRandomHelpers:
         a = random_hermitian(4, rng_for(32, 1))
         b = random_hermitian(4, rng_for(32, 1))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_complex_is_the_two_call_form(self, n):
+        for i in range(20):
+            want = rng_for(33, n, i)
+            re = want.standard_normal((n, n))
+            want = re + 1j * want.standard_normal((n, n))
+            assert random_complex(n, rng_for(33, n, i)).tobytes() == want.tobytes()
+
+
+_MASK64 = 2 ** 64 - 1
+# seeds on each side of the one-word and two-word boundaries, and negative
+_SEEDS = st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 5,
+                          -1, -2 ** 32, -2 ** 70]) | st.integers(-2 ** 70, 2 ** 70)
+_INDICES = st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+
+
+def _draws(rng):
+    return rng.standard_normal(3).tobytes() + rng.integers(2 ** 63, size=2).tobytes()
+
+
+class TestSeededGenerators:
+    """rngs_for hashes the keys of many trials at once; each generator must
+    draw bit for bit what default_rng draws from its key."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_SEEDS, _INDICES, _INDICES, _INDICES), min_size=1, max_size=40),
+           st.integers(1, 3))
+    def test_batch_is_default_rng(self, keys, width):
+        # one batch mixes keys of different word counts
+        seeds = [k[0] for k in keys]
+        columns = [np.array([k[1 + c] for k in keys], dtype=np.uint64) for c in range(width)]
+        rngs = rngs_for(seeds, *columns)
+        assert len(rngs) == len(keys)
+        for rng, key in zip(rngs, keys):
+            want = np.random.default_rng([key[0] & _MASK64, *key[1:1 + width]])
+            assert _draws(rng) == _draws(want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_SEEDS, st.lists(_INDICES, min_size=0, max_size=3))
+    def test_one_key_is_default_rng(self, seed, indices):
+        want = np.random.default_rng([seed & _MASK64, *indices])
+        assert _draws(rng_for(seed, *indices)) == _draws(want)
+
+    def test_blocks(self):
+        # past the first block of hashed keys, and back into it
+        rngs = rngs_for(7, 3, np.arange(2500))
+        for i in (0, 1023, 1024, 2499, 5):
+            assert _draws(rngs[i]) == _draws(np.random.default_rng([7, 3, i]))
+        with pytest.raises(IndexError):
+            rngs[2500]
+
+    def test_seed_crossing_two_words_in_one_batch(self):
+        seed = 2 ** 32 - 6
+        rngs = rngs_for([seed + i for i in range(12)], np.arange(12))
+        for i, rng in enumerate(rngs):
+            assert _draws(rng) == _draws(np.random.default_rng([seed + i, i]))
+
+    @pytest.mark.parametrize("indices", [(-1,), (3, -2), (np.array([0, -1]),)])
+    def test_negative_index_raises_as_default_rng(self, indices):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng([1, *np.ravel(indices[-1]).tolist()])
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            rngs_for(1, *indices)
+
+    def test_import_leaves_numpy_random_unimported(self):
+        src = os.path.dirname(os.path.dirname(ortholat.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys, ortholat.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_one_seed_words_class(self):
+        from numpy.random.bit_generator import ISeedSequence
+        rng_for(1)
+        before = len(ISeedSequence.__subclasses__())
+        rngs = rngs_for(2, np.arange(1000))
+        kinds = {type(rngs[i].bit_generator.seed_seq) for i in range(1000)}
+        assert len(kinds) == 1
+        assert len(ISeedSequence.__subclasses__()) == before
 
 
 def _stack_pair(seed, k, n, exponent, transposed, vectors=False):

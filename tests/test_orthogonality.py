@@ -171,6 +171,20 @@ class TestKGrid:
         grid = KGrid.for_norms(1.0, 0.0)
         assert 0.0 in grid.values
 
+    @pytest.mark.parametrize("u_norm, v_norm", [
+        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (3.0, 2.0), (2.0, 0.25), (0.5, 4.0),
+        (np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan), (1e308, 1e-308)])
+    def test_is_np_unique_of_its_values(self, u_norm, v_norm):
+        # sorted, one of each value, and one NaN where the crossing point is NaN
+        ks = [0.0, 1.0, -1.0] + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)]
+        if v_norm > 0.0:
+            rho = u_norm / v_norm
+            ks += [s * rho * (1.0 + off) for off in (-0.10, -0.075, -0.05, -0.025, 0.0,
+                                                     0.025, 0.05, 0.075, 0.10)
+                   for s in (1.0, -1.0)]
+        want = np.unique(np.asarray(ks, dtype=float))
+        assert KGrid.for_norms(u_norm, v_norm).values.tobytes() == want.tobytes()
+
 
 def _scalar_norm(carrier):
     """The one-element norms of the per-k loop that infty_deviations replaced."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ortholat.orthogonality
+import ortholat.suites
 from ortholat.errors import InternalInconsistency
 from ortholat.linalg import random_complex, random_hermitian, rng_for
 from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence
@@ -91,22 +92,58 @@ class TestGroupedSuitesAreTheFold:
 @pytest.mark.parametrize("entries", [16, 4096])
 def test_stacks_group_by_n_within_the_cap(monkeypatch, entries):
     # every trial once, in trial order within a chunk, each chunk of one n
-    # and within the cap unless it holds a single pair; the outcomes come
-    # back in trial order
+    # and within the cap on the entries its check stacks (`stacked` of its
+    # first elements) unless it holds a single pair; the outcomes come back
+    # in trial order
     monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", entries)
-    seen = []
+    for stacked in (1, 12, 24):
+        seen = []
 
-    def check(chunk, a, b):
-        assert chunk == sorted(chunk)
-        assert a.shape == b.shape == (len(chunk),) + a.shape[1:]
-        assert [int(m[0, 0]) for m in a] == chunk
-        assert len(chunk) == 1 or a.size <= entries
-        assert [_dim_for(rng_for(7, 4, i), 6) for i in chunk] == [a.shape[-1]] * len(chunk)
-        seen.extend(chunk)
-        return [-i for i in chunk]
+        def check(chunk, a, b):
+            assert chunk == sorted(chunk)
+            assert a.shape == b.shape == (len(chunk),) + a.shape[1:]
+            assert [int(m[0, 0]) for m in a] == chunk
+            assert len(chunk) == 1 or stacked * a.size <= entries
+            assert [_dim_for(rng_for(7, 4, i), 6) for i in chunk] == [a.shape[-1]] * len(chunk)
+            seen.extend(chunk)
+            return [-i for i in chunk]
 
-    outcomes = _checked_in_stacks(40, 7, 4, lambda rng: _dim_for(rng, 6),
-                                  lambda i, n, rng: (np.full((n, n), i), np.zeros((n, n))),
-                                  check)
-    assert sorted(seen) == list(range(40))
-    assert outcomes == [-i for i in range(40)]
+        outcomes = _checked_in_stacks(40, 7, 4, lambda rng: _dim_for(rng, 6),
+                                      lambda i, n, rng: (np.full((n, n), i), np.zeros((n, n))),
+                                      check, lambda n: stacked * n * n)
+        assert sorted(seen) == list(range(40))
+        assert outcomes == [-i for i in range(40)]
+
+
+def test_trials_past_one_block(monkeypatch):
+    # each block of trials takes its generators from one rngs_for; the
+    # pairs and the outcomes are those of one block
+    monkeypatch.setattr(ortholat.suites, "_KEY_BLOCK", 7)
+    want = run_suite("prop2", 4, 30, 5)
+    monkeypatch.undo()
+    assert run_suite("prop2", 4, 30, 5) == want
+    assert want == _routes_fold("prop2", 2, (_orthogonal_sa_pair, lambda n, rng: (
+        random_hermitian(n, rng), random_hermitian(n, rng))), check_prop2_equivalence, 4, 30, 5)
+
+
+# what each suite's core stacks per pair, in entries of the pair's first element
+@pytest.mark.parametrize("suite, core, operand, stacked", [
+    ("prop2", "_prop2_stack", 1, 12),   # the three Jordan parts of x, y, x + y, x - y
+    ("prop3", "_alg_orth_general_stack", 0, 24),   # two 2n x 2n embeddings, three parts each
+    ("theorem4", "_theorem4_stack", 1, 1),
+    ("corollary5", "_theorem4_stack", 1, 1),
+])
+def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked):
+    shapes = []
+    original = getattr(ortholat.suites, core)
+
+    def recording(*args):
+        shapes.append(args[operand].shape)
+        return original(*args)
+
+    monkeypatch.setattr(ortholat.suites, core, recording)
+    assert run_suite(suite, 8, 200, 3)["pass"]
+    assert sum(shape[0] for shape in shapes) == 200
+    assert any(shape[0] > 1 for shape in shapes)
+    for shape in shapes:
+        assert shape[0] == 1 or stacked * np.prod(shape) <= ortholat.orthogonality._CHUNK_ENTRIES
