@@ -2,6 +2,9 @@
 theorem4, corollary5, prop2 and prop3 check each stack of equal-n pairs in
 one call, and must report bit for bit what one call per pair, in trial
 order, reports."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from ortholat.linalg import random_complex, random_hermitian, rng_for
 from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence
 from ortholat.ortholattice import verify_theorem4
 from ortholat.suites import (
+    SUITES,
     _checked_in_stacks,
     _dim_for,
     _orthogonal_general_pair,
     _orthogonal_sa_pair,
     run_suite,
+    run_suites,
 )
 
 SEEDS = [42, 1, 2]
@@ -147,3 +152,17 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
     assert any(shape[0] > 1 for shape in shapes)
     for shape in shapes:
         assert shape[0] == 1 or stacked * np.prod(shape) <= ortholat.orthogonality._CHUNK_ENTRIES
+
+
+# sha256 of json.dumps(run_suites(all), sort_keys=True), as the one-trial-at-a-
+# time loops of the parent commit reported it (numpy 2.4.6, x86-64 OpenBLAS):
+# the stacked suites must report every trial, sample and residual bit for bit
+@pytest.mark.parametrize("dim, trials, seed, digest", [
+    (4, 500, 42, "ac37478a8a2af80286e2843b065d51d4e04b7e76cc2eff70c636c5b332d62696"),
+    (4, 500, 18446744073709551610,
+     "478f2eed3379477f0ee4476cc8814afa64dce00edc1f3d67d880c6183b60da64"),
+    (16, 50, 1, "887c2a00ce688c2993425cf1a402d0e600370bd4252d4078399fbbf4c3773739"),
+])
+def test_reports_are_pinned(dim, trials, seed, digest):
+    report = json.dumps(run_suites(list(SUITES), dim, trials, seed), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
