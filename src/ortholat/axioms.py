@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import rngs_for
-from .orthogonality import OrthReport, abs_infty_orth_sampled
+from .linalg import _pymax, rngs_for
+from .orthogonality import OrthReport, _sample_entries, _sampled_stack, sample_chunks
 
 __all__ = [
     "check_axioms",
@@ -26,46 +26,61 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     Each detail is a violation (0 = good): residuals for the must-hold
     axioms, and a survivor count for the uniqueness half of axiom 4.
 
-    A trial takes each element's |.| once with model.jordan; the Jordan parts
-    and their perturbations are positive, so each is its own |.|. A matrix
-    trial makes 8 eigh. dominated_sample decomposes vt again, as it needs
-    vt's eigenbasis.
+    Each trial draws its random numbers from its own generator, one trial
+    after another, and the trials of a block (see _blocks) are then
+    checked in stacks and folded in trial order. A trial takes each
+    element's |.| once with model.jordan; the Jordan parts and their
+    perturbations are positive, so each is its own |.|. A matrix trial
+    decomposes 7 matrices: u, the triple's block, ut, vt (whose eigenbasis
+    also makes the dominated sample), k vt + wt, the perturbation's sample
+    and w5.
     """
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
-    for rng in rngs_for(seed, np.arange(trials)):
-        u = model.sample(rng)
+    for block in _blocks(model, trials):
+        u, triples, k, d, fraction, t = zip(*[
+            (model.sample(rng), model.triple_draw(rng), rng.uniform(-4.0, 4.0),
+             model.sample(rng), rng.uniform(0.05, 0.5), model.dominated_draw(rng))
+            for rng in rngs_for(seed, block)])
+        u, k, d, fraction, t = map(np.array, (u, k, d, fraction, t))
+        ut, vt, wt = model.orthogonal_triples(triples)
         up, un, au = model.jordan(u)
+        aut = model.jordan(ut)[2]
+        avt, w5 = model.dominated_sample(vt, t)
+        spread = (...,) + (None,) * (u.ndim - 1)   # one value per trial
 
-        # (1) u orth 0
-        r1 = max(r1, model.zero_product(au, np.zeros_like(au)))
+        # the uniqueness perturbation (up + d, un + d) of u, with d > 0 scaled
+        # to a fraction of u; a zero d (the positive part of a negative
+        # definite sample) is no perturbation, so it cannot survive
+        d = model.positive(d)
+        norm_u = model.vector_norm(u)
+        d = d * (fraction * _pymax(norm_u, 1.0)
+                 / _pymax(model.vector_norm(d), 1e-300))[spread]
+        perturbed = d.reshape(len(d), -1).any(-1) & \
+            (model.zero_product(up + d, un + d) <= tol.tol_zero)
 
-        # (2) symmetry, on a constructed orthogonal pair
-        ut, vt, wt = model.orthogonal_triple(rng)
-        aut, avt = model.jordan(ut)[2], model.jordan(vt)[2]
-        r2 = max(r2, abs(model.zero_product(aut, avt) - model.zero_product(avt, aut)))
-
-        # (3) u orth v, u orth w  =>  u orth (k v + w)
-        k = float(rng.uniform(-4.0, 4.0))
-        r3 = max(r3, model.zero_product(aut, model.jordan(k * vt + wt)[2]))
-
-        # (4) existence of the orthogonal decomposition ...
-        r4 = max(r4, model.cone_defect(up), model.cone_defect(un),
-                 model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
-                 model.zero_product(up, un))
-        # ... and its uniqueness: the decomposition (up + d, un + d) of u, with
-        # d > 0, survives if still orthogonal; a zero d (the positive part of
-        # a negative definite sample) is no perturbation, so it cannot survive
-        d = model.sample_positive(rng)
-        scale = max(model.vector_norm(u), 1.0)
-        d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
-        if np.any(d) and model.zero_product(up + d, un + d) <= tol.tol_zero:
-            survivors += 1
-
-        # (5) u orth v and |w| <= |v|  =>  u orth w
-        w5 = model.dominated_sample(vt, rng)
-        r5 = max(r5, model.zero_product(aut, model.jordan(w5)[2]))
+        residuals = (
+            # (1) u orth 0
+            model.zero_product(au, np.zeros_like(au)),
+            # (2) symmetry, on a constructed orthogonal pair
+            model.zero_product(aut, avt), model.zero_product(avt, aut),
+            # (3) u orth v, u orth w  =>  u orth (k v + w)
+            model.zero_product(aut, model.jordan(k[spread] * vt + wt)[2]),
+            # (4) existence of the orthogonal decomposition
+            model.cone_defect(up), model.cone_defect(un),
+            model.vector_norm(up - un - u) / _pymax(1.0, norm_u),
+            model.zero_product(up, un),
+            # (5) u orth v and |w| <= |v|  =>  u orth w
+            model.zero_product(aut, model.jordan(w5)[2]),
+        )
+        for a1, a2, b2, a3, p4, n4, e4, z4, a5 in zip(*(r.tolist() for r in residuals)):
+            r1 = max(r1, a1)
+            r2 = max(r2, abs(a2 - b2))
+            r3 = max(r3, a3)
+            r4 = max(r4, p4, n4, e4, z4)
+            r5 = max(r5, a5)
+        survivors += int(perturbed.sum())
 
     details = [
         ("ax1_orth_zero", r1),
@@ -84,30 +99,39 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
                    inner: int = 8) -> OrthReport:
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
-    infinity-orthogonal (abs_infty_orth_sampled: its exact zero product, and
-    the endpoints plus `inner` interval sub-pairs per trial) and (b)
-    orthogonality of u to v and w forces orthogonality to |v + w| and
-    |v - w|. The axioms of the relation are check_axioms' part. Uses the
-    model's tolerances. A trial takes |ut| once and compares it with
-    |vt +/- wt|: 7 eigh on the matrix carrier.
+    infinity-orthogonal (the sampled check of abs_infty_orth_sampled on the
+    carrier: its exact zero product, and the endpoints plus `inner`
+    interval sub-pairs per trial) and (b) orthogonality of u to v and w
+    forces orthogonality to |v + w| and |v - w|. The axioms of the relation
+    are check_axioms' part. Uses the model's tolerances.
+
+    The trials are drawn and checked in stacks as in check_axioms, and
+    part (a) of a block is one call of the sampled check. A trial takes
+    |ut| once and compares it with |vt +/- wt|: a matrix trial decomposes
+    7 matrices (u, a square root per part, the triple's block, ut and
+    vt +/- wt).
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
-    for rng in rngs_for(seed, np.arange(trials)):
-        u = model.sample(rng)
-        up, un, _ = model.jordan(u)
+    for block in _blocks(model, trials):
+        u, seeds, triples = zip(*[
+            (model.sample(rng), int(rng.integers(1 << 62)), model.triple_draw(rng))
+            for rng in rngs_for(seed, block)])
+        up, un, _ = model.jordan(np.array(u))
+        ut, vt, wt = model.orthogonal_triples(triples)
 
         # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0
-        parts = abs_infty_orth_sampled(up, un, trials=inner + 1,
-                                       seed=int(rng.integers(1 << 62)), tol=tol)
-        ra_exact = max(ra_exact, dict(parts.details)["exact_alg_orth"])
-        ra_sampled = max(ra_sampled, parts.max_violation)
+        exact, sampled, _ = _sampled_stack(model.element(up), model.element(un), seeds,
+                                           inner + 1, tol)
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
-        ut, vt, wt = model.orthogonal_triple(rng)
-        aut = model.jordan(ut)[2]
-        rb = max(rb, model.zero_product(aut, model.jordan(vt + wt)[2]),
-                 model.zero_product(aut, model.jordan(vt - wt)[2]))
+        abs_sum_dif = model.jordan(np.concatenate((ut, vt + wt, vt - wt)))[2]
+        aut, a_sum, a_dif = np.split(abs_sum_dif, 3)
+        for e, s, b_sum, b_dif in zip(exact, sampled, model.zero_product(aut, a_sum).tolist(),
+                                      model.zero_product(aut, a_dif).tolist()):
+            ra_exact = max(ra_exact, e)
+            ra_sampled = max(ra_sampled, s)
+            rb = max(rb, b_sum, b_dif)
 
     details = [
         ("parts_exact_orth", ra_exact),
@@ -117,3 +141,10 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
     worst = max(r for _, r in details)
     holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
     return OrthReport("theorem7", holds, worst, details)
+
+
+def _blocks(model, trials: int):
+    """The trial indices 0, ..., trials - 1 in blocks as long as the chunks
+    of the sampled checks, at one element of the model a trial."""
+    chunks = sample_chunks(0, trials, _sample_entries(model.n ** model.rank))
+    return (np.arange(c.start, c.stop) for c in chunks)

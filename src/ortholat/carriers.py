@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, NotPositive
 from .linalg import (
     _pymax,
     _scalar,
+    _unitary,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -26,7 +27,6 @@ from .linalg import (
     psd_defect,
     random_complex,
     random_hermitian,
-    random_unitary,
     rel_diff,
     sqrt_psd,
     zero_product_residual,
@@ -62,15 +62,19 @@ def lattice_vector(v) -> np.ndarray:
     return x
 
 
-def require_positive(defect: float, name: str, tol: Tolerances) -> None:
-    """NotPositive unless the cone defect of the operand `name` is within tol_psd."""
-    if defect > tol.tol_psd:
-        raise NotPositive(f"{name} is not positive (defect {defect:.3e})")
+def require_positive(defect, name: str, tol: Tolerances) -> None:
+    """NotPositive unless the cone defect of the operand `name`, or of each
+    operand of a stack, is within tol_psd; it names the first defect above."""
+    above = np.flatnonzero(np.asarray(defect) > tol.tol_psd)
+    if above.size:
+        raise NotPositive(f"{name} is not positive "
+                          f"(defect {np.ravel(defect)[above[0]]:.3e})")
 
 
 class OrderIntervalSampler:
-    """Draws elements of the order interval [0, a] via a^(1/2) w a^(1/2)
-    with w a seeded random contraction 0 <= w <= 1.
+    """Draws elements of the order intervals [0, a] of a stack of operands a
+    via a^(1/2) w a^(1/2) with w a seeded random contraction 0 <= w <= 1
+    (one stacked square root; one operand is a stack of one).
 
     `draw` takes one sample's random numbers from each generator it is
     given (the normals of a random unitary, then the uniforms of its
@@ -79,33 +83,33 @@ class OrderIntervalSampler:
 
     def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
         self.root = sqrt_psd(a, tol)   # raises NotPositive unless a >= 0
-        self.n = len(self.root)
+        self.n = self.root.shape[-1]
 
-    def draw(self, rngs) -> np.ndarray:
+    def draw(self, rngs, owners) -> np.ndarray:
         """The stack of one sample from each of a non-empty sequence of
-        generators."""
+        generators, the sample of generator k from the operand owners[k]."""
         g, t = map(np.array, zip(*[(random_complex(self.n, rng),
                                     rng.uniform(0.0, 1.0, size=self.n)) for rng in rngs]))
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        u = q * (d / np.abs(np.where(d == 0, 1.0, d)))[:, None, :]
+        u = _unitary(g)
         w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
-        s = self.root @ w @ self.root
+        root = self.root[owners]
+        s = root @ w @ root
         if not np.all(np.isfinite(s)):
             raise ValueError("matrix entries must be finite")
         return (s + s.conj().swapaxes(-1, -2)) / 2.0
 
 
 class BoxSampler:
-    """Draws elements of the order interval [0, a] of R^n as t * a with t
-    uniform in the unit box, one sample from each generator as in
-    OrderIntervalSampler."""
+    """Draws elements of the order intervals [0, a] of R^n of a stack of
+    operands a as t * a with t uniform in the unit box, one sample from
+    each generator as in OrderIntervalSampler."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
 
-    def draw(self, rngs) -> np.ndarray:
-        return np.array([rng.uniform(0.0, 1.0, size=self.a.shape) for rng in rngs]) * self.a
+    def draw(self, rngs, owners) -> np.ndarray:
+        t = np.array([rng.uniform(0.0, 1.0, size=self.a.shape[-1]) for rng in rngs])
+        return t * self.a[owners]
 
 
 class _Carrier:
@@ -119,6 +123,11 @@ class _Carrier:
 
     def orth_residual(self, x, y) -> float:
         return self.zero_product(self.jordan(x)[2], self.jordan(y)[2])
+
+    def dominated_draw(self, rng):
+        """The factors t in [-1, 1]^n of one dominated_sample: uniform
+        magnitudes, then random signs."""
+        return rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
 
 
 class MatrixSaModel(_Carrier):
@@ -134,8 +143,9 @@ class MatrixSaModel(_Carrier):
     def sample(self, rng):
         return random_hermitian(self.n, rng)
 
-    def sample_positive(self, rng):
-        return self.jordan(random_hermitian(self.n, rng))[0]
+    def positive(self, x):
+        """A positive element made from a sample x: its positive part."""
+        return self.jordan(x)[0]
 
     def jordan(self, x):
         """(pos, neg, abs) of x from one eigendecomposition."""
@@ -148,34 +158,46 @@ class MatrixSaModel(_Carrier):
         return zero_product_residual(x, y)
 
     def interval_sampler(self, a, name: str):
-        """The sampler of [0, a]; NotPositive names the operand `name`."""
+        """The sampler of [0, a] for a stack of operands a; NotPositive
+        names the operand `name`."""
         try:
             return OrderIntervalSampler(a, self.tol)
         except NotPositive as exc:
             raise NotPositive(f"{name} is not positive ({exc})") from None
 
-    def dominated_sample(self, v, rng):
-        """w with |w| <= |v|: shrink and sign-flip the eigenvalues of |v|
-        (the absolute eigenvalues of v) on v's own eigenvectors."""
+    def dominated_sample(self, v, t):
+        """(|v|, w) with |w| <= |v|, of v or of each element of a stack,
+        from one decomposition: w shrinks and sign-flips the eigenvalues of
+        |v| (the absolute eigenvalues of v) by the factors t of
+        dominated_draw, on v's own eigenvectors."""
         s = hermitian_eigendecompose(v)
-        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
         u = s.eigenvectors
-        return hermitian_matrix((u * (t * np.abs(s.eigenvalues))) @ u.conj().T)
+        w = hermitian_matrix((u * (t * np.abs(s.eigenvalues))[..., None, :]) @ u.conj().mT)
+        return s.jordan_parts()[2], w
 
-    def orthogonal_triple(self, rng):
-        """u positive on one block, v and w arbitrary on the complement,
-        conjugated by a random unitary to avoid purely diagonal structure."""
+    def triple_draw(self, rng):
+        """The random numbers of one orthogonal triple, in the order drawn:
+        the block size n1, the normals of the unitary, then the blocks."""
         n1 = int(rng.integers(1, self.n))
-        q = random_unitary(self.n, rng)
-        gu = random_hermitian(n1, rng)
-        up = np.zeros((self.n, self.n), dtype=complex)
-        up[:n1, :n1] = jordan_decompose(gu)[2]  # |gu| is positive
-        v = np.zeros((self.n, self.n), dtype=complex)
-        w = np.zeros((self.n, self.n), dtype=complex)
-        v[n1:, n1:] = random_hermitian(self.n - n1, rng)
-        w[n1:, n1:] = random_hermitian(self.n - n1, rng)
-        conj = lambda x: hermitian_matrix(q @ x @ q.conj().T)
-        return conj(up), conj(v), conj(w)
+        return (n1, random_complex(self.n, rng), random_hermitian(n1, rng),
+                random_hermitian(self.n - n1, rng), random_hermitian(self.n - n1, rng))
+
+    def orthogonal_triples(self, draws):
+        """The stacks (u, v, w) of the triples of a non-empty sequence of
+        triple_draw results: u positive on one block (|gu|, one stacked
+        decomposition per block size), v and w arbitrary on the complement,
+        conjugated by a random unitary to avoid purely diagonal structure."""
+        sizes, g, gu, gv, gw = zip(*draws)
+        u, v, w = np.zeros((3, len(draws), self.n, self.n), dtype=complex)
+        for n1 in set(sizes):
+            rows = [k for k, size in enumerate(sizes) if size == n1]
+            u[rows, :n1, :n1] = jordan_decompose(np.array([gu[k] for k in rows]))[2]
+        for k, n1 in enumerate(sizes):
+            v[k, n1:, n1:] = gv[k]
+            w[k, n1:, n1:] = gw[k]
+        q = _unitary(np.array(g))
+        conj = lambda x: hermitian_matrix(q @ x @ q.conj().mT)
+        return conj(u), conj(v), conj(w)
 
 
 class CoordinateModel(_Carrier):
@@ -190,8 +212,9 @@ class CoordinateModel(_Carrier):
     def sample(self, rng):
         return rng.standard_normal(self.n)
 
-    def sample_positive(self, rng):
-        return np.abs(rng.standard_normal(self.n))
+    def positive(self, x):
+        """A positive element made from a sample x: |x|."""
+        return np.abs(x)
 
     def jordan(self, x):
         return np.maximum(x, 0.0), np.maximum(-x, 0.0), np.abs(x)
@@ -215,11 +238,15 @@ class CoordinateModel(_Carrier):
         require_positive(self.cone_defect(a), name, self.tol)
         return BoxSampler(a)
 
-    def dominated_sample(self, v, rng):
-        t = rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
-        return t * np.abs(v)
+    def dominated_sample(self, v, t):
+        abs_v = np.abs(v)
+        return abs_v, t * abs_v
 
-    def orthogonal_triple(self, rng):
+    def orthogonal_triples(self, draws):
+        return tuple(map(np.array, zip(*draws)))
+
+    def triple_draw(self, rng):
+        """The triple itself: on R^n it is all drawn."""
         n1 = int(rng.integers(1, self.n))
         u = np.zeros(self.n)
         u[:n1] = np.abs(rng.standard_normal(n1))

@@ -97,7 +97,13 @@ def _load_hermitian(path, tol):
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as strict JSON: a value that left the float range
+    (inf or NaN) is a ValueError, and nothing is written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a value of the report left the float range, "
+                         "so it has no JSON form") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

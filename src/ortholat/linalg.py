@@ -164,18 +164,25 @@ def jordan_decompose(a):
 
 
 def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """PSD square root; eigenvalues in [-slack, slack) are clamped to zero.
+    """PSD square root, of a matrix or of each matrix of a stack; eigenvalues
+    in [-slack, slack) are clamped to zero, and NotPositive names the lowest
+    eigenvalue of the first matrix below -slack.
 
     Clamping the whole band (not just the negatives) keeps round-off noise
     from being amplified by the square root near the kernel.
     """
     s = hermitian_eigendecompose(a)
     w = s.eigenvalues
-    slack = tol.tol_psd * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if w.size and w[0] < -slack:
-        raise NotPositive(f"minimum eigenvalue {w[0]:.3e} below -{slack:.3e}")
+    slack = tol.tol_psd * _pymax(1.0, np.abs(w).max(-1, initial=0.0))
+    lowest = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
+    below = np.flatnonzero(lowest < -slack)
+    if below.size:
+        first = below[0]
+        raise NotPositive(f"minimum eigenvalue {lowest.flat[first]:.3e} "
+                          f"below -{np.ravel(slack)[first]:.3e}")
     u = s.eigenvectors
-    return hermitian_matrix((u * np.sqrt(np.where(w < slack, 0.0, w))) @ u.conj().T)
+    root = np.sqrt(np.where(w < np.expand_dims(slack, -1), 0.0, w))
+    return hermitian_matrix((u * root[..., None, :]) @ u.conj().mT)
 
 
 def abs_general(x) -> np.ndarray:
@@ -430,9 +437,16 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(n, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(np.where(d == 0, 1.0, d)))
+    return _unitary(random_complex(n, rng))
+
+
+def _unitary(g) -> np.ndarray:
+    """The Haar-distributed unitary Q of g = QR with the phases of R's
+    diagonal moved into Q, of a complex matrix of normals or of each matrix
+    of a stack (one stacked qr)."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(np.where(d == 0, 1.0, d)))[..., None, :]
 
 
 def random_psd(n: int, rng: np.random.Generator) -> np.ndarray:

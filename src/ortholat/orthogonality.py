@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carriers import MatrixSaModel, carrier_operands, require_positive
+from .carriers import CoordinateModel, MatrixSaModel, carrier_operands, require_positive
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     abs_general,
@@ -89,10 +89,11 @@ def infty_deviations(u, v, norm):
     the pair's grid KGrid.for_norms(||u[i]||, ||v[i]||).
 
     `norm` is the carrier's batched norm: it maps a stack of elements along
-    the leading axes to their norms, so all pairs and the whole grid are one
-    evaluation. Grids shorter than the longest are padded with copies of
-    their last value, which leaves the first k of the largest deviation
-    unchanged. Returns the deviations, of shape (pairs, grid points).
+    the leading axes to their norms, so the pairs and their grids are
+    evaluated in slices of at most _GRID_ENTRIES entries of u + k v. Grids
+    shorter than the longest are padded with copies of their last value,
+    which leaves the first k of the largest deviation unchanged. Returns the
+    deviations, of shape (pairs, grid points).
     """
     nu, nv = norm(np.stack((u, v)))
     grids = [KGrid.for_norms(a, b).values for a, b in zip(nu, nv)]
@@ -100,17 +101,27 @@ def infty_deviations(u, v, norm):
     for row, g in zip(ks, grids):
         row[:g.size] = g
         row[g.size:] = g[-1]
-    # k v for every pair and k, with the elements flattened so that one
-    # broadcast serves vectors and matrices alike
-    kv = (ks[..., None] * v.reshape(len(v), 1, -1)).reshape(ks.shape + v.shape[1:])
-    lhs = norm(u[:, None] + kv)
+    lhs = np.empty(ks.shape)
+    step = max(1, _GRID_ENTRIES // max(1, ks.shape[1] * u[0].size))
+    for rows in (slice(i, i + step) for i in range(0, len(ks), step)):
+        # k v + u for every pair and k, with the elements flattened so that
+        # one broadcast serves vectors and matrices alike
+        kv = ks[rows, :, None] * v[rows].reshape(len(v[rows]), 1, -1)
+        kv = kv.reshape(kv.shape[:2] + v.shape[1:])
+        kv += u[rows, None]
+        lhs[rows] = norm(kv)
     rhs = np.maximum(nu[:, None], np.abs(ks) * nv[:, None])
     return np.abs(lhs - rhs) / np.maximum(1.0, rhs)
 
 
-# A chunk of stacked samples holds at most this many entries of its elements,
-# so the k-grid stack of one chunk (at most 47 times larger) stays near 3 MB.
+# A chunk of stacked samples holds at most this many entries of its elements.
+# The chunks of the sampled checks also hold at most _CHUNK_SAMPLES samples,
+# each with its own generator and k-grid. A k-grid stack, up to 47 times
+# larger than its chunk, is evaluated in slices of at most _GRID_ENTRIES
+# entries (128 kB of complex numbers).
 _CHUNK_ENTRIES = 4096
+_CHUNK_SAMPLES = 64
+_GRID_ENTRIES = 2 * _CHUNK_ENTRIES
 
 
 def sample_chunks(start: int, stop: int, entries: int):
@@ -119,6 +130,13 @@ def sample_chunks(start: int, stop: int, entries: int):
     shorter)."""
     size = max(1, _CHUNK_ENTRIES // max(1, entries))
     return (range(i, min(stop, i + size)) for i in range(start, stop, size))
+
+
+def _sample_entries(entries: int) -> int:
+    """The entries that a sample of `entries` entries counts as in the
+    chunks of the sampled checks, so that a chunk holds at most
+    _CHUNK_SAMPLES samples."""
+    return max(entries, _CHUNK_ENTRIES // _CHUNK_SAMPLES)
 
 
 def alg_orth_positive(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
@@ -258,51 +276,91 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     is drawn, and the worst deviation covers the trials up to that
     violation.
     """
-    model, ah, bh = carrier_operands(a, b, tol)
-    sampler_a = model.interval_sampler(ah, "a")
-    sampler_b = model.interval_sampler(bh, "b")
-    exact = model.zero_product(ah, bh)
-
-    worst = 0.0
-    first_violation = -1
-    rngs = rngs_for(seed, np.arange(trials))   # trial 0's is not drawn from
-    for chunk in [range(1), *sample_chunks(1, trials, ah.size)] if trials > 0 else []:
-        if chunk.start == 0:
-            cs, ds = ah[None], bh[None]
-        else:
-            drawn = [rngs[i] for i in chunk]
-            cs, ds = sampler_a.draw(drawn), sampler_b.draw(drawn)
-        dev = infty_deviations(cs, ds, model.norm).max(-1)
-        violations = np.flatnonzero(~(dev <= tol.tol_eq))
-        if first_violation < 0 and violations.size:
-            first_violation = chunk.start + int(violations[0])
-            if stop_on_violation:
-                worst = max(worst, float(dev[:violations[0] + 1].max()))
-                break
-        worst = max(worst, float(dev.max()))
+    _, ah, bh = carrier_operands(a, b, tol)
+    (exact,), (worst,), (first,) = _sampled_stack(ah[None], bh[None], [seed], trials, tol,
+                                                  stop_on_violation=stop_on_violation)
     return OrthReport(
         "abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
         [("exact_alg_orth", exact),
          ("sampled_deviation", worst),
-         ("first_violation_trial", float(first_violation))])
+         ("first_violation_trial", float(first))])
 
 
 def hereditary_check(a, b, trials: int = 100, seed: int = 0,
                      tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0, on
     either carrier (Lemma 1)."""
-    model, x, y = carrier_operands(a, b, tol)
-    # the samplers raise NotPositive unless a, b >= 0
-    sampler_a, sampler_b = model.interval_sampler(x, "a"), model.interval_sampler(y, "b")
-    r = model.zero_product(x, y)
-    if r > tol.tol_zero:
-        raise PreconditionFailed(
-            f"a and b are not algebraically orthogonal (residual {r:.3e})")
-    worst = 0.0
-    rngs = rngs_for(seed, np.arange(trials))
-    for chunk in sample_chunks(0, trials, x.size):
-        drawn = [rngs[i] for i in chunk]
-        cs, ds = sampler_a.draw(drawn), sampler_b.draw(drawn)
-        worst = max([worst, *model.zero_product(cs, ds).tolist()])
+    _, x, y = carrier_operands(a, b, tol)
+    (worst,) = _sampled_stack(x[None], y[None], [seed], trials, tol, hereditary=True)[1]
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])
+
+
+def _sampled_stack(a, b, seeds, trials: int, tol: Tolerances, hereditary: bool = False,
+                   stop_on_violation: bool = False):
+    """The sampled checks on each pair (a[i], b[i]) of two stacks of elements
+    of one carrier (a stack of vectors is 2-D), with trial j of pair i drawn
+    from rng_for(seeds[i], j): lists of the exact zero product, the worst
+    residual and the first trial whose residual breaks its bound (-1 for
+    none) of each pair.
+
+    The residual is the deviation from the infinity-norm identity (bound
+    tol_eq), and trial 0 is the pair itself, checked for all pairs in one
+    stack; or, with `hereditary`, Lemma 1's zero product of the samples
+    (bound tol_zero), every trial sampled, after a PreconditionFailed for
+    the first pair with ab != 0. The samplers raise NotPositive for the
+    first a that is not positive, else for the first b. The samples go in
+    chunks (see _sample_entries), pair by pair in trial order, and a pair
+    is folded chunk by chunk as a single pair is. With
+    stop_on_violation a pair draws no chunk after the one that holds its
+    first violation, and its worst residual covers the trials up to it.
+    """
+    model = (CoordinateModel if a.ndim == 2 else MatrixSaModel)(a.shape[-1], tol)
+    sampler_a = model.interval_sampler(a, "a")
+    sampler_b = model.interval_sampler(b, "b")
+    exact = model.zero_product(a, b)
+    if hereditary:
+        for r in exact.tolist():
+            if r > tol.tol_zero:
+                raise PreconditionFailed(
+                    f"a and b are not algebraically orthogonal (residual {r:.3e})")
+        bound, start = tol.tol_zero, 0
+        residual = model.zero_product
+        fold = lambda worst, seg: max([worst, *seg.tolist()])
+    else:
+        bound, start = tol.tol_eq, 1
+        residual = lambda c, d: infty_deviations(c, d, model.norm).max(-1)
+        fold = lambda worst, seg: max(worst, float(seg.max()))
+
+    worst = [0.0] * len(a)
+    first = [-1] * len(a)
+    stopped = [False] * len(a)
+
+    def judge(i, trial, seg):
+        """Fold the residuals of pair i's trials trial, trial + 1, ..."""
+        if first[i] < 0:
+            violations = np.flatnonzero(~(seg <= bound))
+            if violations.size:
+                first[i] = trial + int(violations[0])
+                if stop_on_violation:
+                    seg = seg[:violations[0] + 1]
+                    stopped[i] = True
+        worst[i] = fold(worst[i], seg)
+
+    if start and trials > 0:
+        for i, seg in enumerate(residual(a, b)[:, None]):
+            judge(i, 0, seg)
+    todo = [(i, j) for i in range(len(a)) if not stopped[i] for j in range(start, trials)]
+    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
+    for part in sample_chunks(0, len(todo), _sample_entries(a[0].size)):
+        rows = [k for k in part if not stopped[todo[k][0]]]
+        if not rows:
+            continue
+        owners = np.array([todo[k][0] for k in rows])
+        drawn = [rngs[k] for k in rows]
+        values = residual(sampler_a.draw(drawn, owners), sampler_b.draw(drawn, owners))
+        # each pair's trials of a chunk are consecutive rows
+        edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(rows)]
+        for lo, hi in zip(edges, edges[1:]):
+            judge(int(owners[lo]), todo[rows[lo]][1], values[lo:hi])
+    return exact.tolist(), worst, first

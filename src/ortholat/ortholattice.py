@@ -36,7 +36,12 @@ def ortho_inf_sup(a, b) -> tuple[np.ndarray, np.ndarray]:
     """(inf, sup) = ((a + b - |a - b|) / 2, (a + b + |a - b|) / 2), the
     ortho-infimum and ortho-supremum, from one absolute value of a - b.
     verify_theorem4 takes its own."""
-    model, x, y = carrier_operands(a, b)
+    return _inf_sup(*carrier_operands(a, b))
+
+
+def _inf_sup(model, x, y):
+    """ortho_inf_sup of each pair (x[i], y[i]) of two stacks of elements of
+    the model, or of one pair."""
     abs_x = model.jordan(x - y)[2]
     return (x + y - abs_x) / 2.0, (x + y + abs_x) / 2.0
 

@@ -24,11 +24,11 @@ from .linalg import (
 from .orthogonality import (
     _alg_orth_general_stack,
     _prop2_stack,
-    abs_infty_orth_sampled,
-    hereditary_check,
+    _sample_entries,
+    _sampled_stack,
     sample_chunks,
 )
-from .ortholattice import _theorem4_stack, ortho_inf_sup
+from .ortholattice import _inf_sup, _theorem4_stack, ortho_inf_sup
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = ["SUITES", "run_suite", "run_suites"]
@@ -71,14 +71,21 @@ def _orthogonal_psd_pair(n, rng):
 
 
 def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
-    """Hereditarity of algebraic orthogonality on order intervals."""
+    """Hereditarity of algebraic orthogonality on order intervals:
+    hereditary_check with seed seed + i on the pair of each trial i, the
+    pairs of equal n in stacks, a pair counted as a sample of the check."""
     pairs = max(1, trials // 10)
     samples = min(trials, 100)
+
+    def check(chunk, a, b):
+        return _sampled_stack(hermitian_matrix(a), hermitian_matrix(b),
+                              [seed + i for i in chunk], samples, tol, hereditary=True)[1]
+
     worst = 0.0
-    for i, rng in enumerate(rngs_for(seed, 1, np.arange(pairs))):
-        a, b = _orthogonal_psd_pair(_dim_for(rng, dim), rng)
-        rep = hereditary_check(a, b, trials=samples, seed=seed + i, tol=tol)
-        worst = max(worst, rep.max_violation)
+    for w in _checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
+                                lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
+                                lambda n: _sample_entries(n * n)):
+        worst = max(worst, w)
     return {"suite": "lemma1", "pass": worst <= tol.tol_zero,
             "trials": pairs * samples, "max_violation": worst}
 
@@ -88,7 +95,8 @@ def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list
     rng), where rng = rng_for(seed, stream, i) and n = dims(rng) is read from
     it first. The pairs of equal n are checked together: check(chunk, a, b)
     gets the trials of a chunk in order and the stacks of their first and
-    second elements, and returns one outcome per pair. A chunk holds at most
+    second elements (and of any further ones that draw gives, as further
+    arguments), and returns one outcome per pair. A chunk holds at most
     _CHUNK_ENTRIES of the entries that its check stacks, entries(n) per
     pair, as sample_chunks allows. The trials go in blocks of _KEY_BLOCK,
     whose keys one rngs_for hashes. A trial's generator is made to read n
@@ -111,8 +119,8 @@ def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list
         for n, members in groups.items():
             for part in sample_chunks(0, len(members), entries(n)):
                 chunk = [members[j] for j in part]
-                a, b = map(np.stack, zip(*(pair(i, n) for i in chunk)))
-                for i, outcome in zip(chunk, check(chunk, a, b)):
+                stacks = [np.stack(part) for part in zip(*(pair(i, n) for i in chunk))]
+                for i, outcome in zip(chunk, check(chunk, *stacks)):
                     outcomes[i] = outcome
     return outcomes
 
@@ -201,15 +209,19 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     w = u inf v, in [0, u] and [0, v], is non-zero and breaks the identity
     for (w, w) at k = 1. The disjoint direction holds bit for bit in this
     arithmetic (each entry of u + k v is u_i or k v_i), so it is checked
-    where rounding can break it: on the matrix carrier by the infty suite."""
+    where rounding can break it: on the matrix carrier by the infty suite.
+    Each chunk of trials takes its w from one ortho-infimum and its
+    verdicts from one sampled check of the endpoints (w, w)."""
     n = max(2, min(16, 2 * dim))
+    model = CoordinateModel(n, tol)
     failures = 0
-    for rng in rngs_for(seed, 6, np.arange(trials)):
-        u = np.abs(rng.standard_normal(n))
-        v = np.abs(rng.standard_normal(n))
-        w = ortho_inf_sup(u, v)[0]
-        if abs_infty_orth_sampled(w, w, trials=1, tol=tol).holds:
-            failures += 1
+    rngs = rngs_for(seed, 6, np.arange(trials))
+    for chunk in sample_chunks(0, trials, _sample_entries(n)):
+        uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n))
+                     for rng in (rngs[i] for i in chunk)])
+        w = _inf_sup(model, uv[:, 0], uv[:, 1])[0]
+        worst = _sampled_stack(w, w, [0] * len(w), 1, tol)[1]
+        failures += sum(r <= tol.tol_eq for r in worst)
     return {"suite": "prop6", "pass": failures == 0, "trials": trials,
             "failures": failures}
 
@@ -262,23 +274,38 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
 def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Algebraic orthogonality implies (and its failure falsifies) the
-    sampled absolute infinity-orthogonality test."""
+    sampled absolute infinity-orthogonality test: abs_infty_orth_sampled
+    with seed seed + i on the orthogonal pair of each trial i, and on its
+    overlapping pair if the zero product is above 0.1. The pairs of equal n
+    are checked in stacks, a pair counted as a sample of the sampled check."""
     pairs = max(1, trials // 10)
     samples = 40
+
+    def draw(i, n, rng):
+        return (*_orthogonal_psd_pair(n, rng), random_psd(n, rng), random_psd(n, rng))
+
+    def check(chunk, a, b, c, d):
+        seeds = [seed + i for i in chunk]
+        worst = _sampled_stack(hermitian_matrix(a), hermitian_matrix(b), seeds, samples,
+                               tol)[1]
+        missed = [False] * len(chunk)
+        overlapping = np.flatnonzero(zero_product_residual(c, d) > 0.1).tolist()
+        if overlapping:
+            # only the verdict is read, and any violation decides it
+            held = _sampled_stack(hermitian_matrix(c[overlapping]),
+                                  hermitian_matrix(d[overlapping]),
+                                  [seeds[k] for k in overlapping], samples, tol,
+                                  stop_on_violation=True)[1]
+            for k, r in zip(overlapping, held):
+                missed[k] = r <= tol.tol_eq
+        return zip(worst, missed)
+
     worst = 0.0
     missed = 0
-    for i, rng in enumerate(rngs_for(seed, 9, np.arange(pairs))):
-        n = _dim_for(rng, dim)
-        a, b = _orthogonal_psd_pair(n, rng)
-        rep = abs_infty_orth_sampled(a, b, trials=samples, seed=seed + i, tol=tol)
-        worst = max(worst, rep.max_violation)
-        c, d = random_psd(n, rng), random_psd(n, rng)
-        if zero_product_residual(c, d) > 0.1:
-            # only the verdict is read, and any violation decides it
-            rep2 = abs_infty_orth_sampled(c, d, trials=samples, seed=seed + i, tol=tol,
-                                          stop_on_violation=True)
-            if rep2.holds:
-                missed += 1
+    for w, m in _checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim), draw,
+                                   check, lambda n: _sample_entries(n * n)):
+        worst = max(worst, w)
+        missed += m
     return {"suite": "infty", "pass": worst <= tol.tol_eq and missed == 0,
             "trials": pairs * samples, "max_violation": worst, "missed": missed}
 

@@ -1,0 +1,183 @@
+"""The one-trial-at-a-time loops that the stacked checks replaced, kept as
+references: check_axioms, check_theorem7, abs_infty_orth_sampled and
+hereditary_check must report bit for bit what these loops report. Each loop
+draws a trial's random numbers from its own generator in the order the
+checks draw them, and computes on one element at a time."""
+import json
+
+import numpy as np
+
+from ortholat.carriers import carrier_operands, sup_norm
+from ortholat.errors import NotPositive, PreconditionFailed
+from ortholat.linalg import (
+    hermitian_eigendecompose,
+    hermitian_matrix,
+    hermitian_norm,
+    jordan_decompose,
+    random_hermitian,
+    random_unitary,
+    rng_for,
+)
+from ortholat.orthogonality import OrthReport, infty_deviations
+from ortholat.tolerances import DEFAULT_TOL
+
+
+def same_report(got: OrthReport, want: OrthReport) -> bool:
+    """The two reports agree bit for bit (repr-exact floats)."""
+    return json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def sqrt_psd_one(a, tol=DEFAULT_TOL):
+    """The PSD square root of one matrix, as OrderIntervalSampler took it."""
+    s = hermitian_eigendecompose(a)
+    w = s.eigenvalues
+    slack = tol.tol_psd * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if w.size and w[0] < -slack:
+        raise NotPositive(f"minimum eigenvalue {w[0]:.3e} below -{slack:.3e}")
+    u = s.eigenvectors
+    return hermitian_matrix((u * np.sqrt(np.where(w < slack, 0.0, w))) @ u.conj().T)
+
+
+def draw_one(root, rng):
+    """The one-sample draw of [0, root^2] that the stacked sampler replaced."""
+    n = root.shape[0]
+    u = random_unitary(n, rng)
+    t = rng.uniform(0.0, 1.0, size=n)
+    return hermitian_matrix(root @ ((u * t) @ u.conj().T) @ root)
+
+
+def _interval_drawers(x, y, tol):
+    """One-sample draws of [0, x] and [0, y] on the carrier of x."""
+    if x.ndim == 1:
+        return (lambda rng: rng.uniform(0.0, 1.0, size=len(x)) * x,
+                lambda rng: rng.uniform(0.0, 1.0, size=len(y)) * y)
+    root_x, root_y = sqrt_psd_one(x, tol), sqrt_psd_one(y, tol)
+    return lambda rng: draw_one(root_x, rng), lambda rng: draw_one(root_y, rng)
+
+
+def abs_infty_loop(a, b, trials, seed, stop_on_violation=False,
+                   tol=DEFAULT_TOL) -> OrthReport:
+    """abs_infty_orth_sampled one trial at a time: trial 0 is (a, b), trial
+    i > 0 a sample pair from rng_for(seed, i)."""
+    model, x, y = carrier_operands(a, b, tol)
+    draw_x, draw_y = _interval_drawers(x, y, tol)
+    norm = hermitian_norm if x.ndim == 2 else sup_norm
+    worst, first = 0.0, -1
+    for i in range(trials):
+        if i == 0:
+            c, d = x, y
+        else:
+            rng = rng_for(seed, i)
+            c, d = draw_x(rng), draw_y(rng)
+        dev = float(infty_deviations(c[None], d[None], norm).max())
+        worst = max(worst, dev)
+        if first < 0 and not dev <= tol.tol_eq:
+            first = i
+            if stop_on_violation:
+                break
+    return OrthReport("abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
+                      [("exact_alg_orth", model.zero_product(x, y)),
+                       ("sampled_deviation", worst),
+                       ("first_violation_trial", float(first))])
+
+
+def hereditary_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
+    """hereditary_check one sample pair at a time, from rng_for(seed, i)."""
+    model, x, y = carrier_operands(a, b, tol)
+    draw_x, draw_y = _interval_drawers(x, y, tol)
+    r = model.zero_product(x, y)
+    if r > tol.tol_zero:
+        raise PreconditionFailed(f"a and b are not algebraically orthogonal (residual {r:.3e})")
+    worst = 0.0
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        c, d = draw_x(rng), draw_y(rng)
+        worst = max(worst, model.zero_product(c, d))
+    return OrthReport("hereditary", worst <= tol.tol_zero, worst, [("worst_cd", worst)])
+
+
+def _triple(model, rng):
+    """One trial's orthogonal triple, drawn and built alone."""
+    if model.rank == 1:
+        return model.triple_draw(rng)
+    n = model.n
+    n1 = int(rng.integers(1, n))
+    q = random_unitary(n, rng)
+    gu = random_hermitian(n1, rng)
+    up = np.zeros((n, n), dtype=complex)
+    up[:n1, :n1] = jordan_decompose(gu)[2]
+    v = np.zeros((n, n), dtype=complex)
+    w = np.zeros((n, n), dtype=complex)
+    v[n1:, n1:] = random_hermitian(n - n1, rng)
+    w[n1:, n1:] = random_hermitian(n - n1, rng)
+    conj = lambda x: hermitian_matrix(q @ x @ q.conj().T)
+    return conj(up), conj(v), conj(w)
+
+
+def _sample_positive(model, rng):
+    if model.rank == 1:
+        return np.abs(rng.standard_normal(model.n))
+    return jordan_decompose(random_hermitian(model.n, rng))[0]
+
+
+def _dominated_sample(model, v, rng):
+    t = rng.uniform(0.0, 1.0, size=model.n) * rng.choice([-1.0, 1.0], size=model.n)
+    if model.rank == 1:
+        return t * np.abs(v)
+    s = hermitian_eigendecompose(v)
+    u = s.eigenvectors
+    return hermitian_matrix((u * (t * np.abs(s.eigenvalues))) @ u.conj().T)
+
+
+def axioms_loop(model, trials=200, seed=0) -> OrthReport:
+    """check_axioms one trial at a time."""
+    tol = model.tol
+    r1 = r2 = r3 = r4 = r5 = 0.0
+    survivors = 0
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        u = model.sample(rng)
+        up, un, au = model.jordan(u)
+        r1 = max(r1, model.zero_product(au, np.zeros_like(au)))
+        ut, vt, wt = _triple(model, rng)
+        aut, avt = model.jordan(ut)[2], model.jordan(vt)[2]
+        r2 = max(r2, abs(model.zero_product(aut, avt) - model.zero_product(avt, aut)))
+        k = float(rng.uniform(-4.0, 4.0))
+        r3 = max(r3, model.zero_product(aut, model.jordan(k * vt + wt)[2]))
+        r4 = max(r4, model.cone_defect(up), model.cone_defect(un),
+                 model.vector_norm(up - un - u) / max(1.0, model.vector_norm(u)),
+                 model.zero_product(up, un))
+        d = _sample_positive(model, rng)
+        scale = max(model.vector_norm(u), 1.0)
+        d = d * (rng.uniform(0.05, 0.5) * scale / max(model.vector_norm(d), 1e-300))
+        if np.any(d) and model.zero_product(up + d, un + d) <= tol.tol_zero:
+            survivors += 1
+        w5 = _dominated_sample(model, vt, rng)
+        r5 = max(r5, model.zero_product(aut, model.jordan(w5)[2]))
+    details = [("ax1_orth_zero", r1), ("ax2_symmetry", r2), ("ax3_linear_closure", r3),
+               ("ax4_decomposition", r4), ("ax4_uniqueness_survivors", float(survivors)),
+               ("ax5_hereditary", r5)]
+    holds = max(r1, r2, r3, r4, r5) <= tol.tol_zero and survivors == 0
+    return OrthReport("axioms", holds, max(max(r1, r2, r3, r4, r5), float(survivors)),
+                      details)
+
+
+def theorem7_loop(model, trials=200, seed=0, inner=8) -> OrthReport:
+    """check_theorem7 one trial at a time."""
+    tol = model.tol
+    ra_exact = ra_sampled = rb = 0.0
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        u = model.sample(rng)
+        up, un, _ = model.jordan(u)
+        parts = abs_infty_loop(up, un, inner + 1, int(rng.integers(1 << 62)), tol=tol)
+        ra_exact = max(ra_exact, dict(parts.details)["exact_alg_orth"])
+        ra_sampled = max(ra_sampled, parts.max_violation)
+        ut, vt, wt = _triple(model, rng)
+        aut = model.jordan(ut)[2]
+        rb = max(rb, model.zero_product(aut, model.jordan(vt + wt)[2]),
+                 model.zero_product(aut, model.jordan(vt - wt)[2]))
+    details = [("parts_exact_orth", ra_exact), ("parts_infty_sampled", ra_sampled),
+               ("block_triple_abs_orth", rb)]
+    holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
+    return OrthReport("theorem7", holds, max(r for _, r in details), details)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ortholat.axioms
+import ortholat.orthogonality
 from ortholat.axioms import check_axioms, check_theorem7
 from ortholat.carriers import (
     BrokenOrthModel,
@@ -14,9 +15,9 @@ from ortholat.linalg import (
     rel_diff,
     rng_for,
 )
-from ortholat.orthogonality import OrthReport
 
 from helpers import loewner_le
+from references import axioms_loop, same_report, theorem7_loop
 
 
 class TestModels:
@@ -41,8 +42,8 @@ class TestModels:
         model = model(4)
         for i in range(50):
             rng = rng_for(82, i)
-            a = model.sample_positive(rng)
-            b = model.sample_positive(rng)
+            a = model.positive(model.sample(rng))
+            b = model.positive(model.sample(rng))
             exact = model.zero_product(a, b) <= model.tol.tol_zero
             derived = model.orth_residual(a, b) <= model.tol.tol_zero
             assert exact == derived
@@ -52,17 +53,25 @@ class TestModels:
         v = random_hermitian(4, rng_for(83))
         abs_v = model.jordan(v)[2]
         for i in range(20):
-            w = model.dominated_sample(v, rng_for(84, i))
+            got_abs, w = model.dominated_sample(v, model.dominated_draw(rng_for(84, i)))
+            assert np.array_equal(got_abs, abs_v)
             assert loewner_le(model.jordan(w)[2], abs_v)
 
     def test_dominated_sample_decomposes_v_once(self, eigen_calls):
-        MatrixSaModel(4).dominated_sample(random_hermitian(4, rng_for(83)), rng_for(84))
-        assert dict(eigen_calls) == {"eigh": 1}
+        # |v| and the sample from one decomposition, of one element or a stack
+        model = MatrixSaModel(4)
+        model.dominated_sample(random_hermitian(4, rng_for(83)), model.dominated_draw(rng_for(84)))
+        vs = np.array([random_hermitian(4, rng_for(83, i)) for i in range(5)])
+        model.dominated_sample(vs, np.array([model.dominated_draw(rng_for(84, i))
+                                             for i in range(5)]))
+        assert dict(eigen_calls) == {"eigh": 2}
+        assert eigen_calls.stacks["eigh"] == [1, 5]
 
     def test_orthogonal_triple(self):
         for model in (MatrixSaModel(4), CoordinateModel(4)):
-            for i in range(20):
-                u, v, w = model.orthogonal_triple(rng_for(85, i))
+            triples = model.orthogonal_triples([model.triple_draw(rng_for(85, i))
+                                                for i in range(20)])
+            for u, v, w in zip(*triples):
                 assert model.cone_defect(u) <= model.tol.tol_psd
                 assert model.orth_residual(u, v) <= model.tol.tol_zero
                 assert model.orth_residual(u, w) <= model.tol.tol_zero
@@ -90,13 +99,19 @@ class TestCheckAxioms:
         assert dict(rep.details)["ax4_uniqueness_survivors"] > 0
 
     def test_one_decomposition_per_axiom4_trial(self, eigen_calls):
-        # a trial makes 8 eigh: jordan(u), whose parts serve axioms 1 and 4,
-        # orthogonal_triple, |ut| and |vt| (shared by axioms 2, 3 and 5),
-        # |k vt + wt|, sample_positive, dominated_sample (which decomposes vt
-        # again for its eigenbasis) and |w5|; the Jordan parts and their
-        # perturbations are positive, so none of them is decomposed
-        check_axioms(MatrixSaModel(4), trials=10)
-        assert eigen_calls["eigh"] == 10 * 8
+        # a trial decomposes 7 matrices: u, whose parts serve axioms 1 and 4,
+        # the triple's block, ut and vt (shared by axioms 2, 3 and 5; vt's
+        # eigenbasis also makes the dominated sample), k vt + wt, the
+        # perturbation's sample and w5; the Jordan parts and their
+        # perturbations are positive, so none of them is decomposed. The
+        # trials are decomposed in stacks: one call for each of the six, and
+        # one for each block size of the triples (1, 2 or 3 at n = 4)
+        for trials in (10, 30):
+            eigen_calls.clear()
+            eigen_calls.stacks.clear()
+            check_axioms(MatrixSaModel(4), trials=trials)
+            assert sum(eigen_calls.stacks["eigh"]) == 7 * trials
+            assert eigen_calls["eigh"] == 6 + 3
 
 
 class TestCheckTheorem7:
@@ -130,35 +145,69 @@ class TestCheckTheorem7:
         assert rep.holds
 
     def test_eigensolver_calls(self, eigen_calls):
-        # a trial: 7 eigh (jordan, a square root per part, orthogonal_triple,
-        # |ut|, |v + w| and |v - w|), 4 eigvalsh (the norms of the endpoints,
-        # then of the 8 samples) and 3 qr (the samples of each part,
-        # orthogonal_triple)
-        check_theorem7(MatrixSaModel(4), trials=10, seed=3)
-        assert dict(eigen_calls) == {"eigh": 70, "eigvalsh": 40, "qr": 30}
+        # a trial decomposes 7 matrices with eigh (u, a square root per part,
+        # the triple's block, ut, v + w and v - w) and makes 17 qr (the 8
+        # samples of each part, the triple's unitary); the trials are
+        # decomposed in stacks, one call each and one for each block size of
+        # the triples (1, 2 or 3 at n = 4); the k-grids of the samples go to
+        # eigvalsh in slices of at most _GRID_ENTRIES entries, 16 a matrix
+        for trials in (10, 20):
+            eigen_calls.clear()
+            eigen_calls.stacks.clear()
+            check_theorem7(MatrixSaModel(4), trials=trials, seed=3)
+            assert sum(eigen_calls.stacks["eigh"]) == 7 * trials
+            assert sum(eigen_calls.stacks["qr"]) == 17 * trials
+            assert eigen_calls["eigh"] == 4 + 3
+            # the samples of each part in chunks of 64, and the triples' unitaries
+            assert eigen_calls["qr"] == 2 * (trials * 8 // 64 + 1) + 1
+            assert max(eigen_calls.stacks["eigvalsh"]) <= \
+                ortholat.orthogonality._GRID_ENTRIES // 16
 
     def test_parts_verdict_is_the_shared_sampled_check(self, monkeypatch):
         calls = []
 
-        def violating(a, b, **kwargs):
-            calls.append(kwargs)
-            return OrthReport("abs_infty_orth_sampled", False, 0.5,
-                              [("exact_alg_orth", 0.25), ("sampled_deviation", 0.5)])
-        monkeypatch.setattr(ortholat.axioms, "abs_infty_orth_sampled", violating)
+        def violating(a, b, seeds, trials, tol, **kwargs):
+            calls.append((len(a), trials))
+            return [0.25] * len(a), [0.5] * len(a), [0] * len(a)
+        monkeypatch.setattr(ortholat.axioms, "_sampled_stack", violating)
         rep = check_theorem7(CoordinateModel(4), trials=3, seed=6)
         assert not rep.holds
         assert dict(rep.details)["parts_infty_sampled"] == 0.5
         # the exact half is the sampled check's own, not computed again
         assert dict(rep.details)["parts_exact_orth"] == 0.25
-        assert len(calls) == 3 and all(c["trials"] == 9 for c in calls)
+        # the three trials' parts in one stack, the endpoints and 8 samples each
+        assert calls == [(3, 9)]
 
     @pytest.mark.parametrize("model", [MatrixSaModel, CoordinateModel])
     def test_zero_product_calls(self, model, monkeypatch):
-        # a trial: the exact half inside abs_infty_orth_sampled, then the
-        # orthogonality residuals to |v + w| and |v - w|
+        # the exact half inside the sampled check, then the orthogonality
+        # residuals to |v + w| and |v - w|: each one stacked call for all trials
         calls = []
         zero_product = model.zero_product
         monkeypatch.setattr(model, "zero_product",
-                            lambda self, x, y: calls.append(1) or zero_product(self, x, y))
+                            lambda self, x, y: calls.append(len(x)) or zero_product(self, x, y))
         assert check_theorem7(model(4), trials=10, seed=3).holds
-        assert len(calls) == 3 * 10
+        assert calls == [10] * 3
+
+
+# the parent's loops, one trial at a time, at 0, 1 and an odd count of
+# trials; a small chunk cap splits the trials into blocks and the samples
+# of theorem7's parts into chunks that span trials
+REFERENCE_MODELS = [MatrixSaModel(2), MatrixSaModel(4), CoordinateModel(8), BrokenOrthModel(4)]
+REFERENCE_IDS = ["matrix-2", "matrix-4", "coordinate-8", "broken-4"]
+
+
+@pytest.mark.parametrize("samples", [5, 64], ids=["chunks-5", "chunks-64"])
+@pytest.mark.parametrize("trials", [0, 1, 13])
+@pytest.mark.parametrize("model", REFERENCE_MODELS, ids=REFERENCE_IDS)
+class TestStackedChecksAreTheLoops:
+    def test_check_axioms(self, model, trials, samples, monkeypatch):
+        monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+        for seed in (42, 4294967290):
+            assert same_report(check_axioms(model, trials, seed), axioms_loop(model, trials, seed))
+
+    def test_check_theorem7(self, model, trials, samples, monkeypatch):
+        monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+        for seed in (42, 4294967290):
+            assert same_report(check_theorem7(model, trials, seed),
+                               theorem7_loop(model, trials, seed))

@@ -177,6 +177,20 @@ class TestDecompose:
         assert capsys.readouterr().out == want
 
 
+    def test_value_out_of_the_float_range_exit_two(self, tmp_path, capsys):
+        # the Frobenius norm of 1e160 overflows to inf, which has no JSON form
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 2, "re": [[1e160, 0], [0, 1]]}')
+        out = tmp_path / "rep.json"
+        with np.errstate(over="ignore"):
+            code = main(["decompose", "--a", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: a value of the report left the float range, so it has no JSON form"]
+
+
 class TestWitness:
     def test_fixture_found(self, matrix_file, capsys):
         code = main(["witness", "--a", matrix_file("s.json", S),

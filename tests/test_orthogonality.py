@@ -24,6 +24,7 @@ from ortholat.linalg import (
 )
 from ortholat.orthogonality import (
     KGrid,
+    _sampled_stack,
     abs_infty_orth_sampled,
     alg_orth_general,
     alg_orth_positive,
@@ -37,6 +38,7 @@ from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_
 from ortholat.tolerances import DEFAULT_TOL
 
 from helpers import is_psd, random_projection
+from references import abs_infty_loop, draw_one as _draw_one, hereditary_loop, same_report
 
 
 def matrix_unit(n, i, j):
@@ -280,22 +282,20 @@ class TestInftyDeviations:
         assert dev.max() <= DEFAULT_TOL.tol_eq
 
 
-def _draw_one(root, rng):
-    """The one-sample draw of [0, root^2] that the stacked sampler replaced."""
-    n = root.shape[0]
-    u = random_unitary(n, rng)
-    t = rng.uniform(0.0, 1.0, size=n)
-    return hermitian_matrix(root @ ((u * t) @ u.conj().T) @ root)
+def _sampler(a):
+    """The sampler of the one operand a, a stack of one."""
+    return OrderIntervalSampler(np.asarray(a)[None])
 
 
 def _draw(sampler, rng):
-    """The one sample of `sampler` drawn from `rng`."""
-    return sampler.draw([rng])[0]
+    """The one sample of a sampler of one operand drawn from `rng`."""
+    return sampler.draw([rng], [0])[0]
 
 
 def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
-    """The one-sample-at-a-time loop of abs_infty_orth_sampled: its largest
-    deviation and its first violating trial."""
+    """The one-sample-at-a-time loop of abs_infty_orth_sampled on matrices,
+    with the per-k loop of the identity: its largest deviation and its first
+    violating trial."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     root_a, root_b = sqrt_psd(ah), sqrt_psd(bh)
     norm = _scalar_norm("matrix")
@@ -315,36 +315,26 @@ def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
     return worst, first
 
 
-def _hereditary_loop(a, b, trials, seed):
-    root_a, root_b = sqrt_psd(hermitian_matrix(a)), sqrt_psd(hermitian_matrix(b))
-    worst = 0.0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        c, d = _draw_one(root_a, rng), _draw_one(root_b, rng)
-        worst = max(worst, zero_product_residual(c, d))
-    return worst
-
-
 class TestOrderIntervalSampler:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_stack_matches_one_at_a_time(self, n):
-        sampler = OrderIntervalSampler(random_psd(n, rng_for(54, n)))
-        want = [_draw_one(sampler.root, rng_for(55, i)) for i in range(12)]
-        stack = sampler.draw([rng_for(55, i) for i in range(12)])
+        sampler = _sampler(random_psd(n, rng_for(54, n)))
+        want = [_draw_one(sampler.root[0], rng_for(55, i)) for i in range(12)]
+        stack = sampler.draw([rng_for(55, i) for i in range(12)], [0] * 12)
         assert np.array_equal(stack, want)
         assert np.array_equal(_draw(sampler, rng_for(55, 3)), want[3])
 
     def test_zero(self):
-        assert frob(_draw(OrderIntervalSampler(np.zeros((3, 3))), rng_for(0))) == 0.0
+        assert frob(_draw(_sampler(np.zeros((3, 3))), rng_for(0))) == 0.0
 
     def test_identity_interval(self):
-        c = _draw(OrderIntervalSampler(np.eye(4)), rng_for(5))
+        c = _draw(_sampler(np.eye(4)), rng_for(5))
         w = np.linalg.eigvalsh(c)
         assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
 
     def test_kernel_killed(self):
         a = np.diag([4.0, 0.0]).astype(complex)
-        sampler = OrderIntervalSampler(a)
+        sampler = _sampler(a)
         for seed in range(20):
             c = _draw(sampler, rng_for(seed))
             assert np.max(np.abs(c[1, :])) <= 1e-12
@@ -353,7 +343,7 @@ class TestOrderIntervalSampler:
     def test_stays_in_interval(self):
         from ortholat.linalg import random_psd
         a = random_psd(4, rng_for(45))
-        sampler = OrderIntervalSampler(a)
+        sampler = _sampler(a)
         for i in range(30):
             c = _draw(sampler, rng_for(46, i))
             assert is_psd(c)
@@ -361,12 +351,12 @@ class TestOrderIntervalSampler:
 
     def test_deterministic(self):
         a = np.eye(3) * 2.0
-        assert np.array_equal(_draw(OrderIntervalSampler(a), rng_for(9)),
-                              _draw(OrderIntervalSampler(a), rng_for(9)))
+        assert np.array_equal(_draw(_sampler(a), rng_for(9)),
+                              _draw(_sampler(a), rng_for(9)))
 
     def test_not_positive(self):
         with pytest.raises(NotPositive):
-            OrderIntervalSampler(np.diag([1.0, -1.0]))
+            _sampler(np.diag([1.0, -1.0]))
 
 
 class TestAbsInftyOrthSampled:
@@ -416,7 +406,8 @@ class TestAbsInftyMatchesOneAtATime:
         (*_NEAR, 9, 3),
         (*_NEAR, 1, 14),
         (*_NEAR, 0, -1),
-    ], ids=["trial-0", "trial-21", "trial-3", "trial-14", "none"])
+        (*_NEAR, 21, 6),  # trial 7 deviates more, which stopping leaves out
+    ], ids=["trial-0", "trial-21", "trial-3", "trial-14", "none", "trial-6"])
     def test_worst_and_first_violation(self, a, b, seed, first, stop):
         worst, want_first = _abs_infty_loop(a, b, 40, seed, stop)
         assert want_first == first
@@ -488,8 +479,9 @@ class TestNotPositiveNamesTheOperand:
         with pytest.raises(NotPositive, match="^a is not positive"):
             check(neg, pos)
         # on matrices, one square root an operand up to the first that is
-        # not positive (2 + 1 calls); on vectors none
-        assert dict(eigen_calls) == ({"eigh": 3} if carrier == "matrix" else {})
+        # not positive (2 + 1 matrices decomposed); on vectors none
+        decomposed = {name: sum(sizes) for name, sizes in eigen_calls.stacks.items()}
+        assert decomposed == ({"eigh": 3} if carrier == "matrix" else {})
 
 
 def test_infty_suite_verdicts_do_not_depend_on_stopping():
@@ -515,7 +507,7 @@ class TestHereditaryCheck:
     def test_matches_one_at_a_time(self, n, trials):
         a, b = _orthogonal_psd_pair(n, rng_for(57, n))
         rep = hereditary_check(a, b, trials=trials, seed=4)
-        assert rep.max_violation == _hereditary_loop(a, b, trials, 4)
+        assert same_report(rep, hereditary_loop(a, b, trials, 4))
 
     def test_disjoint_diagonal(self):
         assert hereditary_check(np.diag([2.0, 0.0]), np.diag([0.0, 3.0]),
@@ -547,6 +539,133 @@ class TestHereditaryCheck:
         hereditary_check(np.diag([2.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 3.0, 1.0]),
                          trials=10, seed=4)
         assert dict(eigen_calls) == {"eigh": 2, "qr": 2}
+
+
+def _positive_pairs(carrier, count, n=3):
+    """Positive pairs of the carrier: orthogonal ones, overlapping ones and
+    the near-miss, whose violations come at seed-dependent trials."""
+    pairs = []
+    for i in range(count):
+        rng = rng_for(59, i)
+        if carrier == "coordinate":
+            x, y = np.abs(rng.standard_normal((2, n)))
+            support = rng.uniform(size=n) < 0.5
+            pairs.append((x, y) if i % 3 == 0 else
+                         (x * support, y * ~support) if i % 3 == 1 else
+                         (x * support, y * (support + 1e-8)))
+        elif i % 3 == 2:
+            pairs.append(tuple(np.diag(np.resize(m, n)) for m in (_NEAR[0].diagonal(),
+                                                                   _NEAR[1].diagonal())))
+        else:
+            pairs.append(_orthogonal_psd_pair(n, rng) if i % 3 else
+                         (random_psd(n, rng), random_psd(n, rng)))
+    return pairs
+
+
+class TestSampledChecksAreTheLoops:
+    """abs_infty_orth_sampled and hereditary_check against their loops one
+    trial at a time, on both carriers, at 0, 1 and an odd count of trials;
+    a chunk cap of 3 samples also splits the samples into several chunks."""
+
+    @pytest.mark.parametrize("samples", [3, 64], ids=["chunks-3", "chunks-64"])
+    @pytest.mark.parametrize("trials", [0, 1, 41])
+    @pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
+    @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+    def test_abs_infty(self, carrier, stop, trials, samples, monkeypatch):
+        monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+        for i, (a, b) in enumerate(_positive_pairs(carrier, 6)):
+            assert same_report(abs_infty_orth_sampled(a, b, trials, 17 + i,
+                                                      stop_on_violation=stop),
+                               abs_infty_loop(a, b, trials, 17 + i, stop))
+
+    @pytest.mark.parametrize("samples", [3, 64], ids=["chunks-3", "chunks-64"])
+    @pytest.mark.parametrize("trials", [0, 1, 41])
+    @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+    def test_hereditary(self, carrier, trials, samples, monkeypatch):
+        monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+        orthogonal = [(a, b) for a, b in _positive_pairs(carrier, 6)
+                      if alg_orth_positive(a, b).holds]
+        assert len(orthogonal) >= 2
+        for i, (a, b) in enumerate(orthogonal):
+            assert same_report(hereditary_check(a, b, trials, 23 + i),
+                               hereditary_loop(a, b, trials, 23 + i))
+
+
+@pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((0, 0))], ids=["vector", "matrix"])
+def test_sampled_checks_of_empty_operands(empty):
+    for trials in (0, 1, 5):
+        assert same_report(abs_infty_orth_sampled(empty, empty, trials, 3),
+                           abs_infty_loop(empty, empty, trials, 3))
+        assert same_report(hereditary_check(empty, empty, trials, 3),
+                           hereditary_loop(empty, empty, trials, 3))
+
+
+@pytest.mark.parametrize("samples", [3, 7, 64], ids=["chunks-3", "chunks-7", "chunks-64"])
+@pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
+@pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+def test_sampled_stack_is_each_pair_alone(carrier, stop, samples, monkeypatch):
+    # chunks that span pairs, and pairs that stop at trial 0 or later, give
+    # each pair what it gets alone; no chunk holds more than the cap
+    monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+    pairs = _positive_pairs(carrier, 9)
+    seeds = [17 + i for i in range(len(pairs))]
+    a, b = (np.array(x) for x in zip(*pairs))
+    a, b = (hermitian_matrix(x) if carrier == "matrix" else x for x in (a, b))
+    seen = []
+
+    def counting(cs, ds, norm):
+        seen.append(len(cs))
+        return infty_deviations(cs, ds, norm)
+    monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
+    exact, worst, first = _sampled_stack(a, b, seeds, 40, DEFAULT_TOL,
+                                         stop_on_violation=stop)
+    monkeypatch.undo()
+    for pair, seed, e, w, f in zip(pairs, seeds, exact, worst, first):
+        want = abs_infty_loop(*pair, 40, seed, stop)
+        assert [e, w, float(f)] == [r for _, r in want.details]
+    # trial 0 of every pair in one stack, then chunks of the samples of the
+    # pairs that have not stopped
+    assert seen[0] == len(pairs) and all(size <= samples for size in seen[1:])
+    if not stop:
+        assert sum(seen[1:]) == 39 * len(pairs)
+    elif all(f == 0 for f in first):
+        assert seen == [len(pairs)]
+
+
+def test_sampled_stack_precondition_and_positivity():
+    # the first pair that is not orthogonal, the first operand that is not
+    # positive, a before b
+    ok = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    with pytest.raises(PreconditionFailed, match="residual 7.071e-01"):
+        _sampled_stack(np.array([ok[0], np.eye(2)]), np.array([ok[1], np.eye(2) / 2]),
+                       [0, 0], 3, DEFAULT_TOL, hereditary=True)
+    with pytest.raises(NotPositive, match=r"^a is not positive .*-2\.000e\+00"):
+        _sampled_stack(np.array([ok[0], -2 * np.eye(2), -np.eye(2)]),
+                       np.array([ok[1], -np.eye(2), ok[1]]), [0] * 3, 3, DEFAULT_TOL)
+    with pytest.raises(NotPositive, match=r"^b is not positive .*-3\.000e\+00"):
+        _sampled_stack(np.array([ok[0], ok[0]]), np.array([-3 * np.eye(2), -np.eye(2)]),
+                       [0, 0], 3, DEFAULT_TOL)
+
+
+def test_sampler_of_a_stack_is_each_operand_alone():
+    operands = np.array([random_psd(3, rng_for(60, i)) for i in range(4)])
+    stacked = OrderIntervalSampler(operands)
+    owners = np.array([2, 0, 0, 3, 1, 2])
+    rngs = [rng_for(61, i) for i in range(len(owners))]
+    want = [_draw_one(sqrt_psd(operands[k]), rng_for(61, i)) for i, k in enumerate(owners)]
+    assert np.array_equal(stacked.draw(rngs, owners), want)
+    assert np.array_equal(stacked.root, [sqrt_psd(x) for x in operands])
+
+
+@pytest.mark.parametrize("grid", [1, 100, 10 ** 6])
+def test_infty_deviations_in_slices(grid, monkeypatch):
+    # the k-grid stack evaluated in slices of pairs gives every pair its
+    # deviations as in one evaluation
+    u = np.array([random_psd(3, rng_for(62, i)) for i in range(7)])
+    v = np.array([random_psd(3, rng_for(63, i)) for i in range(7)])
+    want = infty_deviations(u, v, hermitian_norm)
+    monkeypatch.setattr(ortholat.orthogonality, "_GRID_ENTRIES", grid)
+    assert np.array_equal(infty_deviations(u, v, hermitian_norm), want)
 
 
 class TestOnVectors:
