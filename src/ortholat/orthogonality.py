@@ -311,9 +311,9 @@ def _sampled_stack(a, b, seeds, trials: int, tol: Tolerances, hereditary: bool =
     the first pair with ab != 0. The samplers raise NotPositive for the
     first a that is not positive, else for the first b. The samples go in
     chunks (see _sample_entries), pair by pair in trial order, and a pair
-    is folded chunk by chunk as a single pair is. With
-    stop_on_violation a pair draws no chunk after the one that holds its
-    first violation, and its worst residual covers the trials up to it.
+    is folded chunk by chunk as a single pair is. With stop_on_violation a
+    pair draws no chunk after the one that holds its first violation, and
+    its worst residual covers the trials up to it.
     """
     model = (CoordinateModel if a.ndim == 2 else MatrixSaModel)(a.shape[-1], tol)
     sampler_a = model.interval_sampler(a, "a")
@@ -326,6 +326,7 @@ def _sampled_stack(a, b, seeds, trials: int, tol: Tolerances, hereditary: bool =
                     f"a and b are not algebraically orthogonal (residual {r:.3e})")
         bound, start = tol.tol_zero, 0
         residual = model.zero_product
+        # each check's own fold: the two differ only where a residual is NaN
         fold = lambda worst, seg: max([worst, *seg.tolist()])
     else:
         bound, start = tol.tol_eq, 1

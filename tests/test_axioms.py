@@ -190,9 +190,9 @@ class TestCheckTheorem7:
         assert calls == [10] * 3
 
 
-# the parent's loops, one trial at a time, at 0, 1 and an odd count of
-# trials; a small chunk cap splits the trials into blocks and the samples
-# of theorem7's parts into chunks that span trials
+# the stacked checks against their loops one trial at a time, at 0, 1 and
+# an odd count of trials; a small chunk cap splits the trials into blocks
+# and the samples of theorem7's parts into chunks that span trials
 REFERENCE_MODELS = [MatrixSaModel(2), MatrixSaModel(4), CoordinateModel(8), BrokenOrthModel(4)]
 REFERENCE_IDS = ["matrix-2", "matrix-4", "coordinate-8", "broken-4"]
 

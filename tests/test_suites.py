@@ -154,9 +154,10 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
         assert shape[0] == 1 or stacked * np.prod(shape) <= ortholat.orthogonality._CHUNK_ENTRIES
 
 
-# sha256 of json.dumps(run_suites(all), sort_keys=True), as the one-trial-at-a-
-# time loops of the parent commit reported it (numpy 2.4.6, x86-64 OpenBLAS):
-# the stacked suites must report every trial, sample and residual bit for bit
+# sha256 of json.dumps(run_suites(all), sort_keys=True), as the suites
+# reported it when they looped one trial at a time (numpy 2.4.6, x86-64
+# OpenBLAS): stacked, they must report every trial, sample and residual bit
+# for bit
 @pytest.mark.parametrize("dim, trials, seed, digest", [
     (4, 500, 42, "ac37478a8a2af80286e2843b065d51d4e04b7e76cc2eff70c636c5b332d62696"),
     (4, 500, 18446744073709551610,
