@@ -13,7 +13,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .linalg import (
-    Spectrum,
     abs_general,
     complex_matrix,
     embed_offdiag,

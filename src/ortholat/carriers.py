@@ -1,11 +1,11 @@
 """The two carriers of the ortho-lattice: Hermitian n x n matrices with the
 Loewner order, and R^n with the coordinatewise order. A model holds what the
-carriers do differently (input checks, the Jordan parts of one
-decomposition, the cone defect, the zero-product residual, the norms and
-the samplers), so every check built on it is written once for both.
-`element`, `jordan`, `cone_defect`, `zero_product`, `rel_diff`, `norm`
-and `vector_norm` also take stacks of elements along leading axes, and give
-each element of a stack bit for bit what it gets alone.
+carriers do differently (input checks, the spectrum, the cone defect, the
+zero-product residual, the norms and the samplers), so every check built on
+it is written once for both. `element`, `spectrum`, `jordan`, `cone_defect`,
+`zero_product`, `rel_diff`, `norm` and `vector_norm` also take stacks of
+elements along leading axes, and give each element of a stack bit for bit
+what it gets alone.
 
 `carrier_operands` picks the model from the operands: a 1-D array is a
 vector of R^n, anything else must be a square matrix.
@@ -16,14 +16,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
 from .linalg import (
+    Spectrum,
     _pymax,
+    _rebuild,
     _scalar,
     _unitary,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    jordan_decompose,
     psd_defect,
     random_complex,
     random_hermitian,
@@ -113,13 +114,24 @@ class BoxSampler:
 
 
 class _Carrier:
-    """What the carriers share: orthogonality is the zero-product residual
-    of the absolute values. An element has `rank` axes; `element` validates
-    one element or a stack of them."""
+    """What the carriers share: the Jordan parts and dominated samples of a
+    spectrum, and orthogonality as the zero-product residual of absolute
+    values. An element has `rank` axes; `element` validates one or a stack."""
 
     def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
         self.n = n
         self.tol = tol
+
+    def jordan(self, x):
+        """(pos, neg, abs) of x, or of each element of a stack, from its spectrum."""
+        return self.spectrum(x).jordan_parts()
+
+    def dominated_sample(self, v, t):
+        """(|v|, w) with |w| <= |v|, of v or of each element of a stack, from
+        its spectrum: w shrinks and sign-flips the eigenvalues of |v| by the
+        factors t of dominated_draw, on v's own eigenvectors."""
+        s = self.spectrum(v)
+        return s.jordan_parts()[2], _rebuild(s.eigenvectors, t * np.abs(s.eigenvalues))
 
     def orth_residual(self, x, y) -> float:
         return self.zero_product(self.jordan(x)[2], self.jordan(y)[2])
@@ -136,6 +148,7 @@ class MatrixSaModel(_Carrier):
     carrier = "matrix-sa"
     rank, kind = 2, "a square matrix"
     element = staticmethod(hermitian_matrix)   # validated and symmetrized
+    spectrum = staticmethod(hermitian_eigendecompose)
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
     rel_diff = staticmethod(rel_diff)
@@ -146,10 +159,6 @@ class MatrixSaModel(_Carrier):
     def positive(self, x):
         """A positive element made from a sample x: its positive part."""
         return self.jordan(x)[0]
-
-    def jordan(self, x):
-        """(pos, neg, abs) of x from one eigendecomposition."""
-        return jordan_decompose(x)
 
     def cone_defect(self, x):
         return psd_defect(x)
@@ -164,16 +173,6 @@ class MatrixSaModel(_Carrier):
             return OrderIntervalSampler(a, self.tol)
         except NotPositive as exc:
             raise NotPositive(f"{name} is not positive ({exc})") from None
-
-    def dominated_sample(self, v, t):
-        """(|v|, w) with |w| <= |v|, of v or of each element of a stack,
-        from one decomposition: w shrinks and sign-flips the eigenvalues of
-        |v| (the absolute eigenvalues of v) by the factors t of
-        dominated_draw, on v's own eigenvectors."""
-        s = hermitian_eigendecompose(v)
-        u = s.eigenvectors
-        w = hermitian_matrix((u * (t * np.abs(s.eigenvalues))[..., None, :]) @ u.conj().mT)
-        return s.jordan_parts()[2], w
 
     def triple_draw(self, rng):
         """The random numbers of one orthogonal triple, in the order drawn:
@@ -191,7 +190,7 @@ class MatrixSaModel(_Carrier):
         u, v, w = np.zeros((3, len(draws), self.n, self.n), dtype=complex)
         for n1 in set(sizes):
             rows = [k for k, size in enumerate(sizes) if size == n1]
-            u[rows, :n1, :n1] = jordan_decompose(np.array([gu[k] for k in rows]))[2]
+            u[rows, :n1, :n1] = self.jordan(np.array([gu[k] for k in rows]))[2]
         for k, n1 in enumerate(sizes):
             v[k, n1:, n1:] = gv[k]
             w[k, n1:, n1:] = gw[k]
@@ -216,8 +215,9 @@ class CoordinateModel(_Carrier):
         """A positive element made from a sample x: |x|."""
         return np.abs(x)
 
-    def jordan(self, x):
-        return np.maximum(x, 0.0), np.maximum(-x, 0.0), np.abs(x)
+    def spectrum(self, x):
+        """The entries of x on the coordinate axes."""
+        return Spectrum(x, None)
 
     def cone_defect(self, x):
         lo = x.min(-1, initial=0.0)
@@ -238,20 +238,14 @@ class CoordinateModel(_Carrier):
         require_positive(self.cone_defect(a), name, self.tol)
         return BoxSampler(a)
 
-    def dominated_sample(self, v, t):
-        abs_v = np.abs(v)
-        return abs_v, t * abs_v
-
     def orthogonal_triples(self, draws):
         return tuple(map(np.array, zip(*draws)))
 
     def triple_draw(self, rng):
         """The triple itself: on R^n it is all drawn."""
         n1 = int(rng.integers(1, self.n))
-        u = np.zeros(self.n)
+        u, v, w = np.zeros((3, self.n))
         u[:n1] = np.abs(rng.standard_normal(n1))
-        v = np.zeros(self.n)
-        w = np.zeros(self.n)
         v[n1:] = rng.standard_normal(self.n - n1)
         w[n1:] = rng.standard_normal(self.n - n1)
         perm = rng.permutation(self.n)

@@ -20,7 +20,7 @@ from .linalg import (
     matrix_to_json,
     rel_diff,
 )
-from .ortholattice import kadison_witness_search, ortho_inf_sup, verify_theorem4
+from .ortholattice import _checked_inf_sup, kadison_witness_search
 from .suites import SUITES, run_suites
 from .tolerances import DEFAULT_TOL
 
@@ -140,8 +140,7 @@ def cmd_ortho(args) -> int:
     tol = _resolve_tol(args)
     a = _load_hermitian(args.a, tol)
     b = _load_hermitian(args.b, tol)
-    inf, sup = ortho_inf_sup(a, b)
-    rep = verify_theorem4(a, b, seed=seed, tol=tol)
+    inf, sup, rep = _checked_inf_sup(a, b, seed=seed, tol=tol)
     report = {
         "command": "ortho",
         "seed": seed,

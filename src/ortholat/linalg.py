@@ -122,20 +122,23 @@ def zero_product_residual(a: np.ndarray, b: np.ndarray):
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (ascending) with an orthonormal eigenbasis in columns, of
-    one matrix or of each matrix of a stack."""
+    a matrix or each of a stack; of a vector, its entries on the axes (None)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def jordan_parts(self):
-        """(pos, neg, abs) of the decomposed matrix: pos - neg is the
-        matrix, pos * neg = 0 and abs = pos + neg."""
-        u = self.eigenvectors
-        wp = np.maximum(self.eigenvalues, 0.0)[..., None, :]
-        wn = np.maximum(-self.eigenvalues, 0.0)[..., None, :]
-        pos = hermitian_matrix((u * wp) @ u.conj().mT)
-        neg = hermitian_matrix((u * wn) @ u.conj().mT)
+        """(pos, neg, abs) of the decomposed element: pos - neg is the
+        element, pos * neg = 0 and abs = pos + neg."""
+        pos = _rebuild(self.eigenvectors, np.maximum(self.eigenvalues, 0.0))
+        neg = _rebuild(self.eigenvectors, np.maximum(-self.eigenvalues, 0.0))
         return pos, neg, pos + neg
+
+
+def _rebuild(u, values):
+    """u diag(values) u*, symmetrized, for an eigenbasis u in columns (or
+    each of a stack); on the coordinate axes (u None) the values themselves."""
+    return values if u is None else hermitian_matrix((u * values[..., None, :]) @ u.conj().mT)
 
 
 def hermitian_eigendecompose(a) -> Spectrum:
@@ -180,9 +183,7 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         first = below[0]
         raise NotPositive(f"minimum eigenvalue {lowest.flat[first]:.3e} "
                           f"below -{np.ravel(slack)[first]:.3e}")
-    u = s.eigenvectors
-    root = np.sqrt(np.where(w < np.expand_dims(slack, -1), 0.0, w))
-    return hermitian_matrix((u * root[..., None, :]) @ u.conj().mT)
+    return _rebuild(s.eigenvectors, np.sqrt(np.where(w < np.expand_dims(slack, -1), 0.0, w)))
 
 
 def abs_general(x) -> np.ndarray:

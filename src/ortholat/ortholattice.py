@@ -8,19 +8,13 @@ matrices that beats the ortho-infimum (the anti-lattice phenomenon).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .carriers import carrier_operands
+from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import (
-    _pymax,
-    frob,
-    hermitian_eigendecompose,
-    hermitian_matrix,
-    matrix_to_json,
-    rngs_for,
-)
+from .linalg import _pymax, frob, hermitian_matrix, matrix_to_json, rngs_for
 from .orthogonality import OrthReport, _sole, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -32,18 +26,26 @@ __all__ = [
 ]
 
 
+class _Pair:
+    """A pair (a, b) of elements of a carrier model, or each pair of two
+    stacks, with x = a - b and its spectrum; the Jordan parts (pos, neg, abs)
+    of x, the ortho-infimum c and ortho-supremum d are formed when read."""
+
+    def __init__(self, model, a, b):
+        self.model, self.a, self.b, self.x = model, a, b, a - b
+        self.spectrum = model.spectrum(self.x)
+
+    parts = cached_property(lambda self: self.spectrum.jordan_parts())
+    c = cached_property(lambda self: (self.a + self.b - self.parts[2]) / 2.0)
+    d = cached_property(lambda self: (self.a + self.b + self.parts[2]) / 2.0)
+
+
 def ortho_inf_sup(a, b) -> tuple[np.ndarray, np.ndarray]:
     """(inf, sup) = ((a + b - |a - b|) / 2, (a + b + |a - b|) / 2), the
-    ortho-infimum and ortho-supremum, from one absolute value of a - b.
-    verify_theorem4 takes its own."""
-    return _inf_sup(*carrier_operands(a, b))
-
-
-def _inf_sup(model, x, y):
-    """ortho_inf_sup of each pair (x[i], y[i]) of two stacks of elements of
-    the model, or of one pair."""
-    abs_x = model.jordan(x - y)[2]
-    return (x + y - abs_x) / 2.0, (x + y + abs_x) / 2.0
+    ortho-infimum and ortho-supremum, from one absolute value of a - b;
+    `ortholat ortho` reads them off its verify_theorem4 check's."""
+    pair = _Pair(*carrier_operands(a, b))
+    return pair.c, pair.d
 
 
 def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
@@ -71,25 +73,33 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     perturbation that is not finite raises the carrier's ValueError; the
     first perturbation that does either decides which.
     """
+    return _checked_inf_sup(a, b, trials, seed, tol)[2]
+
+
+def _checked_inf_sup(a, b, trials: int = 10, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
+    """ortho_inf_sup(a, b) and verify_theorem4's report, of one decomposition."""
     model, ah, bh = carrier_operands(a, b, tol)
-    return _sole(_theorem4_stack(model, ah[None], bh[None], [seed], trials))
+    pair = _Pair(model, ah[None], bh[None])
+    inf, sup = pair.c[0], pair.d[0]   # before the check drops the Jordan parts
+    return inf, sup, _sole(_theorem4_stack(pair, [seed], trials))
 
 
 _EXISTENCE = ("c_le_a", "c_le_b", "inf_residuals_orth", "spectral_residual")
 _RATIOS = ("zero-product", "a - c_i", "b - c_i")
 
 
-def _theorem4_stack(model, a, b, seeds, trials: int) -> list:
-    """verify_theorem4 on each pair (a[i], b[i]) of two stacks of elements of
-    the model, at the model's tolerances, with perturbation j of pair i
-    drawn from rng_for(seeds[i], j): the report of each pair, or the error
-    its check raises. The perturbations of all pairs are settled in stacks
-    of at most _CHUNK_ENTRIES entries, pair by pair in order (see
-    _settle_perturbations)."""
+def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
+    """verify_theorem4 on each pair (a[i], b[i]) of a stacked _Pair, at its
+    model's tolerances, with perturbation j of pair i drawn from
+    rng_for(seeds[i], j): the report of each pair, or the error its check
+    raises. The perturbations are settled after the _Pair drops x, its
+    spectrum and its parts, in stacks of at most _CHUNK_ENTRIES entries,
+    pair by pair in order (see _settle_perturbations)."""
+    model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
-    x = a - b
-    xp, xn, abs_x = model.jordan(x)
-    c = (a + b - abs_x) / 2.0
+    xp, xn, _ = pair.parts
+    del pair.spectrum   # the eigenvectors are not needed once the parts are formed
+    c = pair.c
     ra, rb = a - c, b - c
     existence = zip(*(r.tolist() for r in (
         model.cone_defect(ra), model.cone_defect(rb), model.zero_product(ra, rb),
@@ -97,7 +107,7 @@ def _theorem4_stack(model, a, b, seeds, trials: int) -> list:
     bounds = (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq)
 
     gap = model.vector_norm(x)
-    del x, xp, xn, abs_x, ra, rb   # held no longer than the existence half
+    del pair.x, pair.parts, x, xp, xn, ra, rb   # held no longer than the existence half
     # a = b draws nothing: every admissible perturbation magnitude window is empty
     todo = [(i, j) for i in range(len(a)) if gap[i] > tol.tol_eq for j in range(trials)]
     rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
@@ -231,14 +241,13 @@ def kadison_witness_search(s, t, tol: Tolerances = DEFAULT_TOL) -> WitnessResult
     measured margin are set against the slack tol_psd * max(||S||_F, ||T||_F).
     """
     _, sh, th = carrier_operands(s, t, tol)   # validated, of one shape
-    spectrum = hermitian_eigendecompose(sh - th)
-    w, u = spectrum.eigenvalues, spectrum.eigenvectors
+    pair = _Pair(MatrixSaModel(len(sh), tol), sh, th)
+    w, u = pair.spectrum.eigenvalues, pair.spectrum.eigenvectors
     # 0 for an empty spectrum, which is comparable
     lam = min(w.max(initial=0.0), -w.min(initial=0.0))
     if lam <= tol.tol_psd * max(1.0, np.abs(w).max(initial=0.0)):
         raise ComparablePair("S and T are comparable; their minimum is the infimum")
-    _, _, abs_x = spectrum.jordan_parts()
-    c = (sh + th - abs_x) / 2.0
+    c = pair.c
     x = (u[:, -1] + u[:, 0]) / np.sqrt(2.0)
     m = hermitian_matrix(c + (4.0 / 3.0 * lam) * np.outer(x, x.conj())
                          - lam * np.eye(len(w)))

@@ -11,6 +11,7 @@ from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
     _KEY_BLOCK,
+    _rebuild,
     complex_matrix,
     hermitian_matrix,
     jordan_decompose,
@@ -28,7 +29,7 @@ from .orthogonality import (
     _sampled_stack,
     sample_chunks,
 )
-from .ortholattice import _inf_sup, _theorem4_stack, ortho_inf_sup
+from .ortholattice import _Pair, _theorem4_stack, ortho_inf_sup
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = ["SUITES", "run_suite", "run_suites"]
@@ -42,13 +43,10 @@ def _orthogonal_sa_pair(n, rng):
     """Hermitian pair with |a||b| = 0 by a common-eigenbasis block split."""
     u = random_unitary(n, rng)
     split = int(rng.integers(1, n))
-    da = np.zeros(n)
-    db = np.zeros(n)
+    da, db = np.zeros((2, n))
     da[:split] = rng.standard_normal(split)
     db[split:] = rng.standard_normal(n - split)
-    a = hermitian_matrix((u * da) @ u.conj().T)
-    b = hermitian_matrix((u * db) @ u.conj().T)
-    return a, b
+    return _rebuild(u, da), _rebuild(u, db)
 
 
 def _orthogonal_general_pair(n, rng):
@@ -154,7 +152,7 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
 
     def check(chunk, a, b):
         model = carrier(a.shape[-1], tol)
-        return _theorem4_stack(model, model.element(a), model.element(b),
+        return _theorem4_stack(_Pair(model, model.element(a), model.element(b)),
                                [seed + i for i in chunk], 10)
 
     worst = 0.0
@@ -219,7 +217,7 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     for chunk in sample_chunks(0, trials, _sample_entries(n)):
         uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n))
                      for rng in (rngs[i] for i in chunk)])
-        w = _inf_sup(model, uv[:, 0], uv[:, 1])[0]
+        w = _Pair(model, uv[:, 0], uv[:, 1]).c
         worst = _sampled_stack(w, w, [0] * len(w), 1, tol)[1]
         failures += sum(r <= tol.tol_eq for r in worst)
     return {"suite": "prop6", "pass": failures == 0, "trials": trials,

@@ -2,7 +2,11 @@
 references: check_axioms, check_theorem7, abs_infty_orth_sampled and
 hereditary_check must report bit for bit what these loops report. Each loop
 draws a trial's random numbers from its own generator in the order the
-checks draw them, and computes on one element at a time."""
+checks draw them, and computes on one element at a time.
+
+Also the Jordan parts and dominated samples written out for each carrier
+alone, against which the models' shared forms over their spectrum are
+checked."""
 import json
 
 import numpy as np
@@ -120,13 +124,44 @@ def _sample_positive(model, rng):
     return jordan_decompose(random_hermitian(model.n, rng))[0]
 
 
-def _dominated_sample(model, v, rng):
-    t = rng.uniform(0.0, 1.0, size=model.n) * rng.choice([-1.0, 1.0], size=model.n)
-    if model.rank == 1:
-        return t * np.abs(v)
+def _parts(s):
+    """(pos, neg, abs) of a matrix spectrum, each part rebuilt inline."""
+    u = s.eigenvectors
+    wp = np.maximum(s.eigenvalues, 0.0)[..., None, :]
+    wn = np.maximum(-s.eigenvalues, 0.0)[..., None, :]
+    pos = hermitian_matrix((u * wp) @ u.conj().mT)
+    neg = hermitian_matrix((u * wn) @ u.conj().mT)
+    return pos, neg, pos + neg
+
+
+def matrix_jordan(x):
+    """MatrixSaModel.jordan of a matrix or a stack, written for matrices."""
+    return _parts(hermitian_eigendecompose(x))
+
+
+def matrix_dominated_sample(v, t):
+    """MatrixSaModel.dominated_sample of a matrix or a stack, written for
+    matrices."""
     s = hermitian_eigendecompose(v)
     u = s.eigenvectors
-    return hermitian_matrix((u * (t * np.abs(s.eigenvalues))) @ u.conj().T)
+    w = hermitian_matrix((u * (t * np.abs(s.eigenvalues))[..., None, :]) @ u.conj().mT)
+    return _parts(s)[2], w
+
+
+def coordinate_jordan(x):
+    """CoordinateModel.jordan, written for vectors."""
+    return np.maximum(x, 0.0), np.maximum(-x, 0.0), np.abs(x)
+
+
+def coordinate_dominated_sample(v, t):
+    """CoordinateModel.dominated_sample, written for vectors."""
+    abs_v = np.abs(v)
+    return abs_v, t * abs_v
+
+
+def _dominated_sample(model, v, rng):
+    t = rng.uniform(0.0, 1.0, size=model.n) * rng.choice([-1.0, 1.0], size=model.n)
+    return (coordinate_dominated_sample if model.rank == 1 else matrix_dominated_sample)(v, t)[1]
 
 
 def axioms_loop(model, trials=200, seed=0) -> OrthReport:

@@ -15,6 +15,9 @@ from ortholat.ortholattice import kadison_witness_search, ortho_inf_sup, verify_
 from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
 
+import references
+from test_linalg import _stack_args, _stack_pair, _stack_property
+
 EPS = np.finfo(float).eps
 
 # entries 0 or of magnitude 1e-100 to 1e100: scaled by 2^k, |k| <= 27, no
@@ -58,6 +61,34 @@ class TestVectorProperties:
         for c, cx in zip(ortho_inf_sup(np.diag(x), np.diag(y)), ortho_inf_sup(x, y)):
             assert np.array_equal(np.diag(c).real, cx)
             assert np.array_equal(c, np.diag(np.diag(c)))
+
+
+class TestSpectralMethodsAreTheCarriers:
+    """jordan and dominated_sample, written once over the model's spectrum,
+    give bit for bit what the per-carrier forms in references give, on a
+    stack and on each element alone."""
+
+    @pytest.mark.parametrize("carrier, jordan, dominated_sample", [
+        (MatrixSaModel, references.matrix_jordan, references.matrix_dominated_sample),
+        (CoordinateModel, references.coordinate_jordan,
+         references.coordinate_dominated_sample),
+    ], ids=["matrix", "coordinate"])
+    @_stack_property
+    @given(*_stack_args)
+    def test_same_bits(self, carrier, jordan, dominated_sample, seed, k, n, exponent,
+                       transposed):
+        x, _ = _stack_pair(seed, k, n, exponent, transposed, vectors=carrier.rank == 1)
+        rng = rng_for(seed, 1)
+        t = rng.uniform(0.0, 1.0, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+        model = carrier(n)
+        with np.errstate(all="ignore"):
+            for v, f in ((x, t), *zip(x, t)):   # the stack, then each element
+                for got, want in ((model.jordan(v), jordan(v)),
+                                  (model.dominated_sample(v, f), dominated_sample(v, f))):
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.shape == w.shape
+                        assert g.tobytes() == w.tobytes()
 
 
 class TestVectorOrthoLattice:
@@ -165,10 +196,7 @@ def uniqueness_falsify(a, b):
         return verify_theorem4(a, b, trials=10, seed=0)
 
 
-# one id for each of the two results of ortho_inf_sup
-PAIR_CHECKS = [pytest.param(lambda a, b: ortho_inf_sup(a, b)[0], id="ortho_inf"),
-               pytest.param(lambda a, b: ortho_inf_sup(a, b)[1], id="ortho_sup"),
-               verify_theorem4, uniqueness_falsify,
+PAIR_CHECKS = [ortho_inf_sup, verify_theorem4, uniqueness_falsify,
                kadison_witness_search, abs_infty_orth_sampled]
 
 

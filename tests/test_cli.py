@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ortholat.cli import main
 from ortholat.linalg import (
+    Spectrum,
     frob,
     hermitian_matrix,
     matrix_from_json,
@@ -13,6 +15,7 @@ from ortholat.linalg import (
     random_hermitian,
     rng_for,
 )
+from ortholat.ortholattice import ortho_inf_sup, verify_theorem4
 
 from test_ortholattice import BARELY_S, BARELY_T
 
@@ -82,12 +85,28 @@ class TestOrtho:
         assert report["theorem4"]["details"][4] == ["uniqueness_survivors", 0.0]
 
     def test_eigen_calls(self, matrix_file, capsys, eigen_calls):
-        # one eigh of a - b for the inf and sup fields and one for Theorem 4's
+        # one eigh of a - b serves the inf and sup fields and Theorem 4's
         # check, with the two cone defects of its existence half; every one
         # of the 10 perturbations is settled by the zero product
         a, b = matrix_file("s.json", S), matrix_file("t.json", T)
         assert main(["ortho", "--a", a, "--b", b, "--seed", "7"]) == 0
-        assert dict(eigen_calls) == {"eigh": 2, "eigvalsh": 2}
+        assert dict(eigen_calls) == {"eigh": 1, "eigvalsh": 2}
+
+    @pytest.mark.parametrize("pair", [
+        lambda: (S, T),
+        lambda: (random_hermitian(8, rng_for(13, 0)), random_hermitian(8, rng_for(13, 1))),
+    ], ids=["fixture", "n8"])
+    def test_fields_are_the_library_results(self, pair, matrix_file, capsys):
+        # inf and sup from the check's own decomposition are, repr-exact,
+        # what ortho_inf_sup and verify_theorem4 give on the loaded pair
+        paths = [matrix_file(name, m) for name, m in zip(("a.json", "b.json"), pair())]
+        a, b = (hermitian_matrix(matrix_from_json(Path(p).read_text())) for p in paths)
+        assert main(["ortho", "--a", paths[0], "--b", paths[1], "--seed", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        inf, sup = ortho_inf_sup(a, b)
+        assert report["inf"] == matrix_to_json(inf)
+        assert report["sup"] == matrix_to_json(sup)
+        assert report["theorem4"] == json.loads(json.dumps(verify_theorem4(a, b, seed=7).to_json()))
 
     def test_determinism(self, matrix_file, capsys):
         a, b = matrix_file("s.json", S), matrix_file("t.json", T)
@@ -205,6 +224,31 @@ class TestWitness:
     def test_comparable_exit_two(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("a.json", np.diag([1.0, 0.0])),
                      "--b", matrix_file("b.json", np.diag([2.0, 1.0]))]) == 2
+
+    def test_eigen_calls(self, matrix_file, capsys, eigen_calls, monkeypatch):
+        # one eigh of S - T serves comparability, c and the witness's
+        # eigenvectors; the three checks need eigenvalues only
+        decomposed = []
+        eigh = np.linalg.eigh   # the counting wrapper
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda x: decomposed.append(x.copy()) or eigh(x))
+        assert main(["witness", "--a", matrix_file("s.json", S),
+                     "--b", matrix_file("t.json", T)]) == 0
+        assert dict(eigen_calls) == {"eigh": 1, "eigvalsh": 3}
+        assert np.array_equal(decomposed[0], hermitian_matrix(S - T))
+
+    def test_comparable_before_any_jordan_part(self, matrix_file, capsys, eigen_calls,
+                                              monkeypatch):
+        # S <= S + I: read off the eigenvalues of S - T, with no Jordan part
+        def no_parts(self):
+            raise AssertionError("a Jordan part was formed")
+
+        monkeypatch.setattr(Spectrum, "jordan_parts", no_parts)
+        assert main(["witness", "--a", matrix_file("s.json", S),
+                     "--b", matrix_file("t.json", S + np.eye(2))]) == 2
+        assert capsys.readouterr().err == \
+            "error: S and T are comparable; their minimum is the infimum\n"
+        assert dict(eigen_calls) == {"eigh": 1}
 
     def test_barely_non_comparable_exit_one(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("s.json", BARELY_S),

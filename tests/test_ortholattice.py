@@ -16,6 +16,7 @@ from ortholat.errors import (
     PreconditionFailed,
 )
 from ortholat.linalg import (
+    Spectrum,
     complex_matrix,
     frob,
     hermitian_matrix,
@@ -170,20 +171,22 @@ class TestVerifyTheorem4:
         # each defect of the decomposition of a - b fires the detail that
         # measures it: scaled eigenvalues break x+ - x- = x, while a PSD
         # shift s of both parts keeps x+ - x- = x and breaks (a-c)(b-c) = 0
+        # (the check takes the parts from its spectrum of a - b)
         rng = rng_for(73)
         a, b = random_hermitian(4, rng), random_hermitian(4, rng)
         s = 0.1 * random_psd(4, rng)
+        jordan_parts = Spectrum.jordan_parts
 
-        def scaled(self, x):
-            return [1.01 * p for p in jordan_decompose(x)]
+        def scaled(self):
+            return [1.01 * p for p in jordan_parts(self)]
 
-        def shifted(self, x):
-            xp, xn, abs_x = jordan_decompose(x)
+        def shifted(self):
+            xp, xn, abs_x = jordan_parts(self)
             return xp + s, xn + s, abs_x + 2 * s
 
         reports = {}
         for mutant in (scaled, shifted):
-            monkeypatch.setattr(ortholat.carriers.MatrixSaModel, "jordan", mutant)
+            monkeypatch.setattr(Spectrum, "jordan_parts", mutant)
             reports[mutant.__name__] = dict(verify_theorem4(a, b, trials=0).details)
         assert reports["scaled"]["spectral_residual"] > DEFAULT_TOL.tol_eq
         assert reports["shifted"]["spectral_residual"] <= DEFAULT_TOL.tol_eq

@@ -13,7 +13,7 @@ import ortholat.suites
 from ortholat.errors import InternalInconsistency
 from ortholat.linalg import random_complex, random_hermitian, rng_for
 from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence
-from ortholat.ortholattice import verify_theorem4
+from ortholat.ortholattice import _Pair, verify_theorem4
 from ortholat.suites import (
     SUITES,
     _checked_in_stacks,
@@ -131,7 +131,9 @@ def test_trials_past_one_block(monkeypatch):
         random_hermitian(n, rng), random_hermitian(n, rng))), check_prop2_equivalence, 4, 30, 5)
 
 
-# what each suite's core stacks per pair, in entries of the pair's first element
+# what each suite's core stacks per pair, in entries of the pair's first
+# element, and where that element stands in the core's arguments (the
+# theorem4 core takes them as one _Pair, made from (model, a, b))
 @pytest.mark.parametrize("suite, core, operand, stacked", [
     ("prop2", "_prop2_stack", 1, 12),   # the three Jordan parts of x, y, x + y, x - y
     ("prop3", "_alg_orth_general_stack", 0, 24),   # two 2n x 2n embeddings, three parts each
@@ -143,7 +145,8 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
     original = getattr(ortholat.suites, core)
 
     def recording(*args):
-        shapes.append(args[operand].shape)
+        operands = (args[0].model, args[0].a, args[0].b) if isinstance(args[0], _Pair) else args
+        shapes.append(operands[operand].shape)
         return original(*args)
 
     monkeypatch.setattr(ortholat.suites, core, recording)
