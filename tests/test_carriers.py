@@ -196,7 +196,10 @@ def uniqueness_falsify(a, b):
         return verify_theorem4(a, b, trials=10, seed=0)
 
 
-PAIR_CHECKS = [ortho_inf_sup, verify_theorem4, uniqueness_falsify,
+# one id for each of the two results of ortho_inf_sup
+PAIR_CHECKS = [pytest.param(lambda a, b: ortho_inf_sup(a, b)[0], id="ortho_inf"),
+               pytest.param(lambda a, b: ortho_inf_sup(a, b)[1], id="ortho_sup"),
+               verify_theorem4, uniqueness_falsify,
                kadison_witness_search, abs_infty_orth_sampled]
 
 
