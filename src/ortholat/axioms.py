@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _pymax, rngs_for
+from .linalg import _pymax, _worst, rngs_for
 from .orthogonality import OrthReport, _sample_entries, _sampled_stack, sample_chunks
 
 __all__ = [
@@ -28,12 +28,12 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
 
     Each trial draws its random numbers from its own generator, one trial
     after another, and the trials of a block (see _blocks) are then
-    checked in stacks and folded in trial order. A trial takes each
-    element's |.| once with model.jordan; the Jordan parts and their
-    perturbations are positive, so each is its own |.|. A matrix trial
-    decomposes 7 matrices: u, the triple's block, ut, vt (whose eigenbasis
-    also makes the dominated sample), k vt + wt, the perturbation's sample
-    and w5.
+    checked in stacks. A residual that is NaN fails the check and is its
+    worst. A trial takes each element's |.| once with model.jordan; the
+    Jordan parts and their perturbations are positive, so each is its own
+    |.|. A matrix trial decomposes 7 matrices: u, the triple's block, ut,
+    vt (whose eigenbasis also makes the dominated sample), k vt + wt, the
+    perturbation's sample and w5.
     """
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
@@ -60,26 +60,18 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
         perturbed = d.reshape(len(d), -1).any(-1) & \
             (model.zero_product(up + d, un + d) <= tol.tol_zero)
 
-        residuals = (
-            # (1) u orth 0
-            model.zero_product(au, np.zeros_like(au)),
-            # (2) symmetry, on a constructed orthogonal pair
-            model.zero_product(aut, avt), model.zero_product(avt, aut),
-            # (3) u orth v, u orth w  =>  u orth (k v + w)
-            model.zero_product(aut, model.jordan(k[spread] * vt + wt)[2]),
-            # (4) existence of the orthogonal decomposition
-            model.cone_defect(up), model.cone_defect(un),
-            model.vector_norm(up - un - u) / _pymax(1.0, norm_u),
-            model.zero_product(up, un),
-            # (5) u orth v and |w| <= |v|  =>  u orth w
-            model.zero_product(aut, model.jordan(w5)[2]),
-        )
-        for a1, a2, b2, a3, p4, n4, e4, z4, a5 in zip(*(r.tolist() for r in residuals)):
-            r1 = max(r1, a1)
-            r2 = max(r2, abs(a2 - b2))
-            r3 = max(r3, a3)
-            r4 = max(r4, p4, n4, e4, z4)
-            r5 = max(r5, a5)
+        zp = model.zero_product
+        # (1) u orth 0
+        r1 = _worst(r1, zp(au, np.zeros_like(au)))
+        # (2) symmetry, on a constructed orthogonal pair
+        r2 = _worst(r2, np.abs(zp(aut, avt) - zp(avt, aut)))
+        # (3) u orth v, u orth w  =>  u orth (k v + w)
+        r3 = _worst(r3, zp(aut, model.jordan(k[spread] * vt + wt)[2]))
+        # (4) existence of the orthogonal decomposition
+        r4 = _worst(r4, model.cone_defect(up), model.cone_defect(un),
+                    model.vector_norm(up - un - u) / _pymax(1.0, norm_u), zp(up, un))
+        # (5) u orth v and |w| <= |v|  =>  u orth w
+        r5 = _worst(r5, zp(aut, model.jordan(w5)[2]))
         survivors += int(perturbed.sum())
 
     details = [
@@ -90,9 +82,8 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
         ("ax4_uniqueness_survivors", float(survivors)),
         ("ax5_hereditary", r5),
     ]
-    holds = max(r1, r2, r3, r4, r5) <= tol.tol_zero and survivors == 0
-    return OrthReport("axioms", holds, max(max(r1, r2, r3, r4, r5), float(survivors)),
-                      details)
+    holds = _worst(r1, r2, r3, r4, r5) <= tol.tol_zero and survivors == 0
+    return OrthReport("axioms", holds, _worst(r1, r2, r3, r4, r5, float(survivors)), details)
 
 
 def check_theorem7(model, trials: int = 200, seed: int = 0,
@@ -121,24 +112,20 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         ut, vt, wt = model.orthogonal_triples(triples)
 
         # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0
-        exact, sampled, _ = _sampled_stack(model.element(up), model.element(un), seeds,
-                                           inner + 1, tol)
+        exact, sampled, _ = _sampled_stack(model, up, un, seeds, inner + 1)
+        ra_exact, ra_sampled = _worst(ra_exact, exact), _worst(ra_sampled, sampled)
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         abs_sum_dif = model.jordan(np.concatenate((ut, vt + wt, vt - wt)))[2]
         aut, a_sum, a_dif = np.split(abs_sum_dif, 3)
-        for e, s, b_sum, b_dif in zip(exact, sampled, model.zero_product(aut, a_sum).tolist(),
-                                      model.zero_product(aut, a_dif).tolist()):
-            ra_exact = max(ra_exact, e)
-            ra_sampled = max(ra_sampled, s)
-            rb = max(rb, b_sum, b_dif)
+        rb = _worst(rb, model.zero_product(aut, a_sum), model.zero_product(aut, a_dif))
 
     details = [
         ("parts_exact_orth", ra_exact),
         ("parts_infty_sampled", ra_sampled),
         ("block_triple_abs_orth", rb),
     ]
-    worst = max(r for _, r in details)
+    worst = _worst(ra_exact, ra_sampled, rb)
     holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
     return OrthReport("theorem7", holds, worst, details)
 

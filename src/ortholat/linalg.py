@@ -68,6 +68,12 @@ def _pymax(first, *rest):
     return first
 
 
+def _worst(*residuals) -> float:
+    """The largest of scalar and array residuals, 0.0 of none: NaN if any is
+    NaN, so that a check with a NaN residual passes no bound."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
+
+
 def _scalar(r):
     """A kernel's result: a Python float for one element, as the kernels
     gave before they took stacks, and the array for a stack."""
@@ -471,18 +477,31 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """The matrix of an {"n", "re", "im"} object or its text ("im" defaults
     to zero); ValueError on a non-object, an n that is not an integer or a
-    field of the wrong type, DimensionMismatch unless both parts are n x n."""
+    field of the wrong type or with a non-numeric entry, DimensionMismatch
+    unless both parts are n x n (rows of unequal length included)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
         n = obj["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"n is {n!r}, not an integer")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
+        re = _float_part(obj["re"], n)
+        im = _float_part(obj["im"], n) if "im" in obj else np.zeros_like(re)
     except TypeError as exc:
         raise ValueError(f'matrix JSON must be an object with numeric "n", "re" '
                          f'and "im" ({exc})') from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise DimensionMismatch(f"matrix JSON shape mismatch for n={n}")
     return complex_matrix(re + 1j * im)
+
+
+def _float_part(value, n):
+    """The "re" or "im" field as floats; TypeError for n x n entries that
+    are not all numbers, and objects (not n x n) for ragged rows."""
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:
+        part = np.asarray(value, dtype=object)
+        if part.shape == (n, n):
+            raise TypeError(exc) from None
+        return part

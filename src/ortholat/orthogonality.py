@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carriers import CoordinateModel, MatrixSaModel, carrier_operands, require_positive
+from .carriers import MatrixSaModel, carrier_operands, require_positive
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
+    _worst,
     abs_general,
     complex_matrix,
     embed_offdiag,
@@ -262,8 +263,7 @@ def _prop2_stack(model, x, y) -> list:
 
 
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
-                           tol: Tolerances = DEFAULT_TOL,
-                           stop_on_violation: bool = False) -> OrthReport:
+                           tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """Falsification-only sampling test of absolute infinity-orthogonality
     of positive a and b, on either carrier.
 
@@ -271,14 +271,13 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     grid-checks the norm identity on each. The exact decision procedure on
     positives is the carrier's zero-product residual, recorded alongside.
 
-    Trial zero is checked alone and the later trials in chunks. With
-    stop_on_violation no chunk after the one that holds the first violation
-    is drawn, and the worst deviation covers the trials up to that
-    violation.
+    Trial zero is checked alone and the later trials in chunks. No chunk
+    after the one that holds the first violation is drawn, and the worst
+    deviation covers the trials up to that violation. A NaN deviation is a
+    violation, and the worst deviation is then NaN.
     """
-    _, ah, bh = carrier_operands(a, b, tol)
-    (exact,), (worst,), (first,) = _sampled_stack(ah[None], bh[None], [seed], trials, tol,
-                                                  stop_on_violation=stop_on_violation)
+    model, ah, bh = carrier_operands(a, b, tol)
+    (exact,), (worst,), (first,) = _sampled_stack(model, ah[None], bh[None], [seed], trials)
     return OrthReport(
         "abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
         [("exact_alg_orth", exact),
@@ -290,17 +289,16 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
                      tol: Tolerances = DEFAULT_TOL) -> OrthReport:
     """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0, on
     either carrier (Lemma 1)."""
-    _, x, y = carrier_operands(a, b, tol)
-    (worst,) = _sampled_stack(x[None], y[None], [seed], trials, tol, hereditary=True)[1]
+    model, x, y = carrier_operands(a, b, tol)
+    (worst,) = _sampled_stack(model, x[None], y[None], [seed], trials, hereditary=True)[1]
     return OrthReport("hereditary", worst <= tol.tol_zero, worst,
                       [("worst_cd", worst)])
 
 
-def _sampled_stack(a, b, seeds, trials: int, tol: Tolerances, hereditary: bool = False,
-                   stop_on_violation: bool = False):
+def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     """The sampled checks on each pair (a[i], b[i]) of two stacks of elements
-    of one carrier (a stack of vectors is 2-D), with trial j of pair i drawn
-    from rng_for(seeds[i], j): lists of the exact zero product, the worst
+    of the model, at its tolerances, with trial j of pair i drawn from
+    rng_for(seeds[i], j): lists of the exact zero product, the worst
     residual and the first trial whose residual breaks its bound (-1 for
     none) of each pair.
 
@@ -308,53 +306,46 @@ def _sampled_stack(a, b, seeds, trials: int, tol: Tolerances, hereditary: bool =
     tol_eq), and trial 0 is the pair itself, checked for all pairs in one
     stack; or, with `hereditary`, Lemma 1's zero product of the samples
     (bound tol_zero), every trial sampled, after a PreconditionFailed for
-    the first pair with ab != 0. The samplers raise NotPositive for the
-    first a that is not positive, else for the first b. The samples go in
-    chunks (see _sample_entries), pair by pair in trial order, and a pair
-    is folded chunk by chunk as a single pair is. With stop_on_violation a
-    pair draws no chunk after the one that holds its first violation, and
-    its worst residual covers the trials up to it.
+    the first pair whose ab is not within tol_zero. The samplers raise
+    NotPositive for the first a that is not positive, else for the first b.
+    The samples go in chunks (see _sample_entries), pair by pair in trial
+    order. A pair draws no chunk after the one that holds its first
+    violation, and its worst residual covers the trials up to it; a NaN
+    residual is a violation, and makes the worst NaN.
     """
-    model = (CoordinateModel if a.ndim == 2 else MatrixSaModel)(a.shape[-1], tol)
+    tol = model.tol
     sampler_a = model.interval_sampler(a, "a")
     sampler_b = model.interval_sampler(b, "b")
     exact = model.zero_product(a, b)
     if hereditary:
         for r in exact.tolist():
-            if r > tol.tol_zero:
+            if not r <= tol.tol_zero:
                 raise PreconditionFailed(
                     f"a and b are not algebraically orthogonal (residual {r:.3e})")
-        bound, start = tol.tol_zero, 0
-        residual = model.zero_product
-        # each check's own fold: the two differ only where a residual is NaN
-        fold = lambda worst, seg: max([worst, *seg.tolist()])
+        bound, start, residual = tol.tol_zero, 0, model.zero_product
     else:
         bound, start = tol.tol_eq, 1
         residual = lambda c, d: infty_deviations(c, d, model.norm).max(-1)
-        fold = lambda worst, seg: max(worst, float(seg.max()))
 
     worst = [0.0] * len(a)
     first = [-1] * len(a)
-    stopped = [False] * len(a)
 
     def judge(i, trial, seg):
-        """Fold the residuals of pair i's trials trial, trial + 1, ..."""
-        if first[i] < 0:
-            violations = np.flatnonzero(~(seg <= bound))
-            if violations.size:
-                first[i] = trial + int(violations[0])
-                if stop_on_violation:
-                    seg = seg[:violations[0] + 1]
-                    stopped[i] = True
-        worst[i] = fold(worst[i], seg)
+        """Fold the residuals of pair i's trials trial, trial + 1, ... up to
+        its first violation."""
+        violations = np.flatnonzero(~(seg <= bound))
+        if violations.size:
+            first[i] = trial + int(violations[0])
+            seg = seg[:violations[0] + 1]
+        worst[i] = _worst(worst[i], seg)
 
     if start and trials > 0:
         for i, seg in enumerate(residual(a, b)[:, None]):
             judge(i, 0, seg)
-    todo = [(i, j) for i in range(len(a)) if not stopped[i] for j in range(start, trials)]
+    todo = [(i, j) for i in range(len(a)) if first[i] < 0 for j in range(start, trials)]
     rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
     for part in sample_chunks(0, len(todo), _sample_entries(a[0].size)):
-        rows = [k for k in part if not stopped[todo[k][0]]]
+        rows = [k for k in part if first[todo[k][0]] < 0]
         if not rows:
             continue
         owners = np.array([todo[k][0] for k in rows])

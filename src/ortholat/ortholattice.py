@@ -14,7 +14,7 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import _pymax, frob, hermitian_matrix, matrix_to_json, rngs_for
+from .linalg import _pymax, _worst, frob, hermitian_matrix, matrix_to_json, rngs_for
 from .orthogonality import OrthReport, _sole, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -56,7 +56,8 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
 
     Existence is the three conditions plus spectral_residual, the relative
     distance of (a-b)^+ - (a-b)^- from a - b; max_violation is the worst of
-    the four. With x = a - b, a - c - x^+ = (x - (x^+ - x^-))/2 = x^- - (b - c),
+    the four, NaN if any is NaN. With x = a - b,
+    a - c - x^+ = (x - (x^+ - x^-))/2 = x^- - (b - c),
     so both parts of c rest on that one residual. The ortho-supremum d needs
     no check of its own: d = c + |a - b|, so d - a = b - c and d - b = a - c
     are the inf-side matrices again. (The negation duality is left to the
@@ -126,7 +127,7 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
             continue
         holds = all(r <= bound for r, bound in zip(residuals, bounds))
         details = [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))]
-        reports.append(OrthReport("theorem4", holds and survivors == 0, max(residuals),
+        reports.append(OrthReport("theorem4", holds and survivors == 0, _worst(residuals),
                                   details))
     return reports
 

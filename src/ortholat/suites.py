@@ -12,6 +12,7 @@ from .errors import InternalInconsistency
 from .linalg import (
     _KEY_BLOCK,
     _rebuild,
+    _worst,
     complex_matrix,
     hermitian_matrix,
     jordan_decompose,
@@ -27,6 +28,7 @@ from .orthogonality import (
     _prop2_stack,
     _sample_entries,
     _sampled_stack,
+    infty_deviations,
     sample_chunks,
 )
 from .ortholattice import _Pair, _theorem4_stack, ortho_inf_sup
@@ -76,14 +78,13 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     samples = min(trials, 100)
 
     def check(chunk, a, b):
-        return _sampled_stack(hermitian_matrix(a), hermitian_matrix(b),
-                              [seed + i for i in chunk], samples, tol, hereditary=True)[1]
+        return _sampled_stack(MatrixSaModel(a.shape[-1], tol), hermitian_matrix(a),
+                              hermitian_matrix(b), [seed + i for i in chunk], samples,
+                              hereditary=True)[1]
 
-    worst = 0.0
-    for w in _checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
-                                lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
-                                lambda n: _sample_entries(n * n)):
-        worst = max(worst, w)
+    worst = _worst(_checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
+                                      lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
+                                      lambda n: _sample_entries(n * n)))
     return {"suite": "lemma1", "pass": worst <= tol.tol_zero,
             "trials": pairs * samples, "max_violation": worst}
 
@@ -155,15 +156,13 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
         return _theorem4_stack(_Pair(model, model.element(a), model.element(b)),
                                [seed + i for i in chunk], 10)
 
-    worst = 0.0
-    failures = 0
-    for rep in _checked_in_stacks(trials, seed, stream, dims, draw, check,
-                                  lambda n: n ** carrier.rank):
+    reports = _checked_in_stacks(trials, seed, stream, dims, draw, check,
+                                 lambda n: n ** carrier.rank)
+    for rep in reports:
         if isinstance(rep, Exception):
             raise rep
-        worst = max(worst, rep.max_violation)
-        if not rep.holds:
-            failures += 1
+    worst = _worst([rep.max_violation for rep in reports])
+    failures = sum(not rep.holds for rep in reports)
     return {"suite": name, "pass": failures == 0, "trials": trials,
             "max_violation": worst, "failures": failures}
 
@@ -209,7 +208,8 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     arithmetic (each entry of u + k v is u_i or k v_i), so it is checked
     where rounding can break it: on the matrix carrier by the infty suite.
     Each chunk of trials takes its w from one ortho-infimum and its
-    verdicts from one sampled check of the endpoints (w, w)."""
+    verdicts from one evaluation of the identity at (w, w); a pair fails
+    unless its deviation exceeds tol_eq, so a NaN deviation fails."""
     n = max(2, min(16, 2 * dim))
     model = CoordinateModel(n, tol)
     failures = 0
@@ -218,8 +218,8 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n))
                      for rng in (rngs[i] for i in chunk)])
         w = _Pair(model, uv[:, 0], uv[:, 1]).c
-        worst = _sampled_stack(w, w, [0] * len(w), 1, tol)[1]
-        failures += sum(r <= tol.tol_eq for r in worst)
+        broken = infty_deviations(w, w, model.norm).max(-1) > tol.tol_eq
+        failures += int(np.count_nonzero(~broken))
     return {"suite": "prop6", "pass": failures == 0, "trials": trials,
             "failures": failures}
 
@@ -231,7 +231,7 @@ def suite_theorem7(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
                   CoordinateModel(max(2, 2 * dim), tol)):
         reports[model.carrier] = check_theorem7(model, trials=per, seed=seed)
-    worst = max(r.max_violation for r in reports.values())
+    worst = _worst([r.max_violation for r in reports.values()])
     ok = all(r.holds for r in reports.values())
     return {"suite": "theorem7", "pass": ok, "trials": 2 * per,
             "max_violation": worst,
@@ -247,7 +247,7 @@ def suite_axioms(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         reports[model.carrier] = check_axioms(model, trials=per, seed=seed)
     broken = check_axioms(BrokenOrthModel(max(2, dim), tol), trials=min(per, 50), seed=seed)
     ok = all(r.holds for r in reports.values()) and not broken.holds
-    worst = max(r.max_violation for r in reports.values())
+    worst = _worst([r.max_violation for r in reports.values()])
     return {"suite": "axioms", "pass": ok, "trials": 2 * per,
             "max_violation": worst,
             "carriers": {k: v.to_json() for k, v in reports.items()},
@@ -275,7 +275,10 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     sampled absolute infinity-orthogonality test: abs_infty_orth_sampled
     with seed seed + i on the orthogonal pair of each trial i, and on its
     overlapping pair if the zero product is above 0.1. The pairs of equal n
-    are checked in stacks, a pair counted as a sample of the sampled check."""
+    are checked in stacks, a pair counted as a sample of the sampled check,
+    which stops at a pair's first violation. The worst deviation of the
+    orthogonal pairs, NaN if any is NaN, must be within tol_eq, and an
+    overlapping pair that the check passes is missed."""
     pairs = max(1, trials // 10)
     samples = 40
 
@@ -283,27 +286,23 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         return (*_orthogonal_psd_pair(n, rng), random_psd(n, rng), random_psd(n, rng))
 
     def check(chunk, a, b, c, d):
+        model = MatrixSaModel(a.shape[-1], tol)
         seeds = [seed + i for i in chunk]
-        worst = _sampled_stack(hermitian_matrix(a), hermitian_matrix(b), seeds, samples,
-                               tol)[1]
+        worst = _sampled_stack(model, hermitian_matrix(a), hermitian_matrix(b), seeds,
+                               samples)[1]
         missed = [False] * len(chunk)
         overlapping = np.flatnonzero(zero_product_residual(c, d) > 0.1).tolist()
         if overlapping:
-            # only the verdict is read, and any violation decides it
-            held = _sampled_stack(hermitian_matrix(c[overlapping]),
+            held = _sampled_stack(model, hermitian_matrix(c[overlapping]),
                                   hermitian_matrix(d[overlapping]),
-                                  [seeds[k] for k in overlapping], samples, tol,
-                                  stop_on_violation=True)[1]
+                                  [seeds[k] for k in overlapping], samples)[1]
             for k, r in zip(overlapping, held):
                 missed[k] = r <= tol.tol_eq
         return zip(worst, missed)
 
-    worst = 0.0
-    missed = 0
-    for w, m in _checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim), draw,
-                                   check, lambda n: _sample_entries(n * n)):
-        worst = max(worst, w)
-        missed += m
+    worst, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
+                                            draw, check, lambda n: _sample_entries(n * n)))
+    worst, missed = _worst(worst), sum(missed)
     return {"suite": "infty", "pass": worst <= tol.tol_eq and missed == 0,
             "trials": pairs * samples, "max_violation": worst, "missed": missed}
 

@@ -2,7 +2,8 @@
 references: check_axioms, check_theorem7, abs_infty_orth_sampled and
 hereditary_check must report bit for bit what these loops report. Each loop
 draws a trial's random numbers from its own generator in the order the
-checks draw them, and computes on one element at a time.
+checks draw them, and computes on one element at a time. Also prop6's
+former route to its verdicts, a one-trial sampled check.
 
 Also the Jordan parts and dominated samples written out for each carrier
 alone, against which the models' shared forms over their spectrum are
@@ -22,7 +23,7 @@ from ortholat.linalg import (
     random_unitary,
     rng_for,
 )
-from ortholat.orthogonality import OrthReport, infty_deviations
+from ortholat.orthogonality import OrthReport, _sampled_stack, infty_deviations
 from ortholat.tolerances import DEFAULT_TOL
 
 
@@ -59,44 +60,59 @@ def _interval_drawers(x, y, tol):
     return lambda rng: draw_one(root_x, rng), lambda rng: draw_one(root_y, rng)
 
 
-def abs_infty_loop(a, b, trials, seed, stop_on_violation=False,
-                   tol=DEFAULT_TOL) -> OrthReport:
-    """abs_infty_orth_sampled one trial at a time: trial 0 is (a, b), trial
-    i > 0 a sample pair from rng_for(seed, i)."""
-    model, x, y = carrier_operands(a, b, tol)
+def infty_trial_deviations(a, b, trials, seed, tol=DEFAULT_TOL):
+    """The deviation from the infinity-norm identity of each trial of
+    abs_infty_orth_sampled, one trial at a time and through all trials:
+    trial 0 is (a, b), trial i > 0 a sample pair from rng_for(seed, i)."""
+    _, x, y = carrier_operands(a, b, tol)
     draw_x, draw_y = _interval_drawers(x, y, tol)
     norm = hermitian_norm if x.ndim == 2 else sup_norm
-    worst, first = 0.0, -1
     for i in range(trials):
         if i == 0:
             c, d = x, y
         else:
             rng = rng_for(seed, i)
             c, d = draw_x(rng), draw_y(rng)
-        dev = float(infty_deviations(c[None], d[None], norm).max())
-        worst = max(worst, dev)
-        if first < 0 and not dev <= tol.tol_eq:
+        yield float(infty_deviations(c[None], d[None], norm).max())
+
+
+def abs_infty_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
+    """abs_infty_orth_sampled one trial at a time, up to the first
+    violation; a NaN deviation is a violation and the worst."""
+    model, x, y = carrier_operands(a, b, tol)
+    worst, first = 0.0, -1
+    for i, dev in enumerate(infty_trial_deviations(x, y, trials, seed, tol)):
+        worst = float(np.max([worst, dev]))
+        if not dev <= tol.tol_eq:
             first = i
-            if stop_on_violation:
-                break
+            break
     return OrthReport("abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
                       [("exact_alg_orth", model.zero_product(x, y)),
                        ("sampled_deviation", worst),
                        ("first_violation_trial", float(first))])
 
 
+def prop6_sampled_worst(model, w):
+    """The deviation of each pair (w[i], w[i]) as suite_prop6 once took it:
+    from a one-trial sampled check of the endpoints, with dummy seeds."""
+    return _sampled_stack(model, w, w, [0] * len(w), 1)[1]
+
+
 def hereditary_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
-    """hereditary_check one sample pair at a time, from rng_for(seed, i)."""
+    """hereditary_check one sample pair at a time, from rng_for(seed, i), up
+    to the first violation; a NaN residual is a violation and the worst."""
     model, x, y = carrier_operands(a, b, tol)
     draw_x, draw_y = _interval_drawers(x, y, tol)
     r = model.zero_product(x, y)
-    if r > tol.tol_zero:
+    if not r <= tol.tol_zero:
         raise PreconditionFailed(f"a and b are not algebraically orthogonal (residual {r:.3e})")
     worst = 0.0
     for i in range(trials):
         rng = rng_for(seed, i)
         c, d = draw_x(rng), draw_y(rng)
-        worst = max(worst, model.zero_product(c, d))
+        worst = float(np.max([worst, model.zero_product(c, d)]))
+        if not worst <= tol.tol_zero:
+            break
     return OrthReport("hereditary", worst <= tol.tol_zero, worst, [("worst_cd", worst)])
 
 

@@ -4,6 +4,7 @@ import pytest
 import ortholat.axioms
 import ortholat.orthogonality
 from ortholat.axioms import check_axioms, check_theorem7
+from ortholat.orthogonality import _sampled_stack
 from ortholat.carriers import (
     BrokenOrthModel,
     CoordinateModel,
@@ -166,7 +167,7 @@ class TestCheckTheorem7:
     def test_parts_verdict_is_the_shared_sampled_check(self, monkeypatch):
         calls = []
 
-        def violating(a, b, seeds, trials, tol, **kwargs):
+        def violating(model, a, b, seeds, trials):
             calls.append((len(a), trials))
             return [0.25] * len(a), [0.5] * len(a), [0] * len(a)
         monkeypatch.setattr(ortholat.axioms, "_sampled_stack", violating)
@@ -178,6 +179,21 @@ class TestCheckTheorem7:
         # the three trials' parts in one stack, the endpoints and 8 samples each
         assert calls == [(3, 9)]
 
+    @pytest.mark.parametrize("model", [MatrixSaModel(3), CoordinateModel(4),
+                                       BrokenOrthModel(4)],
+                             ids=["matrix", "coordinate", "broken"])
+    def test_sampled_check_gets_the_model(self, model, monkeypatch):
+        # the sampled check runs on the caller's model and its tolerances,
+        # not on a model guessed from the operands
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(args[0])
+            return _sampled_stack(*args, **kwargs)
+        monkeypatch.setattr(ortholat.axioms, "_sampled_stack", recording)
+        assert check_theorem7(model, trials=3, seed=6).holds
+        assert len(seen) == 1 and seen[0] is model
+
     @pytest.mark.parametrize("model", [MatrixSaModel, CoordinateModel])
     def test_zero_product_calls(self, model, monkeypatch):
         # the exact half inside the sampled check, then the orthogonality
@@ -188,6 +204,28 @@ class TestCheckTheorem7:
                             lambda self, x, y: calls.append(len(x)) or zero_product(self, x, y))
         assert check_theorem7(model(4), trials=10, seed=3).holds
         assert calls == [10] * 3
+
+
+class NanTrialModel(CoordinateModel):
+    """R^n whose zero product is NaN on the second element of a stack, one
+    trial of a block of the stacked checks."""
+
+    carrier = "nan-trial"
+
+    def zero_product(self, x, y):
+        r = super().zero_product(x, y)
+        if np.ndim(r):
+            r = np.where(np.arange(len(r)) == 1, np.nan, r)
+        return r
+
+
+@pytest.mark.parametrize("check", [check_axioms, check_theorem7])
+def test_nan_residual_fails(check):
+    # a NaN residual is a violation and the worst, not passed over
+    rep = check(NanTrialModel(4), trials=10, seed=3)
+    assert not rep.holds
+    assert np.isnan(rep.max_violation)
+    assert check(CoordinateModel(4), trials=10, seed=3).holds
 
 
 # the stacked checks against their loops one trial at a time, at 0, 1 and

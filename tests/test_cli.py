@@ -209,6 +209,20 @@ class TestDecompose:
         assert captured.err.splitlines() == [
             "error: a value of the report left the float range, so it has no JSON form"]
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 2, "re": [[1, 2], [2]]}', "matrix JSON shape mismatch for n=2"),
+        ('{"n": 2, "re": [[1, 2], [2, "a"]]}',
+         'matrix JSON must be an object with numeric "n", "re" and "im"'),
+    ], ids=["ragged", "non_numeric"])
+    def test_malformed_part_exit_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["decompose", "--a", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: " + message)
+
 
 class TestWitness:
     def test_fixture_found(self, matrix_file, capsys):

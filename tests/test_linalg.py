@@ -308,13 +308,23 @@ class TestMatrixJson:
             with pytest.raises(DimensionMismatch):
                 matrix_from_json({"n": n, "re": [[1.0]]})
 
+    @pytest.mark.parametrize("obj", [{"n": 2, "re": [[1, 2], [2]]},
+                                     {"n": 2, "re": [[1, 2], [2, 1]], "im": [[0, 1], [1]]},
+                                     {"n": 2, "re": [[1, 2], [3, 4, 5]]}],
+                             ids=["ragged_re", "ragged_im", "long_row"])
+    def test_ragged_part_is_a_shape_mismatch(self, obj):
+        with pytest.raises(DimensionMismatch, match="shape mismatch for n=2"):
+            matrix_from_json(obj)
+
     @pytest.mark.parametrize("obj", [[1, 2], {"n": None, "re": [[1.0]]},
                                      {"n": 1, "re": {"a": 1.0}},
                                      {"n": 2.9, "re": [[1.0, 0.0], [0.0, -1.0]]},
                                      {"n": True, "re": [[1.0]]},
-                                     {"n": "1", "re": [[1.0]]}],
+                                     {"n": "1", "re": [[1.0]]},
+                                     {"n": 2, "re": [[1, 2], [2, "a"]]},
+                                     {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, [1]], [0, 0]]}],
                              ids=["array", "null_n", "object_re", "float_n", "bool_n",
-                                  "string_n"])
+                                  "string_n", "string_entry", "nested_entry"])
     def test_wrong_types_rejected(self, obj):
         with pytest.raises(ValueError, match="must be an object"):
             matrix_from_json(obj)

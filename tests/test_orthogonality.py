@@ -38,7 +38,13 @@ from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_
 from ortholat.tolerances import DEFAULT_TOL
 
 from helpers import is_psd, random_projection
-from references import abs_infty_loop, draw_one as _draw_one, hereditary_loop, same_report
+from references import (
+    abs_infty_loop,
+    draw_one as _draw_one,
+    hereditary_loop,
+    infty_trial_deviations,
+    same_report,
+)
 
 
 def matrix_unit(n, i, j):
@@ -292,10 +298,11 @@ def _draw(sampler, rng):
     return sampler.draw([rng], [0])[0]
 
 
-def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
+def _abs_infty_loop(a, b, trials, seed, stop=True):
     """The one-sample-at-a-time loop of abs_infty_orth_sampled on matrices,
     with the per-k loop of the identity: its largest deviation and its first
-    violating trial."""
+    violating trial, up to that trial as the check goes, or (not `stop`)
+    through all trials."""
     ah, bh = hermitian_matrix(a), hermitian_matrix(b)
     root_a, root_b = sqrt_psd(ah), sqrt_psd(bh)
     norm = _scalar_norm("matrix")
@@ -310,7 +317,7 @@ def _abs_infty_loop(a, b, trials, seed, stop_on_violation=False):
         worst = max(worst, dev)
         if first < 0 and not dev <= DEFAULT_TOL.tol_eq:
             first = i
-            if stop_on_violation:
+            if stop:
                 break
     return worst, first
 
@@ -360,6 +367,18 @@ class TestOrderIntervalSampler:
 
 
 class TestAbsInftyOrthSampled:
+    @pytest.mark.parametrize("carrier", [np.array, np.diag], ids=["vector", "matrix"])
+    def test_nan_deviation_fails(self, carrier):
+        # at 1e308 the norms of u + k v overflow, and inf - inf makes the
+        # deviation of trial 0 NaN: a violation, and the worst
+        with pytest.warns(RuntimeWarning):
+            rep = abs_infty_orth_sampled(carrier([1e308, 0.0]), carrier([0.0, 1e308]),
+                                         trials=5, seed=1)
+        details = dict(rep.details)
+        assert not rep.holds
+        assert np.isnan(rep.max_violation) and np.isnan(details["sampled_deviation"])
+        assert details["first_violation_trial"] == 0.0
+
     def test_disjoint(self):
         rep = abs_infty_orth_sampled(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                      trials=50, seed=1)
@@ -367,7 +386,7 @@ class TestAbsInftyOrthSampled:
 
     def test_self_pair_fails_fast(self):
         rep = abs_infty_orth_sampled(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-                                     trials=20, seed=1, stop_on_violation=True)
+                                     trials=20, seed=1)
         assert not rep.holds
         assert dict(rep.details)["first_violation_trial"] == 0.0
 
@@ -397,8 +416,10 @@ def test_sample_chunks_fill_up_to_the_cap():
 
 class TestAbsInftyMatchesOneAtATime:
     # trial 0 is checked alone, then the later trials in chunks as large as
-    # the cap allows (here one chunk); a violation that stops the check
-    # also stops the worst deviation
+    # the cap allows (here one chunk); the first violation stops the check
+    # and its worst deviation. Against the loop through all trials ("all")
+    # the verdict and the first violation are the same, and the worst
+    # deviation is no larger.
     @pytest.mark.parametrize("stop", [False, True], ids=["all", "stop"])
     @pytest.mark.parametrize("a, b, seed, first", [
         (*_SAME, 1, 0),
@@ -411,11 +432,15 @@ class TestAbsInftyMatchesOneAtATime:
     def test_worst_and_first_violation(self, a, b, seed, first, stop):
         worst, want_first = _abs_infty_loop(a, b, 40, seed, stop)
         assert want_first == first
-        rep = abs_infty_orth_sampled(a, b, trials=40, seed=seed, stop_on_violation=stop)
+        rep = abs_infty_orth_sampled(a, b, trials=40, seed=seed)
         details = dict(rep.details)
-        assert rep.max_violation == worst == details["sampled_deviation"]
+        assert rep.max_violation == details["sampled_deviation"]
         assert details["first_violation_trial"] == float(first)
         assert rep.holds == (first < 0)
+        if stop or first < 0:
+            assert rep.max_violation == worst
+        else:
+            assert rep.max_violation <= worst
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_few_trials(self, trials):
@@ -444,23 +469,25 @@ def _chunk_sizes(monkeypatch, a, b, **kwargs):
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_chunks_same_when_stopping(monkeypatch, stop):
-    # 20 trials without a violation: trial 0, then 1-19 in one chunk
-    seen, rep = _chunk_sizes(monkeypatch, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
-                             trials=20, seed=1, stop_on_violation=stop)
-    assert rep.holds and seen == [1, 19]
+    # 20 trials: a pair without a violation checks trial 0, then 1-19 in one
+    # chunk; a pair that stops at trial 0 draws no sample
+    pair = _SAME if stop else (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    seen, rep = _chunk_sizes(monkeypatch, *pair, trials=20, seed=1)
+    assert rep.holds != stop and seen == ([1] if stop else [1, 19])
 
 
 @pytest.mark.parametrize("stop, sizes", [(False, [1] + [4] * 9 + [3]),
                                          (True, [1] + [4] * 6)])
 def test_stop_after_the_chunk_of_the_first_violation(monkeypatch, stop, sizes):
-    # 4 samples of 3 x 3 a chunk: trials 1-4, 5-8, ...; the first violation,
-    # trial 21, is in the sixth
+    # 4 samples of 3 x 3 a chunk: trials 1-4, 5-8, ...; at seed 17 the first
+    # violation, trial 21, is in the sixth, and at seed 0 no trial violates,
+    # so every chunk is drawn
     monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", 4 * 9)
-    seen, rep = _chunk_sizes(monkeypatch, *_NEAR, trials=40, seed=17,
-                             stop_on_violation=stop)
+    seed, first = (17, 21) if stop else (0, -1)
+    seen, rep = _chunk_sizes(monkeypatch, *_NEAR, trials=40, seed=seed)
     assert seen == sizes
-    assert dict(rep.details)["first_violation_trial"] == 21.0
-    assert rep.max_violation == _abs_infty_loop(*_NEAR, 40, 17, stop)[0]
+    assert dict(rep.details)["first_violation_trial"] == float(first)
+    assert rep.max_violation == _abs_infty_loop(*_NEAR, 40, seed)[0]
 
 
 class TestNotPositiveNamesTheOperand:
@@ -485,7 +512,8 @@ class TestNotPositiveNamesTheOperand:
 
 
 def test_infty_suite_verdicts_do_not_depend_on_stopping():
-    # the overlapping pairs of the infty suite at --dim 4 --trials 500
+    # the overlapping pairs of the infty suite at --dim 4 --trials 500: the
+    # check that stops gives the verdict of all 40 trials
     checked = 0
     for seed in (42, 1):
         for i in range(50):
@@ -494,10 +522,10 @@ def test_infty_suite_verdicts_do_not_depend_on_stopping():
             _orthogonal_psd_pair(n, rng)
             c, d = random_psd(n, rng), random_psd(n, rng)
             if zero_product_residual(c, d) > 0.1:
-                verdicts = {abs_infty_orth_sampled(c, d, trials=40, seed=seed + i,
-                                                   stop_on_violation=stop).holds
-                            for stop in (False, True)}
-                assert len(verdicts) == 1
+                every_trial = all(dev <= DEFAULT_TOL.tol_eq
+                                  for dev in infty_trial_deviations(c, d, 40, seed + i))
+                assert abs_infty_orth_sampled(c, d, trials=40, seed=seed + i).holds == \
+                    every_trial
                 checked += 1
     assert checked > 0
 
@@ -562,10 +590,27 @@ def _positive_pairs(carrier, count, n=3):
     return pairs
 
 
+def _same_verdict_as_all_trials(outcome, a, b, trials, seed):
+    """The exact residual, worst deviation and first violating trial of
+    abs_infty_orth_sampled(a, b, trials, seed) agree with the loop through
+    all trials: the same verdict and first violation, the same exact
+    residual, and no larger worst deviation (the same without a
+    violation)."""
+    exact, worst, first = outcome
+    devs = list(infty_trial_deviations(a, b, trials, seed))
+    want_first = next((i for i, dev in enumerate(devs) if not dev <= DEFAULT_TOL.tol_eq), -1)
+    want_exact = dict(abs_infty_loop(a, b, trials, seed).details)["exact_alg_orth"]
+    return (exact == want_exact and first == want_first
+            and (worst == max(devs, default=0.0) if first < 0 else worst <= max(devs)))
+
+
 class TestSampledChecksAreTheLoops:
     """abs_infty_orth_sampled and hereditary_check against their loops one
     trial at a time, on both carriers, at 0, 1 and an odd count of trials;
-    a chunk cap of 3 samples also splits the samples into several chunks."""
+    a chunk cap of 3 samples also splits the samples into several chunks.
+    abs_infty_orth_sampled is compared bit for bit with the loop that stops
+    at its first violation ("stop"), and for its verdict with the loop
+    through all trials ("all")."""
 
     @pytest.mark.parametrize("samples", [3, 64], ids=["chunks-3", "chunks-64"])
     @pytest.mark.parametrize("trials", [0, 1, 41])
@@ -574,9 +619,13 @@ class TestSampledChecksAreTheLoops:
     def test_abs_infty(self, carrier, stop, trials, samples, monkeypatch):
         monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
         for i, (a, b) in enumerate(_positive_pairs(carrier, 6)):
-            assert same_report(abs_infty_orth_sampled(a, b, trials, 17 + i,
-                                                      stop_on_violation=stop),
-                               abs_infty_loop(a, b, trials, 17 + i, stop))
+            rep = abs_infty_orth_sampled(a, b, trials, 17 + i)
+            if stop:
+                assert same_report(rep, abs_infty_loop(a, b, trials, 17 + i))
+            else:
+                exact, worst, first = (r for _, r in rep.details)
+                assert _same_verdict_as_all_trials((exact, worst, int(first)), a, b, trials,
+                                                   17 + i)
 
     @pytest.mark.parametrize("samples", [3, 64], ids=["chunks-3", "chunks-64"])
     @pytest.mark.parametrize("trials", [0, 1, 41])
@@ -605,46 +654,49 @@ def test_sampled_checks_of_empty_operands(empty):
 @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
 def test_sampled_stack_is_each_pair_alone(carrier, stop, samples, monkeypatch):
     # chunks that span pairs, and pairs that stop at trial 0 or later, give
-    # each pair what it gets alone; no chunk holds more than the cap
+    # each pair what it gets alone, and the verdict of all its trials; no
+    # chunk holds more than the cap
     monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
     pairs = _positive_pairs(carrier, 9)
     seeds = [17 + i for i in range(len(pairs))]
     a, b = (np.array(x) for x in zip(*pairs))
     a, b = (hermitian_matrix(x) if carrier == "matrix" else x for x in (a, b))
+    model = (MatrixSaModel if carrier == "matrix" else CoordinateModel)(3)
     seen = []
 
     def counting(cs, ds, norm):
         seen.append(len(cs))
         return infty_deviations(cs, ds, norm)
     monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
-    exact, worst, first = _sampled_stack(a, b, seeds, 40, DEFAULT_TOL,
-                                         stop_on_violation=stop)
+    exact, worst, first = _sampled_stack(model, a, b, seeds, 40)
     monkeypatch.undo()
     for pair, seed, e, w, f in zip(pairs, seeds, exact, worst, first):
-        want = abs_infty_loop(*pair, 40, seed, stop)
-        assert [e, w, float(f)] == [r for _, r in want.details]
+        if stop:
+            assert [e, w, float(f)] == [r for _, r in abs_infty_loop(*pair, 40, seed).details]
+        else:
+            assert _same_verdict_as_all_trials((e, w, f), *pair, 40, seed)
     # trial 0 of every pair in one stack, then chunks of the samples of the
-    # pairs that have not stopped
+    # pairs that have not stopped: all 39 of a pair without a violation, at
+    # least those up to the first of a pair with one after trial 0
     assert seen[0] == len(pairs) and all(size <= samples for size in seen[1:])
-    if not stop:
-        assert sum(seen[1:]) == 39 * len(pairs)
-    elif all(f == 0 for f in first):
-        assert seen == [len(pairs)]
+    assert sum(39 if f < 0 else f for f in first) <= sum(seen[1:]) <= \
+        39 * sum(f != 0 for f in first)
 
 
 def test_sampled_stack_precondition_and_positivity():
     # the first pair that is not orthogonal, the first operand that is not
     # positive, a before b
     ok = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    model = MatrixSaModel(2)
     with pytest.raises(PreconditionFailed, match="residual 7.071e-01"):
-        _sampled_stack(np.array([ok[0], np.eye(2)]), np.array([ok[1], np.eye(2) / 2]),
-                       [0, 0], 3, DEFAULT_TOL, hereditary=True)
+        _sampled_stack(model, np.array([ok[0], np.eye(2)]),
+                       np.array([ok[1], np.eye(2) / 2]), [0, 0], 3, hereditary=True)
     with pytest.raises(NotPositive, match=r"^a is not positive .*-2\.000e\+00"):
-        _sampled_stack(np.array([ok[0], -2 * np.eye(2), -np.eye(2)]),
-                       np.array([ok[1], -np.eye(2), ok[1]]), [0] * 3, 3, DEFAULT_TOL)
+        _sampled_stack(model, np.array([ok[0], -2 * np.eye(2), -np.eye(2)]),
+                       np.array([ok[1], -np.eye(2), ok[1]]), [0] * 3, 3)
     with pytest.raises(NotPositive, match=r"^b is not positive .*-3\.000e\+00"):
-        _sampled_stack(np.array([ok[0], ok[0]]), np.array([-3 * np.eye(2), -np.eye(2)]),
-                       [0, 0], 3, DEFAULT_TOL)
+        _sampled_stack(model, np.array([ok[0], ok[0]]),
+                       np.array([-3 * np.eye(2), -np.eye(2)]), [0, 0], 3)
 
 
 def test_sampler_of_a_stack_is_each_operand_alone():
@@ -757,8 +809,7 @@ class TestPredicateProperties:
             c, d = random_psd(4, rng), random_psd(4, rng)
             if zero_product_residual(c, d) <= 0.1:
                 continue
-            rep = abs_infty_orth_sampled(c, d, trials=500, seed=70 + i,
-                                         stop_on_violation=True)
+            rep = abs_infty_orth_sampled(c, d, trials=500, seed=70 + i)
             assert not rep.holds
             found += 1
         assert found > 0

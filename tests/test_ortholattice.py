@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import sys
@@ -140,6 +141,30 @@ class TestVerifyTheorem4:
             n = int(rng.integers(2, 9))
             rep = verify_theorem4(random_hermitian(n, rng), random_hermitian(n, rng))
             assert rep.holds
+
+    def test_nan_existence_residual_is_the_worst(self):
+        # at 1e160 the zero product of a - c and b - c overflows to NaN
+        rng = rng_for(69, 2)
+        a, b = (1e160 * random_hermitian(2, rng) for _ in range(2))
+        with pytest.warns(RuntimeWarning):
+            rep = verify_theorem4(a, b, trials=0)
+        assert not rep.holds
+        assert np.isnan(dict(rep.details)["inf_residuals_orth"])
+        assert np.isnan(rep.max_violation)
+
+    @pytest.mark.parametrize("suite", ["theorem4", "corollary5"])
+    def test_nan_residual_is_the_suite_worst(self, suite, monkeypatch):
+        original = ortholat.suites._theorem4_stack
+
+        def nan_first(pair, seeds, trials):
+            reports = original(pair, seeds, trials)
+            if seeds[0] == 42:
+                reports[0].holds, reports[0].max_violation = False, float("nan")
+            return reports
+        monkeypatch.setattr(ortholat.suites, "_theorem4_stack", nan_first)
+        rep = run_suite(suite, 4, 20, 42)
+        assert rep["pass"] is False and rep["failures"] == 1
+        assert np.isnan(rep["max_violation"])
 
     def test_fixture_residuals(self):
         rep = verify_theorem4(S_FIX, T_FIX)
@@ -644,8 +669,11 @@ class TestWitnessReference:
 
     @pytest.mark.parametrize("scale", [1e-8, 1e10, 1e300, 8e307])
     def test_scaled_pair(self, scale, tmp_path):
-        # at 1e300 and up ||S||_F**2 overflows; the witness slack must not
-        res = assert_same_witness(scale * S_FIX, scale * T_FIX, tmp_path,
-                                  iters=300, restarts=3)
+        # at 1e300 and up ||S||_F**2 overflows, with numpy's warning; the
+        # witness slack must not
+        with (pytest.warns(RuntimeWarning, match="overflow") if scale >= 1e300
+              else contextlib.nullcontext()):
+            res = assert_same_witness(scale * S_FIX, scale * T_FIX, tmp_path,
+                                      iters=300, restarts=3)
         assert res.found
         assert res.margin / scale == pytest.approx(math.sqrt(2) / 6, rel=1e-12)

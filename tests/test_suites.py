@@ -10,9 +10,10 @@ import pytest
 
 import ortholat.orthogonality
 import ortholat.suites
+from ortholat.carriers import CoordinateModel
 from ortholat.errors import InternalInconsistency
 from ortholat.linalg import random_complex, random_hermitian, rng_for
-from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence
+from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence, infty_deviations
 from ortholat.ortholattice import _Pair, verify_theorem4
 from ortholat.suites import (
     SUITES,
@@ -23,6 +24,9 @@ from ortholat.suites import (
     run_suite,
     run_suites,
 )
+from ortholat.tolerances import DEFAULT_TOL
+
+from references import prop6_sampled_worst
 
 SEEDS = [42, 1, 2]
 # dim 64 draws n up to 64, where a chunk of _CHUNK_ENTRIES entries holds one pair
@@ -155,6 +159,40 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
     assert any(shape[0] > 1 for shape in shapes)
     for shape in shapes:
         assert shape[0] == 1 or stacked * np.prod(shape) <= ortholat.orthogonality._CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("suite", ["lemma1", "infty"])
+def test_nan_worst_fails_the_suite(monkeypatch, suite):
+    # a NaN worst residual of one pair is the suite's worst, and fails it
+    def nan_first(model, a, b, seeds, trials, hereditary=False):
+        worst = [np.nan] + [0.0] * (len(seeds) - 1)
+        return [0.0] * len(seeds), worst, [0] + [-1] * (len(seeds) - 1)
+    monkeypatch.setattr(ortholat.suites, "_sampled_stack", nan_first)
+    rep = run_suite(suite, 4, 50, 42)
+    assert rep["pass"] is False
+    assert np.isnan(rep["max_violation"])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prop6_verdicts_are_the_sampled_check(monkeypatch, seed):
+    # each chunk's deviations at (w, w), and so its failures, are those of
+    # the one-trial sampled check of the endpoints that the suite once ran
+    chunks = []
+
+    def recording(u, v, norm):
+        deviations = infty_deviations(u, v, norm)
+        chunks.append((u, deviations.max(-1)))
+        return deviations
+    monkeypatch.setattr(ortholat.suites, "infty_deviations", recording)
+    rep = run_suite("prop6", 4, 500, seed)
+    monkeypatch.undo()
+    assert len(chunks) > 1
+    failures = 0
+    for w, worst in chunks:
+        want = prop6_sampled_worst(CoordinateModel(w.shape[-1]), w)
+        assert worst.tolist() == want
+        failures += sum(r <= DEFAULT_TOL.tol_eq for r in want)
+    assert rep["failures"] == failures
 
 
 # sha256 of json.dumps(run_suites(all), sort_keys=True), as the suites
