@@ -30,12 +30,9 @@ from .carriers import (
     sup_norm,
 )
 from .orthogonality import (
-    KGrid,
     OrthReport,
     abs_infty_orth_sampled,
     alg_orth_general,
-    alg_orth_positive,
-    alg_orth_sa,
     check_prop2_equivalence,
     hereditary_check,
 )

@@ -86,12 +86,16 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     return OrthReport("axioms", holds, _worst(r1, r2, r3, r4, r5, float(survivors)), details)
 
 
-def check_theorem7(model, trials: int = 200, seed: int = 0,
-                   inner: int = 8) -> OrthReport:
+# The interval sub-pairs that Theorem 7's part (a) samples per trial,
+# besides the endpoints.
+_THEOREM7_INNER = 8
+
+
+def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     """Sampled check that the order-unit space with the absolute-value
     decomposition satisfies: (a) the positive parts are absolutely
     infinity-orthogonal (the sampled check of abs_infty_orth_sampled on the
-    carrier: its exact zero product, and the endpoints plus `inner`
+    carrier: its exact zero product, and the endpoints plus _THEOREM7_INNER
     interval sub-pairs per trial) and (b) orthogonality of u to v and w
     forces orthogonality to |v + w| and |v - w|. The axioms of the relation
     are check_axioms' part. Uses the model's tolerances.
@@ -112,7 +116,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0,
         ut, vt, wt = model.orthogonal_triples(triples)
 
         # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0
-        exact, sampled, _ = _sampled_stack(model, up, un, seeds, inner + 1)
+        exact, sampled, _ = _sampled_stack(model, up, un, seeds, _THEOREM7_INNER + 1)
         ra_exact, ra_sampled = _worst(ra_exact, exact), _worst(ra_sampled, sampled)
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|

@@ -115,8 +115,7 @@ class BoxSampler:
 
 class _Carrier:
     """What the carriers share: the Jordan parts and dominated samples of a
-    spectrum, and orthogonality as the zero-product residual of absolute
-    values. An element has `rank` axes; `element` validates one or a stack."""
+    spectrum. An element has `rank` axes; `element` validates one or a stack."""
 
     def __init__(self, n: int, tol: Tolerances = DEFAULT_TOL):
         self.n = n
@@ -132,9 +131,6 @@ class _Carrier:
         factors t of dominated_draw, on v's own eigenvectors."""
         s = self.spectrum(v)
         return s.jordan_parts()[2], _rebuild(s.eigenvectors, t * np.abs(s.eigenvalues))
-
-    def orth_residual(self, x, y) -> float:
-        return self.zero_product(self.jordan(x)[2], self.jordan(y)[2])
 
     def dominated_draw(self, rng):
         """The factors t in [-1, 1]^n of one dominated_sample: uniform

@@ -476,9 +476,10 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     """The matrix of an {"n", "re", "im"} object or its text ("im" defaults
-    to zero); ValueError on a non-object, an n that is not an integer or a
-    field of the wrong type or with a non-numeric entry, DimensionMismatch
-    unless both parts are n x n (rows of unequal length included)."""
+    to zero); ValueError on a non-object, a missing "n" or "re", an n that
+    is not an integer or a field of the wrong type or with a non-numeric
+    entry, DimensionMismatch unless both parts are n x n (rows of unequal
+    length included)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
@@ -487,9 +488,10 @@ def matrix_from_json(obj) -> np.ndarray:
             raise TypeError(f"n is {n!r}, not an integer")
         re = _float_part(obj["re"], n)
         im = _float_part(obj["im"], n) if "im" in obj else np.zeros_like(re)
-    except TypeError as exc:
+    except (KeyError, TypeError) as exc:
+        reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f'matrix JSON must be an object with numeric "n", "re" '
-                         f'and "im" ({exc})') from None
+                         f'and "im" ({reason})') from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise DimensionMismatch(f"matrix JSON shape mismatch for n={n}")
     return complex_matrix(re + 1j * im)

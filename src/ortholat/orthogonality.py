@@ -1,7 +1,7 @@
-"""Orthogonality predicates: algebraic orthogonality on Hermitian and
-general complex matrices with the equivalence checks tying its routes
-together, the infinity-norm identity, and the sampled absolute
-infinity-orthogonality test, written once over the carrier models.
+"""Orthogonality checks: algebraic orthogonality of general complex
+matrices and of self-adjoints (Prop 2's equivalent faces), each with the
+routes that must agree with it, the infinity-norm identity, and the sampled
+absolute infinity-orthogonality test, written once over the carrier models.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carriers import MatrixSaModel, carrier_operands, require_positive
+from .carriers import MatrixSaModel, carrier_operands
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     _worst,
@@ -24,8 +24,6 @@ from .tolerances import DEFAULT_TOL, Tolerances
 __all__ = [
     "OrthReport",
     "KGrid",
-    "alg_orth_positive",
-    "alg_orth_sa",
     "alg_orth_general",
     "check_prop2_equivalence",
     "infty_deviations",
@@ -58,50 +56,48 @@ class OrthReport:
         }
 
 
+# The k-grid: a log grid, then the refinement +/-rho (1 + off) around the
+# crossing point |k| = rho = ||u|| / ||v|| of each pair
+_FIXED_KS = np.array([0.0, 1.0, -1.0]
+                     + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)])
+_CROSSING_FACTORS = np.array([s * (1.0 + off)
+                              for off in (-0.10, -0.075, -0.05, -0.025, 0.0,
+                                          0.025, 0.05, 0.075, 0.10)
+                              for s in (1.0, -1.0)])
+
+
 @dataclass(frozen=True)
 class KGrid:
     """Finite sample of the real scalar k quantified over in the
-    infinity-orthogonality definition."""
+    infinity-orthogonality definition, one row per pair."""
 
     values: np.ndarray
 
     @staticmethod
-    def for_norms(u_norm: float, v_norm: float) -> "KGrid":
-        """Log grid plus refinement near the crossing point |k| = ||u||/||v||."""
-        ks = [0.0, 1.0, -1.0]
-        ks += [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)]
-        if v_norm > 0.0:
-            rho = u_norm / v_norm
-            for off in (-0.10, -0.075, -0.05, -0.025, 0.0, 0.025, 0.05, 0.075, 0.10):
-                ks.append(rho * (1.0 + off))
-                ks.append(-rho * (1.0 + off))
-        # sorted, one of each value and one NaN, as np.unique gives them
-        # without importing numpy.ma on its first call
-        ks = np.sort(np.asarray(ks, dtype=float))
-        first = np.ones(ks.shape, dtype=bool)
-        first[1:] = (ks[1:] != ks[:-1]) & ~np.isnan(ks[:-1])
-        return KGrid(ks[first])
+    def for_norms(u_norms: np.ndarray, v_norms: np.ndarray) -> "KGrid":
+        """The grids of a stack of pairs with norms (u_norms[i], v_norms[i]):
+        the fixed values of _FIXED_KS, then rho * _CROSSING_FACTORS, with
+        rho = 0 where ||v|| is not positive. Duplicates are kept, so every
+        row has the same length."""
+        rho = np.divide(u_norms, v_norms, out=np.zeros(u_norms.shape), where=v_norms > 0.0)
+        fixed = np.broadcast_to(_FIXED_KS, (len(rho), _FIXED_KS.size))
+        return KGrid(np.concatenate((fixed, rho[:, None] * _CROSSING_FACTORS), axis=1))
 
 
 def infty_deviations(u, v, norm):
     """Relative deviations |lhs - rhs| / max(1, rhs) from the identity
     lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs, for a stack of pairs
     (u[i], v[i]) along the leading axis, one deviation per pair and k of
-    the pair's grid KGrid.for_norms(||u[i]||, ||v[i]||).
+    the pairs' grids KGrid.for_norms(||u||, ||v||).
 
     `norm` is the carrier's batched norm: it maps a stack of elements along
     the leading axes to their norms, so the pairs and their grids are
-    evaluated in slices of at most _GRID_ENTRIES entries of u + k v. Grids
-    shorter than the longest are padded with copies of their last value,
-    which leaves the first k of the largest deviation unchanged. Returns the
-    deviations, of shape (pairs, grid points).
+    evaluated in slices of at most _GRID_ENTRIES entries of u + k v. Returns
+    the deviations, of shape (pairs, grid points). A grid is neither sorted
+    nor free of duplicates, so only a row's maximum is its pair's verdict.
     """
     nu, nv = norm(np.stack((u, v)))
-    grids = [KGrid.for_norms(a, b).values for a, b in zip(nu, nv)]
-    ks = np.empty((len(grids), max(g.size for g in grids)))
-    for row, g in zip(ks, grids):
-        row[:g.size] = g
-        row[g.size:] = g[-1]
+    ks = KGrid.for_norms(nu, nv).values
     lhs = np.empty(ks.shape)
     step = max(1, _GRID_ENTRIES // max(1, ks.shape[1] * u[0].size))
     for rows in (slice(i, i + step) for i in range(0, len(ks), step)):
@@ -117,8 +113,8 @@ def infty_deviations(u, v, norm):
 
 # A chunk of stacked samples holds at most this many entries of its elements.
 # The chunks of the sampled checks also hold at most _CHUNK_SAMPLES samples,
-# each with its own generator and k-grid. A k-grid stack, up to 47 times
-# larger than its chunk, is evaluated in slices of at most _GRID_ENTRIES
+# each with its own generator and k-grid. A k-grid stack, 47 times larger
+# than its chunk, is evaluated in slices of at most _GRID_ENTRIES
 # entries (128 kB of complex numbers).
 _CHUNK_ENTRIES = 4096
 _CHUNK_SAMPLES = 64
@@ -138,22 +134,6 @@ def _sample_entries(entries: int) -> int:
     chunks of the sampled checks, so that a chunk holds at most
     _CHUNK_SAMPLES samples."""
     return max(entries, _CHUNK_ENTRIES // _CHUNK_SAMPLES)
-
-
-def alg_orth_positive(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Algebraic orthogonality of positives, on either carrier: ab = 0."""
-    model, x, y = carrier_operands(a, b, tol)
-    require_positive(model.cone_defect(x), "a", tol)
-    require_positive(model.cone_defect(y), "b", tol)
-    r = model.zero_product(x, y)
-    return OrthReport("alg_orth_positive", r <= tol.tol_zero, r, [("ab", r)])
-
-
-def alg_orth_sa(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
-    """Algebraic orthogonality of self-adjoints, on either carrier: |a||b| = 0."""
-    model, x, y = carrier_operands(a, b, tol)
-    r = model.orth_residual(x, y)
-    return OrthReport("alg_orth_sa", r <= tol.tol_zero, r, [("|a||b|", r)])
 
 
 def _sole(outcomes):

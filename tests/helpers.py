@@ -24,3 +24,9 @@ def random_projection(n: int, rng: np.random.Generator, rank: int | None = None)
     u = random_unitary(n, rng)
     cols = u[:, :rank]
     return hermitian_matrix(cols @ cols.conj().T)
+
+
+def abs_zero_product(model, x, y):
+    """The residual of |x||y| = 0 on the carrier `model`: the zero product
+    of the absolute values, face (1) of check_prop2_equivalence."""
+    return model.zero_product(model.jordan(x)[2], model.jordan(y)[2])

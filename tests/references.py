@@ -3,7 +3,8 @@ references: check_axioms, check_theorem7, abs_infty_orth_sampled and
 hereditary_check must report bit for bit what these loops report. Each loop
 draws a trial's random numbers from its own generator in the order the
 checks draw them, and computes on one element at a time. Also prop6's
-former route to its verdicts, a one-trial sampled check.
+former route to its verdicts, a one-trial sampled check, and the k-grid of
+one pair as infty_deviations once built it, pair by pair.
 
 Also the Jordan parts and dominated samples written out for each carrier
 alone, against which the models' shared forms over their spectrum are
@@ -23,7 +24,8 @@ from ortholat.linalg import (
     random_unitary,
     rng_for,
 )
-from ortholat.orthogonality import OrthReport, _sampled_stack, infty_deviations
+from ortholat.axioms import _THEOREM7_INNER
+from ortholat.orthogonality import OrthReport, _sampled_stack
 from ortholat.tolerances import DEFAULT_TOL
 
 
@@ -60,6 +62,31 @@ def _interval_drawers(x, y, tol):
     return lambda rng: draw_one(root_x, rng), lambda rng: draw_one(root_y, rng)
 
 
+def kgrid_for_norms(u_norm, v_norm) -> np.ndarray:
+    """The k-grid of one pair with norms u_norm and v_norm: a log grid and,
+    where ||v|| > 0, the refinement around the crossing point |k| = rho =
+    ||u|| / ||v||; sorted, one of each value and one NaN."""
+    ks = [0.0, 1.0, -1.0] + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)]
+    if v_norm > 0.0:
+        rho = u_norm / v_norm
+        ks += [s * rho * (1.0 + off) for off in (-0.10, -0.075, -0.05, -0.025, 0.0,
+                                                 0.025, 0.05, 0.075, 0.10)
+               for s in (1.0, -1.0)]
+    return np.unique(np.asarray(ks, dtype=float))
+
+
+def infty_worst(u, v, norm) -> float:
+    """The largest deviation |lhs - rhs| / max(1, rhs) of the one pair
+    (u, v) from lhs = ||u + k v|| = max(||u||, |k| ||v||) = rhs over the
+    pair's own kgrid_for_norms, NaN if any is NaN. `norm` is the carrier's
+    batched norm; the pair's grid is one stack."""
+    nu, nv = float(norm(u)), float(norm(v))
+    ks = kgrid_for_norms(nu, nv)
+    lhs = norm(u + ks.reshape((-1,) + (1,) * u.ndim) * v)
+    rhs = np.maximum(nu, np.abs(ks) * nv)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, rhs)))
+
+
 def infty_trial_deviations(a, b, trials, seed, tol=DEFAULT_TOL):
     """The deviation from the infinity-norm identity of each trial of
     abs_infty_orth_sampled, one trial at a time and through all trials:
@@ -73,7 +100,7 @@ def infty_trial_deviations(a, b, trials, seed, tol=DEFAULT_TOL):
         else:
             rng = rng_for(seed, i)
             c, d = draw_x(rng), draw_y(rng)
-        yield float(infty_deviations(c[None], d[None], norm).max())
+        yield infty_worst(c, d, norm)
 
 
 def abs_infty_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
@@ -213,7 +240,7 @@ def axioms_loop(model, trials=200, seed=0) -> OrthReport:
                       details)
 
 
-def theorem7_loop(model, trials=200, seed=0, inner=8) -> OrthReport:
+def theorem7_loop(model, trials=200, seed=0) -> OrthReport:
     """check_theorem7 one trial at a time."""
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
@@ -221,7 +248,8 @@ def theorem7_loop(model, trials=200, seed=0, inner=8) -> OrthReport:
         rng = rng_for(seed, i)
         u = model.sample(rng)
         up, un, _ = model.jordan(u)
-        parts = abs_infty_loop(up, un, inner + 1, int(rng.integers(1 << 62)), tol=tol)
+        parts = abs_infty_loop(up, un, _THEOREM7_INNER + 1, int(rng.integers(1 << 62)),
+                               tol=tol)
         ra_exact = max(ra_exact, dict(parts.details)["exact_alg_orth"])
         ra_sampled = max(ra_sampled, parts.max_violation)
         ut, vt, wt = _triple(model, rng)

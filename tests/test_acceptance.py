@@ -164,7 +164,7 @@ def test_criterion_9_axioms_theorem7():
     parts = []
     for model in (MatrixSaModel(4), CoordinateModel(8)):
         ax = check_axioms(model, trials=500, seed=9009)
-        t7 = check_theorem7(model, trials=500, seed=9010, inner=2)
+        t7 = check_theorem7(model, trials=500, seed=9010)
         ok = ok and ax.holds and t7.holds
         parts.append(f"{model.carrier}: axioms={ax.holds}, theorem7={t7.holds}")
     broken = check_axioms(BrokenOrthModel(4), trials=50, seed=9011)

@@ -17,7 +17,7 @@ from ortholat.linalg import (
     rng_for,
 )
 
-from helpers import loewner_le
+from helpers import abs_zero_product, loewner_le
 from references import axioms_loop, same_report, theorem7_loop
 
 
@@ -46,7 +46,7 @@ class TestModels:
             a = model.positive(model.sample(rng))
             b = model.positive(model.sample(rng))
             exact = model.zero_product(a, b) <= model.tol.tol_zero
-            derived = model.orth_residual(a, b) <= model.tol.tol_zero
+            derived = abs_zero_product(model, a, b) <= model.tol.tol_zero
             assert exact == derived
 
     def test_dominated_sample(self):
@@ -74,8 +74,8 @@ class TestModels:
                                                 for i in range(20)])
             for u, v, w in zip(*triples):
                 assert model.cone_defect(u) <= model.tol.tol_psd
-                assert model.orth_residual(u, v) <= model.tol.tol_zero
-                assert model.orth_residual(u, w) <= model.tol.tol_zero
+                assert abs_zero_product(model, u, v) <= model.tol.tol_zero
+                assert abs_zero_product(model, u, w) <= model.tol.tol_zero
 
 
 class TestCheckAxioms:
@@ -121,8 +121,8 @@ class TestCheckTheorem7:
         u = np.diag([1.0, 0.0, 0.0]).astype(complex)
         v = np.diag([0.0, 1.0, 0.0]).astype(complex)
         w = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        assert model.orth_residual(u, model.jordan(v + w)[2]) <= model.tol.tol_zero
-        assert model.orth_residual(u, model.jordan(v - w)[2]) <= model.tol.tol_zero
+        assert abs_zero_product(model, u, model.jordan(v + w)[2]) <= model.tol.tol_zero
+        assert abs_zero_product(model, u, model.jordan(v - w)[2]) <= model.tol.tol_zero
 
     def test_block_triple(self):
         model = MatrixSaModel(3)
@@ -134,8 +134,8 @@ class TestCheckTheorem7:
             w = np.zeros((3, 3), dtype=complex)
             v[1:, 1:] = random_hermitian(2, rng)
             w[1:, 1:] = random_hermitian(2, rng)
-            assert model.orth_residual(u, model.jordan(v + w)[2]) <= model.tol.tol_zero
-            assert model.orth_residual(u, model.jordan(v - w)[2]) <= model.tol.tol_zero
+            assert abs_zero_product(model, u, model.jordan(v + w)[2]) <= model.tol.tol_zero
+            assert abs_zero_product(model, u, model.jordan(v - w)[2]) <= model.tol.tol_zero
 
     def test_matrix_carrier(self):
         rep = check_theorem7(MatrixSaModel(3), trials=30, seed=4)

@@ -10,12 +10,13 @@ import ortholat.suites
 from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive
 from ortholat.linalg import random_hermitian, rng_for
-from ortholat.orthogonality import abs_infty_orth_sampled, alg_orth_sa
+from ortholat.orthogonality import abs_infty_orth_sampled, check_prop2_equivalence
 from ortholat.ortholattice import kadison_witness_search, ortho_inf_sup, verify_theorem4
 from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
 
 import references
+from helpers import abs_zero_product
 from test_linalg import _stack_args, _stack_pair, _stack_property
 
 EPS = np.finfo(float).eps
@@ -134,14 +135,14 @@ class TestCorollary5:
 class TestCoordinateOrth:
     def test_disjoint(self):
         x, y = np.array([1.0, 0.0, -2.0]), np.array([0.0, 3.0, 0.0])
-        assert CoordinateModel(3).orth_residual(x, y) == 0.0
+        assert abs_zero_product(CoordinateModel(3), x, y) == 0.0
 
     def test_overlap(self):
         x, y = np.array([1.0, 1.0]), np.array([0.0, 1.0])
-        assert CoordinateModel(2).orth_residual(x, y) > DEFAULT_TOL.tol_zero
+        assert abs_zero_product(CoordinateModel(2), x, y) > DEFAULT_TOL.tol_zero
 
     def test_zero(self):
-        assert CoordinateModel(2).orth_residual(np.array([5.0, -1.0]), np.zeros(2)) == 0.0
+        assert abs_zero_product(CoordinateModel(2), np.array([5.0, -1.0]), np.zeros(2)) == 0.0
 
 
 class TestProp6:
@@ -258,8 +259,9 @@ class TestBridge:
             x = rng.standard_normal(4) * rng.integers(0, 2, size=4)
             y = rng.standard_normal(4) * rng.integers(0, 2, size=4)
             model = CoordinateModel(4)
-            assert (model.orth_residual(x, y) <= model.tol.tol_zero) == \
-                alg_orth_sa(np.diag(x).astype(complex), np.diag(y).astype(complex)).holds
+            assert (abs_zero_product(model, x, y) <= model.tol.tol_zero) == \
+                check_prop2_equivalence(np.diag(x).astype(complex),
+                                        np.diag(y).astype(complex)).holds
 
     def test_suite_bound_is_tol_eq(self, monkeypatch):
         # the suite binds the name at import, so patch that binding; only

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +214,11 @@ class TestDecompose:
         ('{"n": 2, "re": [[1, 2], [2]]}', "matrix JSON shape mismatch for n=2"),
         ('{"n": 2, "re": [[1, 2], [2, "a"]]}',
          'matrix JSON must be an object with numeric "n", "re" and "im"'),
-    ], ids=["ragged", "non_numeric"])
+        ('{"n": 2}', 'matrix JSON must be an object with numeric "n", "re" and "im" '
+                     "(missing 're')"),
+        ('{"re": [[1.0]]}', 'matrix JSON must be an object with numeric "n", "re" and "im" '
+                            "(missing 'n')"),
+    ], ids=["ragged", "non_numeric", "missing_re", "missing_n"])
     def test_malformed_part_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -272,3 +277,25 @@ class TestWitness:
     def test_zero_restarts_exit_two(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("s.json", S),
                      "--b", matrix_file("t.json", T), "--restarts", "0"]) == 2
+
+
+def test_exported_names():
+    # the package's public API besides its modules: growing it means
+    # editing this list
+    import ortholat
+    names = sorted(name for name, value in vars(ortholat).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == sorted([
+        "ComparablePair", "DimensionMismatch", "InternalInconsistency", "NoConvergence",
+        "NotPositive", "OrtholatError", "PreconditionFailed",
+        "abs_general", "complex_matrix", "embed_offdiag", "hermitian_eigendecompose",
+        "hermitian_matrix", "jordan_decompose", "matrix_from_json", "matrix_to_json",
+        "sqrt_psd",
+        "BrokenOrthModel", "CoordinateModel", "MatrixSaModel", "sup_norm",
+        "OrthReport", "abs_infty_orth_sampled", "alg_orth_general",
+        "check_prop2_equivalence", "hereditary_check",
+        "WitnessResult", "kadison_witness_search", "ortho_inf_sup", "verify_theorem4",
+        "check_axioms", "check_theorem7",
+        "DEFAULT_TOL", "Tolerances",
+    ])
+    assert len(names) == 33

@@ -329,6 +329,13 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="must be an object"):
             matrix_from_json(obj)
 
+    @pytest.mark.parametrize("obj, field", [({"n": 2}, "re"), ({"re": [[1.0]]}, "n"),
+                                            ({}, "n"), ({"im": [[0.0]], "n": 1}, "re")],
+                             ids=["no_re", "no_n", "empty", "im_only"])
+    def test_missing_field_is_named(self, obj, field):
+        with pytest.raises(ValueError, match=f"must be an object.*\\(missing '{field}'\\)$"):
+            matrix_from_json(obj)
+
 
 class TestRandomHelpers:
     def test_unitary(self):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,6 @@ from ortholat.orthogonality import (
     _sampled_stack,
     abs_infty_orth_sampled,
     alg_orth_general,
-    alg_orth_positive,
-    alg_orth_sa,
     check_prop2_equivalence,
     hereditary_check,
     infty_deviations,
@@ -37,12 +37,14 @@ from ortholat.orthogonality import (
 from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
 
-from helpers import is_psd, random_projection
+from helpers import abs_zero_product, is_psd, random_projection
 from references import (
     abs_infty_loop,
     draw_one as _draw_one,
     hereditary_loop,
     infty_trial_deviations,
+    infty_worst,
+    kgrid_for_norms,
     same_report,
 )
 
@@ -53,39 +55,51 @@ def matrix_unit(n, i, j):
     return m
 
 
+def exact_alg_orth(a, b):
+    """The residual of ab = 0 for positive a and b, as the sampled check
+    records it (NotPositive unless both are positive)."""
+    return dict(abs_infty_orth_sampled(a, b, trials=0).details)["exact_alg_orth"]
+
+
 class TestAlgOrthPositive:
+    """Algebraic orthogonality of positives, ab = 0: the exact half of the
+    sampled check."""
+
     def test_disjoint_diagonal(self):
-        assert alg_orth_positive(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])).holds
+        assert exact_alg_orth(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) <= DEFAULT_TOL.tol_zero
 
     def test_self_overlap(self):
-        rep = alg_orth_positive(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-        assert not rep.holds
-        assert rep.max_violation == pytest.approx(1.0)
+        assert exact_alg_orth(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_complementary_projections(self):
         p = random_projection(5, rng_for(40))
-        assert alg_orth_positive(p, np.eye(5) - p).holds
+        assert exact_alg_orth(p, np.eye(5) - p) <= DEFAULT_TOL.tol_zero
 
     def test_not_positive(self):
         with pytest.raises(NotPositive):
-            alg_orth_positive(np.diag([1.0, -1.0]), np.eye(2))
+            exact_alg_orth(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            alg_orth_positive(np.eye(2), np.eye(3))
+            exact_alg_orth(np.eye(2), np.eye(3))
 
 
 class TestAlgOrthSa:
+    """Algebraic orthogonality of self-adjoints, |a||b| = 0: face (1) of
+    check_prop2_equivalence."""
+
     def test_disjoint_supports(self):
-        assert alg_orth_sa(np.diag([1.0, -2.0, 0.0]), np.diag([0.0, 0.0, 5.0])).holds
+        rep = check_prop2_equivalence(np.diag([1.0, -2.0, 0.0]), np.diag([0.0, 0.0, 5.0]))
+        assert rep.holds and dict(rep.details)["|a||b|"] <= DEFAULT_TOL.tol_zero
 
     def test_overlapping_supports(self):
-        assert not alg_orth_sa(np.diag([1.0, -2.0, 0.0]), np.diag([0.0, 3.0, 5.0])).holds
+        rep = check_prop2_equivalence(np.diag([1.0, -2.0, 0.0]), np.diag([0.0, 3.0, 5.0]))
+        assert not rep.holds and dict(rep.details)["|a||b|"] > DEFAULT_TOL.tol_zero
 
     def test_swap_vs_identity(self):
         # |swap| = I, so the product with I cannot vanish
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert not alg_orth_sa(swap, np.eye(2)).holds
+        assert not check_prop2_equivalence(swap, np.eye(2)).holds
 
 
 class TestAlgOrthGeneral:
@@ -160,10 +174,15 @@ class TestProp2Equivalence:
         assert len(calls) == 5
 
 
+def _grid(u_norm, v_norm):
+    """The k-grid of the one pair with norms u_norm and v_norm."""
+    return KGrid.for_norms(np.array([u_norm]), np.array([v_norm])).values[0]
+
+
 class TestKGrid:
     def test_contents(self):
-        grid = KGrid.for_norms(3.0, 2.0)
-        vals = set(np.round(grid.values, 12))
+        grid = _grid(3.0, 2.0)
+        vals = set(np.round(grid, 12))
         for k in (0.0, 1.0, -1.0):
             assert k in vals
         for i in range(-6, 7):
@@ -171,27 +190,24 @@ class TestKGrid:
             assert round(-(2.0 ** i), 12) in vals
         rho = 1.5
         assert rho in vals and -rho in vals
-        neighborhood = [v for v in grid.values
-                        if 0 < abs(abs(v) - rho) <= 0.1 * rho + 1e-12]
+        neighborhood = [v for v in grid if 0 < abs(abs(v) - rho) <= 0.1 * rho + 1e-12]
         assert len(neighborhood) >= 8
 
     def test_zero_v(self):
-        grid = KGrid.for_norms(1.0, 0.0)
-        assert 0.0 in grid.values
+        assert 0.0 in _grid(1.0, 0.0)
 
     @pytest.mark.parametrize("u_norm, v_norm", [
         (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (3.0, 2.0), (2.0, 0.25), (0.5, 4.0),
         (np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan), (1e308, 1e-308)])
     def test_is_np_unique_of_its_values(self, u_norm, v_norm):
-        # sorted, one of each value, and one NaN where the crossing point is NaN
-        ks = [0.0, 1.0, -1.0] + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)]
-        if v_norm > 0.0:
-            rho = u_norm / v_norm
-            ks += [s * rho * (1.0 + off) for off in (-0.10, -0.075, -0.05, -0.025, 0.0,
-                                                     0.025, 0.05, 0.075, 0.10)
-                   for s in (1.0, -1.0)]
-        want = np.unique(np.asarray(ks, dtype=float))
-        assert KGrid.for_norms(u_norm, v_norm).values.tobytes() == want.tobytes()
+        # every row has 47 points, duplicates kept, and its distinct values
+        # are the pair's own grid; inf / inf and 1e308 / 1e-308 warn, as the
+        # pair's own division does
+        warns = (u_norm, v_norm) in ((np.inf, np.inf), (1e308, 1e-308))
+        with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+            grid = _grid(u_norm, v_norm)
+        assert grid.shape == (47,)
+        assert np.array_equal(np.unique(grid), kgrid_for_norms(u_norm, v_norm), equal_nan=True)
 
 
 def _scalar_norm(carrier):
@@ -202,18 +218,12 @@ def _scalar_norm(carrier):
 
 
 def _scalar_loop(norm, u, v):
-    """The per-k loop over one pair: its grid, its deviations, the largest
-    deviation and the first k attaining it (0 when every deviation is 0)."""
-    ks = KGrid.for_norms(norm(u), norm(v)).values
+    """The deviations of one pair, one k of its grid at a time."""
     devs = []
-    worst, worst_k = 0.0, 0.0
-    for k in ks:
+    for k in _grid(norm(u), norm(v)):
         rhs = max(norm(u), abs(k) * norm(v))
-        dev = abs(norm(u + k * v) - rhs) / max(1.0, rhs)
-        devs.append(dev)
-        if dev > worst:
-            worst, worst_k = dev, k
-    return ks, devs, worst, worst_k
+        devs.append(abs(norm(u + k * v) - rhs) / max(1.0, rhs))
+    return devs
 
 
 def _kernel_inputs(carrier, n, seed, v_zero=False):
@@ -234,36 +244,54 @@ def _kernel_inputs(carrier, n, seed, v_zero=False):
     ("coordinate", *_kernel_inputs("coordinate", 6, 6, v_zero=True)),
 ], ids=["matrix", "matrix-n1", "matrix-v0", "coord", "coord-n1", "coord-v0"])
 def test_infty_deviations_match_scalar_loop(carrier, u, v):
-    _, want, _, _ = _scalar_loop(_scalar_norm(carrier), u, v)
+    want = _scalar_loop(_scalar_norm(carrier), u, v)
     batched = hermitian_norm if carrier == "matrix" else sup_norm
     dev = infty_deviations(u[None], v[None], batched)  # a stack of one
     assert np.array_equal(dev, [want])
 
 
 @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
-def test_infty_deviations_stack_pads_each_grid(carrier):
-    # v = 0 has no crossing points, so its grid is shorter than the others;
-    # the tie pair attains its maximum twice, at k = -1 first
+def test_infty_deviations_row_maxima_are_the_reference(carrier):
+    # a stack that mixes random pairs, v = 0 (no crossing point), the tie
+    # pair, which attains its maximum twice, and on R^n a NaN crossing point
+    # (a NaN coordinate; on matrices, eigvalsh of u + NaN v does not
+    # converge); and a stack of n = 0
+    norm = hermitian_norm if carrier == "matrix" else sup_norm
     pairs = [_kernel_inputs(carrier, 3, 10 + i) for i in range(3)]
     pairs.insert(1, _kernel_inputs(carrier, 3, 13, v_zero=True))
     tie = np.eye(3)[0] if carrier == "coordinate" else np.diag([1.0, 0.0, 0.0])
     pairs.append((tie, tie))
-    norm = _scalar_norm(carrier)
-    batched = hermitian_norm if carrier == "matrix" else sup_norm
-    us, vs = np.array([u for u, _ in pairs]), np.array([v for _, v in pairs])
+    if carrier == "coordinate":
+        pairs.append((np.array([np.nan, 0.0, 0.0]), pairs[0][1]))
+        assert np.isnan(kgrid_for_norms(norm(pairs[-1][0]), norm(pairs[-1][1]))).any()
+    empty = np.zeros((0,) if carrier == "coordinate" else (0, 0))
+    for stack in (pairs, [(empty, empty)] * 2):
+        us, vs = np.array([u for u, _ in stack]), np.array([v for _, v in stack])
+        got = infty_deviations(us, vs, norm).max(-1)
+        want = np.array([infty_worst(u, v, norm) for u, v in stack])
+        assert got.tobytes() == want.tobytes()
 
-    dev = infty_deviations(us, vs, batched)
-    lengths = set()
-    for row_dev, (u, v) in zip(dev, pairs):
-        want_ks, want, worst, worst_k = _scalar_loop(norm, u, v)
-        size = len(want_ks)
-        lengths.add(size)
-        assert np.array_equal(row_dev[:size], want)
-        assert np.all(row_dev[size:] == want[-1])
-        assert row_dev.max() == worst
-        assert (want_ks[np.argmax(row_dev)] if worst > 0.0 else 0.0) == worst_k
-    assert len(lengths) > 1
-    assert _scalar_loop(norm, tie, tie)[3] == -1.0
+
+def test_one_grid_per_infty_deviations_call(monkeypatch):
+    # the sampled check's trial-0 stack and each chunk of samples is one
+    # infty_deviations call, and each call builds the grids of its whole
+    # stack with one KGrid.for_norms
+    calls, grids = [], []
+    deviations, for_norms = infty_deviations, KGrid.for_norms
+
+    def counting(cs, ds, norm):
+        calls.append(len(cs))
+        return deviations(cs, ds, norm)
+
+    def recording(u_norms, v_norms):
+        grids.append(len(u_norms))
+        return for_norms(u_norms, v_norms)
+    monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
+    monkeypatch.setattr(KGrid, "for_norms", staticmethod(recording))
+    model = MatrixSaModel(3)
+    a, b = (np.array(x) for x in zip(*_positive_pairs("matrix", 6)))
+    _sampled_stack(model, hermitian_matrix(a), hermitian_matrix(b), list(range(6)), 30)
+    assert len(calls) > 2 and grids == calls
 
 
 def _matrix_deviations(u, v):
@@ -280,8 +308,9 @@ class TestInftyDeviations:
     def test_self_pair_violates_at_one(self):
         u = np.diag([1.0, 0.0])
         dev = _matrix_deviations(u, u)
-        ks = KGrid.for_norms(1.0, 1.0).values
-        assert dev[ks == 1.0].tolist() == [pytest.approx(1.0)]  # ||u+u||=2 vs max=1
+        # ||u+u|| = 2 vs max = 1 at k = 1, which the grid holds three times:
+        # 1, 2**0 and the crossing point
+        assert dev[_grid(1.0, 1.0) == 1.0].tolist() == [pytest.approx(1.0)] * 3
 
     def test_zero_partner(self):
         dev = _matrix_deviations(random_hermitian(3, rng_for(44)), np.zeros((3, 3)))
@@ -313,7 +342,7 @@ def _abs_infty_loop(a, b, trials, seed, stop=True):
         else:
             rng = rng_for(seed, i)
             c, d = _draw_one(root_a, rng), _draw_one(root_b, rng)
-        dev = _scalar_loop(norm, c, d)[2]
+        dev = max(_scalar_loop(norm, c, d))
         worst = max(worst, dev)
         if first < 0 and not dev <= DEFAULT_TOL.tol_eq:
             first = i
@@ -632,8 +661,9 @@ class TestSampledChecksAreTheLoops:
     @pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
     def test_hereditary(self, carrier, trials, samples, monkeypatch):
         monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+        model = (MatrixSaModel if carrier == "matrix" else CoordinateModel)(3)
         orthogonal = [(a, b) for a, b in _positive_pairs(carrier, 6)
-                      if alg_orth_positive(a, b).holds]
+                      if abs_zero_product(model, a, b) <= DEFAULT_TOL.tol_zero]
         assert len(orthogonal) >= 2
         for i, (a, b) in enumerate(orthogonal):
             assert same_report(hereditary_check(a, b, trials, 23 + i),
@@ -721,7 +751,7 @@ def test_infty_deviations_in_slices(grid, monkeypatch):
 
 
 class TestOnVectors:
-    """Lemma 1, Prop 2 and the algebraic predicates on R^n, the commutative
+    """Lemma 1, Prop 2 and algebraic orthogonality on R^n, the commutative
     case: orthogonality is disjoint support."""
 
     X = np.array([1.0, -2.0, 0.0, 0.0])
@@ -729,16 +759,16 @@ class TestOnVectors:
     OVERLAP = np.array([0.0, 1.0, 3.0, 0.0])
 
     def test_alg_orth_positive(self):
-        assert alg_orth_positive(np.abs(self.X), np.abs(self.DISJOINT)).holds
-        rep = alg_orth_positive(np.abs(self.X), np.abs(self.OVERLAP))
-        assert not rep.holds
-        assert rep.max_violation == pytest.approx(1.0 / 6.0)
+        assert exact_alg_orth(np.abs(self.X), np.abs(self.DISJOINT)) == 0.0
+        assert exact_alg_orth(np.abs(self.X), np.abs(self.OVERLAP)) == pytest.approx(1.0 / 6.0)
         with pytest.raises(NotPositive):
-            alg_orth_positive(self.X, np.abs(self.DISJOINT))
+            exact_alg_orth(self.X, np.abs(self.DISJOINT))
 
     def test_alg_orth_sa(self):
-        assert alg_orth_sa(self.X, self.DISJOINT).holds
-        assert not alg_orth_sa(self.X, self.OVERLAP).holds
+        model = CoordinateModel(4)
+        for y, orthogonal in ((self.DISJOINT, True), (self.OVERLAP, False)):
+            r = model.zero_product(model.jordan(self.X)[2], model.jordan(y)[2])
+            assert (r <= DEFAULT_TOL.tol_zero) == orthogonal
 
     def test_prop2(self):
         rep = check_prop2_equivalence(self.X, self.DISJOINT)
@@ -761,14 +791,14 @@ class TestOnVectors:
             y = rng.standard_normal(5) * rng.integers(0, 2, size=5)
             disjoint = not np.any((x != 0) & (y != 0))
             dx, dy = np.diag(x).astype(complex), np.diag(y).astype(complex)
-            assert alg_orth_sa(x, y).holds == alg_orth_sa(dx, dy).holds == disjoint
             assert check_prop2_equivalence(x, y).holds == disjoint
-            assert alg_orth_positive(np.abs(x), np.abs(y)).holds == disjoint
+            assert check_prop2_equivalence(dx, dy).holds == disjoint
+            assert (exact_alg_orth(np.abs(x), np.abs(y)) <= DEFAULT_TOL.tol_zero) == disjoint
             if disjoint:
                 assert hereditary_check(np.abs(x), np.abs(y), trials=10, seed=i).holds
 
-    @pytest.mark.parametrize("check", [alg_orth_positive, alg_orth_sa,
-                                       check_prop2_equivalence, hereditary_check])
+    @pytest.mark.parametrize("check", [abs_infty_orth_sampled, check_prop2_equivalence,
+                                       hereditary_check])
     def test_mismatched_lengths(self, check):
         with pytest.raises(DimensionMismatch):
             check(np.ones(2), np.ones(3))
@@ -779,16 +809,18 @@ class TestPredicateProperties:
         for i in range(30):
             rng = rng_for(49, i)
             a, b = random_hermitian(4, rng), random_hermitian(4, rng)
-            assert alg_orth_sa(a, b).holds == alg_orth_sa(b, a).holds
+            assert check_prop2_equivalence(a, b).holds == check_prop2_equivalence(b, a).holds
             pa, pb = jordan_decompose(a)[0], jordan_decompose(b)[0]
-            assert alg_orth_positive(pa, pb).holds == alg_orth_positive(pb, pa).holds
+            assert (exact_alg_orth(pa, pb) <= DEFAULT_TOL.tol_zero) == \
+                (exact_alg_orth(pb, pa) <= DEFAULT_TOL.tol_zero)
 
     def test_scaling_invariance(self):
         for i in range(30):
             rng = rng_for(50, i)
             a, b = random_hermitian(4, rng), random_hermitian(4, rng)
             s = float(rng.uniform(0.1, 10.0))
-            assert alg_orth_sa(a, b).holds == alg_orth_sa(s * a, b).holds
+            assert check_prop2_equivalence(a, b).holds == \
+                check_prop2_equivalence(s * a, b).holds
 
     def test_alg_implies_infty_sampled(self):
         # exactly orthogonal pairs never show a sampled violation

@@ -204,6 +204,8 @@ def test_prop6_verdicts_are_the_sampled_check(monkeypatch, seed):
     (4, 500, 18446744073709551610,
      "478f2eed3379477f0ee4476cc8814afa64dce00edc1f3d67d880c6183b60da64"),
     (16, 50, 1, "887c2a00ce688c2993425cf1a402d0e600370bd4252d4078399fbbf4c3773739"),
+    # n up to 64: each slice of the k-grid stacks holds one pair
+    (64, 10, 7, "cbfb976ab5789e7fc1487bb255aa2029b724f9632018060bdfdc977b313eba7f"),
 ])
 def test_reports_are_pinned(dim, trials, seed, digest):
     report = json.dumps(run_suites(list(SUITES), dim, trials, seed), sort_keys=True)
