@@ -12,23 +12,7 @@ from .errors import (
     OrtholatError,
     PreconditionFailed,
 )
-from .linalg import (
-    abs_general,
-    complex_matrix,
-    embed_offdiag,
-    hermitian_eigendecompose,
-    hermitian_matrix,
-    jordan_decompose,
-    matrix_from_json,
-    matrix_to_json,
-    sqrt_psd,
-)
-from .carriers import (
-    BrokenOrthModel,
-    CoordinateModel,
-    MatrixSaModel,
-    sup_norm,
-)
+from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .orthogonality import (
     OrthReport,
     abs_infty_orth_sampled,

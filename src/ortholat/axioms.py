@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _pymax, _worst, rngs_for
+from .linalg import _pymax, _unit_floor, _worst, rngs_for
 from .orthogonality import OrthReport, _sample_entries, _sampled_stack, sample_chunks
 
 __all__ = [
@@ -54,9 +54,8 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
         # to a fraction of u; a zero d (the positive part of a negative
         # definite sample) is no perturbation, so it cannot survive
         d = model.positive(d)
-        norm_u = model.vector_norm(u)
-        d = d * (fraction * _pymax(norm_u, 1.0)
-                 / _pymax(model.vector_norm(d), 1e-300))[spread]
+        scale_u = _unit_floor(model.vector_norm(u))
+        d = d * (fraction * scale_u / _pymax(model.vector_norm(d), 1e-300))[spread]
         perturbed = d.reshape(len(d), -1).any(-1) & \
             (model.zero_product(up + d, un + d) <= tol.tol_zero)
 
@@ -69,7 +68,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
         r3 = _worst(r3, zp(aut, model.jordan(k[spread] * vt + wt)[2]))
         # (4) existence of the orthogonal decomposition
         r4 = _worst(r4, model.cone_defect(up), model.cone_defect(un),
-                    model.vector_norm(up - un - u) / _pymax(1.0, norm_u), zp(up, un))
+                    model.vector_norm(up - un - u) / scale_u, zp(up, un))
         # (5) u orth v and |w| <= |v|  =>  u orth w
         r5 = _worst(r5, zp(aut, model.jordan(w5)[2]))
         survivors += int(perturbed.sum())

@@ -17,9 +17,10 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositive
 from .linalg import (
     Spectrum,
-    _pymax,
+    _cone_defect,
     _rebuild,
     _scalar,
+    _unit_floor,
     _unitary,
     frob,
     hermitian_eigendecompose,
@@ -215,15 +216,13 @@ class CoordinateModel(_Carrier):
         """The entries of x on the coordinate axes."""
         return Spectrum(x, None)
 
-    def cone_defect(self, x):
-        lo = x.min(-1, initial=0.0)
-        return _scalar(_pymax(0.0, -lo) / _pymax(1.0, sup_norm(x)))
+    cone_defect = staticmethod(_cone_defect)   # the entries are the spectrum
 
     def zero_product(self, x, y):
         """max_i min(|x_i|, |y_i|) / max(1, ||x|| ||y||): the lattice meet
         |x| ^ |y| stands in for the product, which vanishes with it."""
         overlap = np.minimum(np.abs(x), np.abs(y)).max(-1, initial=0.0)
-        return _scalar(overlap / _pymax(1.0, sup_norm(x) * sup_norm(y)))
+        return _scalar(overlap / _unit_floor(sup_norm(x) * sup_norm(y)))
 
     def rel_diff(self, x, y):
         """linalg.rel_diff of the vectors as one-column matrices, so in the

@@ -26,7 +26,6 @@ __all__ = [
     "rel_diff",
     "zero_product_residual",
     "hermitian_eigendecompose",
-    "jordan_decompose",
     "sqrt_psd",
     "abs_general",
     "embed_offdiag",
@@ -66,6 +65,13 @@ def _pymax(first, *rest):
     for r in rest:
         first = np.where(r > first, r, first)
     return first
+
+
+def _unit_floor(*scales):
+    """The scale a residual is relative to: the largest of 1.0 and `scales`
+    (floats or arrays), a NaN passed over as by _pymax. Every residual takes
+    its scale from here, so below unit scale each is absolute, not relative."""
+    return _pymax(1.0, *scales)
 
 
 def _worst(*residuals) -> float:
@@ -111,7 +117,7 @@ def frob(x):
 def rel_diff(x: np.ndarray, y: np.ndarray):
     """Relative Frobenius distance ||X-Y|| / max(1, ||X||, ||Y||), of two
     matrices or of each pair of two stacks."""
-    return frob(x - y) / _pymax(1.0, frob(x), frob(y))
+    return frob(x - y) / _unit_floor(frob(x), frob(y))
 
 
 def zero_product_residual(a: np.ndarray, b: np.ndarray):
@@ -119,7 +125,7 @@ def zero_product_residual(a: np.ndarray, b: np.ndarray):
     two matrices or of each pair of two stacks of one shape."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return frob(a @ b) / _pymax(1.0, frob(a) * frob(b))
+    return frob(a @ b) / _unit_floor(frob(a) * frob(b))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +173,6 @@ def hermitian_norm(x):
 # ---------------------------------------------------------------------------
 # functional-calculus derived operations
 
-def jordan_decompose(a):
-    """Unique decomposition a = pos - neg with pos*neg = 0; abs = pos + neg."""
-    return hermitian_eigendecompose(a).jordan_parts()
-
-
 def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """PSD square root, of a matrix or of each matrix of a stack; eigenvalues
     in [-slack, slack) are clamped to zero, and NotPositive names the lowest
@@ -182,7 +183,7 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     s = hermitian_eigendecompose(a)
     w = s.eigenvalues
-    slack = tol.tol_psd * _pymax(1.0, np.abs(w).max(-1, initial=0.0))
+    slack = tol.tol_psd * _unit_floor(np.abs(w).max(-1, initial=0.0))
     lowest = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
     below = np.flatnonzero(lowest < -slack)
     if below.size:
@@ -221,10 +222,15 @@ def embed_offdiag(a) -> np.ndarray:
 def psd_defect(a):
     """Relative depth of the most negative eigenvalue (0 for PSD input), of
     a matrix or of each matrix of a stack."""
-    w = np.linalg.eigvalsh(hermitian_matrix(a))
-    scale = _pymax(1.0, np.abs(w).max(-1, initial=0.0))
-    lowest = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
-    return _scalar(_pymax(0.0, -lowest) / scale)
+    return _cone_defect(np.linalg.eigvalsh(hermitian_matrix(a)))
+
+
+def _cone_defect(values):
+    """The cone defect of both carriers, from an element's spectral values
+    (eigenvalues or coordinates) along the last axis: the depth of the
+    lowest below 0 relative to the largest magnitude."""
+    lowest = values.min(-1, initial=0.0)
+    return _scalar(_pymax(0.0, -lowest) / _unit_floor(np.abs(values).max(-1, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

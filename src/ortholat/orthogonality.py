@@ -12,6 +12,7 @@ import numpy as np
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
+    _unit_floor,
     _worst,
     abs_general,
     complex_matrix,
@@ -108,7 +109,7 @@ def infty_deviations(u, v, norm):
         kv += u[rows, None]
         lhs[rows] = norm(kv)
     rhs = np.maximum(nu[:, None], np.abs(ks) * nv[:, None])
-    return np.abs(lhs - rhs) / np.maximum(1.0, rhs)
+    return np.abs(lhs - rhs) / _unit_floor(rhs)
 
 
 # A chunk of stacked samples holds at most this many entries of its elements.

@@ -14,7 +14,8 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import _pymax, _worst, frob, hermitian_matrix, matrix_to_json, rngs_for
+from .linalg import (_pymax, _unit_floor, _worst, frob, hermitian_matrix, matrix_to_json,
+                     rngs_for)
 from .orthogonality import OrthReport, _sole, sample_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -246,7 +247,7 @@ def kadison_witness_search(s, t, tol: Tolerances = DEFAULT_TOL) -> WitnessResult
     w, u = pair.spectrum.eigenvalues, pair.spectrum.eigenvectors
     # 0 for an empty spectrum, which is comparable
     lam = min(w.max(initial=0.0), -w.min(initial=0.0))
-    if lam <= tol.tol_psd * max(1.0, np.abs(w).max(initial=0.0)):
+    if lam <= tol.tol_psd * _unit_floor(np.abs(w).max(initial=0.0)):
         raise ComparablePair("S and T are comparable; their minimum is the infimum")
     c = pair.c
     x = (u[:, -1] + u[:, 0]) / np.sqrt(2.0)

@@ -14,8 +14,8 @@ from .linalg import (
     _rebuild,
     _worst,
     complex_matrix,
+    hermitian_eigendecompose,
     hermitian_matrix,
-    jordan_decompose,
     random_complex,
     random_hermitian,
     random_psd,
@@ -67,7 +67,8 @@ def _orthogonal_general_pair(n, rng):
 
 def _orthogonal_psd_pair(n, rng):
     a, b = _orthogonal_sa_pair(n, rng)
-    return jordan_decompose(a)[2], jordan_decompose(b)[2]
+    return (hermitian_eigendecompose(a).jordan_parts()[2],
+            hermitian_eigendecompose(b).jordan_parts()[2])
 
 
 def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):

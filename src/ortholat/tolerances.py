@@ -1,6 +1,7 @@
 """Named numerical thresholds governing every approximate comparison."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -19,8 +20,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_zero", "tol_psd", "tol_eq"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            # an infinite tol_zero would call every pair orthogonal
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -19,7 +19,6 @@ from ortholat.linalg import (
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    jordan_decompose,
     random_hermitian,
     random_unitary,
     rng_for,
@@ -152,7 +151,7 @@ def _triple(model, rng):
     q = random_unitary(n, rng)
     gu = random_hermitian(n1, rng)
     up = np.zeros((n, n), dtype=complex)
-    up[:n1, :n1] = jordan_decompose(gu)[2]
+    up[:n1, :n1] = hermitian_eigendecompose(gu).jordan_parts()[2]
     v = np.zeros((n, n), dtype=complex)
     w = np.zeros((n, n), dtype=complex)
     v[n1:, n1:] = random_hermitian(n - n1, rng)
@@ -164,7 +163,7 @@ def _triple(model, rng):
 def _sample_positive(model, rng):
     if model.rank == 1:
         return np.abs(rng.standard_normal(model.n))
-    return jordan_decompose(random_hermitian(model.n, rng))[0]
+    return hermitian_eigendecompose(random_hermitian(model.n, rng)).jordan_parts()[0]
 
 
 def _parts(s):

@@ -11,7 +11,7 @@ from ortholat.axioms import check_axioms, check_theorem7
 from ortholat.carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from ortholat.linalg import (
     frob,
-    jordan_decompose,
+    hermitian_eigendecompose,
     random_psd,
     rel_diff,
     rng_for,
@@ -50,7 +50,7 @@ def test_criterion_1_functional_calculus():
         n = int(rng.integers(2, 9))
         a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         a = (a + a.conj().T) / 2
-        pos, neg, absval = jordan_decompose(a)
+        pos, neg, absval = hermitian_eigendecompose(a).jordan_parts()
         r_orth = frob(pos @ neg) / max(1.0, frob(a) ** 2)
         r_diff = rel_diff(pos - neg, a)
         r_abs = rel_diff(pos + neg, absval)

@@ -11,7 +11,7 @@ from ortholat.carriers import (
     MatrixSaModel,
 )
 from ortholat.linalg import (
-    jordan_decompose,
+    hermitian_eigendecompose,
     random_hermitian,
     rel_diff,
     rng_for,
@@ -26,7 +26,7 @@ class TestModels:
         model = MatrixSaModel(4)
         v = random_hermitian(4, rng_for(81))
         up, un, _ = model.jordan(v)
-        jp, jn, _ = jordan_decompose(v)
+        jp, jn, _ = hermitian_eigendecompose(v).jordan_parts()
         assert np.array_equal(up, jp) and np.array_equal(un, jn)
 
     def test_coordinate_decomposition(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import types
@@ -65,6 +66,23 @@ class TestVerify:
         out = tmp_path / "rep.json"
         main(["verify", "--suite", "bridge", "--trials", "2", "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 77
+
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-eq"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_tolerance_out_of_range_exit_two(self, flag, value, capsys):
+        # an infinite tol_zero would call every pair orthogonal
+        assert main(["verify", "--suite", "prop2", "--dim", "4", "--trials", "20",
+                     f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite and " \
+                               f"strictly positive\n"
+
+    @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-eq"])
+    def test_huge_finite_tolerance_accepted(self, flag, capsys):
+        assert main(["verify", "--suite", "prop2", "--dim", "3", "--trials", "2",
+                     flag, "1e300"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["command"] == "verify"
 
 
 class TestOrtho:
@@ -279,6 +297,27 @@ class TestWitness:
                      "--b", matrix_file("t.json", T), "--restarts", "0"]) == 2
 
 
+# sha256 of the reports on the fixture pair S, T (and on S, T scaled by
+# 2**-20 and 2**20, exactly), as the CLI printed them when each residual
+# floored its scale inline: one floor function must leave them bit for bit
+@pytest.mark.parametrize("argv, operands, scale, digest", [
+    (["ortho", "--seed", "7"], "ST", 1.0,
+     "675b26667c1358368f7693338c880f839d06656f63861464c40298059fa453ed"),
+    (["witness"], "ST", 1.0, "77b51ac10d3c1279b07b56a16370d054dc1812f5d51690c258da12a52a8f0336"),
+    (["decompose"], "T", 1.0, "2445849ac77e217203b8822def7f3e81c6dabb62423a6504c5d1fdb0cc30db0b"),
+    (["ortho", "--seed", "7"], "ST", 2.0 ** -20,
+     "8ad72cf9529f1ce67e4588d41d7d128edbc46bd0d9735f58eafb5909ab3adff0"),
+    (["ortho", "--seed", "7"], "ST", 2.0 ** 20,
+     "723b00af42c17d8dbd9b7cb1f66f4b632a15ffd82c90fec92d247e05e96da6c2"),
+], ids=["ortho", "witness", "decompose", "ortho-2^-20", "ortho-2^20"])
+def test_fixture_reports_are_pinned(argv, operands, scale, digest, matrix_file, capsys):
+    fixtures = {"S": S, "T": T}
+    flags = [arg for flag, name in zip(("--a", "--b"), operands)
+             for arg in (flag, matrix_file(f"{name}.json", scale * fixtures[name]))]
+    assert main([*argv, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_exported_names():
     # the package's public API besides its modules: growing it means
     # editing this list
@@ -288,14 +327,11 @@ def test_exported_names():
     assert names == sorted([
         "ComparablePair", "DimensionMismatch", "InternalInconsistency", "NoConvergence",
         "NotPositive", "OrtholatError", "PreconditionFailed",
-        "abs_general", "complex_matrix", "embed_offdiag", "hermitian_eigendecompose",
-        "hermitian_matrix", "jordan_decompose", "matrix_from_json", "matrix_to_json",
-        "sqrt_psd",
-        "BrokenOrthModel", "CoordinateModel", "MatrixSaModel", "sup_norm",
+        "BrokenOrthModel", "CoordinateModel", "MatrixSaModel",
         "OrthReport", "abs_infty_orth_sampled", "alg_orth_general",
         "check_prop2_equivalence", "hereditary_check",
         "WitnessResult", "kadison_witness_search", "ortho_inf_sup", "verify_theorem4",
         "check_axioms", "check_theorem7",
         "DEFAULT_TOL", "Tolerances",
     ])
-    assert len(names) == 33
+    assert len(names) == 23

@@ -19,7 +19,6 @@ from ortholat.linalg import (
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    jordan_decompose,
     matrix_from_json,
     matrix_to_json,
     random_complex,
@@ -33,7 +32,7 @@ from ortholat.linalg import (
     zero_product_residual,
 )
 import ortholat
-from ortholat.tolerances import DEFAULT_TOL
+from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
 from helpers import is_psd, loewner_le, random_projection
 from jacobi import jacobi_eigendecompose
@@ -113,27 +112,27 @@ class TestEigendecompose:
 
 class TestJordanDecompose:
     def test_diagonal(self):
-        pos, neg, absval = jordan_decompose(np.diag([2.0, -3.0]))
+        pos, neg, absval = hermitian_eigendecompose(np.diag([2.0, -3.0])).jordan_parts()
         assert np.allclose(pos, np.diag([2.0, 0.0]))
         assert np.allclose(neg, np.diag([0.0, 3.0]))
         assert np.allclose(absval, np.diag([2.0, 3.0]))
 
     def test_swap_matrix(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        pos, neg, absval = jordan_decompose(x)
+        pos, neg, absval = hermitian_eigendecompose(x).jordan_parts()
         assert np.allclose(pos, HALF_ONES)
         assert np.allclose(neg, np.array([[0.5, -0.5], [-0.5, 0.5]]))
         assert np.allclose(absval, np.eye(2))
 
     def test_zero(self):
-        pos, neg, absval = jordan_decompose(np.zeros((3, 3)))
+        pos, neg, absval = hermitian_eigendecompose(np.zeros((3, 3))).jordan_parts()
         assert frob(pos) == frob(neg) == frob(absval) == 0.0
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_properties(self, n):
         for i in range(30):
             a = random_hermitian(n, rng_for(22, n, i))
-            pos, neg, absval = jordan_decompose(a)
+            pos, neg, absval = hermitian_eigendecompose(a).jordan_parts()
             assert is_psd(pos) and is_psd(neg)
             assert zero_product_residual(pos, neg) <= DEFAULT_TOL.tol_zero
             assert rel_diff(pos - neg, a) <= DEFAULT_TOL.tol_eq
@@ -176,7 +175,7 @@ class TestAbsGeneral:
         assert np.allclose(abs_general(x), np.eye(2))
         for i in range(20):
             a = random_hermitian(4, rng_for(24, i))
-            assert rel_diff(abs_general(a), jordan_decompose(a)[2]) <= 1e-7
+            assert rel_diff(abs_general(a), hermitian_eigendecompose(a).jordan_parts()[2]) <= 1e-7
 
     def test_zero(self):
         assert frob(abs_general(np.zeros((2, 2)))) == 0.0
@@ -185,7 +184,7 @@ class TestAbsGeneral:
         # singular values far below sqrt(eps) * ||x|| are kept, not clamped
         u = random_unitary(4, rng_for(3))
         x = (u * np.array([1.0, 0.5, 1e-6, -1e-7])) @ u.conj().T
-        assert rel_diff(abs_general(x), jordan_decompose(x)[2]) <= 1e-12
+        assert rel_diff(abs_general(x), hermitian_eigendecompose(x).jordan_parts()[2]) <= 1e-12
 
     def test_unitary_invariance(self):
         # |x| invariant under left multiplication, |x*| under right
@@ -461,7 +460,7 @@ MATRIX_KERNELS = {
     "zero_product_residual": zero_product_residual,
     "psd_defect": lambda x, y: psd_defect(x),
     "hermitian_matrix": lambda x, y: hermitian_matrix(x),
-    "jordan_parts": lambda x, y: jordan_decompose(x),
+    "jordan_parts": lambda x, y: hermitian_eigendecompose(x).jordan_parts(),
     "abs_general": lambda x, y: abs_general(x),
     "embed_offdiag": lambda x, y: embed_offdiag(x),
 }
@@ -513,3 +512,14 @@ class TestStackedKernels:
         x, y = _stack_pair(seed, k, n, exponent, transposed, vectors=True)
         with np.errstate(all="ignore"):
             assert_stack_is_each(_model_kernels(CoordinateModel(n)), x, y)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["tol_zero", "tol_psd", "tol_eq"])
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive$"):
+            Tolerances(**{name: value})
+
+    def test_huge_finite_accepted(self):
+        assert DEFAULT_TOL.override(tol_zero=1e300, tol_eq=1e300).tol_eq == 1e300

@@ -13,9 +13,9 @@ from ortholat.carriers import (
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
 from ortholat.linalg import (
     frob,
+    hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    jordan_decompose,
     random_complex,
     random_hermitian,
     random_psd,
@@ -810,7 +810,7 @@ class TestPredicateProperties:
             rng = rng_for(49, i)
             a, b = random_hermitian(4, rng), random_hermitian(4, rng)
             assert check_prop2_equivalence(a, b).holds == check_prop2_equivalence(b, a).holds
-            pa, pb = jordan_decompose(a)[0], jordan_decompose(b)[0]
+            pa, pb = (hermitian_eigendecompose(x).jordan_parts()[0] for x in (a, b))
             assert (exact_alg_orth(pa, pb) <= DEFAULT_TOL.tol_zero) == \
                 (exact_alg_orth(pb, pa) <= DEFAULT_TOL.tol_zero)
 
