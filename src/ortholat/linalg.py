@@ -165,9 +165,11 @@ def hermitian_eigendecompose(a) -> Spectrum:
 
 
 def hermitian_norm(x):
-    """Operator norm max |eigenvalue| of a Hermitian matrix, or of each
-    matrix of a stack along the leading axes; computes eigenvalues only."""
-    return np.abs(np.linalg.eigvalsh(x)).max(-1, initial=0.0)
+    """Operator norm max |eigenvalue| of a Hermitian matrix, or of each matrix
+    of a stack, from eigenvalues only; NaN, undecomposed, if an entry is not finite."""
+    finite = np.isfinite(x).all((-2, -1))
+    norms = np.abs(np.linalg.eigvalsh(np.where(finite[..., None, None], x, 0.0)))
+    return np.where(finite, norms.max(-1, initial=0.0), np.nan)[()]
 
 
 # ---------------------------------------------------------------------------

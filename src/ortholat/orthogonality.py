@@ -130,6 +130,20 @@ def sample_chunks(start: int, stop: int, entries: int):
     return (range(i, min(stop, i + size)) for i in range(start, stop, size))
 
 
+def _trial_chunks(seeds, trials: range, entries: int, live):
+    """Trial j in `trials` of each pair i with live(i), pair by pair, in the
+    chunks of sample_chunks at `entries` entries a trial, less the pairs no
+    longer live: per chunk, each row's pair (an array) and trial, and the
+    rows' generators rng_for(seeds[i], j), built as they are read."""
+    todo = [(i, j) for i in range(len(seeds)) if live(i) for j in trials]
+    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
+    for part in sample_chunks(0, len(todo), entries):
+        rows = [k for k in part if live(todo[k][0])]
+        if rows:
+            yield (np.array([todo[k][0] for k in rows]), [todo[k][1] for k in rows],
+                   (rngs[k] for k in rows))
+
+
 def _sample_entries(entries: int) -> int:
     """The entries that a sample of `entries` entries counts as in the
     chunks of the sampled checks, so that a chunk holds at most
@@ -323,17 +337,12 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     if start and trials > 0:
         for i, seg in enumerate(residual(a, b)[:, None]):
             judge(i, 0, seg)
-    todo = [(i, j) for i in range(len(a)) if first[i] < 0 for j in range(start, trials)]
-    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
-    for part in sample_chunks(0, len(todo), _sample_entries(a[0].size)):
-        rows = [k for k in part if first[todo[k][0]] < 0]
-        if not rows:
-            continue
-        owners = np.array([todo[k][0] for k in rows])
-        drawn = [rngs[k] for k in rows]
+    for owners, trial, rngs in _trial_chunks(seeds, range(start, trials),
+                                             _sample_entries(a[0].size), lambda i: first[i] < 0):
+        drawn = list(rngs)   # each draws a sample of a, then one of b
         values = residual(sampler_a.draw(drawn, owners), sampler_b.draw(drawn, owners))
         # each pair's trials of a chunk are consecutive rows
-        edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(rows)]
+        edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
         for lo, hi in zip(edges, edges[1:]):
-            judge(int(owners[lo]), todo[rows[lo]][1], values[lo:hi])
+            judge(int(owners[lo]), trial[lo], values[lo:hi])
     return exact.tolist(), worst, first

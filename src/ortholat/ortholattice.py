@@ -14,9 +14,8 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import (_pymax, _unit_floor, _worst, frob, hermitian_matrix, matrix_to_json,
-                     rngs_for)
-from .orthogonality import OrthReport, _sole, sample_chunks
+from .linalg import _pymax, _unit_floor, _worst, frob, hermitian_matrix, matrix_to_json
+from .orthogonality import OrthReport, _sole, _trial_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -94,9 +93,9 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     """verify_theorem4 on each pair (a[i], b[i]) of a stacked _Pair, at its
     model's tolerances, with perturbation j of pair i drawn from
     rng_for(seeds[i], j): the report of each pair, or the error its check
-    raises. The perturbations are settled after the _Pair drops x, its
-    spectrum and its parts, in stacks of at most _CHUNK_ENTRIES entries,
-    pair by pair in order (see _settle_perturbations)."""
+    raises. Once the _Pair drops x, its spectrum and its parts, each chunk
+    of _trial_chunks is drawn into one stack, settled cheapest first and
+    folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
     xp, xn, _ = pair.parts
@@ -110,16 +109,55 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
 
     gap = model.vector_norm(x)
     del pair.x, pair.parts, x, xp, xn, ra, rb   # held no longer than the existence half
-    # a = b draws nothing: every admissible perturbation magnitude window is empty
-    todo = [(i, j) for i in range(len(a)) if gap[i] > tol.tol_eq for j in range(trials)]
-    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
     outcomes = [0] * len(a)   # the survivor count of each pair, or its error
-    for part in sample_chunks(0, len(todo), c[0].size):
-        # a pair that raised in an earlier slab draws no further perturbation
-        slab = [p for p in part if not isinstance(outcomes[todo[p][0]], Exception)]
-        if slab:
-            _settle_perturbations(model, a, b, c, gap, [todo[p] for p in slab],
-                                  (rngs[p] for p in slab), outcomes)
+    # a = b draws nothing (its perturbation window is empty), nor a pair that raised
+    live = lambda i: gap[i] > tol.tol_eq and not isinstance(outcomes[i], Exception)
+    spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
+    for owner, trial, rngs in _trial_chunks(seeds, range(trials), c[0].size, live):
+        draw = np.empty((len(owner),) + c.shape[1:], dtype=c.dtype)
+        fractions = np.empty(len(owner))
+        for row, rng in enumerate(rngs):
+            draw[row] = model.sample(rng)
+            fractions[row] = rng.uniform(1e-4, 1.0)
+        draw *= (fractions * gap[owner] / _pymax(model.vector_norm(draw), 1e-300))[spread]
+        np.add(c[owner], draw, out=draw)   # c + delta
+        finite = np.isfinite(draw).all(axis=tuple(range(1, draw.ndim)))
+        left = finite.copy()   # checked: a pair's rows before its first that is not finite
+        for row in np.flatnonzero(~finite):
+            left[row:] &= owner[row:] != owner[row]
+        try:
+            cs = model.element(draw)
+        except ValueError as exc:   # the carrier's error on those not finite
+            rejected = exc
+            cs = model.element(np.where(finite[spread], draw, 0.0))
+        del draw
+        ra = a[owner] - cs
+        rb = np.subtract(b[owner], cs, out=cs)   # in the memory of c_i
+
+        ratios = np.full((len(_RATIOS), len(owner)), np.nan)
+        residuals = (lambda m: model.zero_product(ra[m], rb[m]) / tol.tol_zero,
+                     lambda m: model.cone_defect(ra[m]) / tol.tol_psd,
+                     lambda m: model.cone_defect(rb[m]) / tol.tol_psd)
+        for ratio, residual in zip(ratios, residuals):
+            if not left.any():
+                break
+            rows = ... if left.all() else left   # none settled yet: read views, not copies
+            ratio[rows] = residual(rows)
+            left &= ~(ratio > 1.0)
+        del ra, rb, cs   # freed before the next chunk is drawn
+        # a row not finite, or left (it broke no condition) with a NaN ratio, is the error
+        for row in np.flatnonzero(left | ~finite).tolist():
+            i = int(owner[row])
+            if isinstance(outcomes[i], Exception):
+                continue
+            if not finite[row]:
+                outcomes[i] = rejected
+            elif (ratios[:, row] <= 1.0).all():
+                outcomes[i] += 1
+            else:
+                name = _RATIOS[int(np.argmin(ratios[:, row] <= 1.0))]
+                outcomes[i] = PreconditionFailed(
+                    f"perturbation {trial[row]}: the {name} residual is NaN")
 
     reports = []
     for residuals, survivors in zip(existence, outcomes):
@@ -131,75 +169,6 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
         reports.append(OrthReport("theorem4", holds and survivors == 0, _worst(residuals),
                                   details))
     return reports
-
-
-def _settle_perturbations(model, a, b, c, gap, slab, rngs, outcomes) -> None:
-    """Theorem 4's uniqueness half on the perturbations (i, j) of `slab`, in
-    order: c_i = c[i] + delta, delta the carrier's sample from the next of
-    `rngs` scaled to a random fraction of gap[i]. The zero product of every
-    perturbation is taken first, then c_i <= a for those it leaves, then
-    c_i <= b for those left after that. outcomes[i] counts the survivors
-    of pair i, or becomes the error of its first perturbation that is not
-    finite or has a NaN ratio and breaks no condition."""
-    tol = model.tol
-    owner = np.array([i for i, _ in slab])
-    deltas = np.empty((len(slab),) + c.shape[1:], dtype=c.dtype)
-    fractions = np.empty(len(slab))
-    for row, rng in enumerate(rngs):
-        deltas[row] = model.sample(rng)
-        fractions[row] = rng.uniform(1e-4, 1.0)
-    spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
-    deltas *= (fractions * gap[owner] / _pymax(model.vector_norm(deltas), 1e-300))[spread]
-    raw = np.add(c[owner], deltas, out=deltas)   # c + delta
-    left = np.ones(len(slab), dtype=bool)
-    stopped = {}
-    try:
-        cs = model.element(raw)
-    except ValueError:
-        # a pair's perturbations from its first one that is not finite on are
-        # not checked: that one raises the carrier's error, unless one before
-        # it raised
-        finite = np.isfinite(raw).all(axis=tuple(range(1, raw.ndim)))
-        for row in np.flatnonzero(~finite):
-            i = int(owner[row])
-            if i not in stopped:
-                left[row:] &= owner[row:] != i
-                try:
-                    model.element(raw[row])
-                except ValueError as exc:
-                    stopped[i] = exc
-        cs = model.element(np.where(left[spread], raw, 0.0))
-    del raw, deltas
-    ra = a[owner] - cs
-    rb = np.subtract(b[owner], cs, out=cs)   # in the memory of c_i
-
-    ratios = np.full((len(_RATIOS), len(slab)), np.nan)
-    residuals = (lambda m: model.zero_product(ra[m], rb[m]) / tol.tol_zero,
-                 lambda m: model.cone_defect(ra[m]) / tol.tol_psd,
-                 lambda m: model.cone_defect(rb[m]) / tol.tol_psd)
-    for ratio, residual in zip(ratios, residuals):
-        if not left.any():
-            break
-        if left.all():   # none settled yet: the check reads views, not copies
-            ratio[...] = residual(...)
-        else:
-            ratio[left] = residual(left)
-        left &= ~(ratio > 1.0)
-    # what is left broke no condition: it survives, or has a NaN ratio; a
-    # pair's first NaN comes before its first perturbation that is not finite
-    for row in np.flatnonzero(left):
-        i = int(owner[row])
-        if isinstance(outcomes[i], Exception):
-            continue
-        if (ratios[:, row] <= 1.0).all():
-            outcomes[i] += 1
-        else:
-            name = _RATIOS[int(np.argmin(ratios[:, row] <= 1.0))]
-            outcomes[i] = PreconditionFailed(
-                f"perturbation {slab[row][1]}: the {name} residual is NaN")
-    for i, exc in stopped.items():
-        if not isinstance(outcomes[i], Exception):
-            outcomes[i] = exc
 
 
 @dataclass

@@ -10,7 +10,8 @@ import ortholat.suites
 from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive
 from ortholat.linalg import random_hermitian, rng_for
-from ortholat.orthogonality import abs_infty_orth_sampled, check_prop2_equivalence
+from ortholat.orthogonality import (abs_infty_orth_sampled, check_prop2_equivalence,
+                                    infty_deviations)
 from ortholat.ortholattice import kadison_witness_search, ortho_inf_sup, verify_theorem4
 from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
@@ -165,6 +166,24 @@ class TestProp6:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("model, nan_u, v", [
+        (MatrixSaModel, np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])),
+        (CoordinateModel, np.array([np.nan, 0.0]), np.array([0.0, 1.0])),
+    ], ids=["matrix", "coordinate"])
+    def test_nan_entry_is_kept(self, model, nan_u, v, monkeypatch):
+        # a NaN entry gives a NaN norm, and so a NaN deviation from the
+        # infinity-norm identity, on both carriers; no matrix with an entry
+        # that is not finite reaches the eigensolver
+        decomposed = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: decomposed.append(x) or eigvalsh(x))
+        assert np.isnan(model.norm(nan_u))
+        assert np.isnan(infty_deviations(nan_u[None], v[None], model.norm).max(-1)).all()
+        # u + k v with a NaN k is NaN everywhere: its norm is NaN, not an error
+        assert np.isnan(model.norm(v + np.nan * v))
+        assert model.norm(np.stack((v, nan_u, 2 * v))).tolist()[::2] == [1.0, 2.0]
+        assert all(np.isfinite(x).all() for x in decomposed)
+
     def test_matrix_norm_example(self):
         assert MatrixSaModel.norm(np.diag([2.0, -5.0])) == pytest.approx(5.0)
 
@@ -192,7 +211,7 @@ MAT = np.eye(2)
 def uniqueness_falsify(a, b):
     """Theorem 4's uniqueness half: verify_theorem4 with perturbations to draw,
     which must reject the operands before the first draw."""
-    with mock.patch("ortholat.ortholattice.rngs_for",
+    with mock.patch("ortholat.orthogonality.rngs_for",
                     side_effect=AssertionError("perturbation drawn before the operand check")):
         return verify_theorem4(a, b, trials=10, seed=0)
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ortholat.carriers
+import ortholat.orthogonality
 import ortholat.suites
+from ortholat.carriers import MatrixSaModel
 from ortholat.cli import main as cli_main
 from ortholat.errors import (
     ComparablePair,
@@ -32,6 +34,8 @@ from ortholat.linalg import (
     zero_product_residual,
 )
 from ortholat.ortholattice import (
+    _Pair,
+    _theorem4_stack,
     kadison_witness_search,
     ortho_inf_sup,
     verify_theorem4,
@@ -363,6 +367,31 @@ class TestUniquenessReference:
                             lambda x: np.full(x.shape[:-2], loose.tol_psd))
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert _survivors(a, b, trials=5, seed=0, tol=loose) == 5.0
+
+    @pytest.mark.parametrize("scale, key, seed, error, drawn", [
+        # the gap overflows, so perturbation 0 is not finite
+        (1e160, (69, 1), 0, ValueError, 2),
+        # the zero-product ratio of perturbation 3 is NaN (test_nan_residuals)
+        (6e153, (5, 1), 3, PreconditionFailed, 4),
+    ], ids=["not-finite", "nan-ratio"])
+    def test_raised_pair_draws_no_later_chunk(self, scale, key, seed, error, drawn,
+                                              monkeypatch):
+        # two perturbations a chunk: the first pair draws up to the end of the
+        # chunk in which it raised and no further, the second draws all 8
+        monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", 2)
+        draws = []
+        sample = MatrixSaModel.sample
+        monkeypatch.setattr(MatrixSaModel, "sample",
+                            lambda self, rng: draws.append(rng) or sample(self, rng))
+        rng, other = rng_for(*key), rng_for(73)
+        a = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
+        b = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
+        with np.errstate(all="ignore"):
+            raised, report = _theorem4_stack(
+                _Pair(MatrixSaModel(1), hermitian_matrix(a), hermitian_matrix(b)), [seed, 7], 8)
+        assert isinstance(raised, error)
+        assert dict(report.details)["uniqueness_survivors"] == 0.0
+        assert len(draws) == drawn + 8
 
     def test_checks_run_cheapest_first(self, monkeypatch):
         # zero product, then c_i <= a, then c_i <= b; no condition breaks.

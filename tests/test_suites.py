@@ -210,3 +210,16 @@ def test_prop6_verdicts_are_the_sampled_check(monkeypatch, seed):
 def test_reports_are_pinned(dim, trials, seed, digest):
     report = json.dumps(run_suites(list(SUITES), dim, trials, seed), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+# sha256 of json.dumps(run_suite(...), sort_keys=True), as the theorem4 core
+# reported it when it settled each chunk of perturbations in a function of
+# its own: at n = 64 a chunk of the uniqueness half holds one perturbation,
+# and at corollary5's n = 16 it holds 256
+@pytest.mark.parametrize("suite, dim, trials, seed, digest", [
+    ("theorem4", 64, 100, 1, "ce4ea6ae77b4ec0699aaa6d759adf2e7b792058ee98e9c179f85f700041e2b76"),
+    ("corollary5", 64, 500, 3, "0f6584552de0fb6cb5291b9fd44e2f6812c305be64f33469ce8f02a364689231"),
+])
+def test_theorem4_reports_are_pinned(suite, dim, trials, seed, digest):
+    report = json.dumps(run_suite(suite, dim, trials, seed), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
