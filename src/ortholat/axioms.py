@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _pymax, _unit_floor, _worst, rngs_for
-from .orthogonality import OrthReport, _sample_entries, _sampled_stack, sample_chunks
+from .linalg import _pymax, _unit_floor, _worst
+from .orthogonality import OrthReport, _sampled_stack, _trial_walk
 
 __all__ = [
     "check_axioms",
@@ -26,23 +26,24 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     Each detail is a violation (0 = good): residuals for the must-hold
     axioms, and a survivor count for the uniqueness half of axiom 4.
 
-    Each trial draws its random numbers from its own generator, one trial
-    after another, and the trials of a block (see _blocks) are then
-    checked in stacks. A residual that is NaN fails the check and is its
-    worst. A trial takes each element's |.| once with model.jordan; the
-    Jordan parts and their perturbations are positive, so each is its own
-    |.|. A matrix trial decomposes 7 matrices: u, the triple's block, ut,
-    vt (whose eigenbasis also makes the dominated sample), k vt + wt, the
-    perturbation's sample and w5.
+    Trial i draws its random numbers from rng_for(seed, i), one trial after
+    another, and the trials of a chunk of _trial_walk((seed,), ...), at one
+    element of the model a trial, are then checked in stacks. A residual
+    that is NaN fails the check and is its worst. A trial takes each
+    element's |.| once with model.jordan; the Jordan parts and their
+    perturbations are positive, so each is its own |.|. A matrix trial
+    decomposes 7 matrices: u, the triple's block, ut, vt (whose eigenbasis
+    also makes the dominated sample), k vt + wt, the perturbation's sample
+    and w5.
     """
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
-    for block in _blocks(model, trials):
+    for _, _, rngs in _trial_walk((seed,), trials, lambda _: model.n ** model.rank):
         u, triples, k, d, fraction, t = zip(*[
             (model.sample(rng), model.triple_draw(rng), rng.uniform(-4.0, 4.0),
              model.sample(rng), rng.uniform(0.05, 0.5), model.dominated_draw(rng))
-            for rng in rngs_for(seed, block)])
+            for rng in rngs])
         u, k, d, fraction, t = map(np.array, (u, k, d, fraction, t))
         ut, vt, wt = model.orthogonal_triples(triples)
         up, un, au = model.jordan(u)
@@ -99,18 +100,18 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     forces orthogonality to |v + w| and |v - w|. The axioms of the relation
     are check_axioms' part. Uses the model's tolerances.
 
-    The trials are drawn and checked in stacks as in check_axioms, and
-    part (a) of a block is one call of the sampled check. A trial takes
-    |ut| once and compares it with |vt +/- wt|: a matrix trial decomposes
-    7 matrices (u, a square root per part, the triple's block, ut and
-    vt +/- wt).
+    The trials are drawn and checked in stacks as in check_axioms, from the
+    same keys (trial i from rng_for(seed, i)), and part (a) of a chunk is
+    one call of the sampled check. A trial takes |ut| once and compares it
+    with |vt +/- wt|: a matrix trial decomposes 7 matrices (u, a square
+    root per part, the triple's block, ut and vt +/- wt).
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
-    for block in _blocks(model, trials):
+    for _, _, rngs in _trial_walk((seed,), trials, lambda _: model.n ** model.rank):
         u, seeds, triples = zip(*[
             (model.sample(rng), int(rng.integers(1 << 62)), model.triple_draw(rng))
-            for rng in rngs_for(seed, block)])
+            for rng in rngs])
         up, un, _ = model.jordan(np.array(u))
         ut, vt, wt = model.orthogonal_triples(triples)
 
@@ -132,9 +133,3 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
     return OrthReport("theorem7", holds, worst, details)
 
-
-def _blocks(model, trials: int):
-    """The trial indices 0, ..., trials - 1 in blocks as long as the chunks
-    of the sampled checks, at one element of the model a trial."""
-    chunks = sample_chunks(0, trials, _sample_entries(model.n ** model.rank))
-    return (np.arange(c.start, c.stop) for c in chunks)

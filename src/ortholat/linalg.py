@@ -164,11 +164,18 @@ def hermitian_eigendecompose(a) -> Spectrum:
     return Spectrum(w, u)
 
 
+def _eigenvalues(h) -> np.ndarray:
+    """The eigenvalues, ascending, of a Hermitian matrix or of each matrix of
+    a stack: the package's one decomposition without eigenvectors (LAPACK
+    via numpy.linalg.eigvalsh, which reads the lower triangle)."""
+    return np.linalg.eigvalsh(h)
+
+
 def hermitian_norm(x):
     """Operator norm max |eigenvalue| of a Hermitian matrix, or of each matrix
     of a stack, from eigenvalues only; NaN, undecomposed, if an entry is not finite."""
     finite = np.isfinite(x).all((-2, -1))
-    norms = np.abs(np.linalg.eigvalsh(np.where(finite[..., None, None], x, 0.0)))
+    norms = np.abs(_eigenvalues(np.where(finite[..., None, None], x, 0.0)))
     return np.where(finite, norms.max(-1, initial=0.0), np.nan)[()]
 
 
@@ -224,7 +231,7 @@ def embed_offdiag(a) -> np.ndarray:
 def psd_defect(a):
     """Relative depth of the most negative eigenvalue (0 for PSD input), of
     a matrix or of each matrix of a stack."""
-    return _cone_defect(np.linalg.eigvalsh(hermitian_matrix(a)))
+    return _cone_defect(_eigenvalues(hermitian_matrix(a)))
 
 
 def _cone_defect(values):
@@ -378,9 +385,6 @@ class _Generators:
 
     def __len__(self):
         return self._length
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self._length))
 
     def __getitem__(self, r):
         if not 0 <= r < self._length:

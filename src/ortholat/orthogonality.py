@@ -12,6 +12,7 @@ import numpy as np
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
+    _KEY_BLOCK,
     _unit_floor,
     _worst,
     abs_general,
@@ -144,11 +145,27 @@ def _trial_chunks(seeds, trials: range, entries: int, live):
                    (rngs[k] for k in rows))
 
 
-def _sample_entries(entries: int) -> int:
-    """The entries that a sample of `entries` entries counts as in the
-    chunks of the sampled checks, so that a chunk holds at most
-    _CHUNK_SAMPLES samples."""
-    return max(entries, _CHUNK_ENTRIES // _CHUNK_SAMPLES)
+def _trial_walk(key, trials: int, entries, dims=None):
+    """The one walk over the trials 0, ..., trials - 1 of a suite or a
+    check: per chunk, its trials in trial order, their n and their fresh
+    generators rng_for(*key, i). With `dims`, n = dims(rng) is read from
+    each trial's generator (a trial reads it again from the one yielded),
+    and only trials of equal n share a chunk; without, n is None and each
+    generator is built once. A chunk holds at most _CHUNK_SAMPLES trials
+    and, unless it holds one, at most _CHUNK_ENTRIES of the entries(n) that
+    each trial stacks. The keys go in blocks of _KEY_BLOCK, hashed by one
+    rngs_for; no generator is kept (500 kept raised the peak memory of a
+    theorem4 run at --dim 64 by 0.4 MB)."""
+    for start in range(0, trials, _KEY_BLOCK):
+        rngs = rngs_for(*key, np.arange(start, min(trials, start + _KEY_BLOCK)))
+        groups = {}
+        for r in range(len(rngs)):
+            groups.setdefault(dims(rngs[r]) if dims else None, []).append(r)
+        for n, rows in groups.items():
+            cap = max(entries(n), _CHUNK_ENTRIES // _CHUNK_SAMPLES)   # entries a trial counts as
+            for part in sample_chunks(0, len(rows), cap):
+                chunk = rows[part.start:part.stop]
+                yield [start + r for r in chunk], n, map(rngs.__getitem__, chunk)
 
 
 def _sole(outcomes):
@@ -303,8 +320,8 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     (bound tol_zero), every trial sampled, after a PreconditionFailed for
     the first pair whose ab is not within tol_zero. The samplers raise
     NotPositive for the first a that is not positive, else for the first b.
-    The samples go in chunks (see _sample_entries), pair by pair in trial
-    order. A pair draws no chunk after the one that holds its first
+    The samples go in chunks of at most _CHUNK_SAMPLES, pair by pair in
+    trial order. A pair draws no chunk after the one that holds its first
     violation, and its worst residual covers the trials up to it; a NaN
     residual is a violation, and makes the worst NaN.
     """
@@ -337,8 +354,9 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     if start and trials > 0:
         for i, seg in enumerate(residual(a, b)[:, None]):
             judge(i, 0, seg)
-    for owners, trial, rngs in _trial_chunks(seeds, range(start, trials),
-                                             _sample_entries(a[0].size), lambda i: first[i] < 0):
+    cap = max(a[0].size, _CHUNK_ENTRIES // _CHUNK_SAMPLES)   # at most _CHUNK_SAMPLES a chunk
+    for owners, trial, rngs in _trial_chunks(seeds, range(start, trials), cap,
+                                             lambda i: first[i] < 0):
         drawn = list(rngs)   # each draws a sample of a, then one of b
         values = residual(sampler_a.draw(drawn, owners), sampler_b.draw(drawn, owners))
         # each pair's trials of a chunk are consecutive rows

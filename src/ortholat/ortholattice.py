@@ -14,7 +14,8 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import _pymax, _unit_floor, _worst, frob, hermitian_matrix, matrix_to_json
+from .linalg import (_eigenvalues, _pymax, _unit_floor, _worst, frob, hermitian_matrix,
+                     matrix_to_json)
 from .orthogonality import OrthReport, _sole, _trial_chunks
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -223,9 +224,9 @@ def kadison_witness_search(s, t, tol: Tolerances = DEFAULT_TOL) -> WitnessResult
     m = hermitian_matrix(c + (4.0 / 3.0 * lam) * np.outer(x, x.conj())
                          - lam * np.eye(len(w)))
     checks = {
-        "le_S": float(np.linalg.eigvalsh(m - sh)[-1]),
-        "le_T": float(np.linalg.eigvalsh(m - th)[-1]),
-        "not_le_c": float(np.linalg.eigvalsh(c - m)[0]),
+        "le_S": float(_eigenvalues(m - sh)[-1]),
+        "le_T": float(_eigenvalues(m - th)[-1]),
+        "not_le_c": float(_eigenvalues(c - m)[0]),
     }
     margin = -checks["not_le_c"]
     # norms taken at unit scale, so that they cannot overflow

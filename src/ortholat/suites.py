@@ -10,7 +10,6 @@ from .axioms import check_axioms, check_theorem7
 from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
-    _KEY_BLOCK,
     _rebuild,
     _worst,
     complex_matrix,
@@ -20,18 +19,16 @@ from .linalg import (
     random_hermitian,
     random_psd,
     random_unitary,
-    rngs_for,
     zero_product_residual,
 )
 from .orthogonality import (
     _alg_orth_general_stack,
     _prop2_stack,
-    _sample_entries,
     _sampled_stack,
+    _trial_walk,
     infty_deviations,
-    sample_chunks,
 )
-from .ortholattice import _Pair, _theorem4_stack, ortho_inf_sup
+from .ortholattice import _Pair, _theorem4_stack
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = ["SUITES", "run_suite", "run_suites"]
@@ -85,43 +82,23 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
     worst = _worst(_checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
                                       lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
-                                      lambda n: _sample_entries(n * n)))
+                                      lambda n: n * n))
     return {"suite": "lemma1", "pass": worst <= tol.tol_zero,
             "trials": pairs * samples, "max_violation": worst}
 
 
 def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list:
     """The outcome of each trial i, in trial order. Its pair is draw(i, n,
-    rng), where rng = rng_for(seed, stream, i) and n = dims(rng) is read from
-    it first. The pairs of equal n are checked together: check(chunk, a, b)
-    gets the trials of a chunk in order and the stacks of their first and
-    second elements (and of any further ones that draw gives, as further
-    arguments), and returns one outcome per pair. A chunk holds at most
-    _CHUNK_ENTRIES of the entries that its check stacks, entries(n) per
-    pair, as sample_chunks allows. The trials go in blocks of _KEY_BLOCK,
-    whose keys one rngs_for hashes. A trial's generator is made to read n
-    and made again from the same seed words to draw the pair, so none is
-    kept: 500 kept generators raised the peak memory of a theorem4 run at
-    --dim 64 by 0.4 MB."""
+    rng), where rng is its generator of _trial_walk((seed, stream), trials,
+    entries, dims), once n = dims(rng) is read from it. The pairs of a chunk
+    are checked together: check(chunk, a, b) gets the chunk's trials and the
+    stacks of their first and second elements (and of any further ones that
+    draw gives, as further arguments), and returns one outcome per pair."""
     outcomes = [None] * trials
-    for start in range(0, trials, _KEY_BLOCK):
-        block = np.arange(start, min(trials, start + _KEY_BLOCK))
-        rngs = rngs_for(seed, stream, block)
-        groups = {}
-        for i, rng in zip(block.tolist(), rngs):
-            groups.setdefault(dims(rng), []).append(i)
-
-        def pair(i, n):
-            rng = rngs[i - start]
-            dims(rng)   # the n read above; the pair comes after it
-            return draw(i, n, rng)
-
-        for n, members in groups.items():
-            for part in sample_chunks(0, len(members), entries(n)):
-                chunk = [members[j] for j in part]
-                stacks = [np.stack(part) for part in zip(*(pair(i, n) for i in chunk))]
-                for i, outcome in zip(chunk, check(chunk, *stacks)):
-                    outcomes[i] = outcome
+    for chunk, _, rngs in _trial_walk((seed, stream), trials, entries, dims):
+        stacks = map(np.stack, zip(*(draw(i, dims(rng), rng) for i, rng in zip(chunk, rngs))))
+        for i, outcome in zip(chunk, check(chunk, *stacks)):
+            outcomes[i] = outcome
     return outcomes
 
 
@@ -208,16 +185,15 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     for (w, w) at k = 1. The disjoint direction holds bit for bit in this
     arithmetic (each entry of u + k v is u_i or k v_i), so it is checked
     where rounding can break it: on the matrix carrier by the infty suite.
-    Each chunk of trials takes its w from one ortho-infimum and its
-    verdicts from one evaluation of the identity at (w, w); a pair fails
-    unless its deviation exceeds tol_eq, so a NaN deviation fails."""
+    Each chunk of _trial_walk((seed, 6), ...) takes its w from one
+    ortho-infimum and its verdicts from one evaluation of the identity at
+    (w, w); a pair fails unless its deviation exceeds tol_eq, so a NaN
+    deviation fails."""
     n = max(2, min(16, 2 * dim))
     model = CoordinateModel(n, tol)
     failures = 0
-    rngs = rngs_for(seed, 6, np.arange(trials))
-    for chunk in sample_chunks(0, trials, _sample_entries(n)):
-        uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n))
-                     for rng in (rngs[i] for i in chunk)])
+    for _, _, rngs in _trial_walk((seed, 6), trials, lambda _: n):
+        uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n)) for rng in rngs])
         w = _Pair(model, uv[:, 0], uv[:, 1]).c
         broken = infty_deviations(w, w, model.norm).max(-1) > tol.tol_eq
         failures += int(np.count_nonzero(~broken))
@@ -225,48 +201,53 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
             "failures": failures}
 
 
+def _carriers_suite(name, check, per, dim, seed, tol):
+    """check(model, trials=per, seed=seed) on the matrix carrier at n = dim
+    (2 to 4) and on the coordinate carrier at n = 2 dim (at least 2)."""
+    reports = {model.carrier: check(model, trials=per, seed=seed)
+               for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
+                             CoordinateModel(max(2, 2 * dim), tol))}
+    return {"suite": name, "pass": all(r.holds for r in reports.values()), "trials": 2 * per,
+            "max_violation": _worst([r.max_violation for r in reports.values()]),
+            "carriers": {k: v.to_json() for k, v in reports.items()}}
+
+
 def suite_theorem7(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Order-unit decomposition and block-triple suite on both carriers."""
-    per = max(1, trials // 10)
-    reports = {}
-    for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
-                  CoordinateModel(max(2, 2 * dim), tol)):
-        reports[model.carrier] = check_theorem7(model, trials=per, seed=seed)
-    worst = _worst([r.max_violation for r in reports.values()])
-    ok = all(r.holds for r in reports.values())
-    return {"suite": "theorem7", "pass": ok, "trials": 2 * per,
-            "max_violation": worst,
-            "carriers": {k: v.to_json() for k, v in reports.items()}}
+    return _carriers_suite("theorem7", check_theorem7, max(1, trials // 10), dim, seed, tol)
 
 
 def suite_axioms(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Five-axiom suite on both carriers plus the broken negative control."""
     per = max(1, trials // 2)
-    reports = {}
-    for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
-                  CoordinateModel(max(2, 2 * dim), tol)):
-        reports[model.carrier] = check_axioms(model, trials=per, seed=seed)
+    report = _carriers_suite("axioms", check_axioms, per, dim, seed, tol)
     broken = check_axioms(BrokenOrthModel(max(2, dim), tol), trials=min(per, 50), seed=seed)
-    ok = all(r.holds for r in reports.values()) and not broken.holds
-    worst = _worst([r.max_violation for r in reports.values()])
-    return {"suite": "axioms", "pass": ok, "trials": 2 * per,
-            "max_violation": worst,
-            "carriers": {k: v.to_json() for k, v in reports.items()},
-            "negative_control_failed_as_expected": not broken.holds}
+    report["pass"] = report["pass"] and not broken.holds
+    report["negative_control_failed_as_expected"] = not broken.holds
+    return report
 
 
 def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """The matrix carrier's ortho-inf/sup of diagonal matrices is diagonal
-    and matches the coordinate carrier's on their diagonals."""
-    worst = 0.0
-    for rng in rngs_for(seed, 8, np.arange(trials)):
-        n = _dim_for(rng, dim)
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        c, d = ortho_inf_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
-        cx, dx = ortho_inf_sup(x, y)
-        worst = max(worst, float(np.max(np.abs(np.diag(c).real - cx))),
-                    float(np.max(np.abs(np.diag(d).real - dx))),
-                    float(np.max(np.abs(c - np.diag(np.diag(c))))))
+    and matches the coordinate carrier's on their diagonals. The pairs of
+    equal n are checked in stacks: one matrix _Pair of the diagonal
+    matrices and one coordinate _Pair of their diagonals."""
+    def check(chunk, x, y):
+        n = x.shape[-1]
+        diagonal = np.zeros((2,) + x.shape + (n,), dtype=complex)
+        diagonal[..., range(n), range(n)] = x, y
+        matrices = _Pair(MatrixSaModel(n, tol), *hermitian_matrix(diagonal))
+        vectors = _Pair(CoordinateModel(n, tol), x, y)
+        # per pair: the largest entry of c off its diagonal, and the distances
+        # of c's and d's diagonals from the coordinate carrier's inf and sup
+        return np.stack([np.abs(matrices.c * (1.0 - np.eye(n))).max((-2, -1)),
+                         *(np.abs(m.diagonal(0, -2, -1).real - v).max(-1)
+                           for m, v in ((matrices.c, vectors.c), (matrices.d, vectors.d)))], 1)
+
+    worst = _worst(_checked_in_stacks(trials, seed, 8, lambda rng: _dim_for(rng, dim),
+                                      lambda i, n, rng: (rng.standard_normal(n),
+                                                         rng.standard_normal(n)),
+                                      check, lambda n: n * n))
     return {"suite": "bridge", "pass": worst <= tol.tol_eq, "trials": trials,
             "max_violation": worst}
 
@@ -302,7 +283,7 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         return zip(worst, missed)
 
     worst, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
-                                            draw, check, lambda n: _sample_entries(n * n)))
+                                            draw, check, lambda n: n * n))
     worst, missed = _worst(worst), sum(missed)
     return {"suite": "infty", "pass": worst <= tol.tol_eq and missed == 0,
             "trials": pairs * samples, "max_violation": worst, "missed": missed}

@@ -1,23 +1,24 @@
 """The grouped suites against the fold of their public single-pair checks:
-theorem4, corollary5, prop2 and prop3 check each stack of equal-n pairs in
-one call, and must report bit for bit what one call per pair, in trial
-order, reports."""
+theorem4, corollary5, prop2, prop3 and bridge check each stack of equal-n
+pairs in one call, and must report bit for bit what one call per pair, in
+trial order, reports."""
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import ortholat.linalg
 import ortholat.orthogonality
 import ortholat.suites
 from ortholat.carriers import CoordinateModel
 from ortholat.errors import InternalInconsistency
 from ortholat.linalg import random_complex, random_hermitian, rng_for
-from ortholat.orthogonality import alg_orth_general, check_prop2_equivalence, infty_deviations
-from ortholat.ortholattice import _Pair, verify_theorem4
+from ortholat.orthogonality import (_trial_walk, alg_orth_general, check_prop2_equivalence,
+                                    infty_deviations)
+from ortholat.ortholattice import _Pair, ortho_inf_sup, verify_theorem4
 from ortholat.suites import (
     SUITES,
-    _checked_in_stacks,
     _dim_for,
     _orthogonal_general_pair,
     _orthogonal_sa_pair,
@@ -71,6 +72,22 @@ def _routes_fold(name, stream, pairs, check, dim, trials, seed):
             "max_violation": worst, "disagreements": disagreements, "seed": seed}
 
 
+def _bridge_fold(dim, trials, seed):
+    """The bridge suite as two ortho_inf_sup calls per pair, one on the
+    diagonal matrices and one on their diagonals."""
+    worst = 0.0
+    for _, x, y in _draws(8, lambda rng: _dim_for(rng, dim),
+                          lambda i, n, rng: (rng.standard_normal(n), rng.standard_normal(n)),
+                          trials, seed):
+        c, d = ortho_inf_sup(np.diag(x).astype(complex), np.diag(y).astype(complex))
+        cx, dx = ortho_inf_sup(x, y)
+        worst = max(worst, float(np.max(np.abs(np.diag(c).real - cx))),
+                    float(np.max(np.abs(np.diag(d).real - dx))),
+                    float(np.max(np.abs(c - np.diag(np.diag(c))))))
+    return {"suite": "bridge", "pass": worst <= DEFAULT_TOL.tol_eq, "trials": trials,
+            "max_violation": worst, "seed": seed}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dim, trials", DIMS_TRIALS)
 class TestGroupedSuitesAreTheFold:
@@ -97,37 +114,63 @@ class TestGroupedSuitesAreTheFold:
         want = _routes_fold("prop3", 3, pairs, alg_orth_general, dim, trials, seed)
         assert run_suite("prop3", dim, trials, seed) == want
 
+    def test_bridge(self, dim, trials, seed, monkeypatch):
+        # the report is the fold's, and each pair of a stacked _Pair has the
+        # ortho-inf and ortho-sup that ortho_inf_sup gives it alone
+        pairs = []
+        monkeypatch.setattr(ortholat.suites, "_Pair",
+                            lambda *args: pairs.append(_Pair(*args)) or pairs[-1])
+        assert run_suite("bridge", dim, trials, seed) == _bridge_fold(dim, trials, seed)
+        assert sum(len(pair.a) for pair in pairs) == 2 * trials
+        for pair in pairs:
+            for a, b, c, d in zip(pair.a, pair.b, pair.c, pair.d):
+                inf, sup = ortho_inf_sup(a, b)
+                assert np.array_equal(c, inf) and np.array_equal(d, sup)
+
 
 @pytest.mark.parametrize("entries", [16, 4096])
 def test_stacks_group_by_n_within_the_cap(monkeypatch, entries):
     # every trial once, in trial order within a chunk, each chunk of one n
-    # and within the cap on the entries its check stacks (`stacked` of its
-    # first elements) unless it holds a single pair; the outcomes come back
-    # in trial order
+    # and within the caps on its trials and on the entries that it stacks
+    # (`stacked` n x n matrices a trial) unless it holds a single trial; the
+    # generators yielded are fresh, so that each reads its n again
     monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", entries)
+    cap = ortholat.orthogonality._CHUNK_SAMPLES
     for stacked in (1, 12, 24):
         seen = []
-
-        def check(chunk, a, b):
+        for chunk, n, rngs in _trial_walk((7, 4), 40, lambda n: stacked * n * n,
+                                          lambda rng: _dim_for(rng, 6)):
             assert chunk == sorted(chunk)
-            assert a.shape == b.shape == (len(chunk),) + a.shape[1:]
-            assert [int(m[0, 0]) for m in a] == chunk
-            assert len(chunk) == 1 or stacked * a.size <= entries
-            assert [_dim_for(rng_for(7, 4, i), 6) for i in chunk] == [a.shape[-1]] * len(chunk)
+            assert len(chunk) == 1 or len(chunk) <= cap and stacked * n * n * len(chunk) <= entries
+            for i, rng in zip(chunk, rngs):
+                want = rng_for(7, 4, i)
+                assert _dim_for(want, 6) == _dim_for(rng, 6) == n
+                assert rng.random() == want.random()
             seen.extend(chunk)
-            return [-i for i in chunk]
-
-        outcomes = _checked_in_stacks(40, 7, 4, lambda rng: _dim_for(rng, 6),
-                                      lambda i, n, rng: (np.full((n, n), i), np.zeros((n, n))),
-                                      check, lambda n: stacked * n * n)
         assert sorted(seen) == list(range(40))
-        assert outcomes == [-i for i in range(40)]
+
+
+@pytest.mark.parametrize("dims", [None, lambda rng: _dim_for(rng, 6)], ids=["fixed-n", "read-n"])
+def test_walk_builds_generators_as_read(monkeypatch, dims):
+    # a fixed-n walk builds one generator per trial, and a walk that reads n
+    # from the generators two: one to read n, and the fresh one it yields
+    built = []
+    getitem = ortholat.linalg._Generators.__getitem__
+    monkeypatch.setattr(ortholat.linalg._Generators, "__getitem__",
+                        lambda self, r: built.append(r) or getitem(self, r))
+    drawn = {}
+    for chunk, n, rngs in _trial_walk((3,), 300, lambda n: 16, dims):
+        assert (n is None) == (dims is None)
+        drawn.update((i, rng.random()) for i, rng in zip(chunk, rngs))
+    assert len(built) == (1 if dims is None else 2) * 300
+    monkeypatch.undo()
+    assert drawn == {i: rng_for(3, i).random() for i in range(300)}
 
 
 def test_trials_past_one_block(monkeypatch):
-    # each block of trials takes its generators from one rngs_for; the
-    # pairs and the outcomes are those of one block
-    monkeypatch.setattr(ortholat.suites, "_KEY_BLOCK", 7)
+    # the walk takes each block of trials' generators from one rngs_for;
+    # the pairs and the outcomes are those of one block
+    monkeypatch.setattr(ortholat.orthogonality, "_KEY_BLOCK", 7)
     want = run_suite("prop2", 4, 30, 5)
     monkeypatch.undo()
     assert run_suite("prop2", 4, 30, 5) == want
@@ -137,12 +180,15 @@ def test_trials_past_one_block(monkeypatch):
 
 # what each suite's core stacks per pair, in entries of the pair's first
 # element, and where that element stands in the core's arguments (the
-# theorem4 core takes them as one _Pair, made from (model, a, b))
+# theorem4 core takes them as one _Pair, made from (model, a, b); bridge
+# makes a _Pair of matrices and one of vectors, prop6 one of vectors)
 @pytest.mark.parametrize("suite, core, operand, stacked", [
     ("prop2", "_prop2_stack", 1, 12),   # the three Jordan parts of x, y, x + y, x - y
     ("prop3", "_alg_orth_general_stack", 0, 24),   # two 2n x 2n embeddings, three parts each
     ("theorem4", "_theorem4_stack", 1, 1),
     ("corollary5", "_theorem4_stack", 1, 1),
+    ("bridge", "_Pair", 1, 1),
+    ("prop6", "_Pair", 1, 1),
 ])
 def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked):
     shapes = []
@@ -155,9 +201,12 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
 
     monkeypatch.setattr(ortholat.suites, core, recording)
     assert run_suite(suite, 8, 200, 3)["pass"]
-    assert sum(shape[0] for shape in shapes) == 200
+    # each carrier's stacks hold every trial once
+    for rank in {len(shape) for shape in shapes}:
+        assert sum(shape[0] for shape in shapes if len(shape) == rank) == 200
     assert any(shape[0] > 1 for shape in shapes)
     for shape in shapes:
+        assert shape[0] <= ortholat.orthogonality._CHUNK_SAMPLES
         assert shape[0] == 1 or stacked * np.prod(shape) <= ortholat.orthogonality._CHUNK_ENTRIES
 
 
