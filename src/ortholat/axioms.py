@@ -27,7 +27,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     axioms, and a survivor count for the uniqueness half of axiom 4.
 
     Trial i draws its random numbers from rng_for(seed, i), one trial after
-    another, and the trials of a chunk of _trial_walk((seed,), ...), at one
+    another, and the trials of a chunk of _trial_walk([(seed,)], ...), at one
     element of the model a trial, are then checked in stacks. A residual
     that is NaN fails the check and is its worst. A trial takes each
     element's |.| once with model.jordan; the Jordan parts and their
@@ -39,7 +39,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
-    for _, _, rngs in _trial_walk((seed,), trials, lambda _: model.n ** model.rank):
+    for *_, rngs in _trial_walk([(seed,)], range(trials), lambda _: model.n ** model.rank):
         u, triples, k, d, fraction, t = zip(*[
             (model.sample(rng), model.triple_draw(rng), rng.uniform(-4.0, 4.0),
              model.sample(rng), rng.uniform(0.05, 0.5), model.dominated_draw(rng))
@@ -108,7 +108,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     """
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
-    for _, _, rngs in _trial_walk((seed,), trials, lambda _: model.n ** model.rank):
+    for *_, rngs in _trial_walk([(seed,)], range(trials), lambda _: model.n ** model.rank):
         u, seeds, triples = zip(*[
             (model.sample(rng), int(rng.integers(1 << 62)), model.triple_draw(rng))
             for rng in rngs])

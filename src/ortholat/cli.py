@@ -73,7 +73,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("ORTHOLAT_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"ORTHOLAT_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "hermitian_norm",
     "psd_defect",
     "rng_for",
-    "rngs_for",
     "random_complex",
     "random_hermitian",
     "random_unitary",
@@ -247,13 +247,12 @@ def _cone_defect(values):
 #
 # The generator of a key [seed mod 2**64, *indices] is numpy's
 # default_rng(key): PCG64 seeded with four 64-bit words that SeedSequence
-# hashes from the key's 32-bit words (NEP 19). rngs_for hashes the keys of
-# many trials in one numpy pass, key by key the same arithmetic, and hands
-# each generator its words through SeedWords, so a trial draws bit for bit
-# what default_rng(key) draws without a SeedSequence of its own.
+# hashes from the key's 32-bit words (NEP 19). _seed_words hashes the keys
+# of many trials in one numpy pass, key by key the same arithmetic, and
+# _generator hands a generator its words through SeedWords, so a trial draws
+# bit for bit what default_rng(key) draws without a SeedSequence of its own.
 
 _SEED_MASK = (1 << 64) - 1
-_KEY_BLOCK = 1024   # keys hashed in one pass; their words are kept until the next
 _MULT_A = 0x931E8875   # SeedSequence's entropy-mix multiplier
 _SHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -373,71 +372,17 @@ def _seed_words_type():
     return SeedWords
 
 
-class _Generators:
-    """rngs_for's generators: row r's is built when it is asked for, from
-    the words of the block of _KEY_BLOCK keys that holds it."""
-
-    def __init__(self, columns, length):
-        self._columns = columns
-        self._length = length
-        self._start = 0
-        self._words = np.empty((0, 4), dtype=np.uint64)
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, r):
-        if not 0 <= r < self._length:
-            raise IndexError(r)
-        if not 0 <= r - self._start < len(self._words):
-            self._start = r - r % _KEY_BLOCK
-            stop = min(self._length, self._start + _KEY_BLOCK)
-            keys = np.empty((len(self._columns), stop - self._start), dtype=np.uint64)
-            for row, column in zip(keys, self._columns):
-                row[...] = column if column.ndim == 0 else column[self._start:stop]
-            self._words = _seed_words(keys)
-        seed_words = _seed_words_type()(self._words[r - self._start])
-        return np.random.Generator(np.random.PCG64(seed_words))
-
-
-def _index_column(index) -> np.ndarray:
-    if isinstance(index, int):
-        if index < 0:
-            raise ValueError("expected non-negative integer")
-        if index >> 64:
-            raise ValueError(f"index {index} is not below 2**64")
-        return np.uint64(index)
-    col = np.asarray(index)
-    if col.dtype.kind == "i" and (col < 0).any():
-        raise ValueError("expected non-negative integer")
-    if col.dtype.kind not in "iu" or col.ndim > 1:
-        raise ValueError(f"an index must be an integer in [0, 2**64) or a 1-D array "
-                         f"of them, got {index!r}")
-    return col.astype(np.uint64, copy=False)
-
-
-def rngs_for(seeds, *indices) -> _Generators:
-    """The generators rng_for(seeds[r], *(index[r] for index in indices)) of
-    many trials, as a sequence: `seeds` is an int or a sequence of ints and
-    each index an int or a 1-D integer array; those that are not ints have
-    one length, the number of generators. The keys are hashed a block at a
-    time, and a generator is built when it is asked for."""
-    if isinstance(seeds, (int, np.integer)):
-        seeds = np.uint64(int(seeds) & _SEED_MASK)
-    else:
-        seeds = np.array([int(s) & _SEED_MASK for s in seeds], dtype=np.uint64)
-    columns = [seeds, *map(_index_column, indices)]
-    lengths = {len(c) for c in columns if c.ndim}
-    if len(lengths) > 1:
-        raise ValueError(f"key columns of different lengths {sorted(lengths)}")
-    return _Generators(columns, lengths.pop() if lengths else 1)
+def _generator(words) -> np.random.Generator:
+    """The generator whose PCG64 takes `words`, one key's row of
+    _seed_words: bit for bit default_rng(key), without a SeedSequence."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 def rng_for(seed: int, *indices: int) -> np.random.Generator:
-    """Deterministic derived generator for (seed, index...) trials: bit for
-    bit np.random.default_rng([seed mod 2**64, *indices]), for indices in
-    [0, 2**64) (a negative one raises ValueError, as there)."""
-    return rngs_for(int(seed), *map(int, indices))[0]
+    """Deterministic derived generator for (seed, index...) trials:
+    np.random.default_rng([seed mod 2**64, *indices]) (a negative index
+    raises ValueError, as there)."""
+    return np.random.default_rng([int(seed) & _SEED_MASK, *indices])
 
 
 def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -511,11 +456,17 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def _float_part(value, n):
     """The "re" or "im" field as floats; TypeError for n x n entries that
-    are not all numbers, and objects (not n x n) for ragged rows."""
+    are not all numbers in the float range (a JSON string or boolean is
+    none), and objects (not n x n) for ragged rows."""
     try:
-        return np.asarray(value, dtype=float)
-    except ValueError as exc:
+        part = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
         part = np.asarray(value, dtype=object)
         if part.shape == (n, n):
             raise TypeError(exc) from None
         return part
+    if part.shape == (n, n):
+        for entry in np.asarray(value, dtype=object).flat:
+            if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
+                raise TypeError(f"entry {entry!r} is not a number")
+    return part

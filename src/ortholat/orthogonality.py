@@ -12,13 +12,14 @@ import numpy as np
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
-    _KEY_BLOCK,
+    _SEED_MASK,
+    _generator,
+    _seed_words,
     _unit_floor,
     _worst,
     abs_general,
     complex_matrix,
     embed_offdiag,
-    rngs_for,
     zero_product_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -29,7 +30,6 @@ __all__ = [
     "alg_orth_general",
     "check_prop2_equivalence",
     "infty_deviations",
-    "sample_chunks",
     "abs_infty_orth_sampled",
     "hereditary_check",
 ]
@@ -113,59 +113,51 @@ def infty_deviations(u, v, norm):
     return np.abs(lhs - rhs) / _unit_floor(rhs)
 
 
-# A chunk of stacked samples holds at most this many entries of its elements.
-# The chunks of the sampled checks also hold at most _CHUNK_SAMPLES samples,
-# each with its own generator and k-grid. A k-grid stack, 47 times larger
-# than its chunk, is evaluated in slices of at most _GRID_ENTRIES
-# entries (128 kB of complex numbers).
+# A chunk of stacked samples holds at most _CHUNK_SAMPLES samples, each with
+# its own generator (and in the sampled checks its own k-grid), and unless
+# it holds one, at most _CHUNK_ENTRIES entries of its elements. A k-grid
+# stack, 47 times larger than its chunk, is evaluated in slices of at most
+# _GRID_ENTRIES entries (128 kB of complex numbers). The generators' keys are
+# hashed _KEY_BLOCK at a time.
 _CHUNK_ENTRIES = 4096
 _CHUNK_SAMPLES = 64
 _GRID_ENTRIES = 2 * _CHUNK_ENTRIES
+_KEY_BLOCK = 1024
 
 
-def sample_chunks(start: int, stop: int, entries: int):
-    """Consecutive ranges covering start, ..., stop - 1, each as long as
-    _CHUNK_ENTRIES entries at `entries` per sample allow (the last may be
-    shorter)."""
-    size = max(1, _CHUNK_ENTRIES // max(1, entries))
-    return (range(i, min(stop, i + size)) for i in range(start, stop, size))
+def _trial_walk(prefixes, trials: range, entries, dims=None, live=None):
+    """The one walk over the trials of a suite or a check: trial j of pair
+    p, for j in `trials` (a range of step 1), draws from the generator of
+    the key (*prefixes[p], j), that is rng_for(*prefixes[p], j), and the
+    keys go pair by pair in trial order. Per chunk it yields the pairs (an
+    array) and the trials of its keys, their n and their fresh generators.
 
-
-def _trial_chunks(seeds, trials: range, entries: int, live):
-    """Trial j in `trials` of each pair i with live(i), pair by pair, in the
-    chunks of sample_chunks at `entries` entries a trial, less the pairs no
-    longer live: per chunk, each row's pair (an array) and trial, and the
-    rows' generators rng_for(seeds[i], j), built as they are read."""
-    todo = [(i, j) for i in range(len(seeds)) if live(i) for j in trials]
-    rngs = rngs_for([seeds[i] for i, _ in todo], np.array([j for _, j in todo], dtype=int))
-    for part in sample_chunks(0, len(todo), entries):
-        rows = [k for k in part if live(todo[k][0])]
-        if rows:
-            yield (np.array([todo[k][0] for k in rows]), [todo[k][1] for k in rows],
-                   (rngs[k] for k in rows))
-
-
-def _trial_walk(key, trials: int, entries, dims=None):
-    """The one walk over the trials 0, ..., trials - 1 of a suite or a
-    check: per chunk, its trials in trial order, their n and their fresh
-    generators rng_for(*key, i). With `dims`, n = dims(rng) is read from
-    each trial's generator (a trial reads it again from the one yielded),
-    and only trials of equal n share a chunk; without, n is None and each
-    generator is built once. A chunk holds at most _CHUNK_SAMPLES trials
-    and, unless it holds one, at most _CHUNK_ENTRIES of the entries(n) that
-    each trial stacks. The keys go in blocks of _KEY_BLOCK, hashed by one
-    rngs_for; no generator is kept (500 kept raised the peak memory of a
-    theorem4 run at --dim 64 by 0.4 MB)."""
-    for start in range(0, trials, _KEY_BLOCK):
-        rngs = rngs_for(*key, np.arange(start, min(trials, start + _KEY_BLOCK)))
+    With `dims`, n = dims(rng) is read from each key's generator (a trial
+    reads it again from the one yielded), and only keys of equal n share a
+    chunk; without, n is None. With `live`, a chunk holds only the keys of
+    pairs p with live(p) when it is cut. A chunk holds at most
+    _CHUNK_SAMPLES keys and, unless it holds one, at most _CHUNK_ENTRIES of
+    the entries(n) that each trial stacks. The keys are hashed in blocks of
+    _KEY_BLOCK, and a chunk holds keys of one block; the walk keeps the
+    block's seed words, not its generators (500 kept raised the peak
+    memory of a theorem4 run at --dim 64 by 0.4 MB)."""
+    prefix = np.array([(int(seed) & _SEED_MASK, *rest) for seed, *rest in prefixes],
+                      dtype=np.uint64)
+    count = len(prefix) * len(trials)
+    for start in range(0, count, _KEY_BLOCK):
+        pair, at = np.divmod(np.arange(start, min(count, start + _KEY_BLOCK)), len(trials))
+        trial = at.astype(np.uint64) + np.uint64(trials.start)
+        words = _seed_words(np.vstack((prefix[pair].T, trial)))
+        owner = pair.tolist()
         groups = {}
-        for r in range(len(rngs)):
-            groups.setdefault(dims(rngs[r]) if dims else None, []).append(r)
+        for r in range(len(owner)):
+            groups.setdefault(dims(_generator(words[r])) if dims else None, []).append(r)
         for n, rows in groups.items():
-            cap = max(entries(n), _CHUNK_ENTRIES // _CHUNK_SAMPLES)   # entries a trial counts as
-            for part in sample_chunks(0, len(rows), cap):
-                chunk = rows[part.start:part.stop]
-                yield [start + r for r in chunk], n, map(rngs.__getitem__, chunk)
+            size = max(1, _CHUNK_ENTRIES // max(entries(n), _CHUNK_ENTRIES // _CHUNK_SAMPLES))
+            for lo in range(0, len(rows), size):
+                chunk = [r for r in rows[lo:lo + size] if live is None or live(owner[r])]
+                if chunk:
+                    yield pair[chunk], trial[chunk].tolist(), n, map(_generator, words[chunk])
 
 
 def _sole(outcomes):
@@ -354,9 +346,8 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     if start and trials > 0:
         for i, seg in enumerate(residual(a, b)[:, None]):
             judge(i, 0, seg)
-    cap = max(a[0].size, _CHUNK_ENTRIES // _CHUNK_SAMPLES)   # at most _CHUNK_SAMPLES a chunk
-    for owners, trial, rngs in _trial_chunks(seeds, range(start, trials), cap,
-                                             lambda i: first[i] < 0):
+    for owners, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(start, trials),
+                                              lambda _: a[0].size, live=lambda i: first[i] < 0):
         drawn = list(rngs)   # each draws a sample of a, then one of b
         values = residual(sampler_a.draw(drawn, owners), sampler_b.draw(drawn, owners))
         # each pair's trials of a chunk are consecutive rows

@@ -16,7 +16,7 @@ from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
 from .linalg import (_eigenvalues, _pymax, _unit_floor, _worst, frob, hermitian_matrix,
                      matrix_to_json)
-from .orthogonality import OrthReport, _sole, _trial_chunks
+from .orthogonality import OrthReport, _sole, _trial_walk
 from .tolerances import DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -95,7 +95,7 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     model's tolerances, with perturbation j of pair i drawn from
     rng_for(seeds[i], j): the report of each pair, or the error its check
     raises. Once the _Pair drops x, its spectrum and its parts, each chunk
-    of _trial_chunks is drawn into one stack, settled cheapest first and
+    of _trial_walk is drawn into one stack, settled cheapest first and
     folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
@@ -114,7 +114,8 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     # a = b draws nothing (its perturbation window is empty), nor a pair that raised
     live = lambda i: gap[i] > tol.tol_eq and not isinstance(outcomes[i], Exception)
     spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
-    for owner, trial, rngs in _trial_chunks(seeds, range(trials), c[0].size, live):
+    for owner, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(trials),
+                                             lambda _: c[0].size, live=live):
         draw = np.empty((len(owner),) + c.shape[1:], dtype=c.dtype)
         fractions = np.empty(len(owner))
         for row, rng in enumerate(rngs):

@@ -89,13 +89,14 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
 def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list:
     """The outcome of each trial i, in trial order. Its pair is draw(i, n,
-    rng), where rng is its generator of _trial_walk((seed, stream), trials,
-    entries, dims), once n = dims(rng) is read from it. The pairs of a chunk
-    are checked together: check(chunk, a, b) gets the chunk's trials and the
-    stacks of their first and second elements (and of any further ones that
-    draw gives, as further arguments), and returns one outcome per pair."""
+    rng), where rng is its generator of _trial_walk([(seed, stream)],
+    range(trials), entries, dims), once n = dims(rng) is read from it. The
+    pairs of a chunk are checked together: check(chunk, a, b) gets the
+    chunk's trials and the stacks of their first and second elements (and
+    of any further ones that draw gives, as further arguments), and returns
+    one outcome per pair."""
     outcomes = [None] * trials
-    for chunk, _, rngs in _trial_walk((seed, stream), trials, entries, dims):
+    for _, chunk, _, rngs in _trial_walk([(seed, stream)], range(trials), entries, dims):
         stacks = map(np.stack, zip(*(draw(i, dims(rng), rng) for i, rng in zip(chunk, rngs))))
         for i, outcome in zip(chunk, check(chunk, *stacks)):
             outcomes[i] = outcome
@@ -185,14 +186,14 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     for (w, w) at k = 1. The disjoint direction holds bit for bit in this
     arithmetic (each entry of u + k v is u_i or k v_i), so it is checked
     where rounding can break it: on the matrix carrier by the infty suite.
-    Each chunk of _trial_walk((seed, 6), ...) takes its w from one
+    Each chunk of _trial_walk([(seed, 6)], ...) takes its w from one
     ortho-infimum and its verdicts from one evaluation of the identity at
     (w, w); a pair fails unless its deviation exceeds tol_eq, so a NaN
     deviation fails."""
     n = max(2, min(16, 2 * dim))
     model = CoordinateModel(n, tol)
     failures = 0
-    for _, _, rngs in _trial_walk((seed, 6), trials, lambda _: n):
+    for *_, rngs in _trial_walk([(seed, 6)], range(trials), lambda _: n):
         uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n)) for rng in rngs])
         w = _Pair(model, uv[:, 0], uv[:, 1]).c
         broken = infty_deviations(w, w, model.norm).max(-1) > tol.tol_eq

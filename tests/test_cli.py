@@ -67,6 +67,14 @@ class TestVerify:
         main(["verify", "--suite", "bridge", "--trials", "2", "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 77
 
+    @pytest.mark.parametrize("value", ["abc", "4.5", ""])
+    def test_env_seed_not_an_integer_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ORTHOLAT_SEED", value)
+        assert main(["verify", "--suite", "bridge", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ORTHOLAT_SEED must be an integer, got {value!r}\n"
+
     @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-eq"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_tolerance_out_of_range_exit_two(self, flag, value, capsys):
@@ -236,7 +244,19 @@ class TestDecompose:
                      "(missing 're')"),
         ('{"re": [[1.0]]}', 'matrix JSON must be an object with numeric "n", "re" and "im" '
                             "(missing 'n')"),
-    ], ids=["ragged", "non_numeric", "missing_re", "missing_n"])
+        ('{"n": 1, "re": [["1.5"]]}', 'matrix JSON must be an object with numeric "n", "re" '
+                                      'and "im" ' "(entry '1.5' is not a number)"),
+        ('{"n": 1, "re": [[" 4 "]]}', 'matrix JSON must be an object with numeric "n", "re" '
+                                      'and "im" ' "(entry ' 4 ' is not a number)"),
+        ('{"n": 1, "re": [[true]]}', 'matrix JSON must be an object with numeric "n", "re" '
+                                     'and "im" (entry True is not a number)'),
+        ('{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, false], [0, 0]]}',
+         'matrix JSON must be an object with numeric "n", "re" and "im" '
+         "(entry False is not a number)"),
+        ('{"n": 1, "re": [[1' + "0" * 400 + ']]}',
+         'matrix JSON must be an object with numeric "n", "re" and "im" (int too large'),
+    ], ids=["ragged", "non_numeric", "missing_re", "missing_n", "string_entry",
+            "padded_string_entry", "bool_entry", "bool_im_entry", "int_beyond_floats"])
     def test_malformed_part_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -27,11 +27,11 @@ from ortholat.linalg import (
     random_unitary,
     rel_diff,
     rng_for,
-    rngs_for,
     sqrt_psd,
     zero_product_residual,
 )
 import ortholat
+from ortholat.orthogonality import _trial_walk
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
 from helpers import is_psd, loewner_le, random_projection
@@ -371,49 +371,72 @@ def _draws(rng):
     return rng.standard_normal(3).tobytes() + rng.integers(2 ** 63, size=2).tobytes()
 
 
+def _walked(prefixes, trials):
+    """{(pair, trial): draws} of every key of a walk, and its chunks' trials."""
+    got, chunks = {}, []
+    for pairs, chunk, _, rngs in _trial_walk(prefixes, trials, lambda _: 16):
+        for p, j, rng in zip(pairs.tolist(), chunk, rngs):
+            assert (p, j) not in got
+            got[p, j] = _draws(rng)
+        chunks.append(chunk)
+    return got, chunks
+
+
 class TestSeededGenerators:
-    """rngs_for hashes the keys of many trials at once; each generator must
-    draw bit for bit what default_rng draws from its key."""
+    """The trial walk hashes the keys of many trials at once; each generator
+    must draw bit for bit what default_rng draws from its key."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(_SEEDS, _INDICES, _INDICES, _INDICES), min_size=1, max_size=40),
-           st.integers(1, 3))
-    def test_batch_is_default_rng(self, keys, width):
-        # one batch mixes keys of different word counts
-        seeds = [k[0] for k in keys]
-        columns = [np.array([k[1 + c] for k in keys], dtype=np.uint64) for c in range(width)]
-        rngs = rngs_for(seeds, *columns)
-        assert len(rngs) == len(keys)
-        for rng, key in zip(rngs, keys):
-            want = np.random.default_rng([key[0] & _MASK64, *key[1:1 + width]])
-            assert _draws(rng) == _draws(want)
+    @given(st.lists(st.tuples(_SEEDS, _INDICES, _INDICES), min_size=1, max_size=40),
+           st.integers(0, 2), st.sampled_from([0, 2 ** 32 - 2, 2 ** 64 - 4]), st.integers(1, 3))
+    def test_batch_is_default_rng(self, keys, width, first, count):
+        # one block mixes keys of one and two 32-bit words a value
+        prefixes = [key[:1 + width] for key in keys]
+        trials = range(first, first + count)
+        got, _ = _walked(prefixes, trials)
+        assert list(got) == [(p, j) for p in range(len(keys)) for j in trials]
+        for (p, j), draws in got.items():
+            seed, *rest = prefixes[p]
+            assert draws == _draws(np.random.default_rng([seed & _MASK64, *rest, j]))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(_SEEDS, st.lists(_INDICES, min_size=0, max_size=3))
-    def test_one_key_is_default_rng(self, seed, indices):
-        want = np.random.default_rng([seed & _MASK64, *indices])
-        assert _draws(rng_for(seed, *indices)) == _draws(want)
+    @given(_SEEDS, st.lists(_INDICES, min_size=0, max_size=2), _INDICES)
+    def test_one_key_is_default_rng(self, seed, indices, trial):
+        got, _ = _walked([(seed, *indices)], range(trial, trial + 1))
+        want = np.random.default_rng([seed & _MASK64, *indices, trial])
+        assert got == {(0, trial): _draws(want)}
+        assert _draws(rng_for(seed, *indices, trial)) == got[0, trial]
 
     def test_blocks(self):
-        # past the first block of hashed keys, and back into it
-        rngs = rngs_for(7, 3, np.arange(2500))
-        for i in (0, 1023, 1024, 2499, 5):
-            assert _draws(rngs[i]) == _draws(np.random.default_rng([7, 3, i]))
-        with pytest.raises(IndexError):
-            rngs[2500]
+        # 2,500 trials cross two block edges, and no chunk holds keys of two
+        # blocks
+        got, chunks = _walked([(7, 3)], range(2500))
+        assert sorted(j for _, j in got) == list(range(2500))
+        for i in (0, 1023, 1024, 2047, 2048, 2499):
+            assert got[0, i] == _draws(np.random.default_rng([7, 3, i]))
+        assert all(chunk[0] // 1024 == chunk[-1] // 1024 for chunk in chunks)
 
     def test_seed_crossing_two_words_in_one_batch(self):
         seed = 2 ** 32 - 6
-        rngs = rngs_for([seed + i for i in range(12)], np.arange(12))
-        for i, rng in enumerate(rngs):
-            assert _draws(rng) == _draws(np.random.default_rng([seed + i, i]))
+        got, _ = _walked([(seed + p,) for p in range(12)], range(3))
+        for (p, j), draws in got.items():
+            assert draws == _draws(np.random.default_rng([seed + p, j]))
+        assert len(got) == 36
 
-    @pytest.mark.parametrize("indices", [(-1,), (3, -2), (np.array([0, -1]),)])
+    def test_seeds_are_masked(self):
+        # a seed is taken mod 2**64: negative seeds and seeds from 2**64 on
+        seeds = [-1, -2 ** 32, -2 ** 70, 2 ** 64, 2 ** 64 + 5, 2 ** 70 + 3]
+        got, _ = _walked([(seed, 4) for seed in seeds], range(2))
+        for (p, j), draws in got.items():
+            assert draws == _draws(np.random.default_rng([seeds[p] & _MASK64, 4, j]))
+            assert draws == _draws(rng_for(seeds[p], 4, j))
+
+    @pytest.mark.parametrize("indices", [(-1,), (3, -2), (-2 ** 64,)])
     def test_negative_index_raises_as_default_rng(self, indices):
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            np.random.default_rng([1, *np.ravel(indices[-1]).tolist()])
+            np.random.default_rng([1, *indices])
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            rngs_for(1, *indices)
+            rng_for(1, *indices)
 
     def test_import_leaves_numpy_random_unimported(self):
         src = os.path.dirname(os.path.dirname(ortholat.__file__))
@@ -427,10 +450,10 @@ class TestSeededGenerators:
 
     def test_one_seed_words_class(self):
         from numpy.random.bit_generator import ISeedSequence
-        rng_for(1)
+        _walked([(1,)], range(1))   # the class is made on first use
         before = len(ISeedSequence.__subclasses__())
-        rngs = rngs_for(2, np.arange(1000))
-        kinds = {type(rngs[i].bit_generator.seed_seq) for i in range(1000)}
+        kinds = {type(rng.bit_generator.seed_seq)
+                 for *_, rngs in _trial_walk([(2,)], range(1000), lambda _: 16) for rng in rngs}
         assert len(kinds) == 1
         assert len(ISeedSequence.__subclasses__()) == before
 

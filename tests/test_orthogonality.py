@@ -27,12 +27,12 @@ from ortholat.linalg import (
 from ortholat.orthogonality import (
     KGrid,
     _sampled_stack,
+    _trial_walk,
     abs_infty_orth_sampled,
     alg_orth_general,
     check_prop2_equivalence,
     hereditary_check,
     infty_deviations,
-    sample_chunks,
 )
 from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_pair
 from ortholat.tolerances import DEFAULT_TOL
@@ -432,15 +432,43 @@ _SAME = (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
 
 
 def test_sample_chunks_fill_up_to_the_cap():
-    def sizes(*args):
-        chunks = list(sample_chunks(*args))
-        assert [i for c in chunks for i in c] == list(range(args[0], args[1]))
-        return [len(c) for c in chunks]
-    assert sizes(0, 20, 32 * 32) == [4, 4, 4, 4, 4]  # 4096 entries a chunk
-    assert sizes(0, 10, 32 * 32) == [4, 4, 2]
-    assert sizes(1, 10, 40 * 40) == [2, 2, 2, 2, 1]
-    assert sizes(3, 10, 16) == [7]
-    assert sizes(0, 0, 16) == []
+    # the walk's chunks of samples cover its keys pair by pair in trial
+    # order, each as long as _CHUNK_ENTRIES entries at `entries` a trial and
+    # at most _CHUNK_SAMPLES trials allow (the last of a block may be shorter)
+    def sizes(pairs, trials, entries):
+        keys, lengths = [], []
+        for owner, chunk, n, rngs in _trial_walk([(5, p) for p in range(pairs)], trials,
+                                                 lambda _: entries):
+            assert n is None and len(owner) == len(chunk) == len(list(rngs))
+            keys.extend(zip(owner.tolist(), chunk))
+            lengths.append(len(chunk))
+        assert keys == [(p, j) for p in range(pairs) for j in trials]
+        return lengths
+    assert sizes(1, range(20), 32 * 32) == [4, 4, 4, 4, 4]  # 4096 entries a chunk
+    assert sizes(1, range(10), 32 * 32) == [4, 4, 2]
+    assert sizes(1, range(1, 10), 40 * 40) == [2, 2, 2, 2, 1]
+    assert sizes(1, range(3, 10), 16) == [7]
+    assert sizes(1, range(0), 16) == []
+    assert sizes(3, range(1, 5), 32 * 32) == [4, 4, 4]   # a chunk spans pairs
+    assert sizes(1, range(200), 1) == [64, 64, 64, 8]   # at most 64 trials
+    assert sizes(1, range(1500), 5000) == [1] * 1500   # one trial over the cap
+    # blocks of 1,024 keys: the last chunk of the first block ends at its edge
+    assert sizes(2, range(700), 100) == [40] * 25 + [24] + [40] * 9 + [16]
+
+
+def test_walk_reads_live_per_chunk():
+    # a chunk holds the keys of the pairs live when it is cut; here each
+    # chunk ends the pair of its first key, so the walk yields one chunk a
+    # pair, from that pair's first key on
+    dead, seen = set(), []
+    for owner, chunk, _, rngs in _trial_walk([(9,), (10,), (11,)], range(100), lambda _: 64,
+                                             live=lambda p: p not in dead):
+        seen.append((owner.tolist(), chunk))
+        for p, j, rng in zip(owner.tolist(), chunk, rngs):
+            assert rng.random() == rng_for(9 + p, j).random()
+        dead.add(seen[-1][0][0])
+    assert seen == [([0] * 64, list(range(64))), ([1] * 28, list(range(28))),
+                    ([2] * 56, list(range(56)))]
 
 
 class TestAbsInftyMatchesOneAtATime:

@@ -138,8 +138,8 @@ def test_stacks_group_by_n_within_the_cap(monkeypatch, entries):
     cap = ortholat.orthogonality._CHUNK_SAMPLES
     for stacked in (1, 12, 24):
         seen = []
-        for chunk, n, rngs in _trial_walk((7, 4), 40, lambda n: stacked * n * n,
-                                          lambda rng: _dim_for(rng, 6)):
+        for _, chunk, n, rngs in _trial_walk([(7, 4)], range(40), lambda n: stacked * n * n,
+                                             lambda rng: _dim_for(rng, 6)):
             assert chunk == sorted(chunk)
             assert len(chunk) == 1 or len(chunk) <= cap and stacked * n * n * len(chunk) <= entries
             for i, rng in zip(chunk, rngs):
@@ -155,11 +155,11 @@ def test_walk_builds_generators_as_read(monkeypatch, dims):
     # a fixed-n walk builds one generator per trial, and a walk that reads n
     # from the generators two: one to read n, and the fresh one it yields
     built = []
-    getitem = ortholat.linalg._Generators.__getitem__
-    monkeypatch.setattr(ortholat.linalg._Generators, "__getitem__",
-                        lambda self, r: built.append(r) or getitem(self, r))
+    generator = ortholat.orthogonality._generator
+    monkeypatch.setattr(ortholat.orthogonality, "_generator",
+                        lambda words: built.append(words) or generator(words))
     drawn = {}
-    for chunk, n, rngs in _trial_walk((3,), 300, lambda n: 16, dims):
+    for _, chunk, n, rngs in _trial_walk([(3,)], range(300), lambda n: 16, dims):
         assert (n is None) == (dims is None)
         drawn.update((i, rng.random()) for i, rng in zip(chunk, rngs))
     assert len(built) == (1 if dims is None else 2) * 300
@@ -168,7 +168,7 @@ def test_walk_builds_generators_as_read(monkeypatch, dims):
 
 
 def test_trials_past_one_block(monkeypatch):
-    # the walk takes each block of trials' generators from one rngs_for;
+    # the walk hashes each block of trials' keys in one pass;
     # the pairs and the outcomes are those of one block
     monkeypatch.setattr(ortholat.orthogonality, "_KEY_BLOCK", 7)
     want = run_suite("prop2", 4, 30, 5)
