@@ -1,11 +1,12 @@
 """The two carriers of the ortho-lattice: Hermitian n x n matrices with the
 Loewner order, and R^n with the coordinatewise order. A model holds what the
 carriers do differently (input checks, the spectrum, the cone defect, the
-zero-product residual, the norms and the samplers), so every check built on
-it is written once for both. `element`, `spectrum`, `jordan`, `cone_defect`,
-`zero_product`, `rel_diff`, `norm` and `vector_norm` also take stacks of
-elements along leading axes, and give each element of a stack bit for bit
-what it gets alone.
+zero-product residual, the norms and the samples of order intervals), so
+every check built on it is written once for both. `element`, `spectrum`,
+`jordan`, `cone_defect`, `zero_product`, `rel_diff`, `norm`, `vector_norm`,
+`interval_root` and `interval_samples` also take stacks of elements along
+leading axes, and give each element of a stack bit for bit what it gets
+alone.
 
 `carrier_operands` picks the model from the operands: a 1-D array is a
 vector of R^n, anything else must be a square matrix.
@@ -42,9 +43,6 @@ __all__ = [
     "carrier_operands",
     "sup_norm",
     "lattice_vector",
-    "require_positive",
-    "OrderIntervalSampler",
-    "BoxSampler",
 ]
 
 
@@ -62,56 +60,6 @@ def lattice_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite")
     return x
-
-
-def require_positive(defect, name: str, tol: Tolerances) -> None:
-    """NotPositive unless the cone defect of the operand `name`, or of each
-    operand of a stack, is within tol_psd; it names the first defect above."""
-    above = np.flatnonzero(np.asarray(defect) > tol.tol_psd)
-    if above.size:
-        raise NotPositive(f"{name} is not positive "
-                          f"(defect {np.ravel(defect)[above[0]]:.3e})")
-
-
-class OrderIntervalSampler:
-    """Draws elements of the order intervals [0, a] of a stack of operands a
-    via a^(1/2) w a^(1/2) with w a seeded random contraction 0 <= w <= 1
-    (one stacked square root; one operand is a stack of one).
-
-    `draw` takes one sample's random numbers from each generator it is
-    given (the normals of a random unitary, then the uniforms of its
-    eigenvalues t) and makes the whole stack with one stacked LAPACK call.
-    """
-
-    def __init__(self, a, tol: Tolerances = DEFAULT_TOL):
-        self.root = sqrt_psd(a, tol)   # raises NotPositive unless a >= 0
-        self.n = self.root.shape[-1]
-
-    def draw(self, rngs, owners) -> np.ndarray:
-        """The stack of one sample from each of a non-empty sequence of
-        generators, the sample of generator k from the operand owners[k]."""
-        g, t = map(np.array, zip(*[(random_complex(self.n, rng),
-                                    rng.uniform(0.0, 1.0, size=self.n)) for rng in rngs]))
-        u = _unitary(g)
-        w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
-        root = self.root[owners]
-        s = root @ w @ root
-        if not np.all(np.isfinite(s)):
-            raise ValueError("matrix entries must be finite")
-        return (s + s.conj().swapaxes(-1, -2)) / 2.0
-
-
-class BoxSampler:
-    """Draws elements of the order intervals [0, a] of R^n of a stack of
-    operands a as t * a with t uniform in the unit box, one sample from
-    each generator as in OrderIntervalSampler."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def draw(self, rngs, owners) -> np.ndarray:
-        t = np.array([rng.uniform(0.0, 1.0, size=self.a.shape[-1]) for rng in rngs])
-        return t * self.a[owners]
 
 
 class _Carrier:
@@ -163,13 +111,31 @@ class MatrixSaModel(_Carrier):
     def zero_product(self, x, y):
         return zero_product_residual(x, y)
 
-    def interval_sampler(self, a, name: str):
-        """The sampler of [0, a] for a stack of operands a; NotPositive
-        names the operand `name`."""
+    def interval_root(self, a, name: str):
+        """a^(1/2), of an operand a or of each operand of a stack, from which
+        interval_samples draws [0, a]; NotPositive names the operand `name`."""
         try:
-            return OrderIntervalSampler(a, self.tol)
+            return sqrt_psd(a, self.tol)
         except NotPositive as exc:
             raise NotPositive(f"{name} is not positive ({exc})") from None
+
+    def interval_samples(self, root, rngs, owners):
+        """The stack of one element of [0, a] from each of a non-empty
+        sequence of generators, generator k's in the interval of the operand
+        owners[k], given root = interval_root(a): a^(1/2) w a^(1/2) with w a
+        random contraction 0 <= w <= 1. Each generator draws the normals of
+        a random unitary, then the uniforms of its eigenvalues t; the whole
+        stack is one stacked LAPACK call."""
+        n = root.shape[-1]
+        g, t = map(np.array, zip(*[(random_complex(n, rng), rng.uniform(0.0, 1.0, size=n))
+                                   for rng in rngs]))
+        u = _unitary(g)
+        w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        root = root[owners]
+        s = root @ w @ root
+        if not np.all(np.isfinite(s)):
+            raise ValueError("matrix entries must be finite")
+        return (s + s.conj().swapaxes(-1, -2)) / 2.0
 
     def triple_draw(self, rng):
         """The random numbers of one orthogonal triple, in the order drawn:
@@ -229,9 +195,23 @@ class CoordinateModel(_Carrier):
         Euclidean norm."""
         return rel_diff(x[..., None], y[..., None])
 
-    def interval_sampler(self, a, name: str):
-        require_positive(self.cone_defect(a), name, self.tol)
-        return BoxSampler(a)
+    def interval_root(self, a, name: str):
+        """a itself, an operand or a stack of them, from which
+        interval_samples draws [0, a]: NotPositive unless the cone defect of
+        each operand is within tol_psd, naming the operand `name` and the
+        first defect above."""
+        defect = self.cone_defect(a)
+        above = np.flatnonzero(np.asarray(defect) > self.tol.tol_psd)
+        if above.size:
+            raise NotPositive(f"{name} is not positive "
+                              f"(defect {np.ravel(defect)[above[0]]:.3e})")
+        return a
+
+    def interval_samples(self, root, rngs, owners):
+        """The stack of t * a with t uniform in the unit box, one sample from
+        each generator as on matrices."""
+        t = np.array([rng.uniform(0.0, 1.0, size=root.shape[-1]) for rng in rngs])
+        return t * root[owners]
 
     def orthogonal_triples(self, draws):
         return tuple(map(np.array, zip(*draws)))

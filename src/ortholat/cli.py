@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .errors import ComparablePair, OrtholatError
+from .errors import OrtholatError
 from .linalg import (
     frob,
     hermitian_eigendecompose,
@@ -117,14 +117,13 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     tol = _resolve_tol(args)
     if not 1 <= args.dim <= 64:
-        raise SystemExit(_config_error(f"--dim must be in [1, 64], got {args.dim}"))
+        raise ValueError(f"--dim must be in [1, 64], got {args.dim}")
     if args.trials < 1:
-        raise SystemExit(_config_error("--trials must be >= 1"))
+        raise ValueError("--trials must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
-            raise SystemExit(_config_error(f"unknown suite {name!r}; "
-                                           f"choose from {', '.join(SUITES)}"))
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     results = run_suites(names, args.dim, args.trials, seed, tol)
     report = {
         "command": "verify",
@@ -175,24 +174,15 @@ def cmd_decompose(args) -> int:
 def cmd_witness(args) -> int:
     tol = _resolve_tol(args)
     if args.restarts < 1:
-        raise SystemExit(_config_error("--restarts must be >= 1"))
+        raise ValueError("--restarts must be >= 1")
     if args.iters < 1:
-        raise SystemExit(_config_error("--iters must be >= 1"))
+        raise ValueError("--iters must be >= 1")
     s = _load_hermitian(args.a, tol)
     t = _load_hermitian(args.b, tol)
-    try:
-        result = kadison_witness_search(s, t, tol=tol)
-    except ComparablePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = kadison_witness_search(s, t, tol=tol)
     report = {"command": "witness", **result.to_json()}
     _emit(report, args.out)
     return 0 if result.found else 1
-
-
-def _config_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 def main(argv=None) -> int:
@@ -210,8 +200,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (OrtholatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -443,8 +443,8 @@ def matrix_from_json(obj) -> np.ndarray:
         n = obj["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"n is {n!r}, not an integer")
-        re = _float_part(obj["re"], n)
-        im = _float_part(obj["im"], n) if "im" in obj else np.zeros_like(re)
+        re = _float_part(obj["re"], "re", n)
+        im = _float_part(obj["im"], "im", n) if "im" in obj else np.zeros_like(re)
     except (KeyError, TypeError) as exc:
         reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f'matrix JSON must be an object with numeric "n", "re" '
@@ -454,10 +454,13 @@ def matrix_from_json(obj) -> np.ndarray:
     return complex_matrix(re + 1j * im)
 
 
-def _float_part(value, n):
-    """The "re" or "im" field as floats; TypeError for n x n entries that
-    are not all numbers in the float range (a JSON string or boolean is
-    none), and objects (not n x n) for ragged rows."""
+def _float_part(value, name, n):
+    """The "re" or "im" field `name` as floats; TypeError for a value that
+    is not a list (a JSON number, string, boolean or null), naming the
+    field, and for n x n entries that are not all numbers in the float range
+    (a JSON string or boolean is none); objects (not n x n) for ragged rows."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} is {value!r}, not a list")
     try:
         part = np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:

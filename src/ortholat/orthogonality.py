@@ -310,16 +310,17 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     tol_eq), and trial 0 is the pair itself, checked for all pairs in one
     stack; or, with `hereditary`, Lemma 1's zero product of the samples
     (bound tol_zero), every trial sampled, after a PreconditionFailed for
-    the first pair whose ab is not within tol_zero. The samplers raise
-    NotPositive for the first a that is not positive, else for the first b.
+    the first pair whose ab is not within tol_zero. The model's
+    interval_root raises NotPositive for the first a that is not positive,
+    else for the first b.
     The samples go in chunks of at most _CHUNK_SAMPLES, pair by pair in
     trial order. A pair draws no chunk after the one that holds its first
     violation, and its worst residual covers the trials up to it; a NaN
     residual is a violation, and makes the worst NaN.
     """
     tol = model.tol
-    sampler_a = model.interval_sampler(a, "a")
-    sampler_b = model.interval_sampler(b, "b")
+    root_a = model.interval_root(a, "a")
+    root_b = model.interval_root(b, "b")
     exact = model.zero_product(a, b)
     if hereditary:
         for r in exact.tolist():
@@ -349,7 +350,8 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     for owners, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(start, trials),
                                               lambda _: a[0].size, live=lambda i: first[i] < 0):
         drawn = list(rngs)   # each draws a sample of a, then one of b
-        values = residual(sampler_a.draw(drawn, owners), sampler_b.draw(drawn, owners))
+        values = residual(model.interval_samples(root_a, drawn, owners),
+                          model.interval_samples(root_b, drawn, owners))
         # each pair's trials of a chunk are consecutive rows
         edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
         for lo, hi in zip(edges, edges[1:]):

@@ -34,7 +34,9 @@ def same_report(got: OrthReport, want: OrthReport) -> bool:
 
 
 def sqrt_psd_one(a, tol=DEFAULT_TOL):
-    """The PSD square root of one matrix, as OrderIntervalSampler took it."""
+    """The PSD square root of one matrix, one eigendecomposition at a time:
+    what linalg.sqrt_psd, and so MatrixSaModel.interval_root, gives each
+    matrix of a stack."""
     s = hermitian_eigendecompose(a)
     w = s.eigenvalues
     slack = tol.tol_psd * max(1.0, float(np.max(np.abs(w), initial=0.0)))

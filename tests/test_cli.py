@@ -255,8 +255,23 @@ class TestDecompose:
          "(entry False is not a number)"),
         ('{"n": 1, "re": [[1' + "0" * 400 + ']]}',
          'matrix JSON must be an object with numeric "n", "re" and "im" (int too large'),
+        # a field that is not a list: the typed error naming it, not the shape
+        # error of numpy's 0-d array
+        ('{"n": 2, "re": null}', 'matrix JSON must be an object with numeric "n", "re" '
+                                 'and "im" (re is None, not a list)'),
+        ('{"n": 2, "re": 5}', 'matrix JSON must be an object with numeric "n", "re" '
+                              'and "im" (re is 5, not a list)'),
+        ('{"n": 2, "re": "abc"}', 'matrix JSON must be an object with numeric "n", "re" '
+                                  "and \"im\" (re is 'abc', not a list)"),
+        ('{"n": 2, "re": true}', 'matrix JSON must be an object with numeric "n", "re" '
+                                 'and "im" (re is True, not a list)'),
+        ('{"n": 2, "re": [[1, 0], [0, 1]], "im": null}',
+         'matrix JSON must be an object with numeric "n", "re" and "im" '
+         "(im is None, not a list)"),
+        ('{"n": 1, "re": [1]}', "matrix JSON shape mismatch for n=1"),
     ], ids=["ragged", "non_numeric", "missing_re", "missing_n", "string_entry",
-            "padded_string_entry", "bool_entry", "bool_im_entry", "int_beyond_floats"])
+            "padded_string_entry", "bool_entry", "bool_im_entry", "int_beyond_floats",
+            "null_re", "number_re", "string_re", "bool_re", "null_im", "flat_row"])
     def test_malformed_part_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -315,6 +330,29 @@ class TestWitness:
     def test_zero_restarts_exit_two(self, matrix_file, capsys):
         assert main(["witness", "--a", matrix_file("s.json", S),
                      "--b", matrix_file("t.json", T), "--restarts", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--dim", "0"], "--dim must be in [1, 64], got 0"),
+    (["verify", "--dim", "65"], "--dim must be in [1, 64], got 65"),
+    (["verify", "--trials", "0"], "--trials must be >= 1"),
+    (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'; choose from lemma1, prop2, "
+                                      "prop3, theorem4, corollary5, prop6, theorem7, axioms, "
+                                      "bridge, infty"),
+    (["witness", "--a", "S", "--b", "T", "--restarts", "0"], "--restarts must be >= 1"),
+    (["witness", "--a", "S", "--b", "T", "--iters", "0"], "--iters must be >= 1"),
+    (["witness", "--a", "S", "--b", "S_plus_I"],
+     "S and T are comparable; their minimum is the infimum"),
+], ids=["dim0", "dim65", "trials0", "unknown_suite", "restarts0", "iters0", "comparable"])
+def test_one_error_line_exit_two(matrix_file, capsys, argv, message):
+    # configuration errors and a comparable pair end in main's one error
+    # path: exit 2, nothing on stdout, and one error line
+    fixtures = {"S": S, "T": T, "S_plus_I": S + np.eye(2)}
+    argv = [matrix_file(f"{x}.json", fixtures[x]) if x in fixtures else x for x in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # sha256 of the reports on the fixture pair S, T (and on S, T scaled by

@@ -7,7 +7,6 @@ import ortholat.orthogonality
 from ortholat.carriers import (
     CoordinateModel,
     MatrixSaModel,
-    OrderIntervalSampler,
     sup_norm,
 )
 from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
@@ -317,14 +316,17 @@ class TestInftyDeviations:
         assert dev.max() <= DEFAULT_TOL.tol_eq
 
 
-def _sampler(a):
-    """The sampler of the one operand a, a stack of one."""
-    return OrderIntervalSampler(np.asarray(a)[None])
+def _root(a):
+    """The matrix carrier's interval_root of the one operand a, a stack of
+    one."""
+    a = np.asarray(a)
+    return MatrixSaModel(len(a)).interval_root(a[None], "a")
 
 
-def _draw(sampler, rng):
-    """The one sample of a sampler of one operand drawn from `rng`."""
-    return sampler.draw([rng], [0])[0]
+def _draw(root, rng):
+    """The one sample of [0, a] drawn from `rng`, of the root of one
+    operand a."""
+    return MatrixSaModel(root.shape[-1]).interval_samples(root, [rng], [0])[0]
 
 
 def _abs_infty_loop(a, b, trials, seed, stop=True):
@@ -352,47 +354,53 @@ def _abs_infty_loop(a, b, trials, seed, stop=True):
 
 
 class TestOrderIntervalSampler:
+    """The matrix carrier's samples of the order interval [0, a]:
+    interval_root and interval_samples."""
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_stack_matches_one_at_a_time(self, n):
-        sampler = _sampler(random_psd(n, rng_for(54, n)))
-        want = [_draw_one(sampler.root[0], rng_for(55, i)) for i in range(12)]
-        stack = sampler.draw([rng_for(55, i) for i in range(12)], [0] * 12)
+        root = _root(random_psd(n, rng_for(54, n)))
+        want = [_draw_one(root[0], rng_for(55, i)) for i in range(12)]
+        stack = MatrixSaModel(n).interval_samples(root, [rng_for(55, i) for i in range(12)],
+                                                  np.zeros(12, dtype=int))
         assert np.array_equal(stack, want)
-        assert np.array_equal(_draw(sampler, rng_for(55, 3)), want[3])
+        assert np.array_equal(_draw(root, rng_for(55, 3)), want[3])
 
     def test_zero(self):
-        assert frob(_draw(_sampler(np.zeros((3, 3))), rng_for(0))) == 0.0
+        assert frob(_draw(_root(np.zeros((3, 3))), rng_for(0))) == 0.0
 
     def test_identity_interval(self):
-        c = _draw(_sampler(np.eye(4)), rng_for(5))
+        c = _draw(_root(np.eye(4)), rng_for(5))
         w = np.linalg.eigvalsh(c)
         assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
 
     def test_kernel_killed(self):
         a = np.diag([4.0, 0.0]).astype(complex)
-        sampler = _sampler(a)
+        root = _root(a)
         for seed in range(20):
-            c = _draw(sampler, rng_for(seed))
+            c = _draw(root, rng_for(seed))
             assert np.max(np.abs(c[1, :])) <= 1e-12
             assert np.max(np.abs(c[:, 1])) <= 1e-12
 
     def test_stays_in_interval(self):
         from ortholat.linalg import random_psd
         a = random_psd(4, rng_for(45))
-        sampler = _sampler(a)
+        root = _root(a)
         for i in range(30):
-            c = _draw(sampler, rng_for(46, i))
+            c = _draw(root, rng_for(46, i))
             assert is_psd(c)
             assert is_psd(a - c)
 
     def test_deterministic(self):
         a = np.eye(3) * 2.0
-        assert np.array_equal(_draw(_sampler(a), rng_for(9)),
-                              _draw(_sampler(a), rng_for(9)))
+        assert np.array_equal(_draw(_root(a), rng_for(9)),
+                              _draw(_root(a), rng_for(9)))
 
     def test_not_positive(self):
-        with pytest.raises(NotPositive):
-            _sampler(np.diag([1.0, -1.0]))
+        # the operand's name, then sqrt_psd's reason
+        with pytest.raises(NotPositive, match=r"^c is not positive \(minimum eigenvalue "
+                                              r"-1\.000e\+00 below "):
+            MatrixSaModel(2).interval_root(np.diag([1.0, -1.0]), "c")
 
 
 class TestAbsInftyOrthSampled:
@@ -759,12 +767,45 @@ def test_sampled_stack_precondition_and_positivity():
 
 def test_sampler_of_a_stack_is_each_operand_alone():
     operands = np.array([random_psd(3, rng_for(60, i)) for i in range(4)])
-    stacked = OrderIntervalSampler(operands)
+    model = MatrixSaModel(3)
+    root = model.interval_root(operands, "a")
     owners = np.array([2, 0, 0, 3, 1, 2])
     rngs = [rng_for(61, i) for i in range(len(owners))]
     want = [_draw_one(sqrt_psd(operands[k]), rng_for(61, i)) for i, k in enumerate(owners)]
-    assert np.array_equal(stacked.draw(rngs, owners), want)
-    assert np.array_equal(stacked.root, [sqrt_psd(x) for x in operands])
+    assert np.array_equal(model.interval_samples(root, rngs, owners), want)
+    assert np.array_equal(root, [sqrt_psd(x) for x in operands])
+
+
+class TestCoordinateIntervalSamples:
+    """The coordinate carrier's samples of the order interval [0, a] of
+    R^n: t * a with t uniform in the unit box."""
+
+    MODEL = CoordinateModel(5)
+    OPERANDS = np.abs(np.array([rng_for(64, i).standard_normal(5) for i in range(4)]))
+
+    def test_stack_is_each_operand_alone(self):
+        root = self.MODEL.interval_root(self.OPERANDS, "a")
+        owners = np.array([2, 0, 0, 3, 1, 2])
+        got = self.MODEL.interval_samples(root, [rng_for(65, i) for i in range(6)], owners)
+        for i, k in enumerate(owners):
+            alone = self.MODEL.interval_root(self.OPERANDS[k], "a")[None]
+            assert np.array_equal(got[i], self.MODEL.interval_samples(
+                alone, [rng_for(65, i)], np.zeros(1, dtype=int))[0])
+            assert np.array_equal(got[i],
+                                  rng_for(65, i).uniform(0.0, 1.0, size=5) * self.OPERANDS[k])
+
+    def test_stays_in_interval(self):
+        c = self.MODEL.interval_samples(self.OPERANDS, [rng_for(66, i) for i in range(40)],
+                                        np.arange(40) % 4)
+        assert np.all(c >= 0.0) and np.all(c <= self.OPERANDS[np.arange(40) % 4])
+
+    @pytest.mark.parametrize("a, defect", [
+        ([1.0, -1.0], r"1\.000e\+00"),
+        ([[1.0, 0.0], [4.0, -1.0], [2.0, -2.0]], r"2\.500e-01"),
+    ], ids=["one", "first-of-a-stack"])
+    def test_not_positive(self, a, defect):
+        with pytest.raises(NotPositive, match=rf"^c is not positive \(defect {defect}\)$"):
+            CoordinateModel(2).interval_root(np.array(a), "c")
 
 
 @pytest.mark.parametrize("grid", [1, 100, 10 ** 6])
