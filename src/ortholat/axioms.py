@@ -24,7 +24,7 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     the model's tolerances.
 
     Each detail is a violation (0 = good): residuals for the must-hold
-    axioms, and a survivor count for the uniqueness half of axiom 4.
+    axioms, bounded by tol_zero, and axiom 4's uniqueness survivors, by 0.
 
     Trial i draws its random numbers from rng_for(seed, i), one trial after
     another, and the trials of a chunk of _trial_walk([(seed,)], ...), at one
@@ -82,8 +82,8 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
         ("ax4_uniqueness_survivors", float(survivors)),
         ("ax5_hereditary", r5),
     ]
-    holds = _worst(r1, r2, r3, r4, r5) <= tol.tol_zero and survivors == 0
-    return OrthReport("axioms", holds, _worst(r1, r2, r3, r4, r5, float(survivors)), details)
+    bounds = {name: tol.tol_zero for name, _ in details}
+    return OrthReport("axioms", details, {**bounds, "ax4_uniqueness_survivors": 0.0})
 
 
 # The interval sub-pairs that Theorem 7's part (a) samples per trial,
@@ -129,7 +129,7 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
         ("parts_infty_sampled", ra_sampled),
         ("block_triple_abs_orth", rb),
     ]
-    worst = _worst(ra_exact, ra_sampled, rb)
-    holds = ra_exact <= tol.tol_zero and ra_sampled <= tol.tol_eq and rb <= tol.tol_zero
-    return OrthReport("theorem7", holds, worst, details)
+    bounds = {"parts_exact_orth": tol.tol_zero, "parts_infty_sampled": tol.tol_eq,
+              "block_triple_abs_orth": tol.tol_zero}
+    return OrthReport("theorem7", details, bounds)
 

@@ -458,18 +458,17 @@ def _float_part(value, name, n):
     """The "re" or "im" field `name` as floats; TypeError for a value that
     is not a list (a JSON number, string, boolean or null), naming the
     field, and for n x n entries that are not all numbers in the float range
-    (a JSON string or boolean is none); objects (not n x n) for ragged rows."""
+    (a string, boolean, list or object is named); objects for ragged rows."""
     if not isinstance(value, list):
         raise TypeError(f"{name} is {value!r}, not a list")
     try:
-        part = np.asarray(value, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        part = np.asarray(value, dtype=object)
-        if part.shape == (n, n):
-            raise TypeError(exc) from None
-        return part
+        part, error = np.asarray(value, dtype=float), None
+    except (ValueError, OverflowError, TypeError) as exc:
+        part, error = np.asarray(value, dtype=object), exc
     if part.shape == (n, n):
         for entry in np.asarray(value, dtype=object).flat:
             if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
                 raise TypeError(f"entry {entry!r} is not a number")
+        if error is not None:   # numbers beyond the float range
+            raise TypeError(error) from None
     return part

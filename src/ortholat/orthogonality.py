@@ -37,25 +37,50 @@ __all__ = [
 
 @dataclass
 class OrthReport:
-    """Outcome of one predicate evaluation.
-
-    holds is decided against the predicate's governing tolerance;
-    max_violation is the worst residual over all sub-checks; details keeps
-    every (check-name, residual) pair for diagnosis.
+    """The one verdict record of a check. details keeps every (name, value)
+    pair; bounds maps each deciding detail to its bound (0 for a count; a
+    value recorded alongside has none). The check holds when every bounded
+    value is at most its bound, NaN failing. worst_ratio is the largest
+    value / bound over the positive bounds, NaN if one is NaN, and
+    worst_check names its detail (0.0 and None without a positive bound).
     """
 
     relation: str
-    holds: bool
-    max_violation: float
     details: list = field(default_factory=list)
+    bounds: dict = field(default_factory=dict)
+
+    def _holds(self, names) -> bool:
+        values = dict(self.details)
+        return all(values[name] <= self.bounds[name] for name in names)
+
+    def _worst_detail(self) -> tuple:
+        return _worst_ratio((value / self.bounds[name], name) for name, value in self.details
+                            if self.bounds.get(name, 0.0) > 0.0)
+
+    holds = property(lambda self: self._holds(self.bounds))
+    worst_ratio = property(lambda self: self._worst_detail()[0])
+    worst_check = property(lambda self: self._worst_detail()[1])
+
+    def _agreed(self, *routes):
+        """The record, if each route (a group of its bounded details) gives
+        the same verdict, else the InternalInconsistency of the routes."""
+        if len({self._holds(route) for route in routes}) == 1:
+            return self
+        return InternalInconsistency(f"{self.relation} routes disagree: {self.details}")
 
     def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "holds": bool(self.holds),
-            "max_violation": float(self.max_violation),
-            "details": [[name, float(r)] for name, r in self.details],
-        }
+        return {"relation": self.relation, "holds": self.holds,
+                "worst_ratio": float(self.worst_ratio), "worst_check": self.worst_check,
+                "bounds": {name: float(bound) for name, bound in self.bounds.items()},
+                "details": [[name, float(r)] for name, r in self.details]}
+
+
+def _worst_ratio(ratios) -> tuple:
+    """The worst of (ratio, name) pairs: the first whose ratio is NaN, else
+    the first of the largest; (0.0, None) of none."""
+    ratios = list(ratios)
+    return next((r for r in ratios if r[0] != r[0]),
+                max(ratios, key=lambda r: r[0], default=(0.0, None)))
 
 
 # The k-grid: a log grid, then the refinement +/-rho (1 + off) around the
@@ -207,25 +232,10 @@ def _alg_orth_general_stack(a, b, tol: Tolerances) -> list:
               zero_product_residual(abs_a_star, abs_b_star),
               model.zero_product(abs_ea, abs_eb))
 
-    outcomes = []
-    for r_ab_star, r_astar_b, r_abs, r_abs_star, r_m2 in zip(*(r.tolist() for r in routes)):
-        primary = max(r_ab_star, r_astar_b)
-        route_abs = max(r_abs, r_abs_star)
-        verdicts = [primary <= tol.tol_zero,
-                    route_abs <= tol.tol_zero,
-                    r_m2 <= tol.tol_zero]
-        details = [
-            ("ab*", r_ab_star),
-            ("a*b", r_astar_b),
-            ("|a||b|", r_abs),
-            ("|a*||b*|", r_abs_star),
-            ("M2_embed", r_m2),
-        ]
-        outcomes.append(
-            OrthReport("alg_orth_general", verdicts[0], primary, details)
-            if len(set(verdicts)) == 1 else
-            InternalInconsistency(f"orthogonality routes disagree: {details}"))
-    return outcomes
+    names = ("ab*", "a*b", "|a||b|", "|a*||b*|", "M2_embed")
+    bounds = dict.fromkeys(names, tol.tol_zero)
+    return [OrthReport("alg_orth_general", list(zip(names, r)), bounds)
+            ._agreed(names[:2], names[2:4], names[4:]) for r in zip(*(r.tolist() for r in routes))]
 
 
 def check_prop2_equivalence(a, b, tol: Tolerances = DEFAULT_TOL) -> OrthReport:
@@ -248,22 +258,16 @@ def _prop2_stack(model, x, y) -> list:
     pos, neg, absv = (np.split(part, 4)
                       for part in model.jordan(np.concatenate((x, y, x + y, x - y))))
     (xp, yp, _, _), (xn, yn, _, _), (abs_x, abs_y, abs_sum, abs_dif) = pos, neg, absv
+    # faces (2) and (3) are the worst of their four and two residuals, NaN if one is
     faces = (
         model.zero_product(abs_x, abs_y),
-        *(model.zero_product(p, q) for p in (xp, xn) for q in (yp, yn)),
-        model.rel_diff(abs_sum, abs_x + abs_y), model.rel_diff(abs_dif, abs_x + abs_y),
+        np.max([model.zero_product(p, q) for p in (xp, xn) for q in (yp, yn)], axis=0),
+        np.max([model.rel_diff(abs_sum, abs_x + abs_y), model.rel_diff(abs_dif, abs_x + abs_y)],
+               axis=0),
     )
-
-    outcomes = []
-    for r1, *r in zip(*(f.tolist() for f in faces)):
-        r2, r3 = max(r[:4]), max(r[4:])
-        verdicts = [r1 <= tol.tol_zero, r2 <= tol.tol_zero, r3 <= tol.tol_eq]
-        details = [("|a||b|", r1), ("jordan_parts", r2), ("|a+-b|=|a|+|b|", r3)]
-        outcomes.append(
-            OrthReport("prop2_equivalence", verdicts[0], max(r1, r2, r3), details)
-            if len(set(verdicts)) == 1 else
-            InternalInconsistency(f"Prop2 verdicts disagree: {details}"))
-    return outcomes
+    bounds = {"|a||b|": tol.tol_zero, "jordan_parts": tol.tol_zero, "|a+-b|=|a|+|b|": tol.tol_eq}
+    return [OrthReport("prop2_equivalence", list(zip(bounds, r)), bounds)
+            ._agreed(*([name] for name in bounds)) for r in zip(*(f.tolist() for f in faces))]
 
 
 def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
@@ -283,10 +287,11 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     model, ah, bh = carrier_operands(a, b, tol)
     (exact,), (worst,), (first,) = _sampled_stack(model, ah[None], bh[None], [seed], trials)
     return OrthReport(
-        "abs_infty_orth_sampled", worst <= tol.tol_eq, worst,
+        "abs_infty_orth_sampled",
         [("exact_alg_orth", exact),
          ("sampled_deviation", worst),
-         ("first_violation_trial", float(first))])
+         ("first_violation_trial", float(first))],
+        {"sampled_deviation": tol.tol_eq})
 
 
 def hereditary_check(a, b, trials: int = 100, seed: int = 0,
@@ -295,8 +300,7 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     either carrier (Lemma 1)."""
     model, x, y = carrier_operands(a, b, tol)
     (worst,) = _sampled_stack(model, x[None], y[None], [seed], trials, hereditary=True)[1]
-    return OrthReport("hereditary", worst <= tol.tol_zero, worst,
-                      [("worst_cd", worst)])
+    return OrthReport("hereditary", [("worst_cd", worst)], {"worst_cd": tol.tol_zero})
 
 
 def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):

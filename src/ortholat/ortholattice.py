@@ -14,8 +14,7 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import (_eigenvalues, _pymax, _unit_floor, _worst, frob, hermitian_matrix,
-                     matrix_to_json)
+from .linalg import _eigenvalues, _pymax, _unit_floor, frob, hermitian_matrix, matrix_to_json
 from .orthogonality import OrthReport, _sole, _trial_walk
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -56,8 +55,8 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     of a - b.
 
     Existence is the three conditions plus spectral_residual, the relative
-    distance of (a-b)^+ - (a-b)^- from a - b; max_violation is the worst of
-    the four, NaN if any is NaN. With x = a - b,
+    distance of (a-b)^+ - (a-b)^- from a - b, bounded by tol_psd, tol_psd,
+    tol_zero and tol_eq; the worst ratio is over these four. With x = a - b,
     a - c - x^+ = (x - (x^+ - x^-))/2 = x^- - (b - c),
     so both parts of c rest on that one residual. The ortho-supremum d needs
     no check of its own: d = c + |a - b|, so d - a = b - c and d - b = a - c
@@ -70,7 +69,7 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     condition, that is have a residual-to-tolerance ratio above 1. They are
     settled cheapest first: residual orthogonality (one matmul on
     matrices), then c_i <= a, then c_i <= b (one eigvalsh each). The detail
-    uniqueness_survivors counts those that break none, and holds needs 0.
+    uniqueness_survivors counts those that break none, and its bound is 0.
     A NaN ratio with none above 1 raises PreconditionFailed, and a
     perturbation that is not finite raises the carrier's ValueError; the
     first perturbation that does either decides which.
@@ -106,7 +105,6 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     existence = zip(*(r.tolist() for r in (
         model.cone_defect(ra), model.cone_defect(rb), model.zero_product(ra, rb),
         model.rel_diff(xp - xn, x))))
-    bounds = (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq)
 
     gap = model.vector_norm(x)
     del pair.x, pair.parts, x, xp, xn, ra, rb   # held no longer than the existence half
@@ -161,16 +159,11 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
                 outcomes[i] = PreconditionFailed(
                     f"perturbation {trial[row]}: the {name} residual is NaN")
 
-    reports = []
-    for residuals, survivors in zip(existence, outcomes):
-        if isinstance(survivors, Exception):
-            reports.append(survivors)
-            continue
-        holds = all(r <= bound for r, bound in zip(residuals, bounds))
-        details = [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))]
-        reports.append(OrthReport("theorem4", holds and survivors == 0, _worst(residuals),
-                                  details))
-    return reports
+    bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
+                      (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq, 0.0)))
+    return [survivors if isinstance(survivors, Exception) else OrthReport(
+        "theorem4", [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))],
+        bounds) for residuals, survivors in zip(existence, outcomes)]
 
 
 @dataclass

@@ -22,10 +22,12 @@ from .linalg import (
     zero_product_residual,
 )
 from .orthogonality import (
+    OrthReport,
     _alg_orth_general_stack,
     _prop2_stack,
     _sampled_stack,
     _trial_walk,
+    _worst_ratio,
     infty_deviations,
 )
 from .ortholattice import _Pair, _theorem4_stack
@@ -83,8 +85,24 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     worst = _worst(_checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
                                       lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
                                       lambda n: n * n))
-    return {"suite": "lemma1", "pass": worst <= tol.tol_zero,
-            "trials": pairs * samples, "max_violation": worst}
+    return _suite("lemma1", pairs * samples,
+                  [OrthReport("hereditary", [("worst_cd", worst)], {"worst_cd": tol.tol_zero})])
+
+
+def _suite(name, trials, records=None, negative_control=None, **counts) -> dict:
+    """The report of a suite from its checks' verdict records and its counts
+    (failures, disagreements, missed): worst_ratio and worst_check are its
+    worst record's, NaN first. It passes when every record holds (so
+    worst_ratio is at most 1), every count is 0 and a `negative_control` fails."""
+    report = {"suite": name, "trials": trials, **counts}
+    if records is not None:
+        report["worst_ratio"], report["worst_check"] = _worst_ratio(
+            (r.worst_ratio, r.worst_check) for r in records)
+    if negative_control is not None:
+        report["negative_control_failed_as_expected"] = not negative_control.holds
+    report["pass"] = (not any(counts.values()) and all(r.holds for r in records or ())
+                      and report.get("negative_control_failed_as_expected", True))
+    return report
 
 
 def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list:
@@ -108,18 +126,12 @@ def _routes_suite(name, stream, pairs, check, stacked, dim, trials, seed):
     turn, `stacked` times n * n entries a pair: a returned
     InternalInconsistency is a disagreement of the routes, and only pairs
     the check calls orthogonal carry a residual."""
-    worst = 0.0
-    disagreements = 0
-    for rep in _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim),
-                                  lambda i, n, rng: pairs[i % 2](n, rng),
-                                  lambda chunk, a, b: check(a, b),
-                                  lambda n: stacked * n * n):
-        if isinstance(rep, InternalInconsistency):
-            disagreements += 1
-        elif rep.holds:
-            worst = max(worst, rep.max_violation)
-    return {"suite": name, "pass": disagreements == 0, "trials": trials,
-            "max_violation": worst, "disagreements": disagreements}
+    reports = _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim),
+                                 lambda i, n, rng: pairs[i % 2](n, rng),
+                                 lambda chunk, a, b: check(a, b), lambda n: stacked * n * n)
+    orthogonal = [rep for rep in reports if isinstance(rep, OrthReport) and rep.holds]
+    return _suite(name, trials, orthogonal,
+                  disagreements=sum(isinstance(rep, InternalInconsistency) for rep in reports))
 
 
 def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
@@ -140,10 +152,7 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
     for rep in reports:
         if isinstance(rep, Exception):
             raise rep
-    worst = _worst([rep.max_violation for rep in reports])
-    failures = sum(not rep.holds for rep in reports)
-    return {"suite": name, "pass": failures == 0, "trials": trials,
-            "max_violation": worst, "failures": failures}
+    return _suite(name, trials, reports, failures=sum(not rep.holds for rep in reports))
 
 
 def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -198,18 +207,16 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         w = _Pair(model, uv[:, 0], uv[:, 1]).c
         broken = infty_deviations(w, w, model.norm).max(-1) > tol.tol_eq
         failures += int(np.count_nonzero(~broken))
-    return {"suite": "prop6", "pass": failures == 0, "trials": trials,
-            "failures": failures}
+    return _suite("prop6", trials, failures=failures)
 
 
-def _carriers_suite(name, check, per, dim, seed, tol):
+def _carriers_suite(name, check, per, dim, seed, tol, negative_control=None):
     """check(model, trials=per, seed=seed) on the matrix carrier at n = dim
     (2 to 4) and on the coordinate carrier at n = 2 dim (at least 2)."""
     reports = {model.carrier: check(model, trials=per, seed=seed)
                for model in (MatrixSaModel(max(2, min(dim, 4)), tol),
                              CoordinateModel(max(2, 2 * dim), tol))}
-    return {"suite": name, "pass": all(r.holds for r in reports.values()), "trials": 2 * per,
-            "max_violation": _worst([r.max_violation for r in reports.values()]),
+    return {**_suite(name, 2 * per, list(reports.values()), negative_control),
             "carriers": {k: v.to_json() for k, v in reports.items()}}
 
 
@@ -221,11 +228,8 @@ def suite_theorem7(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 def suite_axioms(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Five-axiom suite on both carriers plus the broken negative control."""
     per = max(1, trials // 2)
-    report = _carriers_suite("axioms", check_axioms, per, dim, seed, tol)
     broken = check_axioms(BrokenOrthModel(max(2, dim), tol), trials=min(per, 50), seed=seed)
-    report["pass"] = report["pass"] and not broken.holds
-    report["negative_control_failed_as_expected"] = not broken.holds
-    return report
+    return _carriers_suite("axioms", check_axioms, per, dim, seed, tol, broken)
 
 
 def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -249,8 +253,8 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
                                       lambda i, n, rng: (rng.standard_normal(n),
                                                          rng.standard_normal(n)),
                                       check, lambda n: n * n))
-    return {"suite": "bridge", "pass": worst <= tol.tol_eq, "trials": trials,
-            "max_violation": worst}
+    return _suite("bridge", trials,
+                  [OrthReport("bridge", [("carrier_gap", worst)], {"carrier_gap": tol.tol_eq})])
 
 
 def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -285,9 +289,9 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
     worst, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
                                             draw, check, lambda n: n * n))
-    worst, missed = _worst(worst), sum(missed)
-    return {"suite": "infty", "pass": worst <= tol.tol_eq and missed == 0,
-            "trials": pairs * samples, "max_violation": worst, "missed": missed}
+    record = OrthReport("abs_infty_orth_sampled", [("sampled_deviation", _worst(worst))],
+                        {"sampled_deviation": tol.tol_eq})
+    return _suite("infty", pairs * samples, [record], missed=sum(missed))
 
 
 SUITES = {

@@ -20,9 +20,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_zero", "tol_psd", "tol_eq"):
-            # an infinite tol_zero would call every pair orthogonal
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+            # an infinite tol_zero calls every pair orthogonal; below 1e-300 a ratio overflows
+            if not 1e-300 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and at least 1e-300")
 
     def override(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -82,7 +82,8 @@ def test_criterion_3_prop3_agreement():
 def test_criterion_4_theorem4_suite():
     res = suite_theorem4(8, 1000, 4004, DEFAULT_TOL)
     report(4, res["failures"] == 0,
-           f"1000 pairs, {res['failures']} failures, worst {res['max_violation']:.2e}")
+           f"1000 pairs, {res['failures']} failures, worst ratio {res['worst_ratio']:.2e} "
+           f"({res['worst_check']})")
 
 
 def test_criterion_5_closed_form_fixture():
@@ -105,7 +106,7 @@ def test_criterion_7_alg_equals_abs_infty():
         n = int(rng.integers(2, 7))
         a, b = _orthogonal_psd_pair(n, rng)
         rep = abs_infty_orth_sampled(a, b, trials=200, seed=7100 + i)
-        worst = max(worst, rep.max_violation)
+        worst = max(worst, dict(rep.details)["sampled_deviation"])
     ortho_ok = worst <= DEFAULT_TOL.tol_eq
 
     # converse side: strongly overlapping pairs are falsified quickly

@@ -224,7 +224,7 @@ def test_nan_residual_fails(check):
     # a NaN residual is a violation and the worst, not passed over
     rep = check(NanTrialModel(4), trials=10, seed=3)
     assert not rep.holds
-    assert np.isnan(rep.max_violation)
+    assert np.isnan(rep.worst_ratio)
     assert check(CoordinateModel(4), trials=10, seed=3).holds
 
 

@@ -157,7 +157,7 @@ class TestProp6:
         assert np.array_equal(w, [0.0, 1.0])
         rep = abs_infty_orth_sampled(w, w, trials=1)
         assert not rep.holds
-        assert rep.max_violation == 1.0
+        assert dict(rep.details)["sampled_deviation"] == 1.0
         assert dict(rep.details)["first_violation_trial"] == 0.0
 
     def test_zero_pair(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ortholat.suites
 from ortholat.cli import main
 from ortholat.linalg import (
     Spectrum,
@@ -46,11 +47,21 @@ class TestVerify:
         assert report["seed"] == 1
         assert report["suites"][0]["trials"] == 5
 
-    def test_unknown_suite_exit_two(self, capsys):
-        assert main(["verify", "--suite", "nosuch"]) == 2
+    def test_failing_suite_exits_one_with_strict_json(self, capsys, monkeypatch):
+        # a survivor fails its record and the suite, and a count has no ratio:
+        # exit 1 with a report, not the exit 2 of a value beyond the float range
+        original = ortholat.suites._theorem4_stack
 
-    def test_bad_dim_exit_two(self, capsys):
-        assert main(["verify", "--suite", "prop2", "--dim", "0"]) == 2
+        def one_survivor(pair, seeds, trials):
+            reports = original(pair, seeds, trials)
+            if seeds[0] == 42:   # the suite's first pair
+                reports[0].details[-1] = ("uniqueness_survivors", 1.0)
+            return reports
+        monkeypatch.setattr(ortholat.suites, "_theorem4_stack", one_survivor)
+        assert main(["verify", "--suite", "theorem4", "--trials", "5"]) == 1
+        (suite,) = json.loads(capsys.readouterr().out)["suites"]
+        assert suite["pass"] is False and suite["failures"] == 1
+        assert 0.0 < suite["worst_ratio"] <= 1.0
 
     def test_determinism(self, tmp_path, capsys):
         paths = []
@@ -76,15 +87,16 @@ class TestVerify:
         assert captured.err == f"error: ORTHOLAT_SEED must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-eq"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "5e-324"])
     def test_tolerance_out_of_range_exit_two(self, flag, value, capsys):
-        # an infinite tol_zero would call every pair orthogonal
+        # an infinite tol_zero would call every pair orthogonal, and a bound
+        # below 1e-300 would overflow a residual's ratio to it
         assert main(["verify", "--suite", "prop2", "--dim", "4", "--trials", "20",
                      f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag[2:].replace('-', '_')} must be finite and " \
-                               f"strictly positive\n"
+                               f"at least 1e-300\n"
 
     @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-eq"])
     def test_huge_finite_tolerance_accepted(self, flag, capsys):
@@ -269,9 +281,15 @@ class TestDecompose:
          'matrix JSON must be an object with numeric "n", "re" and "im" '
          "(im is None, not a list)"),
         ('{"n": 1, "re": [1]}', "matrix JSON shape mismatch for n=1"),
+        # an entry that is a list or an object: named, as a null entry is
+        ('{"n": 2, "re": [[1, 2], [3, [4]]]}', 'matrix JSON must be an object with numeric '
+                                               '"n", "re" and "im" (entry [4] is not a number)'),
+        ('{"n": 2, "re": [[1, 2], [3, {}]]}', 'matrix JSON must be an object with numeric '
+                                              '"n", "re" and "im" (entry {} is not a number)'),
     ], ids=["ragged", "non_numeric", "missing_re", "missing_n", "string_entry",
             "padded_string_entry", "bool_entry", "bool_im_entry", "int_beyond_floats",
-            "null_re", "number_re", "string_re", "bool_re", "null_im", "flat_row"])
+            "null_re", "number_re", "string_re", "bool_re", "null_im", "flat_row",
+            "list_entry", "object_entry"])
     def test_malformed_part_exit_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -292,10 +310,6 @@ class TestWitness:
         assert report["found"] is True
         assert report["margin"] >= 1e-3
         assert set(report["checks"]) == {"le_S", "le_T", "not_le_c"}
-
-    def test_comparable_exit_two(self, matrix_file, capsys):
-        assert main(["witness", "--a", matrix_file("a.json", np.diag([1.0, 0.0])),
-                     "--b", matrix_file("b.json", np.diag([2.0, 1.0]))]) == 2
 
     def test_eigen_calls(self, matrix_file, capsys, eigen_calls, monkeypatch):
         # one eigh of S - T serves comparability, c and the witness's
@@ -327,13 +341,10 @@ class TestWitness:
                      "--b", matrix_file("t.json", BARELY_T)]) == 1
         assert json.loads(capsys.readouterr().out)["found"] is False
 
-    def test_zero_restarts_exit_two(self, matrix_file, capsys):
-        assert main(["witness", "--a", matrix_file("s.json", S),
-                     "--b", matrix_file("t.json", T), "--restarts", "0"]) == 2
-
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--dim", "0"], "--dim must be in [1, 64], got 0"),
+    (["verify", "--suite", "prop2", "--dim", "0"], "--dim must be in [1, 64], got 0"),
     (["verify", "--dim", "65"], "--dim must be in [1, 64], got 65"),
     (["verify", "--trials", "0"], "--trials must be >= 1"),
     (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'; choose from lemma1, prop2, "
@@ -341,9 +352,11 @@ class TestWitness:
                                       "bridge, infty"),
     (["witness", "--a", "S", "--b", "T", "--restarts", "0"], "--restarts must be >= 1"),
     (["witness", "--a", "S", "--b", "T", "--iters", "0"], "--iters must be >= 1"),
+    # diag(1, 0) <= diag(2, 1)
     (["witness", "--a", "S", "--b", "S_plus_I"],
      "S and T are comparable; their minimum is the infimum"),
-], ids=["dim0", "dim65", "trials0", "unknown_suite", "restarts0", "iters0", "comparable"])
+], ids=["dim0", "prop2_dim0", "dim65", "trials0", "unknown_suite", "restarts0", "iters0",
+        "comparable"])
 def test_one_error_line_exit_two(matrix_file, capsys, argv, message):
     # configuration errors and a comparable pair end in main's one error
     # path: exit 2, nothing on stdout, and one error line
@@ -357,16 +370,18 @@ def test_one_error_line_exit_two(matrix_file, capsys, argv, message):
 
 # sha256 of the reports on the fixture pair S, T (and on S, T scaled by
 # 2**-20 and 2**20, exactly), as the CLI printed them when each residual
-# floored its scale inline: one floor function must leave them bit for bit
+# floored its scale inline, with the verdict record's worst_ratio,
+# worst_check and bounds in place of max_violation in ortho's: one floor
+# function must leave them bit for bit
 @pytest.mark.parametrize("argv, operands, scale, digest", [
     (["ortho", "--seed", "7"], "ST", 1.0,
-     "675b26667c1358368f7693338c880f839d06656f63861464c40298059fa453ed"),
+     "27e6c58d6cf6a581c90c216bf0d3a3eefb6b1dc12cc066b19f778f1923195483"),
     (["witness"], "ST", 1.0, "77b51ac10d3c1279b07b56a16370d054dc1812f5d51690c258da12a52a8f0336"),
     (["decompose"], "T", 1.0, "2445849ac77e217203b8822def7f3e81c6dabb62423a6504c5d1fdb0cc30db0b"),
     (["ortho", "--seed", "7"], "ST", 2.0 ** -20,
-     "8ad72cf9529f1ce67e4588d41d7d128edbc46bd0d9735f58eafb5909ab3adff0"),
+     "c5837ab379209680f8de22a0ed7bbe26980c9d79e66d36c286ad4449cf62a3b7"),
     (["ortho", "--seed", "7"], "ST", 2.0 ** 20,
-     "723b00af42c17d8dbd9b7cb1f66f4b632a15ffd82c90fec92d247e05e96da6c2"),
+     "2af5af68f8620097920401269983ab6c138fca1cef22c62a1a01bb34b7356df6"),
 ], ids=["ortho", "witness", "decompose", "ortho-2^-20", "ortho-2^20"])
 def test_fixture_reports_are_pinned(argv, operands, scale, digest, matrix_file, capsys):
     fixtures = {"S": S, "T": T}

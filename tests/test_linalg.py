@@ -538,11 +538,15 @@ class TestStackedKernels:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("value", [0.0, -1e-9, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.inf, -math.inf, math.nan, 5e-324,
+                                       1e-301])
     @pytest.mark.parametrize("name", ["tol_zero", "tol_psd", "tol_eq"])
     def test_out_of_range_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and strictly positive$"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and at least 1e-300$"):
             Tolerances(**{name: value})
+
+    def test_smallest_accepted(self):
+        assert DEFAULT_TOL.override(tol_eq=1e-300).tol_eq == 1e-300
 
     def test_huge_finite_accepted(self):
         assert DEFAULT_TOL.override(tol_zero=1e300, tol_eq=1e300).tol_eq == 1e300

@@ -1,4 +1,5 @@
 import contextlib
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ortholat.carriers import (
     MatrixSaModel,
     sup_norm,
 )
-from ortholat.errors import DimensionMismatch, NotPositive, PreconditionFailed
+from ortholat.errors import (DimensionMismatch, InternalInconsistency, NotPositive,
+                             PreconditionFailed)
 from ortholat.linalg import (
     frob,
     hermitian_eigendecompose,
@@ -25,6 +27,7 @@ from ortholat.linalg import (
 )
 from ortholat.orthogonality import (
     KGrid,
+    OrthReport,
     _sampled_stack,
     _trial_walk,
     abs_infty_orth_sampled,
@@ -101,6 +104,44 @@ class TestAlgOrthSa:
         assert not check_prop2_equivalence(swap, np.eye(2)).holds
 
 
+class TestVerdictRecord:
+    """The one rule over (value, bound): every bounded value is at most its
+    bound, NaN failing, and the worst ratio is over the positive bounds."""
+
+    def test_nan_fails_and_is_the_worst(self):
+        # a NaN after a larger ratio is still the worst, as the first NaN
+        rep = OrthReport("r", [("x", 5e-10), ("z", 2e-9), ("y", np.nan), ("w", np.nan)],
+                         dict.fromkeys("xyzw", 1e-9))
+        assert not rep.holds
+        assert np.isnan(rep.worst_ratio) and rep.worst_check == "y"
+        assert OrthReport("r", [("x", 5e-10)], {"x": 1e-9}).holds
+
+    def test_count_fails_with_a_finite_ratio(self):
+        # a count of 1 against its bound 0 fails the record, and a count has
+        # no ratio, so the worst ratio stays finite and strict JSON holds it
+        rep = OrthReport("r", [("residual", 1e-10), ("survivors", 1.0), ("seen", 3.0)],
+                         {"residual": 1e-9, "survivors": 0.0})
+        assert not rep.holds
+        assert (rep.worst_ratio, rep.worst_check) == (1e-10 / 1e-9, "residual")
+        assert json.loads(json.dumps(rep.to_json(), allow_nan=False))["bounds"] == {
+            "residual": 1e-9, "survivors": 0.0}
+
+    def test_no_positive_bound(self):
+        rep = OrthReport("r", [("survivors", 0.0), ("seen", 3.0)], {"survivors": 0.0})
+        assert rep.holds and (rep.worst_ratio, rep.worst_check) == (0.0, None)
+
+    def test_ties_keep_the_first(self):
+        rep = OrthReport("r", [("x", 1e-9), ("y", 2e-9)], {"x": 1e-9, "y": 2e-9})
+        assert (rep.worst_ratio, rep.worst_check) == (1.0, "x")
+
+    def test_routes_compare_their_own_verdicts(self):
+        # the record holds when every route holds, and routes that disagree
+        # are an InternalInconsistency, not a verdict
+        rep = OrthReport("r", [("x", 0.0), ("y", 1.0)], {"x": 1e-9, "y": 1e-9})
+        assert isinstance(rep._agreed(["x"], ["y"]), InternalInconsistency)
+        assert rep._agreed(["x", "y"]) is rep and not rep.holds
+
+
 class TestAlgOrthGeneral:
     def test_disjoint_matrix_units(self):
         assert alg_orth_general(matrix_unit(4, 0, 1), matrix_unit(4, 2, 3)).holds
@@ -126,6 +167,17 @@ class TestAlgOrthGeneral:
             a, b = random_complex(3, rng), random_complex(3, rng)
             rep = alg_orth_general(a, b)  # must not raise InternalInconsistency
             assert not rep.holds
+
+    def test_nan_routes_all_fail(self):
+        # a*b, |a*||b*| and the embedding overflow to NaN, which fails each
+        # route: the verdict is "not orthogonal", not a disagreement of the
+        # routes, and the worst ratio is the first NaN
+        a, b = np.diag([1e200, 0.0]), np.array([[0.0, 1e200], [0.0, 0.0]])
+        with pytest.warns(RuntimeWarning):
+            rep = alg_orth_general(a, b)
+        assert not rep.holds
+        assert np.isnan(rep.worst_ratio) and rep.worst_check == "a*b"
+        assert [name for name, r in rep.details if np.isnan(r)] == ["a*b", "|a*||b*|", "M2_embed"]
 
     def test_routes_use_three_kernels(self, monkeypatch):
         # |x| comes from the SVD, the four of the pair in one stack; only the
@@ -413,7 +465,7 @@ class TestAbsInftyOrthSampled:
                                          trials=5, seed=1)
         details = dict(rep.details)
         assert not rep.holds
-        assert np.isnan(rep.max_violation) and np.isnan(details["sampled_deviation"])
+        assert np.isnan(rep.worst_ratio) and np.isnan(details["sampled_deviation"])
         assert details["first_violation_trial"] == 0.0
 
     def test_disjoint(self):
@@ -499,25 +551,27 @@ class TestAbsInftyMatchesOneAtATime:
         assert want_first == first
         rep = abs_infty_orth_sampled(a, b, trials=40, seed=seed)
         details = dict(rep.details)
-        assert rep.max_violation == details["sampled_deviation"]
+        assert rep.worst_check == "sampled_deviation"
+        assert rep.worst_ratio == details["sampled_deviation"] / DEFAULT_TOL.tol_eq
         assert details["first_violation_trial"] == float(first)
         assert rep.holds == (first < 0)
         if stop or first < 0:
-            assert rep.max_violation == worst
+            assert details["sampled_deviation"] == worst
         else:
-            assert rep.max_violation <= worst
+            assert details["sampled_deviation"] <= worst
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_few_trials(self, trials):
         worst, first = _abs_infty_loop(*_SAME, trials, 1)
         rep = abs_infty_orth_sampled(*_SAME, trials=trials, seed=1)
-        assert (rep.max_violation, dict(rep.details)["first_violation_trial"]) == \
+        details = dict(rep.details)
+        assert (details["sampled_deviation"], details["first_violation_trial"]) == \
             (worst, float(first))
 
     def test_chunks_capped_at_large_n(self):
         a, b = _orthogonal_psd_pair(32, rng_for(58))
         rep = abs_infty_orth_sampled(a, b, trials=12, seed=2)
-        assert rep.max_violation == _abs_infty_loop(a, b, 12, 2)[0]
+        assert dict(rep.details)["sampled_deviation"] == _abs_infty_loop(a, b, 12, 2)[0]
 
 
 def _chunk_sizes(monkeypatch, a, b, **kwargs):
@@ -552,7 +606,7 @@ def test_stop_after_the_chunk_of_the_first_violation(monkeypatch, stop, sizes):
     seen, rep = _chunk_sizes(monkeypatch, *_NEAR, trials=40, seed=seed)
     assert seen == sizes
     assert dict(rep.details)["first_violation_trial"] == float(first)
-    assert rep.max_violation == _abs_infty_loop(*_NEAR, 40, seed)[0]
+    assert dict(rep.details)["sampled_deviation"] == _abs_infty_loop(*_NEAR, 40, seed)[0]
 
 
 class TestNotPositiveNamesTheOperand:
@@ -841,14 +895,14 @@ class TestOnVectors:
 
     def test_prop2(self):
         rep = check_prop2_equivalence(self.X, self.DISJOINT)
-        assert rep.holds and rep.max_violation == 0.0
+        assert rep.holds and rep.worst_ratio == 0.0
         rep = check_prop2_equivalence(self.X, self.OVERLAP)
         assert not rep.holds
         assert all(r > DEFAULT_TOL.tol_eq for _, r in rep.details)
 
     def test_lemma1(self):
         rep = hereditary_check(np.abs(self.X), np.abs(self.DISJOINT), trials=50, seed=1)
-        assert rep.holds and rep.max_violation == 0.0
+        assert rep.holds and rep.worst_ratio == 0.0
         with pytest.raises(PreconditionFailed):
             hereditary_check(np.abs(self.X), np.abs(self.OVERLAP))
 

@@ -44,6 +44,7 @@ from ortholat.suites import _dim_for, run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
 from helpers import loewner_le
+from references import worst_of
 from jacobi import jacobi_eigendecompose
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -154,7 +155,7 @@ class TestVerifyTheorem4:
             rep = verify_theorem4(a, b, trials=0)
         assert not rep.holds
         assert np.isnan(dict(rep.details)["inf_residuals_orth"])
-        assert np.isnan(rep.max_violation)
+        assert np.isnan(rep.worst_ratio) and rep.worst_check == "inf_residuals_orth"
 
     @pytest.mark.parametrize("suite", ["theorem4", "corollary5"])
     def test_nan_residual_is_the_suite_worst(self, suite, monkeypatch):
@@ -163,17 +164,40 @@ class TestVerifyTheorem4:
         def nan_first(pair, seeds, trials):
             reports = original(pair, seeds, trials)
             if seeds[0] == 42:
-                reports[0].holds, reports[0].max_violation = False, float("nan")
+                reports[0].details[1] = ("c_le_b", float("nan"))
             return reports
         monkeypatch.setattr(ortholat.suites, "_theorem4_stack", nan_first)
         rep = run_suite(suite, 4, 20, 42)
         assert rep["pass"] is False and rep["failures"] == 1
-        assert np.isnan(rep["max_violation"])
+        assert np.isnan(rep["worst_ratio"]) and rep["worst_check"] == "c_le_b"
+
+    def test_mixed_tolerances(self, tmp_path, capsys):
+        # with tol_zero = 1e-6 the zero product is judged against 1e-6 and the
+        # other residuals against 1e-9: the zero product is the largest
+        # residual of this pair, but spectral_residual has the worst ratio
+        rng = rng_for(2)
+        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
+        rep = verify_theorem4(a, b, tol=DEFAULT_TOL.override(tol_zero=1e-6))
+        bounds = {"c_le_a": 1e-9, "c_le_b": 1e-9, "inf_residuals_orth": 1e-6,
+                  "spectral_residual": 1e-9, "uniqueness_survivors": 0.0}
+        assert rep.bounds == bounds
+        residuals = rep.details[:-1]
+        assert max(residuals, key=lambda d: d[1])[0] == "inf_residuals_orth"
+        ratios = {name: r / bounds[name] for name, r in residuals}
+        assert rep.worst_check == max(ratios, key=ratios.get) == "spectral_residual"
+        assert rep.worst_ratio == ratios["spectral_residual"]
+        # ortholat ortho reports the same record
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, m in zip(paths, (a, b)):
+            path.write_text(json.dumps(matrix_to_json(m)))
+        assert cli_main(["ortho", "--a", str(paths[0]), "--b", str(paths[1]), "--seed", "0",
+                         "--tol-zero", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["theorem4"] == rep.to_json()
 
     def test_fixture_residuals(self):
         rep = verify_theorem4(S_FIX, T_FIX)
         assert rep.holds
-        assert rep.max_violation <= 1e-10
+        assert rep.worst_ratio <= 0.1
 
     def test_identical_pair(self):
         a = random_hermitian(3, rng_for(65))
@@ -190,8 +214,10 @@ class TestVerifyTheorem4:
             "c_le_a", "c_le_b", "inf_residuals_orth", "spectral_residual",
             "uniqueness_survivors"]
         assert rep.holds
-        # max_violation is the worst existence residual, not the survivor count
-        assert rep.max_violation == max(r for _, r in rep.details[:-1])
+        # the worst ratio is over the existence residuals, not the survivor count
+        assert rep.bounds == {"c_le_a": 1e-9, "c_le_b": 1e-9, "inf_residuals_orth": 1e-9,
+                              "spectral_residual": 1e-9, "uniqueness_survivors": 0.0}
+        assert rep.worst_ratio == max(r for _, r in rep.details[:-1]) / 1e-9
         # x+ - x- = x holds exactly on the coordinate carrier
         if np.ndim(a) == 1:
             assert dict(rep.details)["spectral_residual"] == 0.0
@@ -436,18 +462,18 @@ class TestUniquenessReference:
         # the suite, which checks stacks of equal-n pairs, against the fold
         # in trial order of the existence half alone and the reference's
         # survivors, pair by pair
-        worst, failures = 0.0, 0
+        reports, failures = [], 0
         for i in range(50):
             rng = rng_for(seed, 4, i)
             n = _dim_for(rng, 8)
             a, b = random_hermitian(n, rng), random_hermitian(n, rng)
-            rep = verify_theorem4(a, b, trials=0)
+            reports.append(verify_theorem4(a, b, trials=0))
             survivors = _uniqueness_reference(a, b, 10, seed + i)
-            worst = max(worst, rep.max_violation)
-            failures += not (rep.holds and survivors == 0)
+            failures += not (reports[-1].holds and survivors == 0)
+        worst_ratio, worst_check = worst_of(reports)
         assert run_suite("theorem4", 8, 50, seed) == {
-            "suite": "theorem4", "pass": failures == 0, "trials": 50,
-            "max_violation": worst, "failures": failures, "seed": seed}
+            "suite": "theorem4", "pass": failures == 0, "trials": 50, "worst_ratio": worst_ratio,
+            "worst_check": worst_check, "failures": failures, "seed": seed}
 
     def test_theorem4_eigvalsh_count(self, eigen_calls):
         # each pair's a - b is decomposed once, and a - c and b - c are the
