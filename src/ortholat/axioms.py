@@ -116,8 +116,10 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
         ut, vt, wt = model.orthogonal_triples(triples)
 
         # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0
-        exact, sampled, _ = _sampled_stack(model, up, un, seeds, _THEOREM7_INNER + 1)
-        ra_exact, ra_sampled = _worst(ra_exact, exact), _worst(ra_sampled, sampled)
+        parts = [dict(rep.details) for rep in
+                 _sampled_stack(model, up, un, seeds, _THEOREM7_INNER + 1)]
+        ra_exact = _worst(ra_exact, [p["exact_alg_orth"] for p in parts])
+        ra_sampled = _worst(ra_sampled, [p["sampled_deviation"] for p in parts])
 
         # (1)(b) block triple: u orth v, u orth w => u orth |v +/- w|
         abs_sum_dif = model.jordan(np.concatenate((ut, vt + wt, vt - wt)))[2]

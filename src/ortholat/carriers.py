@@ -125,17 +125,16 @@ class MatrixSaModel(_Carrier):
         owners[k], given root = interval_root(a): a^(1/2) w a^(1/2) with w a
         random contraction 0 <= w <= 1. Each generator draws the normals of
         a random unitary, then the uniforms of its eigenvalues t; the whole
-        stack is one stacked LAPACK call."""
+        stack is one stacked LAPACK call. The product is symmetrized by
+        hermitian_matrix, which halves before it adds, so a sample of an a
+        near the float range is finite; ValueError if an entry is not."""
         n = root.shape[-1]
         g, t = map(np.array, zip(*[(random_complex(n, rng), rng.uniform(0.0, 1.0, size=n))
                                    for rng in rngs]))
         u = _unitary(g)
         w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
         root = root[owners]
-        s = root @ w @ root
-        if not np.all(np.isfinite(s)):
-            raise ValueError("matrix entries must be finite")
-        return (s + s.conj().swapaxes(-1, -2)) / 2.0
+        return hermitian_matrix(root @ w @ root)
 
     def triple_draw(self, rng):
         """The random numbers of one orthogonal triple, in the order drawn:

@@ -50,16 +50,15 @@ class OrthReport:
     bounds: dict = field(default_factory=dict)
 
     def _holds(self, names) -> bool:
-        values = dict(self.details)
-        return all(values[name] <= self.bounds[name] for name in names)
+        return all(value <= self.bounds[name] for name, value in self.details if name in names)
 
-    def _worst_detail(self) -> tuple:
-        return _worst_ratio((value / self.bounds[name], name) for name, value in self.details
-                            if self.bounds.get(name, 0.0) > 0.0)
+    def _peak_ratio(self) -> tuple:
+        return _peak((value / self.bounds[name], name) for name, value in self.details
+                     if self.bounds.get(name, 0.0) > 0.0)
 
     holds = property(lambda self: self._holds(self.bounds))
-    worst_ratio = property(lambda self: self._worst_detail()[0])
-    worst_check = property(lambda self: self._worst_detail()[1])
+    worst_ratio = property(lambda self: self._peak_ratio()[0])
+    worst_check = property(lambda self: self._peak_ratio()[1])
 
     def _agreed(self, *routes):
         """The record, if each route (a group of its bounded details) gives
@@ -69,13 +68,14 @@ class OrthReport:
         return InternalInconsistency(f"{self.relation} routes disagree: {self.details}")
 
     def to_json(self) -> dict:
+        ratio, check = self._peak_ratio()
         return {"relation": self.relation, "holds": self.holds,
-                "worst_ratio": float(self.worst_ratio), "worst_check": self.worst_check,
+                "worst_ratio": float(ratio), "worst_check": check,
                 "bounds": {name: float(bound) for name, bound in self.bounds.items()},
                 "details": [[name, float(r)] for name, r in self.details]}
 
 
-def _worst_ratio(ratios) -> tuple:
+def _peak(ratios) -> tuple:
     """The worst of (ratio, name) pairs: the first whose ratio is NaN, else
     the first of the largest; (0.0, None) of none."""
     ratios = list(ratios)
@@ -85,8 +85,7 @@ def _worst_ratio(ratios) -> tuple:
 
 # The k-grid: a log grid, then the refinement +/-rho (1 + off) around the
 # crossing point |k| = rho = ||u|| / ||v|| of each pair
-_FIXED_KS = np.array([0.0, 1.0, -1.0]
-                     + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)])
+_FIXED_KS = np.array([0.0] + [s * 2.0 ** i for i in range(-6, 7) for s in (1.0, -1.0)])
 _CROSSING_FACTORS = np.array([s * (1.0 + off)
                               for off in (-0.10, -0.075, -0.05, -0.025, 0.0,
                                           0.025, 0.05, 0.075, 0.10)
@@ -141,7 +140,7 @@ def infty_deviations(u, v, norm):
 # A chunk of stacked samples holds at most _CHUNK_SAMPLES samples, each with
 # its own generator (and in the sampled checks its own k-grid), and unless
 # it holds one, at most _CHUNK_ENTRIES entries of its elements. A k-grid
-# stack, 47 times larger than its chunk, is evaluated in slices of at most
+# stack, 45 times larger than its chunk, is evaluated in slices of at most
 # _GRID_ENTRIES entries (128 kB of complex numbers). The generators' keys are
 # hashed _KEY_BLOCK at a time.
 _CHUNK_ENTRIES = 4096
@@ -285,13 +284,7 @@ def abs_infty_orth_sampled(a, b, trials: int = 200, seed: int = 0,
     violation, and the worst deviation is then NaN.
     """
     model, ah, bh = carrier_operands(a, b, tol)
-    (exact,), (worst,), (first,) = _sampled_stack(model, ah[None], bh[None], [seed], trials)
-    return OrthReport(
-        "abs_infty_orth_sampled",
-        [("exact_alg_orth", exact),
-         ("sampled_deviation", worst),
-         ("first_violation_trial", float(first))],
-        {"sampled_deviation": tol.tol_eq})
+    return _sole(_sampled_stack(model, ah[None], bh[None], [seed], trials))
 
 
 def hereditary_check(a, b, trials: int = 100, seed: int = 0,
@@ -299,22 +292,22 @@ def hereditary_check(a, b, trials: int = 100, seed: int = 0,
     """cd = 0 for sampled 0 <= c <= a, 0 <= d <= b, given ab = 0, on
     either carrier (Lemma 1)."""
     model, x, y = carrier_operands(a, b, tol)
-    (worst,) = _sampled_stack(model, x[None], y[None], [seed], trials, hereditary=True)[1]
-    return OrthReport("hereditary", [("worst_cd", worst)], {"worst_cd": tol.tol_zero})
+    return _sole(_sampled_stack(model, x[None], y[None], [seed], trials, hereditary=True))
 
 
 def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     """The sampled checks on each pair (a[i], b[i]) of two stacks of elements
     of the model, at its tolerances, with trial j of pair i drawn from
-    rng_for(seeds[i], j): lists of the exact zero product, the worst
-    residual and the first trial whose residual breaks its bound (-1 for
-    none) of each pair.
+    rng_for(seeds[i], j): the report of each pair.
 
     The residual is the deviation from the infinity-norm identity (bound
     tol_eq), and trial 0 is the pair itself, checked for all pairs in one
-    stack; or, with `hereditary`, Lemma 1's zero product of the samples
-    (bound tol_zero), every trial sampled, after a PreconditionFailed for
-    the first pair whose ab is not within tol_zero. The model's
+    stack. A report is abs_infty_orth_sampled's: the exact zero product, the
+    worst residual and the first trial whose residual breaks its bound (-1
+    for none). With `hereditary`, the residual is Lemma 1's zero product of
+    the samples (bound tol_zero), every trial sampled, and a report is
+    hereditary_check's, the worst residual alone; a PreconditionFailed comes
+    first for the first pair whose ab is not within tol_zero. The model's
     interval_root raises NotPositive for the first a that is not positive,
     else for the first b.
     The samples go in chunks of at most _CHUNK_SAMPLES, pair by pair in
@@ -360,4 +353,9 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
         edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
         for lo, hi in zip(edges, edges[1:]):
             judge(int(owners[lo]), trial[lo], values[lo:hi])
-    return exact.tolist(), worst, first
+    if hereditary:
+        return [OrthReport("hereditary", [("worst_cd", w)], {"worst_cd": bound}) for w in worst]
+    return [OrthReport("abs_infty_orth_sampled",
+                       [("exact_alg_orth", e), ("sampled_deviation", w),
+                        ("first_violation_trial", float(f))], {"sampled_deviation": bound})
+            for e, w, f in zip(exact.tolist(), worst, first)]

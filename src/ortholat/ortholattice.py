@@ -98,6 +98,8 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
+    bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
+                      (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq, 0.0)))
     xp, xn, _ = pair.parts
     del pair.spectrum   # the eigenvectors are not needed once the parts are formed
     c = pair.c
@@ -135,9 +137,9 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
         rb = np.subtract(b[owner], cs, out=cs)   # in the memory of c_i
 
         ratios = np.full((len(_RATIOS), len(owner)), np.nan)
-        residuals = (lambda m: model.zero_product(ra[m], rb[m]) / tol.tol_zero,
-                     lambda m: model.cone_defect(ra[m]) / tol.tol_psd,
-                     lambda m: model.cone_defect(rb[m]) / tol.tol_psd)
+        residuals = (lambda m: model.zero_product(ra[m], rb[m]) / bounds["inf_residuals_orth"],
+                     lambda m: model.cone_defect(ra[m]) / bounds["c_le_a"],
+                     lambda m: model.cone_defect(rb[m]) / bounds["c_le_b"])
         for ratio, residual in zip(ratios, residuals):
             if not left.any():
                 break
@@ -159,8 +161,6 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
                 outcomes[i] = PreconditionFailed(
                     f"perturbation {trial[row]}: the {name} residual is NaN")
 
-    bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
-                      (tol.tol_psd, tol.tol_psd, tol.tol_zero, tol.tol_eq, 0.0)))
     return [survivors if isinstance(survivors, Exception) else OrthReport(
         "theorem4", [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))],
         bounds) for residuals, survivors in zip(existence, outcomes)]

@@ -11,7 +11,6 @@ from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
     _rebuild,
-    _worst,
     complex_matrix,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -24,10 +23,10 @@ from .linalg import (
 from .orthogonality import (
     OrthReport,
     _alg_orth_general_stack,
+    _peak,
     _prop2_stack,
     _sampled_stack,
     _trial_walk,
-    _worst_ratio,
     infty_deviations,
 )
 from .ortholattice import _Pair, _theorem4_stack
@@ -80,13 +79,12 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     def check(chunk, a, b):
         return _sampled_stack(MatrixSaModel(a.shape[-1], tol), hermitian_matrix(a),
                               hermitian_matrix(b), [seed + i for i in chunk], samples,
-                              hereditary=True)[1]
+                              hereditary=True)
 
-    worst = _worst(_checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
-                                      lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
-                                      lambda n: n * n))
     return _suite("lemma1", pairs * samples,
-                  [OrthReport("hereditary", [("worst_cd", worst)], {"worst_cd": tol.tol_zero})])
+                  _checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
+                                     lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
+                                     lambda n: n * n))
 
 
 def _suite(name, trials, records=None, negative_control=None, **counts) -> dict:
@@ -96,8 +94,7 @@ def _suite(name, trials, records=None, negative_control=None, **counts) -> dict:
     worst_ratio is at most 1), every count is 0 and a `negative_control` fails."""
     report = {"suite": name, "trials": trials, **counts}
     if records is not None:
-        report["worst_ratio"], report["worst_check"] = _worst_ratio(
-            (r.worst_ratio, r.worst_check) for r in records)
+        report["worst_ratio"], report["worst_check"] = _peak(r._peak_ratio() for r in records)
     if negative_control is not None:
         report["negative_control_failed_as_expected"] = not negative_control.holds
     report["pass"] = (not any(counts.values()) and all(r.holds for r in records or ())
@@ -237,6 +234,8 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     and matches the coordinate carrier's on their diagonals. The pairs of
     equal n are checked in stacks: one matrix _Pair of the diagonal
     matrices and one coordinate _Pair of their diagonals."""
+    bounds = {"carrier_gap": tol.tol_eq}
+
     def check(chunk, x, y):
         n = x.shape[-1]
         diagonal = np.zeros((2,) + x.shape + (n,), dtype=complex)
@@ -244,17 +243,18 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         matrices = _Pair(MatrixSaModel(n, tol), *hermitian_matrix(diagonal))
         vectors = _Pair(CoordinateModel(n, tol), x, y)
         # per pair: the largest entry of c off its diagonal, and the distances
-        # of c's and d's diagonals from the coordinate carrier's inf and sup
-        return np.stack([np.abs(matrices.c * (1.0 - np.eye(n))).max((-2, -1)),
-                         *(np.abs(m.diagonal(0, -2, -1).real - v).max(-1)
-                           for m, v in ((matrices.c, vectors.c), (matrices.d, vectors.d)))], 1)
+        # of c's and d's diagonals from the coordinate carrier's inf and sup;
+        # its gap is the largest of the three, NaN if one is NaN
+        gaps = np.max([np.abs(matrices.c * (1.0 - np.eye(n))).max((-2, -1)),
+                       *(np.abs(m.diagonal(0, -2, -1).real - v).max(-1)
+                         for m, v in ((matrices.c, vectors.c), (matrices.d, vectors.d)))], 0)
+        return [OrthReport("bridge", [("carrier_gap", g)], bounds) for g in gaps.tolist()]
 
-    worst = _worst(_checked_in_stacks(trials, seed, 8, lambda rng: _dim_for(rng, dim),
-                                      lambda i, n, rng: (rng.standard_normal(n),
-                                                         rng.standard_normal(n)),
-                                      check, lambda n: n * n))
     return _suite("bridge", trials,
-                  [OrthReport("bridge", [("carrier_gap", worst)], {"carrier_gap": tol.tol_eq})])
+                  _checked_in_stacks(trials, seed, 8, lambda rng: _dim_for(rng, dim),
+                                     lambda i, n, rng: (rng.standard_normal(n),
+                                                        rng.standard_normal(n)),
+                                     check, lambda n: n * n))
 
 
 def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -263,9 +263,8 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     with seed seed + i on the orthogonal pair of each trial i, and on its
     overlapping pair if the zero product is above 0.1. The pairs of equal n
     are checked in stacks, a pair counted as a sample of the sampled check,
-    which stops at a pair's first violation. The worst deviation of the
-    orthogonal pairs, NaN if any is NaN, must be within tol_eq, and an
-    overlapping pair that the check passes is missed."""
+    which stops at a pair's first violation. The report of every orthogonal
+    pair must hold, and an overlapping pair whose report holds is missed."""
     pairs = max(1, trials // 10)
     samples = 40
 
@@ -275,23 +274,20 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     def check(chunk, a, b, c, d):
         model = MatrixSaModel(a.shape[-1], tol)
         seeds = [seed + i for i in chunk]
-        worst = _sampled_stack(model, hermitian_matrix(a), hermitian_matrix(b), seeds,
-                               samples)[1]
+        reports = _sampled_stack(model, hermitian_matrix(a), hermitian_matrix(b), seeds, samples)
         missed = [False] * len(chunk)
         overlapping = np.flatnonzero(zero_product_residual(c, d) > 0.1).tolist()
         if overlapping:
             held = _sampled_stack(model, hermitian_matrix(c[overlapping]),
                                   hermitian_matrix(d[overlapping]),
-                                  [seeds[k] for k in overlapping], samples)[1]
-            for k, r in zip(overlapping, held):
-                missed[k] = r <= tol.tol_eq
-        return zip(worst, missed)
+                                  [seeds[k] for k in overlapping], samples)
+            for k, rep in zip(overlapping, held):
+                missed[k] = rep.holds
+        return zip(reports, missed)
 
-    worst, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
-                                            draw, check, lambda n: n * n))
-    record = OrthReport("abs_infty_orth_sampled", [("sampled_deviation", _worst(worst))],
-                        {"sampled_deviation": tol.tol_eq})
-    return _suite("infty", pairs * samples, [record], missed=sum(missed))
+    reports, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
+                                              draw, check, lambda n: n * n))
+    return _suite("infty", pairs * samples, reports, missed=sum(missed))
 
 
 SUITES = {

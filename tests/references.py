@@ -136,7 +136,8 @@ def abs_infty_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
 def prop6_sampled_worst(model, w):
     """The deviation of each pair (w[i], w[i]) as suite_prop6 once took it:
     from a one-trial sampled check of the endpoints, with dummy seeds."""
-    return _sampled_stack(model, w, w, [0] * len(w), 1)[1]
+    return [dict(rep.details)["sampled_deviation"]
+            for rep in _sampled_stack(model, w, w, [0] * len(w), 1)]
 
 
 def hereditary_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:

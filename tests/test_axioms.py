@@ -4,7 +4,7 @@ import pytest
 import ortholat.axioms
 import ortholat.orthogonality
 from ortholat.axioms import check_axioms, check_theorem7
-from ortholat.orthogonality import _sampled_stack
+from ortholat.orthogonality import OrthReport, _sampled_stack
 from ortholat.carriers import (
     BrokenOrthModel,
     CoordinateModel,
@@ -169,7 +169,10 @@ class TestCheckTheorem7:
 
         def violating(model, a, b, seeds, trials):
             calls.append((len(a), trials))
-            return [0.25] * len(a), [0.5] * len(a), [0] * len(a)
+            return [OrthReport("abs_infty_orth_sampled",
+                               [("exact_alg_orth", 0.25), ("sampled_deviation", 0.5),
+                                ("first_violation_trial", 0.0)],
+                               {"sampled_deviation": model.tol.tol_eq})] * len(a)
         monkeypatch.setattr(ortholat.axioms, "_sampled_stack", violating)
         rep = check_theorem7(CoordinateModel(4), trials=3, seed=6)
         assert not rep.holds

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,13 +252,13 @@ class TestKGrid:
         (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (3.0, 2.0), (2.0, 0.25), (0.5, 4.0),
         (np.inf, 1.0), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan), (1e308, 1e-308)])
     def test_is_np_unique_of_its_values(self, u_norm, v_norm):
-        # every row has 47 points, duplicates kept, and its distinct values
+        # every row has 45 points, duplicates kept, and its distinct values
         # are the pair's own grid; inf / inf and 1e308 / 1e-308 warn, as the
         # pair's own division does
         warns = (u_norm, v_norm) in ((np.inf, np.inf), (1e308, 1e-308))
         with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
             grid = _grid(u_norm, v_norm)
-        assert grid.shape == (47,)
+        assert grid.shape == (45,)
         assert np.array_equal(np.unique(grid), kgrid_for_norms(u_norm, v_norm), equal_nan=True)
 
 
@@ -359,9 +360,9 @@ class TestInftyDeviations:
     def test_self_pair_violates_at_one(self):
         u = np.diag([1.0, 0.0])
         dev = _matrix_deviations(u, u)
-        # ||u+u|| = 2 vs max = 1 at k = 1, which the grid holds three times:
-        # 1, 2**0 and the crossing point
-        assert dev[_grid(1.0, 1.0) == 1.0].tolist() == [pytest.approx(1.0)] * 3
+        # ||u+u|| = 2 vs max = 1 at k = 1, which the grid holds twice: 2**0
+        # and the crossing point
+        assert dev[_grid(1.0, 1.0) == 1.0].tolist() == [pytest.approx(1.0)] * 2
 
     def test_zero_partner(self):
         dev = _matrix_deviations(random_hermitian(3, rng_for(44)), np.zeros((3, 3)))
@@ -442,6 +443,20 @@ class TestOrderIntervalSampler:
             c = _draw(root, rng_for(46, i))
             assert is_psd(c)
             assert is_psd(a - c)
+
+    def test_near_the_float_range(self):
+        # a sample of a at 1.7e308 is symmetrized by halving before adding,
+        # so no sum overflows: all are finite, without a warning, in [0, a]
+        a = np.diag([1.7e308, 0.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = MatrixSaModel(2).interval_samples(
+                _root(a), [rng_for(1, i) for i in range(5)], np.zeros(5, dtype=int))
+        assert np.isfinite(stack).all()
+        # where s + s* would overflow
+        assert (stack[:, 0, 0].real > np.finfo(float).max / 2).sum() >= 2
+        for c in stack:
+            assert is_psd(c) and is_psd(a - c)
 
     def test_deterministic(self):
         a = np.eye(3) * 2.0
@@ -788,19 +803,37 @@ def test_sampled_stack_is_each_pair_alone(carrier, stop, samples, monkeypatch):
         seen.append(len(cs))
         return infty_deviations(cs, ds, norm)
     monkeypatch.setattr(ortholat.orthogonality, "infty_deviations", counting)
-    exact, worst, first = _sampled_stack(model, a, b, seeds, 40)
+    reports = _sampled_stack(model, a, b, seeds, 40)
     monkeypatch.undo()
-    for pair, seed, e, w, f in zip(pairs, seeds, exact, worst, first):
+    assert len(reports) == len(pairs)
+    first = [int(dict(rep.details)["first_violation_trial"]) for rep in reports]
+    for pair, seed, rep, f in zip(pairs, seeds, reports, first):
         if stop:
-            assert [e, w, float(f)] == [r for _, r in abs_infty_loop(*pair, 40, seed).details]
+            assert same_report(rep, abs_infty_loop(*pair, 40, seed))
         else:
-            assert _same_verdict_as_all_trials((e, w, f), *pair, 40, seed)
+            exact, worst, _ = (r for _, r in rep.details)
+            assert _same_verdict_as_all_trials((exact, worst, f), *pair, 40, seed)
     # trial 0 of every pair in one stack, then chunks of the samples of the
     # pairs that have not stopped: all 39 of a pair without a violation, at
     # least those up to the first of a pair with one after trial 0
     assert seen[0] == len(pairs) and all(size <= samples for size in seen[1:])
     assert sum(39 if f < 0 else f for f in first) <= sum(seen[1:]) <= \
         39 * sum(f != 0 for f in first)
+
+
+@pytest.mark.parametrize("samples", [3, 64], ids=["chunks-3", "chunks-64"])
+def test_hereditary_stack_is_each_pair_alone(samples, monkeypatch):
+    # each pair's hereditary report, in a stack whose chunks span pairs, is
+    # the one its loop gives alone
+    monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_SAMPLES", samples)
+    pairs = _positive_pairs("matrix", 12)[1::3]   # the orthogonal ones
+    seeds = [23 + i for i in range(len(pairs))]
+    a, b = (hermitian_matrix(np.array(x)) for x in zip(*pairs))
+    reports = _sampled_stack(MatrixSaModel(3), a, b, seeds, 20, hereditary=True)
+    assert len(reports) == len(pairs)
+    assert len({rep.worst_ratio for rep in reports}) == len(pairs)
+    for pair, seed, rep in zip(pairs, seeds, reports):
+        assert same_report(rep, hereditary_loop(*pair, 20, seed))
 
 
 def test_sampled_stack_precondition_and_positivity():

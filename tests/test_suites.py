@@ -14,8 +14,8 @@ import ortholat.suites
 from ortholat.carriers import CoordinateModel
 from ortholat.errors import InternalInconsistency
 from ortholat.linalg import random_complex, random_hermitian, rng_for
-from ortholat.orthogonality import (_trial_walk, alg_orth_general, check_prop2_equivalence,
-                                    infty_deviations)
+from ortholat.orthogonality import (OrthReport, _trial_walk, alg_orth_general,
+                                    check_prop2_equivalence, infty_deviations)
 from ortholat.ortholattice import _Pair, ortho_inf_sup, verify_theorem4
 from ortholat.suites import (
     SUITES,
@@ -213,8 +213,10 @@ def test_suite_chunks_within_the_cap(monkeypatch, suite, core, operand, stacked)
 def test_nan_worst_fails_the_suite(monkeypatch, suite):
     # a NaN worst residual of one pair is the suite's worst, and fails it
     def nan_first(model, a, b, seeds, trials, hereditary=False):
+        name, bound = (("worst_cd", model.tol.tol_zero) if hereditary
+                       else ("sampled_deviation", model.tol.tol_eq))
         worst = [np.nan] + [0.0] * (len(seeds) - 1)
-        return [0.0] * len(seeds), worst, [0] + [-1] * (len(seeds) - 1)
+        return [OrthReport("sampled", [(name, r)], {name: bound}) for r in worst]
     monkeypatch.setattr(ortholat.suites, "_sampled_stack", nan_first)
     rep = run_suite(suite, 4, 50, 42)
     assert rep["pass"] is False
