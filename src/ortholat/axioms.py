@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import _pymax, _unit_floor, _worst
 from .orthogonality import OrthReport, _sampled_stack, _trial_walk
 
@@ -17,6 +18,13 @@ __all__ = [
     "check_axioms",
     "check_theorem7",
 ]
+
+
+def _require_block_split(model):
+    """DimensionMismatch unless the model's n splits into two blocks, as the
+    orthogonal triples of both checks need: n >= 2."""
+    if model.n < 2:
+        raise DimensionMismatch(f"an orthogonal triple needs n >= 2, got n = {model.n}")
 
 
 def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
@@ -34,8 +42,9 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     perturbations are positive, so each is its own |.|. A matrix trial
     decomposes 7 matrices: u, the triple's block, ut, vt (whose eigenbasis
     also makes the dominated sample), k vt + wt, the perturbation's sample
-    and w5.
+    and w5. DimensionMismatch for n < 2, before any trial is drawn.
     """
+    _require_block_split(model)
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
@@ -104,8 +113,10 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     same keys (trial i from rng_for(seed, i)), and part (a) of a chunk is
     one call of the sampled check. A trial takes |ut| once and compares it
     with |vt +/- wt|: a matrix trial decomposes 7 matrices (u, a square
-    root per part, the triple's block, ut and vt +/- wt).
+    root per part, the triple's block, ut and vt +/- wt). DimensionMismatch
+    for n < 2, before any trial is drawn.
     """
+    _require_block_split(model)
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
     for *_, rngs in _trial_walk([(seed,)], range(trials), lambda _: model.n ** model.rank):

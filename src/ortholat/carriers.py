@@ -20,7 +20,6 @@ from .linalg import (
     Spectrum,
     _cone_defect,
     _rebuild,
-    _scalar,
     _unit_floor,
     _unitary,
     frob,
@@ -187,7 +186,7 @@ class CoordinateModel(_Carrier):
         """max_i min(|x_i|, |y_i|) / max(1, ||x|| ||y||): the lattice meet
         |x| ^ |y| stands in for the product, which vanishes with it."""
         overlap = np.minimum(np.abs(x), np.abs(y)).max(-1, initial=0.0)
-        return _scalar(overlap / _unit_floor(sup_norm(x) * sup_norm(y)))
+        return (overlap / _unit_floor(sup_norm(x) * sup_norm(y)))[()]
 
     def rel_diff(self, x, y):
         """linalg.rel_diff of the vectors as one-column matrices, so in the
@@ -233,7 +232,7 @@ class BrokenOrthModel(CoordinateModel):
     carrier = "broken"
 
     def zero_product(self, x, y):
-        return _scalar(np.zeros(np.shape(x)[:-1]))
+        return np.zeros(np.shape(x)[:-1])[()]
 
 
 def _operand(model, v):

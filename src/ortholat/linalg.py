@@ -4,8 +4,9 @@ decomposition and square roots, norms, Loewner-order predicates, and JSON I/O.
 All operations are pure functions of ndarrays; matrices are square complex
 arrays and Hermitian inputs are symmetrized at the boundary. The validators,
 the norms and residuals, the Jordan parts, `abs_general`, `embed_offdiag` and
-`psd_defect` also take stacks of matrices along leading axes, and give each
-matrix of a stack bit for bit what it gets alone.
+`psd_defect` also take stacks of matrices along leading axes, on one path
+for one matrix and a stack: each matrix of a stack, in any memory layout,
+gets bit for bit what it gets alone, and one matrix gives a numpy float.
 """
 from __future__ import annotations
 
@@ -57,11 +58,9 @@ def complex_matrix(m) -> np.ndarray:
 
 
 def _pymax(first, *rest):
-    """Python's max(first, *rest), elementwise over arrays: a later value
-    replaces the running one only where it is larger, so a NaN after the
+    """Python's max(first, *rest), elementwise over floats and arrays: a later
+    value replaces the running one only where it is larger, so a NaN after the
     first value is passed over and of two equal zeros the first is kept."""
-    if all(isinstance(r, float) for r in (first, *rest)):
-        return max(first, *rest)
     for r in rest:
         first = np.where(r > first, r, first)
     return first
@@ -80,12 +79,6 @@ def _worst(*residuals) -> float:
     return float(np.max(np.concatenate([np.ravel(r) for r in residuals]), initial=0.0))
 
 
-def _scalar(r):
-    """A kernel's result: a Python float for one element, as the kernels
-    gave before they took stacks, and the array for a stack."""
-    return r if isinstance(r, np.ndarray) and r.ndim else float(r)
-
-
 def hermitian_matrix(m) -> np.ndarray:
     """Validate and symmetrize: returns M/2 + M*/2, which cannot overflow."""
     h = complex_matrix(m) / 2.0
@@ -99,13 +92,11 @@ def hermitian_matrix(m) -> np.ndarray:
 
 def frob(x):
     """Frobenius norm of a matrix, or of each matrix of a stack along the
-    leading axes: bit for bit np.linalg.norm of each, which sums the squares
-    in memory order (so a transposed view is read column by column), real
-    parts before imaginary parts. One matrix takes np.linalg.norm itself."""
+    leading axes, bit for bit as numpy's norm sums it on any layout: real
+    parts before imaginary parts, in ravel(order="K") order (the axis of the
+    smaller stride magnitude fastest, a reversed axis read as indexed)."""
     x = np.asarray(x)
-    if x.ndim == 2:
-        return float(np.linalg.norm(x))
-    if x.strides[-2] < x.strides[-1]:   # column-major matrices
+    if abs(x.strides[-2]) < abs(x.strides[-1]):   # column-major matrices
         x = x.mT
     flat = np.ascontiguousarray(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)))
     if np.iscomplexobj(flat):
@@ -193,7 +184,7 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     s = hermitian_eigendecompose(a)
     w = s.eigenvalues
     slack = tol.tol_psd * _unit_floor(np.abs(w).max(-1, initial=0.0))
-    lowest = w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1])
+    lowest = w.min(-1, initial=np.inf)
     below = np.flatnonzero(lowest < -slack)
     if below.size:
         first = below[0]
@@ -239,7 +230,7 @@ def _cone_defect(values):
     (eigenvalues or coordinates) along the last axis: the depth of the
     lowest below 0 relative to the largest magnitude."""
     lowest = values.min(-1, initial=0.0)
-    return _scalar(_pymax(0.0, -lowest) / _unit_floor(np.abs(values).max(-1, initial=0.0)))
+    return (_pymax(0.0, -lowest) / _unit_floor(np.abs(values).max(-1, initial=0.0)))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +387,7 @@ def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex(n, rng)
-    return (g + g.conj().T) / 2.0
+    return hermitian_matrix(random_complex(n, rng))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,6 @@ from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
     _rebuild,
-    complex_matrix,
     hermitian_eigendecompose,
     hermitian_matrix,
     random_complex,
@@ -77,9 +76,8 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     samples = min(trials, 100)
 
     def check(chunk, a, b):
-        return _sampled_stack(MatrixSaModel(a.shape[-1], tol), hermitian_matrix(a),
-                              hermitian_matrix(b), [seed + i for i in chunk], samples,
-                              hereditary=True)
+        return _sampled_stack(MatrixSaModel(a.shape[-1], tol), a, b,
+                              [seed + i for i in chunk], samples, hereditary=True)
 
     return _suite("lemma1", pairs * samples,
                   _checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
@@ -140,8 +138,7 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
         return model.sample(rng), model.sample(rng)
 
     def check(chunk, a, b):
-        model = carrier(a.shape[-1], tol)
-        return _theorem4_stack(_Pair(model, model.element(a), model.element(b)),
+        return _theorem4_stack(_Pair(carrier(a.shape[-1], tol), a, b),
                                [seed + i for i in chunk], 10)
 
     reports = _checked_in_stacks(trials, seed, stream, dims, draw, check,
@@ -158,8 +155,7 @@ def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
              lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
 
     def check(a, b):
-        model = MatrixSaModel(a.shape[-1], tol)
-        return _prop2_stack(model, model.element(a), model.element(b))
+        return _prop2_stack(MatrixSaModel(a.shape[-1], tol), a, b)
     # the Jordan parts of x, y, x + y and x - y: three each
     return _routes_suite("prop2", 2, pairs, check, 12, dim, trials, seed)
 
@@ -170,7 +166,7 @@ def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
              lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
     return _routes_suite(
         "prop3", 3, pairs,
-        lambda a, b: _alg_orth_general_stack(complex_matrix(a), complex_matrix(b), tol),
+        lambda a, b: _alg_orth_general_stack(a, b, tol),
         24, dim, trials, seed)   # |x| of a, b, a*, b*; 2n x 2n embeddings, and their parts
 
 
@@ -274,12 +270,11 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     def check(chunk, a, b, c, d):
         model = MatrixSaModel(a.shape[-1], tol)
         seeds = [seed + i for i in chunk]
-        reports = _sampled_stack(model, hermitian_matrix(a), hermitian_matrix(b), seeds, samples)
+        reports = _sampled_stack(model, a, b, seeds, samples)
         missed = [False] * len(chunk)
         overlapping = np.flatnonzero(zero_product_residual(c, d) > 0.1).tolist()
         if overlapping:
-            held = _sampled_stack(model, hermitian_matrix(c[overlapping]),
-                                  hermitian_matrix(d[overlapping]),
+            held = _sampled_stack(model, c[overlapping], d[overlapping],
                                   [seeds[k] for k in overlapping], samples)
             for k, rep in zip(overlapping, held):
                 missed[k] = rep.holds

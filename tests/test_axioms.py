@@ -5,6 +5,7 @@ import ortholat.axioms
 import ortholat.orthogonality
 from ortholat.axioms import check_axioms, check_theorem7
 from ortholat.orthogonality import OrthReport, _sampled_stack
+from ortholat.errors import DimensionMismatch
 from ortholat.carriers import (
     BrokenOrthModel,
     CoordinateModel,
@@ -229,6 +230,17 @@ def test_nan_residual_fails(check):
     assert not rep.holds
     assert np.isnan(rep.worst_ratio)
     assert check(CoordinateModel(4), trials=10, seed=3).holds
+
+
+@pytest.mark.parametrize("check", [check_axioms, check_theorem7], ids=["axioms", "theorem7"])
+@pytest.mark.parametrize("carrier", [MatrixSaModel, CoordinateModel])
+def test_one_dimension_is_a_typed_error(check, carrier, monkeypatch):
+    # an orthogonal triple needs a block split, so n >= 2: n = 1 is a
+    # DimensionMismatch that names n, raised before any trial is drawn
+    monkeypatch.setattr(ortholat.axioms, "_trial_walk",
+                        lambda *args: pytest.fail("a trial was drawn"))
+    with pytest.raises(DimensionMismatch, match=r"^an orthogonal triple needs n >= 2, got n = 1$"):
+        check(carrier(1), trials=5, seed=1)
 
 
 # the stacked checks against their loops one trial at a time, at 0, 1 and

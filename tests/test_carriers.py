@@ -77,8 +77,8 @@ class TestSpectralMethodsAreTheCarriers:
     @_stack_property
     @given(*_stack_args)
     def test_same_bits(self, carrier, jordan, dominated_sample, seed, k, n, exponent,
-                       transposed):
-        x, _ = _stack_pair(seed, k, n, exponent, transposed, vectors=carrier.rank == 1)
+                       layout):
+        x, _ = _stack_pair(seed, k, n, exponent, layout, vectors=carrier.rank == 1)
         rng = rng_for(seed, 1)
         t = rng.uniform(0.0, 1.0, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
         model = carrier(n)

@@ -458,23 +458,35 @@ class TestSeededGenerators:
         assert len(ISeedSequence.__subclasses__()) == before
 
 
-def _stack_pair(seed, k, n, exponent, transposed, vectors=False):
+# The memory layouts of a stack, each a view of a freshly drawn array whose
+# last two axes (a matrix's rows and columns; for vectors, the stack and the
+# entries) it transposes, reverses or strides
+LAYOUTS = {
+    "C": lambda draw, shape: draw(shape),
+    "conjugate-transposed": lambda draw, shape: draw(shape[:-2] + shape[:-3:-1]).conj().mT,
+    "rows reversed": lambda draw, shape: draw(shape)[..., ::-1, :],
+    "rows and columns reversed": lambda draw, shape: draw(shape)[..., ::-1, ::-1],
+    "every other row and column":
+        lambda draw, shape: draw(shape[:-2] + tuple(2 * d for d in shape[-2:]))[..., ::2, ::2],
+}
+
+
+def _stack_pair(seed, k, n, exponent, layout, vectors=False):
     """Two stacks of k elements, complex n x n matrices or real n-vectors,
-    of entries up to 10**exponent with about a third exactly 0; transposed
-    gives the conjugate transposes of matrices (views read column by
-    column) and column-major stacks of vectors."""
+    of entries up to 10**exponent with about a third exactly 0, each viewed
+    in the memory layout LAYOUTS[layout]: conjugate-transposed matrices are
+    read column by column, and vectors so laid out are a column-major stack."""
     rng = rng_for(seed)
 
-    def stack():
-        shape = (k, n) if vectors else (k, n, n)
+    def draw(shape):
         m = rng.standard_normal(shape) * 10.0 ** exponent
         if not vectors:
             m = m + 1j * rng.standard_normal(shape) * 10.0 ** exponent
         m[rng.random(shape) < 0.3] = 0.0
-        if transposed:
-            return np.asfortranarray(m) if vectors else m.conj().mT
         return m
-    return stack(), stack()
+
+    shape = (k, n) if vectors else (k, n, n)
+    return LAYOUTS[layout](draw, shape), LAYOUTS[layout](draw, shape)
 
 
 MATRIX_KERNELS = {
@@ -514,25 +526,37 @@ def assert_stack_is_each(kernels, x, y):
 
 _stack_property = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 _stack_args = (st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
-               st.integers(-100, 100), st.booleans())
+               st.integers(-100, 100), st.sampled_from(list(LAYOUTS)))
 
 
 class TestStackedKernels:
     """The kernels that take stacks along leading axes give each element
-    what it gets alone, also on conjugate-transposed views (as prop3 reads
-    b*) and at magnitudes where products overflow."""
+    what it gets alone, on every memory layout of LAYOUTS (prop3 reads b*
+    conjugate-transposed) and at magnitudes where products overflow."""
 
     @_stack_property
     @given(*_stack_args)
-    def test_matrix_kernels(self, seed, k, n, exponent, transposed):
-        x, y = _stack_pair(seed, k, n, exponent, transposed)
+    def test_matrix_kernels(self, seed, k, n, exponent, layout):
+        x, y = _stack_pair(seed, k, n, exponent, layout)
         with np.errstate(all="ignore"):
             assert_stack_is_each({**MATRIX_KERNELS, **_model_kernels(MatrixSaModel(n))}, x, y)
 
     @_stack_property
     @given(*_stack_args)
-    def test_vector_kernels(self, seed, k, n, exponent, transposed):
-        x, y = _stack_pair(seed, k, n, exponent, transposed, vectors=True)
+    def test_frob_is_numpys_norm(self, seed, k, n, exponent, layout):
+        # one matrix, complex or real, in any layout: bit for bit numpy's
+        # norm, as a numpy float
+        x, _ = _stack_pair(seed, k, n, exponent, layout)
+        with np.errstate(all="ignore"):
+            for m in (x[0], x[0].real):
+                got = frob(m)
+                assert type(got) is np.float64
+                assert got.tobytes() == np.linalg.norm(m).tobytes(), m.strides
+
+    @_stack_property
+    @given(*_stack_args)
+    def test_vector_kernels(self, seed, k, n, exponent, layout):
+        x, y = _stack_pair(seed, k, n, exponent, layout, vectors=True)
         with np.errstate(all="ignore"):
             assert_stack_is_each(_model_kernels(CoordinateModel(n)), x, y)
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ortholat.orthogonality
 from ortholat.carriers import (
@@ -302,26 +303,98 @@ def test_infty_deviations_match_scalar_loop(carrier, u, v):
     assert np.array_equal(dev, [want])
 
 
-@pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
-def test_infty_deviations_row_maxima_are_the_reference(carrier):
-    # a stack that mixes random pairs, v = 0 (no crossing point), the tie
-    # pair, which attains its maximum twice, and on R^n a NaN crossing point
-    # (a NaN coordinate; on matrices, eigvalsh of u + NaN v does not
-    # converge); and a stack of n = 0
-    norm = hermitian_norm if carrier == "matrix" else sup_norm
-    pairs = [_kernel_inputs(carrier, 3, 10 + i) for i in range(3)]
-    pairs.insert(1, _kernel_inputs(carrier, 3, 13, v_zero=True))
-    tie = np.eye(3)[0] if carrier == "coordinate" else np.diag([1.0, 0.0, 0.0])
-    pairs.append((tie, tie))
+def _signed_element(carrier, n, rng, exponent, zeros, support):
+    """A Hermitian n x n matrix or an n-vector of normals scaled by
+    2**exponent on the entries of `support` (a boolean vector, or a
+    symmetric matrix), zeros of random sign off it; with `zeros`, about a
+    third of its real and imaginary parts are such zeros too. A matrix is
+    drawn on its lower triangle and mirrored, so that it is exactly
+    Hermitian, signed zeros included."""
+    def part():
+        x = rng.standard_normal(support.shape) * 2.0 ** exponent
+        at = ~support | (rng.random(support.shape) < (0.3 if zeros else 0.0))
+        x[at] = np.copysign(0.0, rng.standard_normal(support.shape))[at]
+        return x
     if carrier == "coordinate":
-        pairs.append((np.array([np.nan, 0.0, 0.0]), pairs[0][1]))
-        assert np.isnan(kgrid_for_norms(norm(pairs[-1][0]), norm(pairs[-1][1]))).any()
+        return part()
+    g = part() + 1j * part()
+    h = np.empty(support.shape, dtype=complex)
+    lower = np.tril_indices(n, -1)
+    h[lower] = g[lower]
+    h[lower[::-1]] = g[lower].conj()
+    h[range(n), range(n)] = g.diagonal().real
+    return h
+
+
+def _overflowing(carrier, n):
+    """A v whose norm overflows to inf: on matrices (n >= 2) a finite one,
+    n * 1.7e308 in the norm; on R^n the sup norm of finite entries cannot
+    overflow, so an infinite entry stands in."""
+    if carrier == "matrix":
+        return np.full((n, n), 1.7e308, dtype=complex)
+    v = np.zeros(n)
+    v[0] = np.inf
+    return v
+
+
+def _drawn_pair(carrier, n, rng, u_exp, v_exp, kind, zeros):
+    """A pair (u, v) of elements of the carrier of `kind`: "drawn" at
+    scales 2**u_exp and 2**v_exp, "orthogonal" with supports on
+    complementary index sets, "zero" with v zeros of random sign and
+    "overflow" with _overflowing v; with `zeros`, signed zeros within."""
+    on_u = rng.random(n) < 0.5 if kind == "orthogonal" else np.ones(n, dtype=bool)
+    on_v = ~on_u if kind == "orthogonal" else on_u
+    if carrier == "matrix":
+        on_u, on_v = np.outer(on_u, on_u), np.outer(on_v, on_v)
+    u = _signed_element(carrier, n, rng, u_exp, zeros, on_u)
+    v = _signed_element(carrier, n, rng, v_exp, zeros, on_v)
+    if kind == "zero":
+        v = np.copysign(0.0, v.real).astype(v.dtype)
+    elif kind == "overflow":
+        v = _overflowing(carrier, n)
+    return u, v
+
+
+@pytest.mark.parametrize("carrier", ["matrix", "coordinate"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+       pairs=st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                                st.sampled_from(["drawn", "orthogonal", "zero", "overflow"]),
+                                st.booleans()),
+                      min_size=1, max_size=4))
+# k = 0 stays in the grid: on this orthogonal matrix pair u + 0 v differs
+# from u in the signs of zeros, its eigvalsh norm in the last bit, and the
+# row maximum is the k = 0 deviation, 5.3e-16, where every other k of the
+# grid deviates by 0
+@example(seed=4059, n=5, pairs=[(0, -10, "orthogonal", True)])
+def test_infty_deviations_row_maxima_are_the_reference(carrier, seed, n, pairs):
+    # each row maximum is the reference grid's, bit for bit and NaN
+    # included, on drawn pairs at scales 2**e (e in [-40, 40]) with signed
+    # zeros, on orthogonal ones (supports on complementary index sets, so
+    # that every deviation is rounding), on v = 0 (of random signs) and on a
+    # v whose norm overflows; and on fixed stacks that mix random pairs,
+    # v = 0 (no crossing point), the tie pair, which attains its maximum
+    # twice, and on R^n a NaN crossing point (a NaN coordinate; on matrices,
+    # eigvalsh of u + NaN v does not converge); and a stack of n = 0
+    norm = hermitian_norm if carrier == "matrix" else sup_norm
+    rng = rng_for(seed)
+    drawn = [_drawn_pair(carrier, n, rng, *pair) for pair in pairs]
+    fixed = [_kernel_inputs(carrier, 3, 10 + i) for i in range(3)]
+    fixed.insert(1, _kernel_inputs(carrier, 3, 13, v_zero=True))
+    tie = np.eye(3)[0] if carrier == "coordinate" else np.diag([1.0, 0.0, 0.0])
+    fixed.append((tie, tie))
+    fixed.append((fixed[0][0], _overflowing(carrier, 3)))
+    assert norm(fixed[-1][1]) == np.inf
+    if carrier == "coordinate":
+        fixed.append((np.array([np.nan, 0.0, 0.0]), fixed[0][1]))
+        assert np.isnan(kgrid_for_norms(norm(fixed[-1][0]), norm(fixed[-1][1]))).any()
     empty = np.zeros((0,) if carrier == "coordinate" else (0, 0))
-    for stack in (pairs, [(empty, empty)] * 2):
-        us, vs = np.array([u for u, _ in stack]), np.array([v for _, v in stack])
-        got = infty_deviations(us, vs, norm).max(-1)
-        want = np.array([infty_worst(u, v, norm) for u, v in stack])
-        assert got.tobytes() == want.tobytes()
+    with np.errstate(all="ignore"):
+        for stack in (drawn, fixed, [(empty, empty)] * 2):
+            us, vs = np.array([u for u, _ in stack]), np.array([v for _, v in stack])
+            got = infty_deviations(us, vs, norm).max(-1)
+            want = np.array([infty_worst(u, v, norm) for u, v in stack])
+            assert got.tobytes() == want.tobytes()
 
 
 def test_one_grid_per_infty_deviations_call(monkeypatch):
