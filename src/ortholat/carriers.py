@@ -24,6 +24,7 @@ from .linalg import (
     _unitary,
     frob,
     hermitian_eigendecompose,
+    hermitian_from_normals,
     hermitian_matrix,
     hermitian_norm,
     psd_defect,
@@ -31,6 +32,7 @@ from .linalg import (
     random_hermitian,
     rel_diff,
     sqrt_psd,
+    zero_product_exceeds,
     zero_product_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -69,6 +71,13 @@ class _Carrier:
         self.n = n
         self.tol = tol
 
+    def sample(self, rng):
+        return self.samples(rng.standard_normal(self.draw_shape))
+
+    def sample_draw(self, rng, out):
+        """Draws the normals of sample(rng) into out (a row of draw_shape)."""
+        rng.standard_normal(out=out)
+
     def jordan(self, x):
         """(pos, neg, abs) of x, or of each element of a stack, from its spectrum."""
         return self.spectrum(x).jordan_parts()
@@ -96,9 +105,9 @@ class MatrixSaModel(_Carrier):
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
     rel_diff = staticmethod(rel_diff)
-
-    def sample(self, rng):
-        return random_hermitian(self.n, rng)
+    draw_shape = property(lambda self: (2, self.n, self.n))   # the normals of a sample
+    samples = staticmethod(hermitian_from_normals)
+    zero_product_exceeds = staticmethod(zero_product_exceeds)
 
     def positive(self, x):
         """A positive element made from a sample x: its positive part."""
@@ -168,9 +177,8 @@ class CoordinateModel(_Carrier):
     element = staticmethod(lattice_vector)
     norm = staticmethod(sup_norm)
     vector_norm = staticmethod(sup_norm)
-
-    def sample(self, rng):
-        return rng.standard_normal(self.n)
+    draw_shape = property(lambda self: (self.n,))
+    samples = staticmethod(lambda normals: normals)
 
     def positive(self, x):
         """A positive element made from a sample x: |x|."""
@@ -187,6 +195,9 @@ class CoordinateModel(_Carrier):
         |x| ^ |y| stands in for the product, which vanishes with it."""
         overlap = np.minimum(np.abs(x), np.abs(y)).max(-1, initial=0.0)
         return (overlap / _unit_floor(sup_norm(x) * sup_norm(y)))[()]
+
+    def zero_product_exceeds(self, x, y, bound):   # the residual: as cheap as a bound
+        return self.zero_product(x, y) > bound
 
     def rel_diff(self, x, y):
         """linalg.rel_diff of the vectors as one-column matrices, so in the

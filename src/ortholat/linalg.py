@@ -119,6 +119,22 @@ def zero_product_residual(a: np.ndarray, b: np.ndarray):
     return frob(a @ b) / _unit_floor(frob(a) * frob(b))
 
 
+def zero_product_exceeds(x, y, bound):
+    """True where zero_product_residual(x, y), of two matrices or each pair
+    of two stacks, as computed surely exceeds bound, from two mat-vecs:
+    ||x(y1)|| / sqrt(n) <= ||xy||_F for 1 the ones vector. The probe p and
+    fl(xy) are within 3 gamma_{n+2} |x||y| of exact (Higham, Accuracy and
+    Stability, 3.5-3.6), so with S = ||x||_F ||y||_F and u = 2**-53,
+    ||fl(xy)||_F >= ||p|| / sqrt(n) - 8 (n + 2) u S - n 2**-500 (that term for
+    underflow, in frob's squares too). It must exceed 2 bound max(1, S), the
+    2 for the relative rounding of norms and quotient, and ||p|| + 2 S must
+    be finite (else fl(xy) may hold inf - inf)."""
+    n = x.shape[-1]
+    norm, scale = frob(x @ y.sum(-1)[..., None]), frob(x) * frob(y)   # ||p||, S
+    lower = norm / np.sqrt(n) - (8 * (n + 2) * 2.0 ** -53) * scale - n * 2.0 ** -500
+    return ((lower > 2.0 * bound * _unit_floor(scale)) & np.isfinite(norm + 2.0 * scale))[()]
+
+
 # ---------------------------------------------------------------------------
 # spectral decomposition
 
@@ -387,7 +403,21 @@ def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitian_matrix(random_complex(n, rng))
+    return hermitian_from_normals(rng.standard_normal((2, n, n)))
+
+
+def hermitian_from_normals(g) -> np.ndarray:
+    """hermitian_matrix(x + iy) bit for bit, of g = (x, y) of shape (2, n, n)
+    or each of a stack, overwriting g: halved as complex division halves, to
+    (x + 0y, y - 0x)/2, then Re = x.T + x and Im = y - y.T, in IEEE -y.T + y."""
+    if not g.all():   # only a zero entry tells (x + 0y, y - 0x) from (x, y)
+        g += g[..., ::-1, :, :] * np.array([[[0.0]], [[-0.0]]])
+    g *= 0.5
+    x, y = g[..., 0, :, :], g[..., 1, :, :]
+    h = np.empty(x.shape, dtype=complex)
+    np.add(x.mT, x, out=h.real)
+    np.subtract(y, y.mT, out=h.imag)
+    return h
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

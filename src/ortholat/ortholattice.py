@@ -67,12 +67,11 @@ def verify_theorem4(a, b, trials: int = 10, seed: int = 0,
     sample from rng_for(seed, i), scaled to a random fraction of the gap
     ||a - b|| in the carrier's vector norm; none when a = b) must break a
     condition, that is have a residual-to-tolerance ratio above 1. They are
-    settled cheapest first: residual orthogonality (one matmul on
-    matrices), then c_i <= a, then c_i <= b (one eigvalsh each). The detail
-    uniqueness_survivors counts those that break none, and its bound is 0.
-    A NaN ratio with none above 1 raises PreconditionFailed, and a
-    perturbation that is not finite raises the carrier's ValueError; the
-    first perturbation that does either decides which.
+    settled cheapest first: a certificate that the zero product exceeds
+    tol_zero (two mat-vecs on matrices), the zero product (one matmul), then
+    c_i <= a and c_i <= b (one eigvalsh each). uniqueness_survivors counts
+    those that break none (bound 0). PreconditionFailed names the first
+    perturbation that is not finite or has a NaN ratio and none above 1.
     """
     return _checked_inf_sup(a, b, trials, seed, tol)[2]
 
@@ -94,8 +93,9 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     model's tolerances, with perturbation j of pair i drawn from
     rng_for(seeds[i], j): the report of each pair, or the error its check
     raises. Once the _Pair drops x, its spectrum and its parts, each chunk
-    of _trial_walk is drawn into one stack, settled cheapest first and
-    folded in row order."""
+    of _trial_walk draws normals into one buffer, which the model builds
+    into one stack of c + delta (not validated again), settled cheapest first
+    and folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
     bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
@@ -116,26 +116,25 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
     for owner, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(trials),
                                              lambda _: c[0].size, live=live):
-        draw = np.empty((len(owner),) + c.shape[1:], dtype=c.dtype)
+        normals = np.empty((len(owner), *model.draw_shape))
         fractions = np.empty(len(owner))
         for row, rng in enumerate(rngs):
-            draw[row] = model.sample(rng)
+            model.sample_draw(rng, normals[row])
             fractions[row] = rng.uniform(1e-4, 1.0)
+        draw = model.samples(normals)
+        del normals
         draw *= (fractions * gap[owner] / _pymax(model.vector_norm(draw), 1e-300))[spread]
-        np.add(c[owner], draw, out=draw)   # c + delta
+        np.add(c[owner], draw, out=draw)   # c + delta, a sum of elements: not validated
         finite = np.isfinite(draw).all(axis=tuple(range(1, draw.ndim)))
         left = finite.copy()   # checked: a pair's rows before its first that is not finite
         for row in np.flatnonzero(~finite):
             left[row:] &= owner[row:] != owner[row]
-        try:
-            cs = model.element(draw)
-        except ValueError as exc:   # the carrier's error on those not finite
-            rejected = exc
-            cs = model.element(np.where(finite[spread], draw, 0.0))
-        del draw
-        ra = a[owner] - cs
-        rb = np.subtract(b[owner], cs, out=cs)   # in the memory of c_i
+        ra = a[owner] - draw
+        rb = np.subtract(b[owner], draw, out=draw)   # in the memory of c_i
 
+        if left.any():   # the certificate settles most rows without the product
+            rows = ... if left.all() else left
+            left[rows] &= ~model.zero_product_exceeds(ra[rows], rb[rows], tol.tol_zero)
         ratios = np.full((len(_RATIOS), len(owner)), np.nan)
         residuals = (lambda m: model.zero_product(ra[m], rb[m]) / bounds["inf_residuals_orth"],
                      lambda m: model.cone_defect(ra[m]) / bounds["c_le_a"],
@@ -146,14 +145,14 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
             rows = ... if left.all() else left   # none settled yet: read views, not copies
             ratio[rows] = residual(rows)
             left &= ~(ratio > 1.0)
-        del ra, rb, cs   # freed before the next chunk is drawn
+        del ra, rb, draw   # freed before the next chunk is drawn
         # a row not finite, or left (it broke no condition) with a NaN ratio, is the error
         for row in np.flatnonzero(left | ~finite).tolist():
             i = int(owner[row])
             if isinstance(outcomes[i], Exception):
                 continue
             if not finite[row]:
-                outcomes[i] = rejected
+                outcomes[i] = PreconditionFailed(f"perturbation {trial[row]} is not finite")
             elif (ratios[:, row] <= 1.0).all():
                 outcomes[i] += 1
             else:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive
-from ortholat.linalg import random_hermitian, rng_for
+from ortholat.linalg import random_hermitian, random_unitary, rng_for
 from ortholat.orthogonality import (abs_infty_orth_sampled, check_prop2_equivalence,
                                     infty_deviations)
 from ortholat.ortholattice import _Pair, kadison_witness_search, ortho_inf_sup, verify_theorem4
@@ -90,6 +90,82 @@ class TestSpectralMethodsAreTheCarriers:
                     for g, w in zip(got, want):
                         assert g.dtype == w.dtype and g.shape == w.shape
                         assert g.tobytes() == w.tobytes()
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _certificate_pair(model, kind, rng):
+    """One pair (x, y) of the model's elements of the given kind, unscaled.
+    The near-orthogonal matrices are mostly aligned with the vector of ones,
+    the certificate's probe, where ||xy 1|| is sqrt(n) ||xy||_F."""
+    n = model.n
+    if model.rank == 1:
+        x, y = rng.standard_normal((2, n))
+        if kind in ("orthogonal", "near"):   # disjoint supports, then one overlap
+            y[rng.random(n) < 0.5] = 0.0
+            x[y != 0.0] = 0.0
+            if kind == "near":
+                x[0], y[0] = 1.0, 10.0 ** rng.uniform(-10, -1)
+        return x, y
+    if kind == "orthogonal":   # u diag(d1) u* and u diag(d2) u*, d1 d2 = 0
+        u, d = random_unitary(n, rng), rng.standard_normal((2, n))
+        d[0, rng.random(n) < 0.5] = 0.0
+        d[1, d[0] != 0.0] = 0.0
+        return [(u * dk) @ u.conj().T for dk in d]
+    if kind == "near":   # ff* and vv* with f*v = sin(theta) small, v often 1/sqrt(n)
+        v = _unit(rng.standard_normal(n)) if rng.random() < 0.25 else np.ones(n) / np.sqrt(n)
+        w = rng.standard_normal(n)
+        for _ in range(2):   # w orthogonal to v, to rounding
+            w = _unit(w - v * (v @ w))
+        f = w + v * 10.0 ** rng.uniform(-10, -1)
+        return np.outer(f, f), np.outer(v, v)
+    return random_hermitian(n, rng), random_hermitian(n, rng)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(model, x, y, bound): a stack of 1 to 3 pairs of one kind, each
+    operand scaled by 2^e, |e| <= 40. Exactly orthogonal, random, or with an
+    inf, NaN or overflowing entry, at a bound from 1e-300 to 1e6; or near
+    orthogonal, at a bound that puts the first pair's ratio in [0.25, 8]."""
+    model = draw(st.sampled_from([MatrixSaModel, CoordinateModel]))(draw(st.integers(1, 64)))
+    kind = draw(st.sampled_from(["orthogonal", "near", "random", "not finite"]))
+    if kind == "near" and model.n == 1:
+        kind = "random"
+    rng = rng_for(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = [_certificate_pair(model, kind, rng) for _ in range(draw(st.integers(1, 3)))]
+    x, y = (np.array(ops) * 2.0 ** draw(st.integers(-40, 40)) for ops in zip(*pairs))
+    if kind == "not finite":
+        bad = draw(st.sampled_from([np.inf, -np.inf, np.nan, 2.0 ** 511, 2.0 ** 600]))
+        target = x if draw(st.booleans()) else y
+        if bad in (2.0 ** 511, 2.0 ** 600):
+            target *= bad
+        else:
+            target.reshape(len(target), -1)[:, draw(st.integers(0, target[0].size - 1))] = bad
+    bound = 10.0 ** draw(st.floats(-300, 6))
+    if kind == "near":
+        bound = float(np.ravel(model.zero_product(x, y))[0]) / 2.0 ** draw(st.floats(-2, 3))
+    return model, x, y, bound
+
+
+class TestZeroProductCertificate:
+    @_property
+    @given(_certificate_cases())
+    def test_certifies_only_what_the_product_shows(self, case):
+        # a certified pair has a computed zero product above the bound, and
+        # no pair with a quantity that is not finite is certified
+        model, x, y, bound = case
+        axes = tuple(range(1, x.ndim))
+        with np.errstate(all="ignore"):
+            certified = model.zero_product_exceeds(x, y, bound)
+            exceeds = model.zero_product(x, y) > bound
+            finite = (np.isfinite(x).all(axes) & np.isfinite(y).all(axes)
+                      & np.isfinite(model.vector_norm(x) * model.vector_norm(y)))
+        assert certified.shape == exceeds.shape == (len(x),)
+        assert not (certified & ~exceeds).any()
+        assert not (certified & ~finite).any()
 
 
 class TestVectorOrthoLattice:

@@ -17,6 +17,7 @@ from ortholat.linalg import (
     embed_offdiag,
     frob,
     hermitian_eigendecompose,
+    hermitian_from_normals,
     hermitian_matrix,
     hermitian_norm,
     matrix_from_json,
@@ -350,6 +351,28 @@ class TestRandomHelpers:
         a = random_hermitian(4, rng_for(32, 1))
         b = random_hermitian(4, rng_for(32, 1))
         assert np.array_equal(a, b)
+
+    def test_hermitian_from_normals_is_hermitian_matrix(self):
+        # bit for bit hermitian_matrix(x + iy), on a stack and on each row
+        # alone: drawn rows, which are also random_hermitian and the
+        # symmetrized random_complex of their generator, and hand-made rows
+        # of signed zeros, subnormals and normal numbers
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 3e-310, -3e-310, 1.0, -2.5])
+        for n in range(1, 65):
+            g = np.empty((5, 2, n, n))
+            for k in range(3):
+                rng_for(34, n, k).standard_normal(out=g[k])
+            g[3:] = rng_for(35, n).choice(special, size=(2, 2, n, n))
+            stacked = hermitian_from_normals(g.copy())
+            for k, gk in enumerate(g):
+                z = np.empty((n, n), dtype=complex)
+                z.real, z.imag = gk
+                want = hermitian_matrix(z).tobytes()
+                assert stacked[k].tobytes() == want, (n, k)
+                assert hermitian_from_normals(gk.copy()).tobytes() == want, (n, k)
+                if k < 3:
+                    assert random_hermitian(n, rng_for(34, n, k)).tobytes() == want
+                    assert hermitian_matrix(random_complex(n, rng_for(34, n, k))).tobytes() == want
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9])
     def test_complex_is_the_two_call_form(self, n):

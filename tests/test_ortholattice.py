@@ -20,7 +20,6 @@ from ortholat.errors import (
 )
 from ortholat.linalg import (
     Spectrum,
-    complex_matrix,
     frob,
     hermitian_eigendecompose,
     hermitian_matrix,
@@ -304,7 +303,9 @@ def _uniqueness_reference(a, b, trials=10, seed=0, tol=DEFAULT_TOL):
         rng = rng_for(seed, i)
         delta = random_hermitian(n, rng)
         delta *= rng.uniform(1e-4, 1.0) * gap / max(frob(delta), 1e-300)
-        ci = complex_matrix(c + delta)
+        ci = c + delta
+        if not np.isfinite(ci).all():
+            raise PreconditionFailed(f"perturbation {i} is not finite")
         ratios = {
             "zero-product": zero_product_residual(ah - ci, bh - ci) / tol.tol_zero,
             "a - c_i": psd_defect(ah - ci) / tol.tol_psd,
@@ -346,8 +347,9 @@ class TestUniquenessReference:
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e100, 6e153, 1e160])
     def test_random_pair(self, n, scale):
         # 1e100: residual products overflow to inf; 6e153 (n >= 2) and
-        # 1e160: the gap itself overflows, and both loops raise ValueError
-        # once a perturbation is drawn; test_nan_residuals covers NaN ratios
+        # 1e160: the gap itself overflows, and both loops raise
+        # PreconditionFailed once a perturbation is drawn; test_nan_residuals
+        # covers NaN ratios
         rng = rng_for(69, n)
         a, b = scale * random_hermitian(n, rng), scale * random_hermitian(n, rng)
         with np.errstate(all="ignore"):
@@ -385,7 +387,10 @@ class TestUniquenessReference:
 
     def test_margin_of_exactly_one_survives(self, monkeypatch):
         # a ratio of exactly 1 breaks no condition, so it never settles; the
-        # stand-ins give each matrix of a stack its residual, as the kernels do
+        # stand-ins give each matrix of a stack its residual, as the kernels
+        # do, and the certificate settles none
+        monkeypatch.setattr(MatrixSaModel, "zero_product_exceeds",
+                            staticmethod(lambda x, y, bound: np.zeros(x.shape[:-2], dtype=bool)))
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: np.full(x.shape[:-2], DEFAULT_TOL.tol_zero))
         loose = DEFAULT_TOL.override(tol_psd=1e6)
@@ -396,7 +401,7 @@ class TestUniquenessReference:
 
     @pytest.mark.parametrize("scale, key, seed, error, drawn", [
         # the gap overflows, so perturbation 0 is not finite
-        (1e160, (69, 1), 0, ValueError, 2),
+        (1e160, (69, 1), 0, PreconditionFailed, 2),
         # the zero-product ratio of perturbation 3 is NaN (test_nan_residuals)
         (6e153, (5, 1), 3, PreconditionFailed, 4),
     ], ids=["not-finite", "nan-ratio"])
@@ -406,9 +411,9 @@ class TestUniquenessReference:
         # chunk in which it raised and no further, the second draws all 8
         monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", 2)
         draws = []
-        sample = MatrixSaModel.sample
-        monkeypatch.setattr(MatrixSaModel, "sample",
-                            lambda self, rng: draws.append(rng) or sample(self, rng))
+        sample_draw = MatrixSaModel.sample_draw
+        monkeypatch.setattr(MatrixSaModel, "sample_draw",
+                            lambda self, rng, out: draws.append(rng) or sample_draw(self, rng, out))
         rng, other = rng_for(*key), rng_for(73)
         a = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
         b = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
@@ -420,10 +425,14 @@ class TestUniquenessReference:
         assert len(draws) == drawn + 8
 
     def test_checks_run_cheapest_first(self, monkeypatch):
-        # zero product, then c_i <= a, then c_i <= b; no condition breaks.
-        # The stand-ins log the stack each check reads and give each matrix
-        # of it a residual of 0.
+        # the zero-product certificate, the zero product, then c_i <= a, then
+        # c_i <= b; no condition breaks. The stand-ins log the stack each
+        # check reads and give each matrix of it a residual of 0; the
+        # certificate settles none.
         log = []
+        monkeypatch.setattr(MatrixSaModel, "zero_product_exceeds",
+                            staticmethod(lambda x, y, bound: log.append(("exceeds", x))
+                                         or np.zeros(x.shape[:-2], dtype=bool)))
         monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
                             lambda x, y: log.append(("zero", x)) or np.zeros(x.shape[:-2]))
         monkeypatch.setattr(ortholat.carriers, "psd_defect",
@@ -431,12 +440,14 @@ class TestUniquenessReference:
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert _survivors(a, b, trials=5, seed=0) == 5.0
         # the existence half first: c <= a, c <= b, then the zero product;
-        # then the zero product of every perturbation, then c_i <= a, then
-        # c_i <= b, each on the stack of all 5
-        assert [check for check, _ in log] == ["cone", "cone", "zero", "zero", "cone", "cone"]
-        (_, zero_ra), (_, ra), (_, rb) = (
+        # then the certificate and the zero product of every perturbation,
+        # then c_i <= a, then c_i <= b, each on the stack of all 5
+        assert [check for check, _ in log] == [
+            "cone", "cone", "zero", "exceeds", "zero", "cone", "cone"]
+        (_, exceeds_ra), (_, zero_ra), (_, ra), (_, rb) = (
             (check, x.reshape(-1, 2, 2)) for check, x in log[3:])
         assert len(ra) == 5
+        assert np.array_equal(exceeds_ra, ra)
         assert np.array_equal(zero_ra, ra)
         for ra_i, rb_i in zip(ra, rb):
             assert np.allclose(ra_i - rb_i, a - b)
@@ -451,7 +462,8 @@ class TestUniquenessReference:
                             lambda x, y: residuals.append(x) or np.zeros(x.shape[:-2]))
         rng = rng_for(69, n)
         a, b = 1e160 * random_hermitian(n, rng), 1e160 * random_hermitian(n, rng)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(all="ignore"), pytest.raises(PreconditionFailed,
+                                                      match="perturbation 0 is not finite"):
             verify_theorem4(a, b, trials=1)
         assert len(residuals) == 1
         # a stack of one: the pair's own a - c
@@ -482,6 +494,16 @@ class TestUniquenessReference:
         suite_theorem4(64, 20, 1)
         assert sum(eigen_calls.stacks["eigvalsh"]) == 20 * 2
         assert sum(eigen_calls.stacks["eigh"]) == 20
+
+    def test_theorem4_zero_product_count(self, monkeypatch):
+        # the exact zero product runs on the existence half's 20 pairs only:
+        # the certificate settles every perturbation without the product
+        stacks = []
+        residual = ortholat.carriers.zero_product_residual
+        monkeypatch.setattr(ortholat.carriers, "zero_product_residual",
+                            lambda x, y: stacks.append(len(x)) or residual(x, y))
+        suite_theorem4(64, 20, 1)
+        assert sum(stacks) == 20
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_zero_product_settles_random_pairs(self, n, eigen_calls):
