@@ -41,8 +41,9 @@ class OrthReport:
     pair; bounds maps each deciding detail to its bound (0 for a count; a
     value recorded alongside has none). The check holds when every bounded
     value is at most its bound, NaN failing. worst_ratio is the largest
-    value / bound over the positive bounds, NaN if one is NaN, and
-    worst_check names its detail (0.0 and None without a positive bound).
+    value / bound over them, a count read against 1/2 (the largest bound
+    only a count of 0 meets), NaN if one is NaN, and worst_check names its
+    detail (0.0 and None without a bounded detail).
     """
 
     relation: str
@@ -53,8 +54,8 @@ class OrthReport:
         return all(value <= self.bounds[name] for name, value in self.details if name in names)
 
     def _peak_ratio(self) -> tuple:
-        return _peak((value / self.bounds[name], name) for name, value in self.details
-                     if self.bounds.get(name, 0.0) > 0.0)
+        return _peak((value / (self.bounds[name] or 0.5), name) for name, value in self.details
+                     if name in self.bounds)
 
     holds = property(lambda self: self._holds(self.bounds))
     worst_ratio = property(lambda self: self._peak_ratio()[0])
@@ -185,7 +186,7 @@ def _trial_walk(prefixes, trials: range, entries, dims=None, live=None):
 
 
 def _sole(outcomes):
-    """The report of a stack of one pair, or the error its check raised."""
+    """The report of a stack of one pair; a returned InternalInconsistency is raised."""
     outcome, = outcomes
     if isinstance(outcome, Exception):
         raise outcome
@@ -224,8 +225,7 @@ def _alg_orth_general_stack(a, b, tol: Tolerances) -> list:
     abs_a, abs_b, abs_a_star, abs_b_star = np.split(
         abs_general(np.concatenate((a, b, a_star, b_star))), 4)
     model = MatrixSaModel(2 * a.shape[-1], tol)
-    abs_ea, abs_eb = np.split(
-        model.jordan(model.element(embed_offdiag(np.concatenate((a, b)))))[2], 2)
+    abs_ea, abs_eb = np.split(model.jordan(embed_offdiag(np.concatenate((a, b))))[2], 2)
     routes = (zero_product_residual(a, b_star), zero_product_residual(a_star, b),
               zero_product_residual(abs_a, abs_b),
               zero_product_residual(abs_a_star, abs_b_star),

@@ -91,11 +91,12 @@ _RATIOS = ("zero-product", "a - c_i", "b - c_i")
 def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     """verify_theorem4 on each pair (a[i], b[i]) of a stacked _Pair, at its
     model's tolerances, with perturbation j of pair i drawn from
-    rng_for(seeds[i], j): the report of each pair, or the error its check
-    raises. Once the _Pair drops x, its spectrum and its parts, each chunk
-    of _trial_walk draws normals into one buffer, which the model builds
-    into one stack of c + delta (not validated again), settled cheapest first
-    and folded in row order."""
+    rng_for(seeds[i], j): the report of each pair. As _sampled_stack does,
+    it raises the first error it meets (pairs in order, each pair's
+    perturbations in order). Once the _Pair drops x, its spectrum and its
+    parts, each chunk of _trial_walk draws normals into one buffer, which
+    the model builds into one stack of c + delta (not validated again),
+    settled cheapest first and folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
     bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
@@ -110,9 +111,8 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
 
     gap = model.vector_norm(x)
     del pair.x, pair.parts, x, xp, xn, ra, rb   # held no longer than the existence half
-    outcomes = [0] * len(a)   # the survivor count of each pair, or its error
-    # a = b draws nothing (its perturbation window is empty), nor a pair that raised
-    live = lambda i: gap[i] > tol.tol_eq and not isinstance(outcomes[i], Exception)
+    survivors = [0] * len(a)
+    live = lambda i: gap[i] > tol.tol_eq   # a = b draws nothing: its perturbation window is empty
     spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
     for owner, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(trials),
                                              lambda _: c[0].size, live=live):
@@ -126,15 +126,11 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
         draw *= (fractions * gap[owner] / _pymax(model.vector_norm(draw), 1e-300))[spread]
         np.add(c[owner], draw, out=draw)   # c + delta, a sum of elements: not validated
         finite = np.isfinite(draw).all(axis=tuple(range(1, draw.ndim)))
-        left = finite.copy()   # checked: a pair's rows before its first that is not finite
-        for row in np.flatnonzero(~finite):
-            left[row:] &= owner[row:] != owner[row]
+        left = finite.copy()   # checked: the finite rows
         ra = a[owner] - draw
         rb = np.subtract(b[owner], draw, out=draw)   # in the memory of c_i
-
-        if left.any():   # the certificate settles most rows without the product
-            rows = ... if left.all() else left
-            left[rows] &= ~model.zero_product_exceeds(ra[rows], rb[rows], tol.tol_zero)
+        rows = ... if left.all() else left   # the certificate settles most rows cheaply
+        left[rows] &= ~model.zero_product_exceeds(ra[rows], rb[rows], tol.tol_zero)
         ratios = np.full((len(_RATIOS), len(owner)), np.nan)
         residuals = (lambda m: model.zero_product(ra[m], rb[m]) / bounds["inf_residuals_orth"],
                      lambda m: model.cone_defect(ra[m]) / bounds["c_le_a"],
@@ -146,23 +142,17 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
             ratio[rows] = residual(rows)
             left &= ~(ratio > 1.0)
         del ra, rb, draw   # freed before the next chunk is drawn
-        # a row not finite, or left (it broke no condition) with a NaN ratio, is the error
+        # a row not finite, or left (it broke no condition) with a NaN ratio, raises
         for row in np.flatnonzero(left | ~finite).tolist():
-            i = int(owner[row])
-            if isinstance(outcomes[i], Exception):
-                continue
             if not finite[row]:
-                outcomes[i] = PreconditionFailed(f"perturbation {trial[row]} is not finite")
-            elif (ratios[:, row] <= 1.0).all():
-                outcomes[i] += 1
-            else:
+                raise PreconditionFailed(f"perturbation {trial[row]} is not finite")
+            if not (ratios[:, row] <= 1.0).all():
                 name = _RATIOS[int(np.argmin(ratios[:, row] <= 1.0))]
-                outcomes[i] = PreconditionFailed(
-                    f"perturbation {trial[row]}: the {name} residual is NaN")
+                raise PreconditionFailed(f"perturbation {trial[row]}: the {name} residual is NaN")
+            survivors[int(owner[row])] += 1
 
-    return [survivors if isinstance(survivors, Exception) else OrthReport(
-        "theorem4", [*zip(_EXISTENCE, residuals), ("uniqueness_survivors", float(survivors))],
-        bounds) for residuals, survivors in zip(existence, outcomes)]
+    return [OrthReport("theorem4", list(zip(bounds, (*residuals, float(count)))), bounds)
+            for residuals, count in zip(existence, survivors)]
 
 
 @dataclass

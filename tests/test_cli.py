@@ -48,8 +48,9 @@ class TestVerify:
         assert report["suites"][0]["trials"] == 5
 
     def test_failing_suite_exits_one_with_strict_json(self, capsys, monkeypatch):
-        # a survivor fails its record and the suite, and a count has no ratio:
-        # exit 1 with a report, not the exit 2 of a value beyond the float range
+        # a survivor fails its record and the suite, and names itself with the
+        # finite ratio 2 of a count read against 1/2: exit 1 with a report, not
+        # the exit 2 of a value beyond the float range
         original = ortholat.suites._theorem4_stack
 
         def one_survivor(pair, seeds, trials):
@@ -61,7 +62,7 @@ class TestVerify:
         assert main(["verify", "--suite", "theorem4", "--trials", "5"]) == 1
         (suite,) = json.loads(capsys.readouterr().out)["suites"]
         assert suite["pass"] is False and suite["failures"] == 1
-        assert 0.0 < suite["worst_ratio"] <= 1.0
+        assert (suite["worst_ratio"], suite["worst_check"]) == (2.0, "uniqueness_survivors")
 
     def test_determinism(self, tmp_path, capsys):
         paths = []
@@ -103,6 +104,27 @@ class TestVerify:
         assert main(["verify", "--suite", "prop2", "--dim", "3", "--trials", "2",
                      flag, "1e300"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["command"] == "verify"
+
+
+class TestUsage:
+    # argparse's usage errors and --help return through main: its exit code,
+    # with the usage on stderr and nothing on stdout for an error
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "ortholat: error: argument command: invalid choice: "),
+        (["verify", "--dim", "x"],
+         "ortholat verify: error: argument --dim: invalid int value: 'x'"),
+    ], ids=["unknown-command", "dim-not-an-int"])
+    def test_usage_error_exits_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ortholat")
+        assert captured.err.splitlines()[-1].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ortholat") and captured.err == ""
 
 
 class TestOrtho:
@@ -372,14 +394,15 @@ def test_one_error_line_exit_two(matrix_file, capsys, argv, message):
 # 2**-20 and 2**20, exactly), as the CLI printed them when each residual
 # floored its scale inline, with the verdict record's worst_ratio,
 # worst_check and bounds in place of max_violation in ortho's: one floor
-# function must leave them bit for bit
+# function must leave them bit for bit. ortho-2^-20's record fails by one
+# survivor, which names itself as its worst check at the ratio 2 of a count
 @pytest.mark.parametrize("argv, operands, scale, digest", [
     (["ortho", "--seed", "7"], "ST", 1.0,
      "27e6c58d6cf6a581c90c216bf0d3a3eefb6b1dc12cc066b19f778f1923195483"),
     (["witness"], "ST", 1.0, "77b51ac10d3c1279b07b56a16370d054dc1812f5d51690c258da12a52a8f0336"),
     (["decompose"], "T", 1.0, "2445849ac77e217203b8822def7f3e81c6dabb62423a6504c5d1fdb0cc30db0b"),
     (["ortho", "--seed", "7"], "ST", 2.0 ** -20,
-     "c5837ab379209680f8de22a0ed7bbe26980c9d79e66d36c286ad4449cf62a3b7"),
+     "6ea92bf75111920b5f09d432e20961340cb37bd75594fa2723bd7f1fccb08474"),
     (["ortho", "--seed", "7"], "ST", 2.0 ** 20,
      "2af5af68f8620097920401269983ab6c138fca1cef22c62a1a01bb34b7356df6"),
 ], ids=["ortho", "witness", "decompose", "ortho-2^-20", "ortho-2^20"])

@@ -277,6 +277,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             complex_matrix(m)
 
+    def test_zero_product_of_two_shapes(self):
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+            zero_product_residual(np.eye(2), np.eye(3))
+
     def test_hermitize(self):
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         h = hermitian_matrix(m)

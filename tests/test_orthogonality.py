@@ -119,17 +119,22 @@ class TestVerdictRecord:
         assert OrthReport("r", [("x", 5e-10)], {"x": 1e-9}).holds
 
     def test_count_fails_with_a_finite_ratio(self):
-        # a count of 1 against its bound 0 fails the record, and a count has
-        # no ratio, so the worst ratio stays finite and strict JSON holds it
+        # a count of 1 against its bound 0 fails the record, and a count is
+        # read against 1/2, so it names itself with a finite ratio of 2 that
+        # strict JSON holds; its bound stays 0
         rep = OrthReport("r", [("residual", 1e-10), ("survivors", 1.0), ("seen", 3.0)],
                          {"residual": 1e-9, "survivors": 0.0})
         assert not rep.holds
-        assert (rep.worst_ratio, rep.worst_check) == (1e-10 / 1e-9, "residual")
+        assert (rep.worst_ratio, rep.worst_check) == (2.0, "survivors")
         assert json.loads(json.dumps(rep.to_json(), allow_nan=False))["bounds"] == {
             "residual": 1e-9, "survivors": 0.0}
 
     def test_no_positive_bound(self):
+        # a count of 0 is a bounded detail with ratio 0; with no bounded
+        # detail there is no worst
         rep = OrthReport("r", [("survivors", 0.0), ("seen", 3.0)], {"survivors": 0.0})
+        assert rep.holds and (rep.worst_ratio, rep.worst_check) == (0.0, "survivors")
+        rep = OrthReport("r", [("seen", 3.0)], {})
         assert rep.holds and (rep.worst_ratio, rep.worst_check) == (0.0, None)
 
     def test_ties_keep_the_first(self):
@@ -180,6 +185,15 @@ class TestAlgOrthGeneral:
         assert not rep.holds
         assert np.isnan(rep.worst_ratio) and rep.worst_check == "a*b"
         assert [name for name, r in rep.details if np.isnan(r)] == ["a*b", "|a*||b*|", "M2_embed"]
+
+    @pytest.mark.parametrize("a, b, message", [
+        (np.zeros((2, 3, 3)), np.zeros((2, 3, 3)),
+         r"^expected a square matrix, got shape \(2, 3, 3\)$"),
+        (np.zeros((2, 2)), np.zeros((3, 3)), r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"),
+    ], ids=["stack", "two-shapes"])
+    def test_one_square_matrix_each(self, a, b, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            alg_orth_general(a, b)
 
     def test_routes_use_three_kernels(self, monkeypatch):
         # |x| comes from the SVD, the four of the pair in one stack; only the

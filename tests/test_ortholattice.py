@@ -399,30 +399,30 @@ class TestUniquenessReference:
         a, b = np.diag([3.0, 1.0]), np.diag([1.0, 2.0])
         assert _survivors(a, b, trials=5, seed=0, tol=loose) == 5.0
 
-    @pytest.mark.parametrize("scale, key, seed, error, drawn", [
+    @pytest.mark.parametrize("scale, key, seed, error, message, drawn", [
         # the gap overflows, so perturbation 0 is not finite
-        (1e160, (69, 1), 0, PreconditionFailed, 2),
+        (1e160, (69, 1), 0, PreconditionFailed, "perturbation 0 is not finite", 2),
         # the zero-product ratio of perturbation 3 is NaN (test_nan_residuals)
-        (6e153, (5, 1), 3, PreconditionFailed, 4),
+        (6e153, (5, 1), 3, PreconditionFailed,
+         "perturbation 3: the zero-product residual is NaN", 4),
     ], ids=["not-finite", "nan-ratio"])
-    def test_raised_pair_draws_no_later_chunk(self, scale, key, seed, error, drawn,
+    def test_raised_pair_draws_no_later_chunk(self, scale, key, seed, error, message, drawn,
                                               monkeypatch):
-        # two perturbations a chunk: the first pair draws up to the end of the
-        # chunk in which it raised and no further, the second draws all 8
+        # two perturbations a chunk: the fine first pair draws all 8, then the
+        # second draws up to the end of the chunk in which it raised, and the
+        # stack raises its error
         monkeypatch.setattr(ortholat.orthogonality, "_CHUNK_ENTRIES", 2)
         draws = []
         sample_draw = MatrixSaModel.sample_draw
         monkeypatch.setattr(MatrixSaModel, "sample_draw",
                             lambda self, rng, out: draws.append(rng) or sample_draw(self, rng, out))
-        rng, other = rng_for(*key), rng_for(73)
-        a = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
-        b = np.array([scale * random_hermitian(1, rng), random_hermitian(1, other)])
-        with np.errstate(all="ignore"):
-            raised, report = _theorem4_stack(
-                _Pair(MatrixSaModel(1), hermitian_matrix(a), hermitian_matrix(b)), [seed, 7], 8)
-        assert isinstance(raised, error)
-        assert dict(report.details)["uniqueness_survivors"] == 0.0
-        assert len(draws) == drawn + 8
+        other, rng = rng_for(73), rng_for(*key)
+        a = np.array([random_hermitian(1, other), scale * random_hermitian(1, rng)])
+        b = np.array([random_hermitian(1, other), scale * random_hermitian(1, rng)])
+        with np.errstate(all="ignore"), pytest.raises(error, match=f"^{message}$"):
+            _theorem4_stack(
+                _Pair(MatrixSaModel(1), hermitian_matrix(a), hermitian_matrix(b)), [7, seed], 8)
+        assert len(draws) == 8 + drawn
 
     def test_checks_run_cheapest_first(self, monkeypatch):
         # the zero-product certificate, the zero product, then c_i <= a, then
