@@ -12,7 +12,7 @@ from .errors import (
     OrtholatError,
     PreconditionFailed,
 )
-from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
+from .carriers import CoordinateModel, MatrixSaModel
 from .orthogonality import (
     OrthReport,
     abs_infty_orth_sampled,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _pymax, _unit_floor, _worst
+from .linalg import _draw_rows, _pymax, _uniform_from, _uniforms, _unit_floor, _worst
 from .orthogonality import OrthReport, _sampled_stack, _trial_walk
 
 __all__ = [
@@ -34,9 +34,11 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     Each detail is a violation (0 = good): residuals for the must-hold
     axioms, bounded by tol_zero, and axiom 4's uniqueness survivors, by 0.
 
-    Trial i draws its random numbers from rng_for(seed, i), one trial after
-    another, and the trials of a chunk of _trial_walk([(seed,)], ...), at one
-    element of the model a trial, are then checked in stacks. A residual
+    Trial i draws its random numbers from rng_for(seed, i) into its rows of
+    the chunk's draws (u, the triple, k, the perturbation's sample and
+    fraction, the dominated sample), and the trials of a chunk of
+    _trial_walk([(seed,)], ...), at one element of the model a trial, are
+    then built and checked in stacks. A residual
     that is NaN fails the check and is its worst. A trial takes each
     element's |.| once with model.jordan; the Jordan parts and their
     perturbations are positive, so each is its own |.|. A matrix trial
@@ -48,12 +50,13 @@ def check_axioms(model, trials: int = 200, seed: int = 0) -> OrthReport:
     tol = model.tol
     r1 = r2 = r3 = r4 = r5 = 0.0
     survivors = 0
+    sample = (model.sample_width, model.sample_draw)
     for *_, rngs in _trial_walk([(seed,)], range(trials), lambda _: model.n ** model.rank):
-        u, triples, k, d, fraction, t = zip(*[
-            (model.sample(rng), model.triple_draw(rng), rng.uniform(-4.0, 4.0),
-             model.sample(rng), rng.uniform(0.05, 0.5), model.dominated_draw(rng))
-            for rng in rngs])
-        u, k, d, fraction, t = map(np.array, (u, k, d, fraction, t))
+        u, triples, k, d, fraction, t = _draw_rows(
+            rngs, sample, (model.triple_width, model.triple_draw), (1, _uniforms), sample,
+            (1, _uniforms), (model.dominated_width, model.dominated_draw))
+        u, d = model.samples(u), model.samples(d)
+        k, fraction = _uniform_from(-4.0, 4.0, k[:, 0]), _uniform_from(0.05, 0.5, fraction[:, 0])
         ut, vt, wt = model.orthogonal_triples(triples)
         up, un, au = model.jordan(u)
         aut = model.jordan(ut)[2]
@@ -120,10 +123,11 @@ def check_theorem7(model, trials: int = 200, seed: int = 0) -> OrthReport:
     tol = model.tol
     ra_exact = ra_sampled = rb = 0.0
     for *_, rngs in _trial_walk([(seed,)], range(trials), lambda _: model.n ** model.rank):
-        u, seeds, triples = zip(*[
-            (model.sample(rng), int(rng.integers(1 << 62)), model.triple_draw(rng))
-            for rng in rngs])
-        up, un, _ = model.jordan(np.array(u))
+        seeds = []   # 62-bit keys, which a row of floats cannot hold
+        u, _, triples = _draw_rows(rngs, (model.sample_width, model.sample_draw),
+                                   (0, lambda rng, _: seeds.append(int(rng.integers(1 << 62)))),
+                                   (model.triple_width, model.triple_draw))
+        up, un, _ = model.jordan(model.samples(u))
         ut, vt, wt = model.orthogonal_triples(triples)
 
         # (1)(a) |up| = up and |un| = un, so the exact half is up un = 0

@@ -8,6 +8,12 @@ every check built on it is written once for both. `element`, `spectrum`,
 leading axes, and give each element of a stack bit for bit what it gets
 alone.
 
+A random object X is drawn in two steps: X_draw(rng, out) fills a trial's
+row of X_width entries (linalg._draw_rows) with out= draws, in the order in
+which the trial reads its generator, and one stacked call builds the
+objects of a chunk's rows: samples, orthogonal_triples, dominated_sample
+and interval_samples.
+
 `carrier_operands` picks the model from the operands: a 1-D array is a
 vector of R^n, anything else must be a square matrix.
 """
@@ -19,7 +25,9 @@ from .errors import DimensionMismatch, NotPositive
 from .linalg import (
     Spectrum,
     _cone_defect,
+    _normals,
     _rebuild,
+    _uniforms,
     _unit_floor,
     _unitary,
     frob,
@@ -28,8 +36,6 @@ from .linalg import (
     hermitian_matrix,
     hermitian_norm,
     psd_defect,
-    random_complex,
-    random_hermitian,
     rel_diff,
     sqrt_psd,
     zero_product_exceeds,
@@ -71,28 +77,27 @@ class _Carrier:
         self.n = n
         self.tol = tol
 
-    def sample(self, rng):
-        return self.samples(rng.standard_normal(self.draw_shape))
-
-    def sample_draw(self, rng, out):
-        """Draws the normals of sample(rng) into out (a row of draw_shape)."""
-        rng.standard_normal(out=out)
+    sample_draw = staticmethod(_normals)   # a sample's normals, or several samples'
 
     def jordan(self, x):
         """(pos, neg, abs) of x, or of each element of a stack, from its spectrum."""
         return self.spectrum(x).jordan_parts()
 
-    def dominated_sample(self, v, t):
+    dominated_width = property(lambda self: 2 * self.n)
+
+    def dominated_draw(self, rng, out):
+        """n uniform magnitudes, then n random signs as bits (which
+        Generator.choice([-1.0, 1.0]) draws too), into out."""
+        rng.random(out=out[:self.n])
+        out[self.n:] = rng.integers(0, 2, size=self.n)
+
+    def dominated_sample(self, v, draws):
         """(|v|, w) with |w| <= |v|, of v or of each element of a stack, from
         its spectrum: w shrinks and sign-flips the eigenvalues of |v| by the
-        factors t of dominated_draw, on v's own eigenvectors."""
+        factors t in [-1, 1]^n of dominated_draw rows, on v's eigenvectors."""
+        t = draws[..., :self.n] * np.where(draws[..., self.n:], 1.0, -1.0)
         s = self.spectrum(v)
         return s.jordan_parts()[2], _rebuild(s.eigenvectors, t * np.abs(s.eigenvalues))
-
-    def dominated_draw(self, rng):
-        """The factors t in [-1, 1]^n of one dominated_sample: uniform
-        magnitudes, then random signs."""
-        return rng.uniform(0.0, 1.0, size=self.n) * rng.choice([-1.0, 1.0], size=self.n)
 
 
 class MatrixSaModel(_Carrier):
@@ -105,9 +110,14 @@ class MatrixSaModel(_Carrier):
     norm = staticmethod(hermitian_norm)        # batched operator norm
     vector_norm = staticmethod(frob)
     rel_diff = staticmethod(rel_diff)
-    draw_shape = property(lambda self: (2, self.n, self.n))   # the normals of a sample
-    samples = staticmethod(hermitian_from_normals)
     zero_product_exceeds = staticmethod(zero_product_exceeds)
+    sample_width = property(lambda self: 2 * self.n * self.n)
+    interval_width = property(lambda self: 2 * self.n * self.n + self.n)
+    triple_width = property(lambda self: 3 + 2 * self.n ** 2 + 4 * (self.n - 1) ** 2)   # n1 = 1
+
+    def samples(self, normals):
+        """hermitian_from_normals of each row (x, y) of normals, overwritten."""
+        return hermitian_from_normals(normals.reshape(normals.shape[:-1] + (2, self.n, self.n)))
 
     def positive(self, x):
         """A positive element made from a sample x: its positive part."""
@@ -127,44 +137,48 @@ class MatrixSaModel(_Carrier):
         except NotPositive as exc:
             raise NotPositive(f"{name} is not positive ({exc})") from None
 
-    def interval_samples(self, root, rngs, owners):
-        """The stack of one element of [0, a] from each of a non-empty
-        sequence of generators, generator k's in the interval of the operand
-        owners[k], given root = interval_root(a): a^(1/2) w a^(1/2) with w a
-        random contraction 0 <= w <= 1. Each generator draws the normals of
-        a random unitary, then the uniforms of its eigenvalues t; the whole
-        stack is one stacked LAPACK call. The product is symmetrized by
-        hermitian_matrix, which halves before it adds, so a sample of an a
-        near the float range is finite; ValueError if an entry is not."""
-        n = root.shape[-1]
-        g, t = map(np.array, zip(*[(random_complex(n, rng), rng.uniform(0.0, 1.0, size=n))
-                                   for rng in rngs]))
-        u = _unitary(g)
-        w = (u * t[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    def interval_draw(self, rng, out):
+        """The normals of a random unitary, then the uniforms of its
+        eigenvalues t, into out."""
+        rng.standard_normal(out=out[:-self.n])
+        rng.random(out=out[-self.n:])
+
+    def interval_samples(self, root, draws, owners):
+        """The stack of one element of [0, a] from each interval_draw row, row
+        k's in the interval of the operand owners[k], given root =
+        interval_root(a): a^(1/2) w a^(1/2) with w a random contraction
+        0 <= w <= 1. The unitaries of all rows are one stacked qr. The
+        product is symmetrized by hermitian_matrix, which halves before it
+        adds, so a sample of an a near the float range is finite; ValueError
+        if an entry is not."""
+        n = self.n
+        u = _unitary(draws[:, :-n].reshape(len(draws), 2, n, n))
+        w = (u * draws[:, None, -n:]) @ u.conj().mT
         root = root[owners]
         return hermitian_matrix(root @ w @ root)
 
-    def triple_draw(self, rng):
-        """The random numbers of one orthogonal triple, in the order drawn:
-        the block size n1, the normals of the unitary, then the blocks."""
-        n1 = int(rng.integers(1, self.n))
-        return (n1, random_complex(self.n, rng), random_hermitian(n1, rng),
-                random_hermitian(self.n - n1, rng), random_hermitian(self.n - n1, rng))
+    def triple_draw(self, rng, out):
+        """The block size n1, then the normals of the unitary and of the
+        blocks gu (n1 x n1), gv and gw (n - n1 square), into out."""
+        n, n1 = self.n, int(rng.integers(1, self.n))
+        out[0] = n1
+        rng.standard_normal(out=out[1:1 + 2 * n * n + 2 * n1 * n1 + 4 * (n - n1) ** 2])
 
     def orthogonal_triples(self, draws):
-        """The stacks (u, v, w) of the triples of a non-empty sequence of
-        triple_draw results: u positive on one block (|gu|, one stacked
-        decomposition per block size), v and w arbitrary on the complement,
-        conjugated by a random unitary to avoid purely diagonal structure."""
-        sizes, g, gu, gv, gw = zip(*draws)
-        u, v, w = np.zeros((3, len(draws), self.n, self.n), dtype=complex)
-        for n1 in set(sizes):
-            rows = [k for k, size in enumerate(sizes) if size == n1]
-            u[rows, :n1, :n1] = self.jordan(np.array([gu[k] for k in rows]))[2]
-        for k, n1 in enumerate(sizes):
-            v[k, n1:, n1:] = gv[k]
-            w[k, n1:, n1:] = gw[k]
-        q = _unitary(np.array(g))
+        """The stacks (u, v, w) of the triples of triple_draw rows: u positive
+        on one block (|gu|, one stacked decomposition per block size), v and
+        w arbitrary on the complement, conjugated by a random unitary to
+        avoid purely diagonal structure."""
+        n, sizes = self.n, draws[:, 0]
+        u, v, w = np.zeros((3, len(draws), n, n), dtype=complex)
+        for n1 in set(sizes.astype(int).tolist()):
+            rows, m = sizes == n1, n - n1
+            g = draws[rows, 1 + 2 * n * n:]
+            u[rows, :n1, :n1] = self.jordan(
+                hermitian_from_normals(g[:, :2 * n1 * n1].reshape(-1, 2, n1, n1)))[2]
+            v[rows, n1:, n1:], w[rows, n1:, n1:] = hermitian_from_normals(
+                g[:, 2 * n1 * n1:2 * n1 * n1 + 4 * m * m].reshape(-1, 2, 2, m, m)).swapaxes(0, 1)
+        q = _unitary(draws[:, 1:1 + 2 * n * n].reshape(-1, 2, n, n))
         conj = lambda x: hermitian_matrix(q @ x @ q.conj().mT)
         return conj(u), conj(v), conj(w)
 
@@ -177,7 +191,8 @@ class CoordinateModel(_Carrier):
     element = staticmethod(lattice_vector)
     norm = staticmethod(sup_norm)
     vector_norm = staticmethod(sup_norm)
-    draw_shape = property(lambda self: (self.n,))
+    sample_width = interval_width = property(lambda self: self.n)
+    triple_width = property(lambda self: 3 * self.n)
     samples = staticmethod(lambda normals: normals)
 
     def positive(self, x):
@@ -216,24 +231,27 @@ class CoordinateModel(_Carrier):
                               f"(defect {np.ravel(defect)[above[0]]:.3e})")
         return a
 
-    def interval_samples(self, root, rngs, owners):
-        """The stack of t * a with t uniform in the unit box, one sample from
-        each generator as on matrices."""
-        t = np.array([rng.uniform(0.0, 1.0, size=root.shape[-1]) for rng in rngs])
-        return t * root[owners]
+    interval_draw = staticmethod(_uniforms)   # factors t, uniform in the unit box
+
+    def interval_samples(self, root, draws, owners):
+        """The stack of t * a of the interval_draw rows t, as on matrices."""
+        return draws * root[owners]
+
+    def triple_draw(self, rng, out):
+        """The block size n1, the normals of u on the block and of v and w
+        off it (2n - n1), then a permutation, into out."""
+        n, n1 = self.n, int(rng.integers(1, self.n))
+        out[0] = n1
+        rng.standard_normal(out=out[1:1 + 2 * n - n1])
+        out[2 * n:] = rng.permutation(n)
 
     def orthogonal_triples(self, draws):
-        return tuple(map(np.array, zip(*draws)))
-
-    def triple_draw(self, rng):
-        """The triple itself: on R^n it is all drawn."""
-        n1 = int(rng.integers(1, self.n))
-        u, v, w = np.zeros((3, self.n))
-        u[:n1] = np.abs(rng.standard_normal(n1))
-        v[n1:] = rng.standard_normal(self.n - n1)
-        w[n1:] = rng.standard_normal(self.n - n1)
-        perm = rng.permutation(self.n)
-        return u[perm], v[perm], w[perm]
+        """The triples of triple_draw rows: on R^n they are all drawn."""
+        n, at, n1 = self.n, np.arange(self.n), draws[:, :1].astype(int)
+        z, off = draws[:, 1:2 * n], at >= n1   # v's and w's normals follow u's
+        u, v, w = (np.where(off, 0.0, np.abs(z[:, :n])), np.where(off, z[:, :n], 0.0),
+                   np.where(off, np.take_along_axis(z, n + at - n1, 1), 0.0))
+        return tuple(np.take_along_axis(x, draws[:, 2 * n:].astype(int), 1) for x in (u, v, w))
 
 
 class BrokenOrthModel(CoordinateModel):

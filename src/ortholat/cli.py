@@ -1,8 +1,8 @@
 """Command-line entry point: verification suites, ortho-lattice operations
 on user matrices, Jordan decomposition, and the anti-lattice witness.
 
-Exit codes: 0 success, 1 suite failure / witness not found, 2 configuration
-error or comparable pair.
+Exit codes: 0 success, 1 suite failure / failing theorem4 record of ortho /
+witness not found, 2 configuration error or comparable pair.
 """
 from __future__ import annotations
 
@@ -151,7 +151,7 @@ def cmd_ortho(args) -> int:
         "theorem4": rep.to_json(),
     }
     _emit(report, args.out)
-    return 0
+    return 0 if rep.holds else 1
 
 
 def cmd_decompose(args) -> int:

@@ -34,10 +34,6 @@ __all__ = [
     "hermitian_norm",
     "psd_defect",
     "rng_for",
-    "random_complex",
-    "random_hermitian",
-    "random_unitary",
-    "random_psd",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -392,18 +388,39 @@ def rng_for(seed: int, *indices: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & _SEED_MASK, *indices])
 
 
-def random_complex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex n x n matrix of standard normal real and then imaginary
-    parts."""
-    parts = rng.standard_normal((2, n, n))
-    z = np.empty((n, n), dtype=complex)
-    z.real = parts[0]
-    z.imag = parts[1]
+def _draw_rows(rngs, *segments) -> list:
+    """The draws of a chunk's trials, one per generator of `rngs`: for each
+    (width, draw) of `segments` in turn, draw(rng, out) fills the trial's
+    row of that segment's (trials, width) array with out= draws, in the
+    order in which the trial reads its generator. Returns the arrays."""
+    rngs = list(rngs)
+    blocks = [(np.empty((len(rngs), width)), draw) for width, draw in segments]
+    for r, rng in enumerate(rngs):
+        for block, draw in blocks:
+            draw(rng, block[r])
+    return [block for block, _ in blocks]
+
+
+def _normals(rng, out):
+    rng.standard_normal(out=out)
+
+
+def _uniforms(rng, out):
+    rng.random(out=out)
+
+
+def _uniform_from(lo, hi, r):
+    """Generator.uniform(lo, hi) of the draws r of Generator.random, bit for
+    bit: lo + (hi - lo) r, as numpy computes it."""
+    return lo + (hi - lo) * r
+
+
+def complex_from_normals(g) -> np.ndarray:
+    """The complex matrix x + iy of g = (x, y) of shape (2, n, n), or of each
+    of a stack, with the parts copied as they are."""
+    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=complex)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
     return z
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    return hermitian_from_normals(rng.standard_normal((2, n, n)))
 
 
 def hermitian_from_normals(g) -> np.ndarray:
@@ -420,22 +437,13 @@ def hermitian_from_normals(g) -> np.ndarray:
     return h
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _unitary(random_complex(n, rng))
-
-
 def _unitary(g) -> np.ndarray:
-    """The Haar-distributed unitary Q of g = QR with the phases of R's
-    diagonal moved into Q, of a complex matrix of normals or of each matrix
-    of a stack (one stacked qr)."""
-    q, r = np.linalg.qr(g)
+    """The Haar-distributed unitary Q of x + iy = QR with the phases of R's
+    diagonal moved into Q, of normals g = (x, y) of shape (2, n, n) or of
+    each of a stack (one stacked qr)."""
+    q, r = np.linalg.qr(complex_from_normals(g))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(np.where(d == 0, 1.0, d)))[..., None, :]
-
-
-def random_psd(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = random_complex(n, rng)
-    return hermitian_matrix(g @ g.conj().T / n)
 
 
 # ---------------------------------------------------------------------------

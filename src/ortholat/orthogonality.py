@@ -13,6 +13,7 @@ from .carriers import MatrixSaModel, carrier_operands
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .linalg import (
     _SEED_MASK,
+    _draw_rows,
     _generator,
     _seed_words,
     _unit_floor,
@@ -155,7 +156,8 @@ def _trial_walk(prefixes, trials: range, entries, dims=None, live=None):
     p, for j in `trials` (a range of step 1), draws from the generator of
     the key (*prefixes[p], j), that is rng_for(*prefixes[p], j), and the
     keys go pair by pair in trial order. Per chunk it yields the pairs (an
-    array) and the trials of its keys, their n and their fresh generators.
+    array) and the trials of its keys, their n and their fresh generators,
+    which draw into the chunk's rows (linalg._draw_rows).
 
     With `dims`, n = dims(rng) is read from each key's generator (a trial
     reads it again from the one yielded), and only keys of equal n share a
@@ -311,9 +313,11 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
     interval_root raises NotPositive for the first a that is not positive,
     else for the first b.
     The samples go in chunks of at most _CHUNK_SAMPLES, pair by pair in
-    trial order. A pair draws no chunk after the one that holds its first
-    violation, and its worst residual covers the trials up to it; a NaN
-    residual is a violation, and makes the worst NaN.
+    trial order, a trial drawing the rows of a sample of a, then of b, and
+    each operand's samples one interval_samples stack. A pair draws no chunk
+    after the one that holds its first violation, and its worst residual
+    covers the trials up to it; a NaN residual is a violation and makes the
+    worst NaN.
     """
     tol = model.tol
     root_a = model.interval_root(a, "a")
@@ -346,9 +350,11 @@ def _sampled_stack(model, a, b, seeds, trials: int, hereditary: bool = False):
             judge(i, 0, seg)
     for owners, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(start, trials),
                                               lambda _: a[0].size, live=lambda i: first[i] < 0):
-        drawn = list(rngs)   # each draws a sample of a, then one of b
-        values = residual(model.interval_samples(root_a, drawn, owners),
-                          model.interval_samples(root_b, drawn, owners))
+        draws_a, draws_b = _draw_rows(rngs, *[(model.interval_width, model.interval_draw)] * 2)
+        samples = (model.interval_samples(root_a, draws_a, owners),
+                   model.interval_samples(root_b, draws_b, owners))
+        del draws_a, draws_b   # freed before the residuals
+        values = residual(*samples)
         # each pair's trials of a chunk are consecutive rows
         edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
         for lo, hi in zip(edges, edges[1:]):

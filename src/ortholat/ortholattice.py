@@ -14,7 +14,8 @@ import numpy as np
 
 from .carriers import MatrixSaModel, carrier_operands
 from .errors import ComparablePair, PreconditionFailed
-from .linalg import _eigenvalues, _pymax, _unit_floor, frob, hermitian_matrix, matrix_to_json
+from .linalg import (_draw_rows, _eigenvalues, _pymax, _uniform_from, _uniforms, _unit_floor,
+                     frob, hermitian_matrix, matrix_to_json)
 from .orthogonality import OrthReport, _sole, _trial_walk
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -94,9 +95,9 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     rng_for(seeds[i], j): the report of each pair. As _sampled_stack does,
     it raises the first error it meets (pairs in order, each pair's
     perturbations in order). Once the _Pair drops x, its spectrum and its
-    parts, each chunk of _trial_walk draws normals into one buffer, which
-    the model builds into one stack of c + delta (not validated again),
-    settled cheapest first and folded in row order."""
+    parts, each chunk of _trial_walk draws a row per perturbation (normals,
+    fraction), which the model builds into one stack of c + delta (not
+    validated again), settled cheapest first and folded in row order."""
     model, a, b, x = pair.model, pair.a, pair.b, pair.x
     tol = model.tol
     bounds = dict(zip((*_EXISTENCE, "uniqueness_survivors"),
@@ -116,14 +117,12 @@ def _theorem4_stack(pair: _Pair, seeds, trials: int) -> list:
     spread = (...,) + (None,) * (c.ndim - 1)   # one value per perturbation
     for owner, trial, _, rngs in _trial_walk([(s,) for s in seeds], range(trials),
                                              lambda _: c[0].size, live=live):
-        normals = np.empty((len(owner), *model.draw_shape))
-        fractions = np.empty(len(owner))
-        for row, rng in enumerate(rngs):
-            model.sample_draw(rng, normals[row])
-            fractions[row] = rng.uniform(1e-4, 1.0)
+        normals, fractions = _draw_rows(rngs, (model.sample_width, model.sample_draw),
+                                        (1, _uniforms))
+        scale = _uniform_from(1e-4, 1.0, fractions[:, 0]) * gap[owner]
         draw = model.samples(normals)
-        del normals
-        draw *= (fractions * gap[owner] / _pymax(model.vector_norm(draw), 1e-300))[spread]
+        del normals, fractions   # the chunk's draws, freed once built
+        draw *= (scale / _pymax(model.vector_norm(draw), 1e-300))[spread]
         np.add(c[owner], draw, out=draw)   # c + delta, a sum of elements: not validated
         finite = np.isfinite(draw).all(axis=tuple(range(1, draw.ndim)))
         left = finite.copy()   # checked: the finite rows

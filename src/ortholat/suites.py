@@ -10,13 +10,14 @@ from .axioms import check_axioms, check_theorem7
 from .carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from .errors import InternalInconsistency
 from .linalg import (
+    _draw_rows,
+    _normals,
     _rebuild,
+    _unitary,
+    complex_from_normals,
     hermitian_eigendecompose,
+    hermitian_from_normals,
     hermitian_matrix,
-    random_complex,
-    random_hermitian,
-    random_psd,
-    random_unitary,
     zero_product_residual,
 )
 from .orthogonality import (
@@ -38,34 +39,58 @@ def _dim_for(rng, dim: int) -> int:
     return int(rng.integers(2, max(dim, 2) + 1))
 
 
-def _split(n, rng):
-    """Diagonals (da, db) of normals on complementary blocks of a random split."""
-    split = int(rng.integers(1, n))
-    da, db = np.zeros((2, n))
-    da[:split] = rng.standard_normal(split)
-    db[split:] = rng.standard_normal(n - split)
-    return da, db
+# A sampler maps n to (width, draw, build): draw(rng, row) fills a trial's
+# row of `width` entries of the sampler's array for the chunk with out=
+# draws, in the order in which the trial reads its generator, and
+# build(rows) makes the stacks of the elements of the chunk's rows, one
+# stacked call an object.
+
+def _block_split(n, unitaries, build):
+    """The sampler of build(u, da, db): `unitaries` random unitaries u, one
+    axis each in front, and diagonals da and db of normals on complementary
+    blocks of a random split. A trial draws the normals of the unitaries,
+    the split, then n normals: da's block, then db's."""
+    w = 2 * unitaries * n * n
+
+    def draw(rng, row):
+        rng.standard_normal(out=row[:w])
+        row[w] = rng.integers(1, n)
+        rng.standard_normal(out=row[w + 1:])
+
+    def split(rows):
+        low, z = np.arange(n) < rows[:, w, None], rows[:, w + 1:]
+        u = _unitary(rows[:, :w].reshape(len(rows), -1, 2, n, n))
+        return build(u.swapaxes(0, 1), np.where(low, z, 0.0), np.where(low, 0.0, z))
+    return w + 1 + n, draw, split
 
 
-def _orthogonal_sa_pair(n, rng):
-    """Hermitian pair with |a||b| = 0 by a common-eigenbasis block split."""
-    u = random_unitary(n, rng)
-    da, db = _split(n, rng)
-    return _rebuild(u, da), _rebuild(u, db)
+def _orthogonal_sa_pair(n):
+    """Hermitian pairs with |a||b| = 0 by a common-eigenbasis block split."""
+    return _block_split(n, 1, lambda u, da, db: (_rebuild(u[0], da), _rebuild(u[0], db)))
 
 
-def _orthogonal_general_pair(n, rng):
-    """Complex pair with ab* = 0 = a*b via disjoint singular supports."""
-    u = random_unitary(n, rng)
-    v = random_unitary(n, rng)
-    da, db = _split(n, rng)
-    return (u * da) @ v.conj().T, (u * db) @ v.conj().T
+def _orthogonal_general_pair(n):
+    """Complex pairs with ab* = 0 = a*b via disjoint singular supports."""
+    return _block_split(n, 2, lambda u, da, db: ((u[0] * da[:, None]) @ u[1].conj().mT,
+                                                 (u[0] * db[:, None]) @ u[1].conj().mT))
 
 
-def _orthogonal_psd_pair(n, rng):
-    a, b = _orthogonal_sa_pair(n, rng)
-    return (hermitian_eigendecompose(a).jordan_parts()[2],
-            hermitian_eigendecompose(b).jordan_parts()[2])
+def _orthogonal_psd_pair(n):
+    """|a| and |b| of _orthogonal_sa_pair's pairs, from one stacked decomposition."""
+    width, draw, build = _orthogonal_sa_pair(n)
+    return width, draw, lambda rows: np.split(
+        hermitian_eigendecompose(np.concatenate(build(rows))).jordan_parts()[2], 2)
+
+
+def _normal_matrices(n, make):
+    """The sampler of matrices make(g) of (x, y) blocks g of n x n normals."""
+    return 2 * n * n, _normals, lambda g: (make(g.reshape(len(g), 2, n, n)),)
+
+
+def _psd_from_normals(g):
+    """z z* / n, symmetrized, of the complex n x n matrix z of normals g or of each of a stack."""
+    z = complex_from_normals(g)
+    return hermitian_matrix(z @ z.conj().mT / z.shape[-1])
 
 
 def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -81,8 +106,7 @@ def suite_lemma1(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
     return _suite("lemma1", pairs * samples,
                   _checked_in_stacks(pairs, seed, 1, lambda rng: _dim_for(rng, dim),
-                                     lambda i, n, rng: _orthogonal_psd_pair(n, rng), check,
-                                     lambda n: n * n))
+                                     [(_orthogonal_psd_pair,)], check, lambda n: n * n))
 
 
 def _suite(name, trials, records=None, negative_control=None, **counts) -> dict:
@@ -100,29 +124,38 @@ def _suite(name, trials, records=None, negative_control=None, **counts) -> dict:
     return report
 
 
-def _checked_in_stacks(trials, seed, stream, dims, draw, check, entries) -> list:
-    """The outcome of each trial i, in trial order. Its pair is draw(i, n,
-    rng), where rng is its generator of _trial_walk([(seed, stream)],
-    range(trials), entries, dims), once n = dims(rng) is read from it. The
-    pairs of a chunk are checked together: check(chunk, a, b) gets the
-    chunk's trials and the stacks of their first and second elements (and
-    of any further ones that draw gives, as further arguments), and returns
-    one outcome per pair."""
+def _checked_in_stacks(trials, seed, stream, dims, kinds, check, entries) -> list:
+    """The outcome of each trial i, in trial order. Its generator is its one
+    of _trial_walk([(seed, stream)], range(trials), entries, dims), from
+    which n = dims(rng) is read again; then the samplers (see above) of
+    kinds[i % len(kinds)] in turn draw its rows. The trials of a chunk and
+    kind are built and checked together: check(trials, a, b, ...) gets their
+    trials and the stacks that the samplers build, and returns one outcome
+    per trial."""
     outcomes = [None] * trials
-    for _, chunk, _, rngs in _trial_walk([(seed, stream)], range(trials), entries, dims):
-        stacks = map(np.stack, zip(*(draw(i, dims(rng), rng) for i, rng in zip(chunk, rngs))))
-        for i, outcome in zip(chunk, check(chunk, *stacks)):
-            outcomes[i] = outcome
+    for _, chunk, n, rngs in _trial_walk([(seed, stream)], range(trials), entries, dims):
+        rngs = list(rngs)
+        for rng in rngs:
+            dims(rng)
+        for kind, samplers in enumerate(kinds):
+            mine = [r for r, i in enumerate(chunk) if i % len(kinds) == kind]
+            if mine:
+                made = [sampler(n) for sampler in samplers]
+                rows = _draw_rows([rngs[r] for r in mine], *[(w, draw) for w, draw, _ in made])
+                stacks = [x for (*_, build), block in zip(made, rows) for x in build(block)]
+                del rows   # the draws, freed before the check
+                ids = [chunk[r] for r in mine]
+                for i, outcome in zip(ids, check(ids, *stacks)):
+                    outcomes[i] = outcome
     return outcomes
 
 
 def _routes_suite(name, stream, pairs, check, stacked, dim, trials, seed):
-    """check(a, b) on stacks of equal-n pairs from pairs[0] and pairs[1] in
-    turn, `stacked` times n * n entries a pair: a returned
+    """check(a, b) on stacks of equal-n pairs of the kinds pairs[0] and
+    pairs[1] in turn, `stacked` times n * n entries a pair: a returned
     InternalInconsistency is a disagreement of the routes, and only pairs
     the check calls orthogonal carry a residual."""
-    reports = _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim),
-                                 lambda i, n, rng: pairs[i % 2](n, rng),
+    reports = _checked_in_stacks(trials, seed, stream, lambda rng: _dim_for(rng, dim), pairs,
                                  lambda chunk, a, b: check(a, b), lambda n: stacked * n * n)
     orthogonal = [rep for rep in reports if isinstance(rep, OrthReport) and rep.holds]
     return _suite(name, trials, orthogonal,
@@ -134,23 +167,23 @@ def _theorem4_suite(name, carrier, stream, dims, trials, seed, tol):
     samples of carrier(n) from rng_for(seed, stream, i), after dims reads n
     from it. The pairs of equal n are checked in stacks, and the first error
     in the walk's order (which groups the trials by n) is raised."""
-    def draw(i, n, rng):
+    def sample(n):
         model = carrier(n, tol)
-        return model.sample(rng), model.sample(rng)
+        return model.sample_width, model.sample_draw, lambda rows: (model.samples(rows),)
 
     def check(chunk, a, b):
         return _theorem4_stack(_Pair(carrier(a.shape[-1], tol), a, b),
                                [seed + i for i in chunk], 10)
 
-    reports = _checked_in_stacks(trials, seed, stream, dims, draw, check,
+    reports = _checked_in_stacks(trials, seed, stream, dims, [(sample, sample)], check,
                                  lambda n: n ** carrier.rank)
     return _suite(name, trials, reports, failures=sum(not rep.holds for rep in reports))
 
 
 def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Three-way equivalence of self-adjoint orthogonality."""
-    pairs = (_orthogonal_sa_pair,
-             lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
+    hermitian = lambda n: _normal_matrices(n, hermitian_from_normals)
+    pairs = [(_orthogonal_sa_pair,), (hermitian, hermitian)]
 
     def check(a, b):
         return _prop2_stack(MatrixSaModel(a.shape[-1], tol), a, b)
@@ -160,8 +193,8 @@ def suite_prop2(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
 
 def suite_prop3(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     """Agreement of the four routes to general algebraic orthogonality."""
-    pairs = (_orthogonal_general_pair,
-             lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
+    general = lambda n: _normal_matrices(n, complex_from_normals)
+    pairs = [(_orthogonal_general_pair,), (general, general)]
     return _routes_suite(
         "prop3", 3, pairs,
         lambda a, b: _alg_orth_general_stack(a, b, tol),
@@ -194,8 +227,8 @@ def suite_prop6(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     model = CoordinateModel(n, tol)
     failures = 0
     for *_, rngs in _trial_walk([(seed, 6)], range(trials), lambda _: n):
-        uv = np.abs([(rng.standard_normal(n), rng.standard_normal(n)) for rng in rngs])
-        w = _Pair(model, uv[:, 0], uv[:, 1]).c
+        u, v = _draw_rows(rngs, (n, _normals), (n, _normals))
+        w = _Pair(model, np.abs(u), np.abs(v)).c
         broken = infty_deviations(w, w, model.norm).max(-1) > tol.tol_eq
         failures += int(np.count_nonzero(~broken))
     return _suite("prop6", trials, failures=failures)
@@ -244,11 +277,12 @@ def suite_bridge(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
                          for m, v in ((matrices.c, vectors.c), (matrices.d, vectors.d)))], 0)
         return [OrthReport("bridge", [("carrier_gap", g)], bounds) for g in gaps.tolist()]
 
+    def vector(n):   # a vector of normals
+        return n, _normals, lambda g: (g,)
+
     return _suite("bridge", trials,
                   _checked_in_stacks(trials, seed, 8, lambda rng: _dim_for(rng, dim),
-                                     lambda i, n, rng: (rng.standard_normal(n),
-                                                        rng.standard_normal(n)),
-                                     check, lambda n: n * n))
+                                     [(vector, vector)], check, lambda n: n * n))
 
 
 def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
@@ -261,9 +295,7 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
     pair must hold, and an overlapping pair whose report holds is missed."""
     pairs = max(1, trials // 10)
     samples = 40
-
-    def draw(i, n, rng):
-        return (*_orthogonal_psd_pair(n, rng), random_psd(n, rng), random_psd(n, rng))
+    psd = lambda n: _normal_matrices(n, _psd_from_normals)   # a random z z* / n
 
     def check(chunk, a, b, c, d):
         model = MatrixSaModel(a.shape[-1], tol)
@@ -279,7 +311,8 @@ def suite_infty_consistency(dim, trials, seed, tol: Tolerances = DEFAULT_TOL):
         return zip(reports, missed)
 
     reports, missed = zip(*_checked_in_stacks(pairs, seed, 9, lambda rng: _dim_for(rng, dim),
-                                              draw, check, lambda n: n * n))
+                                              [(_orthogonal_psd_pair, psd, psd)], check,
+                                              lambda n: n * n))
     return _suite("infty", pairs * samples, reports, missed=sum(missed))
 
 

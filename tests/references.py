@@ -8,7 +8,8 @@ one pair as infty_deviations once built it, pair by pair.
 
 Also the Jordan parts and dominated samples written out for each carrier
 alone, against which the models' shared forms over their spectrum are
-checked."""
+checked, and the suites' pairs drawn and built one trial at a time, as the
+suites once built them."""
 import json
 
 import numpy as np
@@ -16,16 +17,17 @@ import numpy as np
 from ortholat.carriers import carrier_operands, sup_norm
 from ortholat.errors import NotPositive, PreconditionFailed
 from ortholat.linalg import (
+    _rebuild,
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    random_hermitian,
-    random_unitary,
     rng_for,
 )
 from ortholat.axioms import _THEOREM7_INNER
 from ortholat.orthogonality import OrthReport, _sampled_stack
 from ortholat.tolerances import DEFAULT_TOL
+
+from helpers import random_hermitian, random_unitary, sample
 
 
 def same_report(got: OrthReport, want: OrthReport) -> bool:
@@ -160,10 +162,15 @@ def hereditary_loop(a, b, trials, seed, tol=DEFAULT_TOL) -> OrthReport:
 
 def _triple(model, rng):
     """One trial's orthogonal triple, drawn and built alone."""
-    if model.rank == 1:
-        return model.triple_draw(rng)
     n = model.n
     n1 = int(rng.integers(1, n))
+    if model.rank == 1:
+        u, v, w = np.zeros((3, n))
+        u[:n1] = np.abs(rng.standard_normal(n1))
+        v[n1:] = rng.standard_normal(n - n1)
+        w[n1:] = rng.standard_normal(n - n1)
+        perm = rng.permutation(n)
+        return u[perm], v[perm], w[perm]
     q = random_unitary(n, rng)
     gu = random_hermitian(n1, rng)
     up = np.zeros((n, n), dtype=complex)
@@ -229,7 +236,7 @@ def axioms_loop(model, trials=200, seed=0) -> OrthReport:
     survivors = 0
     for i in range(trials):
         rng = rng_for(seed, i)
-        u = model.sample(rng)
+        u = sample(model, rng)
         up, un, au = model.jordan(u)
         r1 = max(r1, model.zero_product(au, np.zeros_like(au)))
         ut, vt, wt = _triple(model, rng)
@@ -262,7 +269,7 @@ def theorem7_loop(model, trials=200, seed=0) -> OrthReport:
     ra_exact = ra_sampled = rb = 0.0
     for i in range(trials):
         rng = rng_for(seed, i)
-        u = model.sample(rng)
+        u = sample(model, rng)
         up, un, _ = model.jordan(u)
         parts = abs_infty_loop(up, un, _THEOREM7_INNER + 1, int(rng.integers(1 << 62)),
                                tol=tol)
@@ -277,3 +284,35 @@ def theorem7_loop(model, trials=200, seed=0) -> OrthReport:
     bounds = {"parts_exact_orth": tol.tol_zero, "parts_infty_sampled": tol.tol_eq,
               "block_triple_abs_orth": tol.tol_zero}
     return OrthReport("theorem7", details, bounds)
+
+
+def _split(n, rng):
+    """Diagonals (da, db) of normals on complementary blocks of a random split."""
+    split = int(rng.integers(1, n))
+    da, db = np.zeros((2, n))
+    da[:split] = rng.standard_normal(split)
+    db[split:] = rng.standard_normal(n - split)
+    return da, db
+
+
+def orthogonal_sa_pair(n, rng):
+    """The prop2 suite's Hermitian pair with |a||b| = 0, drawn and built alone."""
+    u = random_unitary(n, rng)
+    da, db = _split(n, rng)
+    return _rebuild(u, da), _rebuild(u, db)
+
+
+def orthogonal_general_pair(n, rng):
+    """The prop3 suite's complex pair with ab* = 0 = a*b, drawn and built alone."""
+    u = random_unitary(n, rng)
+    v = random_unitary(n, rng)
+    da, db = _split(n, rng)
+    return (u * da) @ v.conj().T, (u * db) @ v.conj().T
+
+
+def orthogonal_psd_pair(n, rng):
+    """|a| and |b| of orthogonal_sa_pair(n, rng): the lemma1 and infty suites'
+    orthogonal pair, drawn and built alone."""
+    a, b = orthogonal_sa_pair(n, rng)
+    return (hermitian_eigendecompose(a).jordan_parts()[2],
+            hermitian_eigendecompose(b).jordan_parts()[2])

@@ -12,7 +12,6 @@ from ortholat.carriers import BrokenOrthModel, CoordinateModel, MatrixSaModel
 from ortholat.linalg import (
     frob,
     hermitian_eigendecompose,
-    random_psd,
     rel_diff,
     rng_for,
 )
@@ -23,13 +22,14 @@ from ortholat.ortholattice import (
     verify_theorem4,
 )
 from ortholat.suites import (
-    _orthogonal_psd_pair,
     suite_prop2,
     suite_prop3,
     suite_theorem4,
 )
 from ortholat.tolerances import DEFAULT_TOL
 
+from helpers import random_psd
+from references import orthogonal_psd_pair
 from test_ortholattice import (
     INF_FIX,
     S_FIX,
@@ -104,7 +104,7 @@ def test_criterion_7_alg_equals_abs_infty():
     for i in range(100):
         rng = rng_for(7007, i)
         n = int(rng.integers(2, 7))
-        a, b = _orthogonal_psd_pair(n, rng)
+        a, b = orthogonal_psd_pair(n, rng)
         rep = abs_infty_orth_sampled(a, b, trials=200, seed=7100 + i)
         worst = max(worst, dict(rep.details)["sampled_deviation"])
     ortho_ok = worst <= DEFAULT_TOL.tol_eq

@@ -13,12 +13,11 @@ from ortholat.carriers import (
 )
 from ortholat.linalg import (
     hermitian_eigendecompose,
-    random_hermitian,
     rel_diff,
     rng_for,
 )
 
-from helpers import abs_zero_product, loewner_le
+from helpers import abs_zero_product, draw_rows, loewner_le, random_hermitian, sample
 from references import axioms_loop, same_report, theorem7_loop
 
 
@@ -44,8 +43,8 @@ class TestModels:
         model = model(4)
         for i in range(50):
             rng = rng_for(82, i)
-            a = model.positive(model.sample(rng))
-            b = model.positive(model.sample(rng))
+            a = model.positive(sample(model, rng))
+            b = model.positive(sample(model, rng))
             exact = model.zero_product(a, b) <= model.tol.tol_zero
             derived = abs_zero_product(model, a, b) <= model.tol.tol_zero
             assert exact == derived
@@ -54,25 +53,28 @@ class TestModels:
         model = MatrixSaModel(4)
         v = random_hermitian(4, rng_for(83))
         abs_v = model.jordan(v)[2]
+        draws = draw_rows([rng_for(84, i) for i in range(20)], model.dominated_width,
+                          model.dominated_draw)
         for i in range(20):
-            got_abs, w = model.dominated_sample(v, model.dominated_draw(rng_for(84, i)))
+            got_abs, w = model.dominated_sample(v, draws[i])
             assert np.array_equal(got_abs, abs_v)
             assert loewner_le(model.jordan(w)[2], abs_v)
 
     def test_dominated_sample_decomposes_v_once(self, eigen_calls):
         # |v| and the sample from one decomposition, of one element or a stack
         model = MatrixSaModel(4)
-        model.dominated_sample(random_hermitian(4, rng_for(83)), model.dominated_draw(rng_for(84)))
+        draws = draw_rows([rng_for(84, i) for i in range(5)], model.dominated_width,
+                          model.dominated_draw)
+        model.dominated_sample(random_hermitian(4, rng_for(83)), draws[0])
         vs = np.array([random_hermitian(4, rng_for(83, i)) for i in range(5)])
-        model.dominated_sample(vs, np.array([model.dominated_draw(rng_for(84, i))
-                                             for i in range(5)]))
+        model.dominated_sample(vs, draws)
         assert dict(eigen_calls) == {"eigh": 2}
         assert eigen_calls.stacks["eigh"] == [1, 5]
 
     def test_orthogonal_triple(self):
         for model in (MatrixSaModel(4), CoordinateModel(4)):
-            triples = model.orthogonal_triples([model.triple_draw(rng_for(85, i))
-                                                for i in range(20)])
+            triples = model.orthogonal_triples(draw_rows(
+                [rng_for(85, i) for i in range(20)], model.triple_width, model.triple_draw))
             for u, v, w in zip(*triples):
                 assert model.cone_defect(u) <= model.tol.tol_psd
                 assert abs_zero_product(model, u, v) <= model.tol.tol_zero

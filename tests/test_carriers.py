@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ortholat.carriers import CoordinateModel, MatrixSaModel, carrier_operands, sup_norm
 from ortholat.errors import DimensionMismatch, NotPositive
-from ortholat.linalg import random_hermitian, random_unitary, rng_for
+from ortholat.linalg import rng_for
 from ortholat.orthogonality import (abs_infty_orth_sampled, check_prop2_equivalence,
                                     infty_deviations)
 from ortholat.ortholattice import _Pair, kadison_witness_search, ortho_inf_sup, verify_theorem4
@@ -16,7 +16,7 @@ from ortholat.suites import suite_bridge
 from ortholat.tolerances import DEFAULT_TOL
 
 import references
-from helpers import abs_zero_product
+from helpers import abs_zero_product, random_hermitian, random_unitary
 from test_linalg import _stack_args, _stack_pair, _stack_property
 
 EPS = np.finfo(float).eps
@@ -81,11 +81,13 @@ class TestSpectralMethodsAreTheCarriers:
         x, _ = _stack_pair(seed, k, n, exponent, layout, vectors=carrier.rank == 1)
         rng = rng_for(seed, 1)
         t = rng.uniform(0.0, 1.0, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+        rng = rng_for(seed, 1)   # the same draws as dominated_draw's rows
+        draws = np.concatenate((rng.random((k, n)), rng.integers(0, 2, (k, n))), axis=1)
         model = carrier(n)
         with np.errstate(all="ignore"):
-            for v, f in ((x, t), *zip(x, t)):   # the stack, then each element
+            for v, d, f in ((x, draws, t), *zip(x, draws, t)):   # the stack, then each element
                 for got, want in ((model.jordan(v), jordan(v)),
-                                  (model.dominated_sample(v, f), dominated_sample(v, f))):
+                                  (model.dominated_sample(v, d), dominated_sample(v, f))):
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
                         assert g.dtype == w.dtype and g.shape == w.shape

@@ -22,10 +22,7 @@ from ortholat.linalg import (
     hermitian_norm,
     matrix_from_json,
     matrix_to_json,
-    random_complex,
     psd_defect,
-    random_hermitian,
-    random_unitary,
     rel_diff,
     rng_for,
     sqrt_psd,
@@ -35,7 +32,8 @@ import ortholat
 from ortholat.orthogonality import _trial_walk
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
-from helpers import is_psd, loewner_le, random_projection
+from helpers import (is_psd, loewner_le, random_complex, random_hermitian, random_projection,
+                     random_unitary)
 from jacobi import jacobi_eigendecompose
 
 TOL_RECON = 1e-9  # spectral reconstruction threshold (relative Frobenius)

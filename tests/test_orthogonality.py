@@ -19,10 +19,6 @@ from ortholat.linalg import (
     hermitian_eigendecompose,
     hermitian_matrix,
     hermitian_norm,
-    random_complex,
-    random_hermitian,
-    random_psd,
-    random_unitary,
     rng_for,
     sqrt_psd,
     zero_product_residual,
@@ -38,12 +34,15 @@ from ortholat.orthogonality import (
     hereditary_check,
     infty_deviations,
 )
-from ortholat.suites import _dim_for, _orthogonal_general_pair, _orthogonal_psd_pair
+from ortholat.suites import _dim_for
 from ortholat.tolerances import DEFAULT_TOL
 
-from helpers import abs_zero_product, is_psd, random_projection
+from helpers import (abs_zero_product, interval_samples, is_psd, random_complex, random_hermitian,
+                     random_projection, random_psd, random_unitary)
 from references import (
     abs_infty_loop,
+    orthogonal_general_pair,
+    orthogonal_psd_pair,
     draw_one as _draw_one,
     hereditary_loop,
     infty_trial_deviations,
@@ -204,7 +203,7 @@ class TestAlgOrthGeneral:
                 _calls.append(np.shape(x))
                 return _fn(x, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recording)
-        alg_orth_general(*_orthogonal_general_pair(3, rng_for(43)))
+        alg_orth_general(*orthogonal_general_pair(3, rng_for(43)))
         assert shapes == {"eigh": [(2, 6, 6)], "svd": [(4, 3, 3)]}
 
 
@@ -219,7 +218,6 @@ class TestProp2Equivalence:
         assert not rep.holds
 
     def test_unitary_conjugation_preserves(self):
-        from ortholat.linalg import random_unitary
         for i in range(20):
             u = random_unitary(4, rng_for(43, i))
             a = u @ np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
@@ -466,7 +464,7 @@ def _root(a):
 def _draw(root, rng):
     """The one sample of [0, a] drawn from `rng`, of the root of one
     operand a."""
-    return MatrixSaModel(root.shape[-1]).interval_samples(root, [rng], [0])[0]
+    return interval_samples(MatrixSaModel(root.shape[-1]), root, [rng], [0])[0]
 
 
 def _abs_infty_loop(a, b, trials, seed, stop=True):
@@ -501,8 +499,8 @@ class TestOrderIntervalSampler:
     def test_stack_matches_one_at_a_time(self, n):
         root = _root(random_psd(n, rng_for(54, n)))
         want = [_draw_one(root[0], rng_for(55, i)) for i in range(12)]
-        stack = MatrixSaModel(n).interval_samples(root, [rng_for(55, i) for i in range(12)],
-                                                  np.zeros(12, dtype=int))
+        stack = interval_samples(MatrixSaModel(n), root, [rng_for(55, i) for i in range(12)],
+                                 np.zeros(12, dtype=int))
         assert np.array_equal(stack, want)
         assert np.array_equal(_draw(root, rng_for(55, 3)), want[3])
 
@@ -523,7 +521,6 @@ class TestOrderIntervalSampler:
             assert np.max(np.abs(c[:, 1])) <= 1e-12
 
     def test_stays_in_interval(self):
-        from ortholat.linalg import random_psd
         a = random_psd(4, rng_for(45))
         root = _root(a)
         for i in range(30):
@@ -537,8 +534,8 @@ class TestOrderIntervalSampler:
         a = np.diag([1.7e308, 0.0]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stack = MatrixSaModel(2).interval_samples(
-                _root(a), [rng_for(1, i) for i in range(5)], np.zeros(5, dtype=int))
+            stack = interval_samples(MatrixSaModel(2), _root(a), [rng_for(1, i) for i in range(5)],
+                                     np.zeros(5, dtype=int))
         assert np.isfinite(stack).all()
         # where s + s* would overflow
         assert (stack[:, 0, 0].real > np.finfo(float).max / 2).sum() >= 2
@@ -671,7 +668,7 @@ class TestAbsInftyMatchesOneAtATime:
             (worst, float(first))
 
     def test_chunks_capped_at_large_n(self):
-        a, b = _orthogonal_psd_pair(32, rng_for(58))
+        a, b = orthogonal_psd_pair(32, rng_for(58))
         rep = abs_infty_orth_sampled(a, b, trials=12, seed=2)
         assert dict(rep.details)["sampled_deviation"] == _abs_infty_loop(a, b, 12, 2)[0]
 
@@ -740,7 +737,7 @@ def test_infty_suite_verdicts_do_not_depend_on_stopping():
         for i in range(50):
             rng = rng_for(seed, 9, i)
             n = _dim_for(rng, 4)
-            _orthogonal_psd_pair(n, rng)
+            orthogonal_psd_pair(n, rng)
             c, d = random_psd(n, rng), random_psd(n, rng)
             if zero_product_residual(c, d) > 0.1:
                 every_trial = all(dev <= DEFAULT_TOL.tol_eq
@@ -754,7 +751,7 @@ def test_infty_suite_verdicts_do_not_depend_on_stopping():
 class TestHereditaryCheck:
     @pytest.mark.parametrize("n, trials", [(4, 0), (4, 1), (4, 100), (32, 10)])
     def test_matches_one_at_a_time(self, n, trials):
-        a, b = _orthogonal_psd_pair(n, rng_for(57, n))
+        a, b = orthogonal_psd_pair(n, rng_for(57, n))
         rep = hereditary_check(a, b, trials=trials, seed=4)
         assert same_report(rep, hereditary_loop(a, b, trials, 4))
 
@@ -767,7 +764,6 @@ class TestHereditaryCheck:
         assert hereditary_check(p, np.eye(4) - p, trials=100, seed=3).holds
 
     def test_random_psd_blocks(self):
-        from ortholat.linalg import random_psd
         rng = rng_for(48)
         a = np.zeros((4, 4), dtype=complex)
         b = np.zeros((4, 4), dtype=complex)
@@ -806,7 +802,7 @@ def _positive_pairs(carrier, count, n=3):
             pairs.append(tuple(np.diag(np.resize(m, n)) for m in (_NEAR[0].diagonal(),
                                                                    _NEAR[1].diagonal())))
         else:
-            pairs.append(_orthogonal_psd_pair(n, rng) if i % 3 else
+            pairs.append(orthogonal_psd_pair(n, rng) if i % 3 else
                          (random_psd(n, rng), random_psd(n, rng)))
     return pairs
 
@@ -946,7 +942,7 @@ def test_sampler_of_a_stack_is_each_operand_alone():
     owners = np.array([2, 0, 0, 3, 1, 2])
     rngs = [rng_for(61, i) for i in range(len(owners))]
     want = [_draw_one(sqrt_psd(operands[k]), rng_for(61, i)) for i, k in enumerate(owners)]
-    assert np.array_equal(model.interval_samples(root, rngs, owners), want)
+    assert np.array_equal(interval_samples(model, root, rngs, owners), want)
     assert np.array_equal(root, [sqrt_psd(x) for x in operands])
 
 
@@ -960,17 +956,17 @@ class TestCoordinateIntervalSamples:
     def test_stack_is_each_operand_alone(self):
         root = self.MODEL.interval_root(self.OPERANDS, "a")
         owners = np.array([2, 0, 0, 3, 1, 2])
-        got = self.MODEL.interval_samples(root, [rng_for(65, i) for i in range(6)], owners)
+        got = interval_samples(self.MODEL, root, [rng_for(65, i) for i in range(6)], owners)
         for i, k in enumerate(owners):
             alone = self.MODEL.interval_root(self.OPERANDS[k], "a")[None]
-            assert np.array_equal(got[i], self.MODEL.interval_samples(
-                alone, [rng_for(65, i)], np.zeros(1, dtype=int))[0])
+            assert np.array_equal(got[i], interval_samples(
+                self.MODEL, alone, [rng_for(65, i)], np.zeros(1, dtype=int))[0])
             assert np.array_equal(got[i],
                                   rng_for(65, i).uniform(0.0, 1.0, size=5) * self.OPERANDS[k])
 
     def test_stays_in_interval(self):
-        c = self.MODEL.interval_samples(self.OPERANDS, [rng_for(66, i) for i in range(40)],
-                                        np.arange(40) % 4)
+        c = interval_samples(self.MODEL, self.OPERANDS, [rng_for(66, i) for i in range(40)],
+                             np.arange(40) % 4)
         assert np.all(c >= 0.0) and np.all(c <= self.OPERANDS[np.arange(40) % 4])
 
     @pytest.mark.parametrize("a, defect", [
@@ -1071,13 +1067,11 @@ class TestPredicateProperties:
             rng = rng_for(51, i)
             a = np.zeros((4, 4), dtype=complex)
             b = np.zeros((4, 4), dtype=complex)
-            from ortholat.linalg import random_psd
             a[:2, :2] = random_psd(2, rng)
             b[2:, 2:] = random_psd(2, rng)
             assert abs_infty_orth_sampled(a, b, trials=30, seed=60 + i).holds
 
     def test_strong_overlap_yields_violation(self):
-        from ortholat.linalg import random_psd
         found = 0
         for i in range(20):
             rng = rng_for(52, i)

@@ -25,9 +25,6 @@ from ortholat.linalg import (
     hermitian_matrix,
     matrix_to_json,
     psd_defect,
-    random_hermitian,
-    random_psd,
-    random_unitary,
     rel_diff,
     rng_for,
     zero_product_residual,
@@ -42,7 +39,7 @@ from ortholat.ortholattice import (
 from ortholat.suites import _dim_for, run_suite, suite_theorem4
 from ortholat.tolerances import DEFAULT_TOL, Tolerances
 
-from helpers import loewner_le
+from helpers import loewner_le, random_hermitian, random_psd, random_unitary
 from references import worst_of
 from jacobi import jacobi_eigendecompose
 
@@ -415,7 +412,7 @@ class TestUniquenessReference:
         draws = []
         sample_draw = MatrixSaModel.sample_draw
         monkeypatch.setattr(MatrixSaModel, "sample_draw",
-                            lambda self, rng, out: draws.append(rng) or sample_draw(self, rng, out))
+                            staticmethod(lambda rng, out: draws.append(rng) or sample_draw(rng, out)))
         other, rng = rng_for(73), rng_for(*key)
         a = np.array([random_hermitian(1, other), scale * random_hermitian(1, rng)])
         b = np.array([random_hermitian(1, other), scale * random_hermitian(1, rng)])

@@ -15,14 +15,14 @@ from ortholat.errors import ComparablePair, InternalInconsistency
 from ortholat.linalg import (
     frob,
     psd_defect,
-    random_hermitian,
-    random_unitary,
     rng_for,
     sqrt_psd,
     zero_product_residual,
 )
 from ortholat.orthogonality import check_prop2_equivalence, infty_deviations
 from ortholat.ortholattice import kadison_witness_search
+
+from helpers import random_hermitian, random_unitary
 
 SCALES = [2.0 ** k for k in (-30, -10, 0, 10, 30)]
 CARRIERS = {"matrix": MatrixSaModel, "coordinate": CoordinateModel}
@@ -84,8 +84,8 @@ def _scaled_axioms(carrier, s):
     residuals = []
 
     class Scaled(CARRIERS[carrier]):
-        def sample(self, rng):
-            return s * super().sample(rng)
+        def samples(self, normals):
+            return s * super().samples(normals)
 
         def zero_product(self, x, y):
             residuals.append(super().zero_product(x, y))

@@ -13,21 +13,21 @@ import ortholat.orthogonality
 import ortholat.suites
 from ortholat.carriers import CoordinateModel
 from ortholat.errors import InternalInconsistency
-from ortholat.linalg import random_complex, random_hermitian, rng_for
+from ortholat.linalg import rng_for
 from ortholat.orthogonality import (OrthReport, _trial_walk, alg_orth_general,
                                     check_prop2_equivalence, infty_deviations)
 from ortholat.ortholattice import _Pair, ortho_inf_sup, verify_theorem4
 from ortholat.suites import (
     SUITES,
     _dim_for,
-    _orthogonal_general_pair,
-    _orthogonal_sa_pair,
     run_suite,
     run_suites,
 )
 from ortholat.tolerances import DEFAULT_TOL
 
-from references import prop6_sampled_worst, worst_of
+from helpers import random_complex, random_hermitian
+
+from references import orthogonal_general_pair, orthogonal_sa_pair, prop6_sampled_worst, worst_of
 
 SEEDS = [42, 1, 2]
 # dim 64 draws n up to 64, where a chunk of _CHUNK_ENTRIES entries holds one pair
@@ -102,13 +102,13 @@ class TestGroupedSuitesAreTheFold:
         assert run_suite("corollary5", dim, trials, seed) == want
 
     def test_prop2(self, dim, trials, seed):
-        pairs = (_orthogonal_sa_pair,
+        pairs = (orthogonal_sa_pair,
                  lambda n, rng: (random_hermitian(n, rng), random_hermitian(n, rng)))
         want = _routes_fold("prop2", 2, pairs, check_prop2_equivalence, dim, trials, seed)
         assert run_suite("prop2", dim, trials, seed) == want
 
     def test_prop3(self, dim, trials, seed):
-        pairs = (_orthogonal_general_pair,
+        pairs = (orthogonal_general_pair,
                  lambda n, rng: (random_complex(n, rng), random_complex(n, rng)))
         want = _routes_fold("prop3", 3, pairs, alg_orth_general, dim, trials, seed)
         assert run_suite("prop3", dim, trials, seed) == want
@@ -173,7 +173,7 @@ def test_trials_past_one_block(monkeypatch):
     want = run_suite("prop2", 4, 30, 5)
     monkeypatch.undo()
     assert run_suite("prop2", 4, 30, 5) == want
-    assert want == _routes_fold("prop2", 2, (_orthogonal_sa_pair, lambda n, rng: (
+    assert want == _routes_fold("prop2", 2, (orthogonal_sa_pair, lambda n, rng: (
         random_hermitian(n, rng), random_hermitian(n, rng))), check_prop2_equivalence, 4, 30, 5)
 
 
